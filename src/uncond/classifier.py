@@ -28,8 +28,8 @@ from typing import Optional
 
 from .errors import InternalInconsistencyError
 from .seqspace import EPS_CMP, INF, Exponent, ExponentLike, ExponentTriple
-from .unconditionality import DEFAULT_N_EXH, quotient_lower_bound_search
-from .witness import hadamard_witness, second_clause_gap, tail_witness
+from .unconditionality import DEFAULT_N_EXH, check_threads, quotient_lower_bound_search
+from .witness import hadamard_witness, second_clause_gap, tail_witness, witness_size
 
 
 class Verdict(str, Enum):
@@ -146,8 +146,11 @@ def region_grid(
 
     The infinite exponent is sampled explicitly as an extra lattice point on
     each axis (1/inf = 0 exactly; no large finite stand-in), unless disabled.
-    Rows are emitted in row-major (p outer, q inner) order.
+    Rows are emitted in row-major (p outer, q inner) order.  ``threads`` is
+    accepted for compatibility; classification is pure Python under the GIL,
+    so the grid is evaluated serially.
     """
+    check_threads(threads)
     if step <= 0:
         raise ValueError("step must be positive")
     r = Exponent.of(r)
@@ -158,13 +161,7 @@ def region_grid(
     if include_infinite:
         ps = ps + [INF]
         qs = qs + [INF]
-    points = [ExponentTriple(p, q, r) for p in ps for q in qs]
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(classify, points))
-    return [classify(t) for t in points]
+    return [classify(ExponentTriple(p, q, r)) for p in ps for q in qs]
 
 
 GRID_CSV_HEADER = "p,q,r,verdict,clause,margin"
@@ -230,9 +227,10 @@ def cross_validate(
     NotPreserves via the strict clause must survive witness construction for
     C in {1, 10, 100}; NotPreserves via r < q must survive tail construction
     for B in {2, 5}.  A failed construction raises
-    InternalInconsistencyError.  Preserves and Unknown verdicts run the
-    seeded quotient search and report the best quotient found (bounded
-    evidence resp. exploration only).
+    InternalInconsistencyError; a witness too large for desk scale (see
+    ``witness_size``) raises ValueError, a domain limit.  Preserves and
+    Unknown verdicts run the seeded quotient search and report the best
+    quotient found (bounded evidence resp. exploration only).
     """
     cls = classify(t)
     if cls.verdict is Verdict.NOT_APPLICABLE:
@@ -242,6 +240,8 @@ def cross_validate(
     if cls.verdict is Verdict.NOT_PRESERVES:
         if cls.clause is Clause.STRICT_GAP:
             for C in (1.0, 10.0, 100.0):
+                # a witness beyond desk scale is a domain limit, not a contradiction
+                witness_size(t, C)
                 try:
                     rep = hadamard_witness(t, C, n_exh=n_exh)
                 except ValueError as exc:

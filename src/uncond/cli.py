@@ -30,6 +30,7 @@ from .seqspace import Exponent, ExponentTriple
 from .unconditionality import (
     DEFAULT_N_EXH,
     Family,
+    check_threads,
     quotient_lower_bound_search,
     unconditionality_quotient,
 )
@@ -41,6 +42,9 @@ EXIT_DOMAIN = 3
 EXIT_INTERNAL = 4
 
 _RANDOMIZED_COMMANDS = {"search", "grothendieck", "lemmas"}
+
+#: Largest exhaustive cap UNCOND_NEXH may set: 2^30 subsets already take hours.
+MAX_N_EXH = 30
 
 
 class _UsageError(Exception):
@@ -68,9 +72,12 @@ def _n_exh() -> int:
     if raw is None:
         return DEFAULT_N_EXH
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError as exc:
         raise _UsageError(f"UNCOND_NEXH must be an integer, got {raw!r}") from exc
+    if not 1 <= value <= MAX_N_EXH:
+        raise _UsageError(f"UNCOND_NEXH must be between 1 and {MAX_N_EXH}, got {value}")
+    return value
 
 
 def build_parser() -> _Parser:
@@ -80,7 +87,7 @@ def build_parser() -> _Parser:
     def add_common(p):
         p.add_argument("--pretty", action="store_true", help="human-readable summary")
         p.add_argument("--out", metavar="FILE", help="write output to FILE instead of stdout")
-        p.add_argument("--threads", type=int, default=1, help="workers for partitionable enumeration")
+        p.add_argument("--threads", type=int, default=1, help="accepted for compatibility; work runs serially")
 
     def add_triple(p):
         p.add_argument("--p", type=_exponent, required=True, help="exponent p (decimal or 'inf')")
@@ -333,6 +340,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command in _RANDOMIZED_COMMANDS and args.seed is None:
             raise _UsageError("--seed is required for randomized commands")
+        check_threads(args.threads)
         payload, pretty_text = _HANDLERS[args.command](args)
     except _UsageError as exc:
         _emit_error("usage", str(exc))

@@ -231,16 +231,13 @@ def row_norms(mat: np.ndarray, p: ExponentLike) -> np.ndarray:
     if p.value == 1.0:
         return a.sum(axis=1)
     m = a.max(axis=1)
-    out = np.zeros_like(m)
-    nz = m > 0.0
-    if np.any(nz):
-        scaled = a[nz] / m[nz, None]
-        if p.value == 2.0:
-            s = (scaled * scaled).sum(axis=1)
-        else:
-            s = np.power(scaled, p.value).sum(axis=1)
-        out[nz] = m[nz] * np.power(s, 1.0 / p.value)
-    return out
+    # an all-zero row is divided by 1 instead of its max, and its norm is m * 0 = 0
+    scaled = a / np.where(m > 0.0, m, 1.0)[:, None]
+    if p.value == 2.0:
+        s = (scaled * scaled).sum(axis=1)
+    else:
+        s = np.power(scaled, p.value).sum(axis=1)
+    return m * np.power(s, 1.0 / p.value)
 
 
 def norm(v, p: ExponentLike) -> float:

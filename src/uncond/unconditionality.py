@@ -9,16 +9,24 @@ action unconditional.  Every quotient computed here is therefore a certified
 lower bound for that constant.
 
 Exhaustive enumerations walk the reflected-Gray-code order over subsets (or
-sign patterns), updating a running sum one flip at a time.  The walk is
-processed in fixed-size blocks, each re-seeded from scratch, so results are
-bit-identical no matter how many worker threads share the index range, and
-ties resolve to the first subset attained in Gray order.
+sign patterns) in blocks of 2^k positions.  Inside a block the high bits are
+fixed and the low k bits run through the Gray order, forwards or mirrored,
+so a block is one from-scratch sum of the high rows plus a table of low sums
+built once per call.  Blocks hold about 1 MiB of sums, a size set by the
+ambient length alone, so memory stays bounded for every n.  Positions are
+ranked by power sums, and every position within the rounding slack of the
+best is recomputed from scratch: the reported value is the norm of the
+reported subset's sum, added in index order, and ties resolve to the first
+subset attaining it in Gray order.  Sign patterns walk only the half with
+the last sign +1, since s and -s have the same norm.  The enumeration is
+serial; a ``threads`` argument is accepted and changes nothing.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -43,10 +51,16 @@ DEFAULT_N_EXH = 24
 #: a check run at this level is a critical finding, not noise.
 KG_UPPER = 1.8
 
-# Rows per enumeration block.  Fixed (never derived from the thread count) so
-# that the floating-point accumulation pattern, and hence every reported
-# value, is independent of how the blocks are scheduled.
-_BLOCK = 1 << 15
+# Enumeration blocks hold about _BLOCK_BYTES of float64 sums (at least one
+# position, at most 2^_BLOCK_MAX_LOG), so their size depends on the ambient
+# length alone and memory stays bounded for every n.
+_BLOCK_BYTES = 1 << 20
+_BLOCK_MAX_LOG = 15
+#: Enumerations with at most this many terms (positions * n * d) recompute
+#: every position from scratch, which costs less than setting up a walk.
+_SCRATCH_ALL_TERMS = 2048
+#: Largest q whose power sums rank walked rows; above it rows rank by norm.
+_POWER_MAX_Q = 64.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,68 +174,183 @@ class QuotientResult:
         return out
 
 
-def _gray(i: int) -> int:
-    return i ^ (i >> 1)
+def _scratch_sums(X: np.ndarray, masks: np.ndarray, signs: bool = False) -> np.ndarray:
+    """Each mask's subset sum (or signed sum, bit = 1 meaning -1) of the rows of X.
 
-
-def _mask_rows_sum(X: np.ndarray, mask: int) -> np.ndarray:
-    """Scratch sum of the rows selected by ``mask`` (index order)."""
-    members = [k for k in range(X.shape[0]) if (mask >> k) & 1]
-    if not members:
-        return np.zeros(X.shape[1])
-    return X[members].sum(axis=0)
-
-
-def _walk_block_best(X: np.ndarray, q: Exponent, lo: int, hi: int, signs: bool):
-    """Best (norm, Gray index) over Gray positions [lo, hi).
-
-    For ``signs=False`` position i holds the subset-sum of gray(i); for
-    ``signs=True`` it holds sum_k s_k x_k where s_k = -1 exactly on the bits
-    of gray(i), and one flip is a +-2 x_k update.
+    Every sum is recomputed from the rows, added in index order.
     """
-    d = X.shape[1]
-    g_lo = _gray(lo)
+    bit = masks[:, None] >> np.arange(X.shape[0]) & 1
+    coef = 1.0 - 2.0 * bit if signs else bit.astype(np.float64)
+    terms = coef[:, :, None] * X
+    np.cumsum(terms, axis=1, out=terms)
+    return terms[:, -1]
+
+
+def _first_best(X, q, signs, positions, chunk, best):
+    """Merge Gray positions, in Gray order, into ``best`` = (value, mask) by scratch norm.
+
+    Only a strictly larger value replaces ``best``, so ties keep the first.
+    """
+    masks = np.concatenate(positions)
+    masks ^= masks >> 1
+    for at in range(0, masks.size, chunk):
+        part = masks[at : at + chunk]
+        vals = row_norms(_scratch_sums(X, part, signs), q)
+        k = int(np.argmax(vals))
+        if vals[k] > best[0]:
+            best = (float(vals[k]), int(part[k]))
+    return best
+
+
+def _block_rows(d: int, total: int) -> int:
+    """Positions per block: the largest power of two whose sums fit _BLOCK_BYTES, at least 1."""
+    log = (_BLOCK_BYTES // (8 * d)).bit_length() - 1
+    return min(total, 1 << min(max(log, 0), _BLOCK_MAX_LOG))
+
+
+@functools.lru_cache(maxsize=None)
+def _gray_bits(k: int) -> np.ndarray:
+    """Bit i of gray(j) at row i, column j, for j < 2^k (read-only float64).
+
+    Cached per k <= _BLOCK_MAX_LOG: at most 16 tables, about 8 MB in all.
+    """
+    j = np.arange(1 << k)
+    j ^= j >> 1
+    bits = np.empty((k, 1 << k))
+    for i in range(k):
+        bits[i] = j >> i & 1
+    bits.setflags(write=False)
+    return bits
+
+
+def _low_walk(Xs: np.ndarray, k: int, signs: bool) -> np.ndarray:
+    """Sums over rows 0..k-1 of Xs at Gray positions 0..2^k-1, one column per position.
+
+    For signs, bit = 1 means -1: the sum is the all-plus sum minus twice the
+    subset sum.
+    """
+    low = Xs[:k].T @ _gray_bits(k)
     if signs:
-        base = X.sum(axis=0) - 2.0 * _mask_rows_sum(X, g_lo)
-        on_coeff, off_coeff = -2.0, 2.0
+        low *= -2.0
+        low += Xs[:k].sum(axis=0)[:, None]
+    return low
+
+
+def _ranking(q: Exponent, n: int, d: int):
+    """A key monotone in the lq norm of each position (column) of a block, and its candidate slack.
+
+    Keys are power sums sum |s|^q (the max |s| for q = inf); the walked
+    family is kept below 1 by an exact power-of-two scaling, so no root is
+    taken and nothing overflows.  Above _POWER_MAX_Q the power sums could
+    underflow and positions are ranked by their norms.  The slack is a
+    relative bound, four times over, on how far rounding can move the key of
+    a position that ranks near the top: each walked sum is a low-table entry
+    plus a high-row sum, each a dot product of at most n terms (about 3n for
+    signs), and its key adds the rounding of a d-term sum.
+    """
+    drift = 2.0 * (2 * n + d + 2) * np.finfo(np.float64).eps * d ** q.reciprocal
+    if q.is_infinite:
+
+        def key(buf, out):
+            np.abs(buf, out=buf)
+            return buf.max(axis=0, out=out)
+
+        return key, 4.0 * drift
+    p = q.value
+    if p > _POWER_MAX_Q:
+        return (lambda buf, out: row_norms(buf.T, q)), 4.0 * drift
+    ones = np.ones(d)
+    if p == 2.0:
+
+        def key(buf, out):
+            return np.einsum("ji,ji->i", buf, buf, out=out)
+
+    elif p == 3.0:
+
+        def key(buf, out):
+            np.abs(buf, out=buf)
+            return np.einsum("ji,ji,ji->i", buf, buf, buf, out=out)
+
     else:
-        base = _mask_rows_sum(X, g_lo)
-        on_coeff, off_coeff = 1.0, -1.0
-    count = hi - lo
-    sums = np.empty((count, d))
-    sums[0] = base
-    if count > 1:
-        idx = np.arange(lo + 1, hi, dtype=np.int64)
-        # bit flipped at step i is the lowest set bit of i; exact via log2 of a power of two
-        b = np.log2((idx & -idx).astype(np.float64)).astype(np.int64)
-        on = ((idx ^ (idx >> 1)) >> b) & 1
-        delta = np.where(on[:, None] == 1, on_coeff, off_coeff) * X[b]
-        np.cumsum(delta, axis=0, out=delta)
-        sums[1:] = base + delta
-    norms = row_norms(sums, q)
-    k = int(np.argmax(norms))
-    return float(norms[k]), lo + k
+
+        def key(buf, out):
+            np.abs(buf, out=buf)
+            if p != 1.0:
+                np.power(buf, p, out=buf)
+            return np.dot(ones, buf, out=out)
+
+    return key, 4.0 * p * drift
 
 
-def _exhaustive_best(X: np.ndarray, q: Exponent, signs: bool, threads: int = 1):
-    """Exact max over all 2^n Gray positions; ties keep the smallest index."""
-    n = X.shape[0]
-    total = 1 << n
-    starts = list(range(0, total, _BLOCK))
+def _exhaustive_best(X: np.ndarray, q: Exponent, signs: bool):
+    """Exact (value, mask) of the largest subset sum, or signed sum, of the rows of X.
 
-    def run(lo):
-        return _walk_block_best(X, q, lo, min(lo + _BLOCK, total), signs)
+    Each block of Gray positions is the high-row sum of its first position
+    plus the low table (mirrored when bit k of the block start is set, since
+    that is bit k-1 of its Gray code).  Blocks are ranked by power sums of an
+    exactly scaled copy of X, and every position whose key comes within the
+    rounding slack of the best so far is recomputed from scratch.  The value
+    is the norm of the returned mask's scratch sum, and the mask is the first
+    in Gray order attaining it, as in a from-scratch enumeration.  Sign
+    patterns walk only the positions with bit n-1 clear: s and -s have the
+    same norm, and the clear one comes first.
+    """
+    n, d = X.shape
+    absmax = float(np.abs(X).max()) if X.size else 0.0
+    if absmax == 0.0:
+        return 0.0, 0
+    total = 1 << (n - 1 if signs else n)
+    # scratch sums are evaluated in chunks of about _BLOCK_BYTES of terms
+    chunk = max(1, _BLOCK_BYTES // (8 * n * d))
+    if total * n * d <= _SCRATCH_ALL_TERMS:
+        return _first_best(X, q, signs, [np.arange(total)], chunk, (-1.0, 0))
+    rows = _block_rows(d, total)
+    k = rows.bit_length() - 1
+    # every subset sum of the scaled rows stays below 1 in absolute value
+    Xs = np.ldexp(X, -(math.frexp(absmax)[1] + n.bit_length()))
+    low = _low_walk(Xs, k, signs)
+    mirrored = low[:, ::-1]
+    high_rows, high_bits = Xs[k:], np.arange(k, n)
+    base = np.empty(d)
+    buf = np.empty((d, rows))
+    keys = np.empty(rows)
+    key, slack = _ranking(q, n, d)
 
-    if threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, starts))
-    else:
-        results = [run(lo) for lo in starts]
-    best_val, best_idx = results[0]
-    for val, idx in results[1:]:
-        if val > best_val:
-            best_val, best_idx = val, idx
-    return best_val, best_idx
+    best_key = floor = -1.0
+    best = (-1.0, 0)
+    pending: list[np.ndarray] = []
+    pending_rows = 0
+    for lo in range(0, total, rows):
+        on = (lo ^ (lo >> 1)) >> high_bits & 1
+        np.dot(1.0 - 2.0 * on if signs else on.astype(np.float64), high_rows, out=base)
+        np.add(mirrored if (lo >> k) & 1 else low, base[:, None], out=buf)
+        ranked = key(buf, keys)
+        top = float(ranked.max())
+        if top < floor:
+            continue
+        if top > best_key:
+            best_key, floor = top, top * (1.0 - slack)
+        hits = np.flatnonzero(ranked >= floor)
+        hits += lo
+        pending.append(hits)
+        pending_rows += hits.size
+        if pending_rows >= chunk:
+            best = _first_best(X, q, signs, pending, chunk, best)
+            pending, pending_rows = [], 0
+    if pending:
+        best = _first_best(X, q, signs, pending, chunk, best)
+    return best
+
+
+def check_threads(threads: int) -> None:
+    """Reject a worker count below 1.
+
+    Every count of at least 1 is accepted and gives the same result: work
+    runs serially, since a thread pool over enumeration blocks or grid
+    points gave no speed-up.
+    """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
 
 
 def _require_exhaustible(n: int, n_exh: int):
@@ -251,7 +380,7 @@ def _randomized_subset_best(X: np.ndarray, q: Exponent, budget: int, seed):
     for child in children:
         rng = np.random.default_rng(child)
         mask = int(rng.integers(0, 1 << n))
-        cur = _mask_rows_sum(X, mask)
+        cur = _scratch_sums(X, np.array([mask]))[0]
         cur_val = float(row_norms(cur.reshape(1, -1), q)[0])
         while True:
             in_set = np.array([(mask >> k) & 1 for k in range(n)], dtype=bool)
@@ -265,7 +394,7 @@ def _randomized_subset_best(X: np.ndarray, q: Exponent, budget: int, seed):
             cur_val = float(vals[k])
             mask ^= 1 << k
         # report the scratch-recomputed value so climbing drift cannot inflate it
-        exact = float(row_norms(_mask_rows_sum(X, mask).reshape(1, -1), q)[0])
+        exact = float(row_norms(_scratch_sums(X, np.array([mask])), q)[0])
         if exact > best_val:
             best_val, best_mask = exact, mask
     return best_val, best_mask
@@ -284,17 +413,19 @@ def subset_max_norm(
     """max over subsets F of ||sum_{k in F} x_k||_q.
 
     Exhaustive mode is exact and certified (Gray-code walk over all 2^n
-    subsets, one vector add/subtract per step, n <= n_exh).  Randomized mode
+    subsets, n <= n_exh; the value is the norm of the reported subset's sum
+    recomputed from scratch).  Randomized mode
     runs ``budget`` seeded restarts with single-flip hill climbing and returns
     an uncertified lower bound.
     """
+    check_threads(threads)
     fam = Family.of(fam)
     q = Exponent.of(q)
     mode = _normalize_mode(mode)
     if mode == "exhaustive":
         _require_exhaustible(fam.size, n_exh)
-        val, idx = _exhaustive_best(fam.matrix, q, signs=False, threads=threads)
-        return SubsetMaxResult(val, _gray(idx), True, "exhaustive")
+        val, mask = _exhaustive_best(fam.matrix, q, signs=False)
+        return SubsetMaxResult(val, mask, True, "exhaustive")
     if budget is None or budget < 1:
         raise ValueError("empty budget")
     val, mask = _randomized_subset_best(fam.matrix, q, budget, seed)
@@ -310,14 +441,16 @@ def sign_max_norm(
 ) -> SubsetMaxResult:
     """max over sign patterns s in {-1,1}^n of ||sum_k s_k x_k||_q.
 
-    Exact Gray-code enumeration (flipping one sign is a +-2 x_k update); the
-    argmax bitmask has bit = 1 where the sign is -1.
+    Exact Gray-code enumeration of the 2^(n-1) patterns with s_{n-1} = +1,
+    since s and -s have the same norm; the argmax bitmask has bit = 1 where
+    the sign is -1, so its bit n-1 is always clear.
     """
+    check_threads(threads)
     fam = Family.of(fam)
     q = Exponent.of(q)
     _require_exhaustible(fam.size, n_exh)
-    val, idx = _exhaustive_best(fam.matrix, q, signs=True, threads=threads)
-    return SubsetMaxResult(val, _gray(idx), True, "exhaustive")
+    val, mask = _exhaustive_best(fam.matrix, q, signs=True)
+    return SubsetMaxResult(val, mask, True, "exhaustive")
 
 
 def _product_row(avec: Family, xvec: Family) -> np.ndarray:

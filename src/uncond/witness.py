@@ -25,14 +25,15 @@ from scipy.special import zeta
 
 from .errors import InternalInconsistencyError
 from .seqspace import EPS_CMP, Exponent, ExponentLike, ExponentTriple
-from .unconditionality import DEFAULT_N_EXH, Family, unconditionality_quotient
+from .unconditionality import DEFAULT_N_EXH, Family, check_threads, unconditionality_quotient
 
 #: Largest doubling step for explicit +-1 matrices (size 4096).
 SYLVESTER_MAX_LOG = 12
 #: Families are materialized only while the matrix has at most 2^20 entries.
 MATERIALIZE_MAX_LOG = 10
-#: Hard cap on the certificate step count.
-WITNESS_MAX_LOG = 40
+#: Cap on the certificate step count.  Beyond MATERIALIZE_MAX_LOG the
+#: certificate is pure log2 arithmetic, so the cap only keeps 2^n a finite float.
+WITNESS_MAX_LOG = 1023
 #: Cap on terms summed when locating the divergent-tail crossing.
 TAIL_MAX_TERMS = 10_000_000
 
@@ -148,20 +149,18 @@ def second_clause_gap(t: ExponentTriple) -> float:
     return 0.5 + t.r.reciprocal - t.p.reciprocal - rq2
 
 
-def hadamard_witness(
-    t: ExponentTriple,
-    C: float,
-    *,
-    n_exh: int = DEFAULT_N_EXH,
-    threads: int = 1,
-) -> WitnessReport:
-    """Construct the orthogonal +-1 family defeating the constant C.
+def _slopes(t: ExponentTriple) -> tuple[float, float]:
+    """log2 growth per doubling step of the numerator and of the denominator bound."""
+    return 1.0 + t.r.reciprocal, t.p.reciprocal + 0.5 + max(0.5, t.q.reciprocal)
 
-    Picks the minimal n >= 1 with n(1+1/r) > log2(C) + n(1/p + 1/2 + 1/q''),
-    all comparisons in log2 space with margin EPS_CMP.  The family is the set
-    of rows of ``sylvester(n)`` used both as multipliers and as summands; it
-    is materialized (and, when 2^n is within the exhaustive cap, its exact
-    quotient computed) only at desk scale.
+
+def witness_size(t: ExponentTriple, C: float) -> int:
+    """The minimal n >= 1 with n(1+1/r) > log2(C) + n(1/p + 1/2 + 1/q''), by margin EPS_CMP.
+
+    The closed form floor(log2(C) / gap) + 1 is confirmed, and moved by a
+    step where rounding puts it on the wrong side, with the margin test
+    itself.  Raises ValueError for a triple outside the strict clause and for
+    an n above WITNESS_MAX_LOG ("C too large for desk scale").
     """
     if not t.holder_valid:
         raise ValueError(f"triple {t} is not valid: 1/r > 1/p + 1/q")
@@ -172,17 +171,43 @@ def hadamard_witness(
         raise ValueError(
             "second-clause condition not satisfied: needs 1/2 + 1/r > 1/p + 1/min(2,q)"
         )
-    rq2 = max(0.5, t.q.reciprocal)
-    num_slope = 1.0 + t.r.reciprocal
-    den_slope = t.p.reciprocal + 0.5 + rq2
+    num_slope, den_slope = _slopes(t)
     log2C = math.log2(C)
-    n = None
-    for cand in range(1, WITNESS_MAX_LOG + 1):
-        if cand * num_slope - (log2C + cand * den_slope) > EPS_CMP:
-            n = cand
-            break
-    if n is None:
+
+    def beats(n: int) -> bool:
+        return n * num_slope - (log2C + n * den_slope) > EPS_CMP
+
+    estimate = log2C / gap
+    if not estimate < WITNESS_MAX_LOG:
         raise ValueError("C too large for desk scale")
+    n = max(1, math.floor(estimate) + 1)
+    while n > 1 and beats(n - 1):
+        n -= 1
+    while not beats(n):
+        n += 1
+    if n > WITNESS_MAX_LOG:
+        raise ValueError("C too large for desk scale")
+    return n
+
+
+def hadamard_witness(
+    t: ExponentTriple,
+    C: float,
+    *,
+    n_exh: int = DEFAULT_N_EXH,
+    threads: int = 1,
+) -> WitnessReport:
+    """Construct the orthogonal +-1 family defeating the constant C.
+
+    Picks the minimal n >= 1 with n(1+1/r) > log2(C) + n(1/p + 1/2 + 1/q'')
+    (``witness_size``), all comparisons in log2 space with margin EPS_CMP.
+    The family is the set of rows of ``sylvester(n)`` used both as
+    multipliers and as summands; it is materialized (and, when 2^n is within
+    the exhaustive cap, its exact quotient computed) only at desk scale.
+    """
+    check_threads(threads)
+    n = witness_size(t, C)
+    num_slope, den_slope = _slopes(t)
 
     log2_num = n * num_slope
     log2_den = n * den_slope

@@ -47,6 +47,39 @@ def naive_sign_max(X: np.ndarray, q):
     return best_val, best_mask
 
 
+def sequential_scratch_max(X: np.ndarray, q, signs: bool = False):
+    """Every subset (or sign pattern) of X in Gray order, each sum added row by row in index order.
+
+    Vectorized over masks in chunks; the sums are accumulated with one
+    explicit addition per row, so they are the plain left-to-right sums for
+    every ambient length.  Tie rule: first attainment in Gray order.
+    """
+    n = X.shape[0]
+    best_val, best_mask = -1.0, 0
+    for lo in range(0, 1 << n, 4096):
+        idx = np.arange(lo, min(lo + 4096, 1 << n))
+        masks = idx ^ (idx >> 1)
+        acc = np.zeros((masks.size, X.shape[1]))
+        for k in range(n):
+            bit = ((masks >> k) & 1).astype(float)
+            acc = acc + ((1.0 - 2.0 * bit) if signs else bit)[:, None] * X[k]
+        vals = row_norms(acc, q)
+        k = int(np.argmax(vals))
+        if vals[k] > best_val:
+            best_val, best_mask = float(vals[k]), int(masks[k])
+    return best_val, best_mask
+
+
+def scratch_sum(X: np.ndarray, mask: int, signs: bool = False) -> np.ndarray:
+    """The subset sum (or signed sum, bit = 1 meaning -1) of one mask, as the naive oracles form it."""
+    n = X.shape[0]
+    if signs:
+        coef = np.array([-1.0 if (mask >> k) & 1 else 1.0 for k in range(n)])
+        return (coef[:, None] * X).sum(axis=0)
+    members = [k for k in range(n) if (mask >> k) & 1]
+    return X[members].sum(axis=0) if members else np.zeros(X.shape[1])
+
+
 def scalar_subset_max_abs(x: np.ndarray) -> float:
     """max_F |sum_F x_k| for real scalars by full enumeration (vectorized)."""
     n = x.size

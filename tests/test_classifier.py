@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,8 @@ from uncond.classifier import (
     region_grid,
 )
 from uncond.seqspace import INF, Exponent, ExponentTriple
+
+from _oracles import minimal_witness_n
 
 
 def T(p, q, r):
@@ -129,6 +133,10 @@ class TestRegionGrid:
         threaded = region_grid(2, (1, 8), (1, 8), 0.5, threads=4)
         assert serial == threaded
 
+    def test_threads_below_one_rejected(self):
+        with pytest.raises(ValueError, match="threads"):
+            region_grid(2, (1, 2), (1, 2), 1.0, threads=0)
+
     def test_csv_format(self):
         rows = region_grid(2, (1, 2), (1, 2), 1.0)
         text = grid_to_csv(rows)
@@ -149,6 +157,27 @@ class TestCrossValidate:
         assert [c.detail["n"] for c in cv.checks] == [1, 7, 14]
         assert all(c.ok for c in cv.checks)
         assert cv.best_quotient is None
+
+    def test_small_gap_strict_branch(self):
+        # gap 1/12: the C = 100 witness needs n = 80, in log2 space only
+        t = T(4, 2, 3)
+        gap = 0.5 + 1 / 3 - 1 / 4 - 0.5
+        cv = cross_validate(t)
+        assert cv.classification.clause is Clause.STRICT_GAP
+        assert [(c.kind, c.parameter) for c in cv.checks] == [
+            ("hadamard", 1.0), ("hadamard", 10.0), ("hadamard", 100.0)
+        ]
+        ns = [c.detail["n"] for c in cv.checks]
+        assert ns == [1, 40, 80]
+        assert ns == [math.floor(math.log2(C) / gap) + 1 for C in (1.0, 10.0, 100.0)]
+        assert ns == [minimal_witness_n(1 / 4, 1 / 2, 1 / 3, C) for C in (1.0, 10.0, 100.0)]
+
+    def test_beyond_desk_scale_is_a_domain_error(self):
+        # gap 1/2 - 1/2.002 ~ 5e-4: C = 10 would need n ~ 6600
+        t = T(2.002, 2, 2)
+        assert classify(t).clause is Clause.STRICT_GAP
+        with pytest.raises(ValueError, match="desk scale"):
+            cross_validate(t)
 
     def test_tail_branch(self):
         cv = cross_validate(T("inf", 2, 1), budget=10, seed=0)

@@ -180,6 +180,26 @@ class TestEnvCap:
         assert "exhaustive_quotient" not in json.loads(without.stdout)
 
 
+    @pytest.mark.parametrize("raw", ["0", "31"])
+    def test_nexh_out_of_range_is_usage_error(self, raw, tmp_path, monkeypatch, capsys):
+        # rejected before any enumeration runs at the bad cap
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps([[1, 0], [0, 1]]))
+        monkeypatch.setenv("UNCOND_NEXH", raw)
+        assert main(["quotient", "--p", "2", "--q", "2", "--r", "2", "--avec", str(path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "usage"
+        assert "between 1 and 30" in err["detail"]
+
+    def test_nexh_at_bounds_accepted(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps([[1, 0]]))
+        for raw in ("1", "30"):
+            monkeypatch.setenv("UNCOND_NEXH", raw)
+            assert main(["quotient", "--p", "2", "--q", "2", "--r", "2", "--avec", str(path)]) == 0
+        capsys.readouterr()
+
+
 class TestDeterminism:
     def test_search_byte_identical(self):
         args = ("search", "--p", "inf", "--q", "2", "--r", "2",
@@ -213,6 +233,14 @@ class TestDeterminism:
         a = run_cli(*base, "--threads", "1")
         b = run_cli(*base, "--threads", "4")
         assert a.stdout == b.stdout
+
+
+    def test_threads_below_one_is_domain_error(self, capsys):
+        for command in (["classify", "--p", "2", "--q", "2", "--r", "2"], ["grid", "--r", "2"]):
+            assert main([*command, "--threads", "0"]) == 3
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "domain-error"
+            assert "threads" in err["detail"]
 
 
 class TestMainEntry:

@@ -14,7 +14,9 @@ from uncond.unconditionality import (
 )
 from uncond.witness import sylvester
 
-from _oracles import naive_sign_max, naive_subset_max
+from uncond.seqspace import row_norms
+
+from _oracles import naive_sign_max, naive_subset_max, scratch_sum, sequential_scratch_max
 
 SQRT2 = math.sqrt(2.0)
 
@@ -155,8 +157,6 @@ class TestSignMaxNorm:
             assert got.value == want_val
 
     def test_matches_naive_value_on_continuous(self):
-        from uncond.seqspace import row_norms
-
         rng = np.random.default_rng(18)
         for trial in range(30):
             n = int(rng.integers(1, 8))
@@ -174,6 +174,91 @@ class TestSignMaxNorm:
     def test_cap(self):
         with pytest.raises(ValueError):
             sign_max_norm(Family(np.ones((5, 1))), 1, n_exh=4)
+
+
+class TestKernel:
+    """The block walk against from-scratch enumeration, across blocks, exponents and scales."""
+
+    def test_many_blocks_match_naive_on_lattice(self):
+        # d = 256 makes blocks of 2^9 positions: the subset walk spans 32
+        # blocks, the sign walk 16, half of them mirrored.  A zero row makes
+        # every subset tie with a partner, so the first-in-Gray-order rule
+        # decides the mask.
+        rng = np.random.default_rng(41)
+        for q in (1, 2, "inf"):
+            X = rng.integers(-1, 2, size=(14, 256)).astype(float)
+            X[5] = 0.0
+            for fn, naive in ((subset_max_norm, naive_subset_max), (sign_max_norm, naive_sign_max)):
+                want_val, want_mask = naive(X, q)
+                got = fn(Family(X), q)
+                assert got.argmax_subset == want_mask
+                assert got.value == want_val
+
+    def test_matches_sequential_scratch_enumeration(self):
+        # the oracle adds every sum row by row, like the reported values, so
+        # value and mask agree exactly, also at d = 1 and at extreme scales
+        rng = np.random.default_rng(47)
+        qs = (1, 1.5, 2, 2.5, 3, "inf", 100)
+        for trial in range(21):
+            n = int(rng.integers(9, 17))
+            d = int(rng.choice([1, 2, 5, 40]))
+            if trial % 3 == 0:
+                X = rng.integers(-2, 3, size=(n, d)).astype(float)
+                X[int(rng.integers(0, n))] = 0.0
+            else:
+                X = rng.standard_normal((n, d)) * 10.0 ** float(rng.choice([-250, 0, 250]))
+            q = qs[trial % len(qs)]
+            for signs, fn in ((False, subset_max_norm), (True, sign_max_norm)):
+                got = fn(Family(X), q)
+                assert (got.value, got.argmax_subset) == sequential_scratch_max(X, q, signs)
+
+    def test_decimal_lattice_ties(self):
+        # multiples of 0.1 give many subsets with equal exact sums whose
+        # floating sums differ in the last bits, depending on the order of
+        # addition: the walk must still pick the oracle's first maximum
+        rng = np.random.default_rng(61)
+        for trial in range(30):
+            n = int(rng.integers(9, 15))
+            X = rng.integers(-3, 4, size=(n, int(rng.choice([1, 2, 3, 6])))) * 0.1
+            q = (1, 2, 3, "inf", 1.5)[trial % 5]
+            for signs, fn in ((False, subset_max_norm), (True, sign_max_norm)):
+                got = fn(Family(X), q)
+                assert (got.value, got.argmax_subset) == sequential_scratch_max(X, q, signs)
+
+    def test_value_is_scratch_norm_of_mask(self):
+        rng = np.random.default_rng(43)
+        cases = [(16, 2, 1), (17, 4, 2), (18, 8, 3), (19, 2, "inf"), (20, 4, 2), (16, 8, "inf"), (17, 8, 1), (18, 4, 3)]
+        for n, d, q in cases:
+            X = rng.standard_normal((n, d))
+            for signs, fn in ((False, subset_max_norm), (True, sign_max_norm)):
+                res = fn(Family(X), q)
+                recomputed = row_norms(scratch_sum(X, res.argmax_subset, signs).reshape(1, -1), q)[0]
+                assert res.value == recomputed
+
+    def test_sign_argmax_has_last_bit_clear(self):
+        rng = np.random.default_rng(53)
+        for trial in range(40):
+            n = int(rng.integers(1, 15))
+            d = int(rng.integers(1, 6))
+            if trial % 2:
+                X = rng.integers(-1, 2, size=(n, d)).astype(float)
+            else:
+                X = rng.standard_normal((n, d))
+            res = sign_max_norm(Family(X), (1, 2, 3, "inf")[trial % 4])
+            assert (res.argmax_subset >> (n - 1)) & 1 == 0
+
+    def test_threads_identical_at_wide_d(self):
+        X = np.random.default_rng(59).standard_normal((14, 256))
+        for fn in (subset_max_norm, sign_max_norm):
+            assert fn(Family(X), 2, threads=1) == fn(Family(X), 2, threads=2)
+
+    def test_threads_below_one_rejected(self):
+        fam = Family.of([[1.0, 0.0]])
+        for fn in (subset_max_norm, sign_max_norm):
+            with pytest.raises(ValueError, match="threads"):
+                fn(fam, 2, threads=0)
+        with pytest.raises(ValueError, match="threads"):
+            unconditionality_quotient(fam, fam, ExponentTriple.of(2, 2, 2), threads=-1)
 
 
 class TestQuotient:

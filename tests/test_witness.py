@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from uncond.seqspace import ExponentTriple
 from uncond.unconditionality import subset_max_norm
 from uncond.witness import (
     HadamardMatrix,
     hadamard_witness,
+    second_clause_gap,
+    witness_size,
     divergent_tail_norm,
     sylvester,
     tail_q_bound,
@@ -110,6 +114,26 @@ class TestHadamardWitness:
                 rhs = math.log2(C) + m * (t.p.reciprocal + 0.5 + rq2)
                 assert not (lhs - rhs > 1e-12)
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        rp=st.floats(0.0, 0.5),
+        rq=st.floats(0.0, 1.0),
+        gap=st.floats(1e-3, 0.5),
+        steps=st.integers(-20, 900),
+        offset=st.sampled_from([0.0, 1e-13, -1e-13, 0.37]),
+    )
+    def test_closed_form_size_matches_margin_oracle(self, rp, rq, gap, steps, offset):
+        # log2(C) = steps * gap + offset puts many cases on the margin boundary
+        rr = rp + max(0.5, rq) - 0.5 + gap
+        assume(rr <= 1.0 and (rq >= 0.5 or gap <= rq))
+        t = ExponentTriple.of(*(1.0 / x if x > 0 else "inf" for x in (rp, rq, rr)))
+        g = second_clause_gap(t)
+        log2C = steps * gap + offset
+        assume(t.holder_valid and g > 1e-3 and log2C / g < 990)
+        C = 2.0 ** log2C
+        want = minimal_witness_n(t.p.reciprocal, t.q.reciprocal, t.r.reciprocal, C)
+        assert witness_size(t, C) == want
+
     def test_log2_certificate_fields(self):
         t = ExponentTriple.of("inf", 2, 2)
         rep = hadamard_witness(t, 10.0)
@@ -152,6 +176,10 @@ class TestHadamardWitness:
     def test_huge_constant_rejected(self):
         with pytest.raises(ValueError, match="desk scale"):
             hadamard_witness(ExponentTriple.of("inf", 2, 2), 2.0 ** 1000)
+
+    def test_threads_below_one_rejected(self):
+        with pytest.raises(ValueError, match="threads"):
+            hadamard_witness(ExponentTriple.of("inf", 2, 2), 1.0, threads=0)
 
     def test_nonpositive_constant_rejected(self):
         with pytest.raises(ValueError, match="positive"):
