@@ -249,8 +249,6 @@ def _run_quotient(args):
 
 
 def _run_search(args):
-    if args.seed is None:
-        raise _UsageError("--seed is required for randomized commands")
     res = quotient_lower_bound_search(
         _triple(args), args.n, args.dim, args.budget, args.seed, n_exh=_n_exh()
     )
@@ -259,8 +257,6 @@ def _run_search(args):
 
 
 def _run_lemmas(args):
-    if args.seed is None:
-        raise _UsageError("--seed is required for randomized commands")
     rng = np.random.default_rng(args.seed)
     n_exh = _n_exh()
 
@@ -304,8 +300,6 @@ def _run_lemmas(args):
 
 
 def _run_grothendieck(args):
-    if args.seed is None:
-        raise _UsageError("--seed is required for randomized commands")
     rep = grothendieck_search(args.n, args.dim, args.budget, args.seed, n_exh=_n_exh())
     pretty = (
         f"best sign-pattern ratio {rep.ratio:.12g} "

@@ -12,7 +12,9 @@ Covered here:
   vectors;
 * empirical lower bounds for the sign-pattern constant K in
   sum ||x_k||_2 <= K max_{s in {-1,1}^n} ||sum s_k x_k||_1,
-  reported against a configurable upper envelope.
+  reported against a configurable upper envelope.  The search climbs by
+  single-entry sign flips on the coordinate ascent of ``unconditionality``;
+  a flip leaves the numerator unchanged, so only the sign max is recomputed.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ from .unconditionality import (
     DEFAULT_N_EXH,
     KG_UPPER,
     Family,
+    _coordinate_ascent,
+    _exhaustive_best,
     sign_max_norm,
     subset_max_norm,
 )
@@ -188,6 +192,20 @@ def complex_halfplane_ratio(z, *, n_exh: int = DEFAULT_N_EXH) -> RatioReport:
     )
 
 
+def _sign_ratio(numer: float, smax: float, kg_upper: float, n: int) -> float:
+    """numer / smax, logged at CRITICAL when it exceeds the envelope ``kg_upper``."""
+    ratio = numer / smax
+    if ratio > kg_upper + EPS_NUM:
+        logger.critical(
+            "sign-pattern ratio %.12g exceeds the configured upper bound %.3g "
+            "on a %d-vector family; this contradicts the inequality envelope",
+            ratio,
+            kg_upper,
+            n,
+        )
+    return ratio
+
+
 def grothendieck_ratio(
     fam,
     *,
@@ -205,15 +223,7 @@ def grothendieck_ratio(
     if smax.value <= 0.0:
         raise ValueError("degenerate family: all vectors are zero")
     numer = float(row_norms(fam.matrix, 2).sum())
-    ratio = numer / smax.value
-    if ratio > kg_upper + EPS_NUM:
-        logger.critical(
-            "sign-pattern ratio %.12g exceeds the configured upper bound %.3g "
-            "on a %d-vector family; this contradicts the inequality envelope",
-            ratio,
-            kg_upper,
-            fam.size,
-        )
+    ratio = _sign_ratio(numer, smax.value, kg_upper, fam.size)
     return RatioReport(ratio, kg_upper, kg_upper - ratio, fam, True)
 
 
@@ -228,9 +238,12 @@ def grothendieck_search(
 ) -> RatioReport:
     """Best sign-pattern ratio over seeded random families with sign-flip refinement.
 
-    Negating a single entry never changes sum ||x_k||_2, so refinement only
-    drives the denominator down.  The running best is nondecreasing over the
-    budget, and the whole run is deterministic per seed.
+    Negating a single entry never changes sum ||x_k||_2, not even in its last
+    bit, so it is computed once per draw and refinement recomputes only the
+    sign max of the denominator.  The running best is nondecreasing over the
+    budget, and the whole run is deterministic per seed.  Every ratio equals
+    ``grothendieck_ratio`` of the same entries, and one above ``kg_upper`` is
+    logged the same way.
     """
     if budget < 1:
         raise ValueError("empty budget")
@@ -238,7 +251,8 @@ def grothendieck_search(
         raise ValueError("n and dim must be >= 1")
     if n > n_exh:
         raise ValueError(f"family size {n} exceeds the exhaustive cap {n_exh}")
-    best: Optional[RatioReport] = None
+    l1 = Exponent(1.0)
+    best_ratio, best_X = None, None
     children = np.random.SeedSequence(seed).spawn(budget)
     for trial, child in enumerate(children):
         rng = np.random.default_rng(child)
@@ -246,32 +260,26 @@ def grothendieck_search(
             X = (rng.integers(0, 2, size=(n, dim)) * 2 - 1).astype(np.float64)
         else:
             X = rng.standard_normal((n, dim))
-        try:
-            rep = grothendieck_ratio(Family(X), kg_upper=kg_upper, n_exh=n_exh)
-        except ValueError:
-            continue
-        # sign-flip hill climb on single entries
-        for _ in range(8):
-            improved = False
+        numer = float(row_norms(X, 2).sum())
+
+        def evaluate(M, cur):
+            smax = _exhaustive_best(X, l1, signs=True)[0]
+            return None if smax <= 0.0 else (_sign_ratio(numer, smax, kg_upper, n),)
+
+        def flips():
             for i in range(n):
                 for j in range(dim):
-                    X[i, j] = -X[i, j]
-                    try:
-                        cand = grothendieck_ratio(Family(X), kg_upper=kg_upper, n_exh=n_exh)
-                    except ValueError:
-                        cand = None
-                    if cand is not None and cand.ratio > rep.ratio:
-                        rep = cand
-                        improved = True
-                    else:
-                        X[i, j] = -X[i, j]
-            if not improved:
-                break
-        if best is None or rep.ratio > best.ratio:
-            best = rep
-    if best is None:
+                    yield X, i, j, -X[i, j]
+
+        rep = evaluate(X, None)
+        if rep is None:
+            continue
+        (ratio,) = _coordinate_ascent(rep, flips, evaluate, sweeps=8)
+        if best_ratio is None or ratio > best_ratio:
+            best_ratio, best_X = ratio, X
+    if best_ratio is None:
         raise ValueError("search drew only degenerate families; increase the budget")
-    return best
+    return RatioReport(best_ratio, kg_upper, kg_upper - best_ratio, Family(best_X), True)
 
 
 @dataclass(frozen=True)

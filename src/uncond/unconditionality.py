@@ -20,6 +20,15 @@ reported subset's sum, added in index order, and ties resolve to the first
 subset attaining it in Gray order.  Sign patterns walk only the half with
 the last sign +1, since s and -s have the same norm.  The enumeration is
 serial; a ``threads`` argument is accepted and changes nothing.
+
+The seeded searches for large quotients here and for large sign-pattern
+ratios in ``lemma_lab`` share one first-improvement coordinate ascent on
+matrix entries (``_coordinate_ascent``).  It works on the drawn float arrays
+and recomputes only what a move changes: a move on the a-family reuses the
+x-family's subset max, a move on the x-family reuses max_k ||a_k||_p.  Every
+quotient it compares is the float ``unconditionality_quotient`` returns for
+the same entries, and a result object is built for the winner alone.
+Randomized subset maxima keep their own single-flip climb.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ import functools
 import logging
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -370,6 +379,18 @@ def _normalize_mode(mode: str) -> str:
     raise ValueError(f"unknown mode {mode!r}; expected 'exhaustive' or 'randomized'")
 
 
+def _random_mask(rng: np.random.Generator, n: int) -> int:
+    """A uniform n-bit mask, drawn low bits first in chunks of at most 63 bits.
+
+    For n <= 63 this is the single draw ``rng.integers(0, 1 << n)``; wider
+    masks do not fit numpy's int64 draws.
+    """
+    mask = 0
+    for lo in range(0, n, 63):
+        mask |= int(rng.integers(0, 1 << min(63, n - lo))) << lo
+    return mask
+
+
 def _randomized_subset_best(X: np.ndarray, q: Exponent, budget: int, seed):
     """Random restarts plus single-flip hill climbing; returns (value, mask)."""
     n = X.shape[0]
@@ -379,8 +400,9 @@ def _randomized_subset_best(X: np.ndarray, q: Exponent, budget: int, seed):
     children = np.random.SeedSequence(seed).spawn(budget)
     for child in children:
         rng = np.random.default_rng(child)
-        mask = int(rng.integers(0, 1 << n))
-        cur = _scratch_sums(X, np.array([mask]))[0]
+        mask = _random_mask(rng, n)
+        # an object array keeps masks of 64 or more bits exact
+        cur = _scratch_sums(X, np.array([mask], dtype=object))[0]
         cur_val = float(row_norms(cur.reshape(1, -1), q)[0])
         while True:
             in_set = np.array([(mask >> k) & 1 for k in range(n)], dtype=bool)
@@ -394,7 +416,7 @@ def _randomized_subset_best(X: np.ndarray, q: Exponent, budget: int, seed):
             cur_val = float(vals[k])
             mask ^= 1 << k
         # report the scratch-recomputed value so climbing drift cannot inflate it
-        exact = float(row_norms(_scratch_sums(X, np.array([mask])), q)[0])
+        exact = float(row_norms(_scratch_sums(X, np.array([mask], dtype=object)), q)[0])
         if exact > best_val:
             best_val, best_mask = exact, mask
     return best_val, best_mask
@@ -453,8 +475,20 @@ def sign_max_norm(
     return SubsetMaxResult(val, mask, True, "exhaustive")
 
 
-def _product_row(avec: Family, xvec: Family) -> np.ndarray:
-    return (avec.matrix * xvec.matrix).sum(axis=0)
+def _paired_families(avec, xvec) -> tuple[Family, Family]:
+    """The a- and x-families, checked to have one size and one ambient length."""
+    avec = Family.of(avec)
+    xvec = Family.of(xvec)
+    if avec.size != xvec.size:
+        raise ValueError("a-family and x-family must have the same size")
+    if avec.size and avec.ambient_len != xvec.ambient_len:
+        raise ValueError("a-family and x-family must share the ambient length")
+    return avec, xvec
+
+
+def _product_norm(A: np.ndarray, X: np.ndarray, r: Exponent) -> float:
+    """||sum_k a_k x_k||_r for the rows a_k of A and x_k of X."""
+    return float(row_norms((A * X).sum(axis=0).reshape(1, -1), r)[0])
 
 
 def unconditionality_quotient(
@@ -474,15 +508,10 @@ def unconditionality_quotient(
     so exhaustive quotients are certified lower bounds.  All-zero a- or
     x-families make the denominator vanish and are rejected as degenerate.
     """
-    avec = Family.of(avec)
-    xvec = Family.of(xvec)
-    if avec.size != xvec.size:
-        raise ValueError("a-family and x-family must have the same size")
-    if avec.size and avec.ambient_len != xvec.ambient_len:
-        raise ValueError("a-family and x-family must share the ambient length")
+    avec, xvec = _paired_families(avec, xvec)
     if not t.holder_valid:
         raise ValueError(f"triple {t} is not valid: 1/r > 1/p + 1/q")
-    numerator = float(row_norms(_product_row(avec, xvec).reshape(1, -1), t.r)[0])
+    numerator = _product_norm(avec.matrix, xvec.matrix, t.r)
     a_max = float(row_norms(avec.matrix, t.p).max()) if avec.size else 0.0
     sub = subset_max_norm(
         xvec, t.q, mode, budget=budget, seed=seed, n_exh=n_exh, threads=threads
@@ -509,14 +538,9 @@ def main1_bound_check(
     right side needs no extra factor.  The comparison is denominator-free:
     all-zero families satisfy it as 0 <= 0.
     """
-    avec = Family.of(avec)
-    xvec = Family.of(xvec)
-    if avec.size != xvec.size:
-        raise ValueError("a-family and x-family must have the same size")
-    if avec.size and avec.ambient_len != xvec.ambient_len:
-        raise ValueError("a-family and x-family must share the ambient length")
+    avec, xvec = _paired_families(avec, xvec)
     q = Exponent.of(q)
-    lhs = float(row_norms(_product_row(avec, xvec).reshape(1, -1), q)[0])
+    lhs = _product_norm(avec.matrix, xvec.matrix, q)
     a_max = float(row_norms(avec.matrix, Exponent(2.0)).max()) if avec.size else 0.0
     sub = subset_max_norm(xvec, q, "exhaustive", n_exh=n_exh, threads=threads)
     rhs = 2.0 * K * a_max * sub.value
@@ -533,39 +557,88 @@ def main1_bound_check(
     return ok
 
 
-def _quotient_or_none(A: np.ndarray, X: np.ndarray, t: ExponentTriple, n_exh: int):
-    try:
-        return unconditionality_quotient(Family(A), Family(X), t, n_exh=n_exh)
-    except ValueError:
-        return None
+def _coordinate_ascent(best, moves, evaluate, sweeps: int):
+    """First-improvement coordinate ascent on the entries of float matrices.
 
-
-def _refine_families(A, X, t, n_exh, best_q, sweeps=2, steps=(0.5, 0.1)):
-    """Coordinate-wise perturbation refinement; returns improved (A, X, result)."""
-    A = A.copy()
-    X = X.copy()
-    best = best_q
-    n, dim = A.shape
+    ``best`` describes the current entries: a tuple whose first field is the
+    score, carrying whatever ``evaluate`` may reuse.  A sweep runs through
+    ``moves()``, which yields ``(M, i, j, value)`` one move at a time; the
+    entry ``M[i, j]`` is set to ``value`` and ``evaluate(M, best)`` describes
+    the moved entries, recomputing only what depends on M, or returns None
+    for a degenerate family.  A move is kept only if it scores strictly
+    higher, and reverted otherwise.  The climb stops after a sweep that keeps
+    no move, or after ``sweeps`` sweeps.  On return the matrices hold the
+    entries the returned tuple describes.
+    """
     for _ in range(sweeps):
         improved = False
-        for scale in steps:
-            for M in (A, X):
-                for i in range(n):
-                    for j in range(dim):
-                        span = max(1.0, abs(M[i, j]))
-                        orig = M[i, j]
-                        for delta in (scale * span, -scale * span):
-                            M[i, j] = orig + delta
-                            res = _quotient_or_none(A, X, t, n_exh)
-                            if res is not None and res.quotient > best.quotient:
-                                best = res
-                                orig = M[i, j]
-                                improved = True
-                            else:
-                                M[i, j] = orig
+        for M, i, j, value in moves():
+            orig = M[i, j]
+            M[i, j] = value
+            cand = evaluate(M, best)
+            if cand is not None and cand[0] > best[0]:
+                best, improved = cand, True
+            else:
+                M[i, j] = orig
         if not improved:
             break
-    return A, X, best
+    return best
+
+
+class _Quotient(NamedTuple):
+    """A quotient of float arrays A, X and its parts.
+
+    ``a_max`` depends on A alone and ``sub``, the (value, mask) of X's exact
+    subset max, on X alone.
+    """
+
+    quotient: float
+    numerator: float
+    denominator: float
+    a_max: float
+    sub: tuple[float, int]
+
+
+def _quotient_parts(A, X, t: ExponentTriple, a_max=None, sub=None) -> Optional[_Quotient]:
+    """The exhaustive quotient of A and X, or None when its denominator is zero.
+
+    ``a_max`` and ``sub`` are computed unless given.  Each part is the same
+    computation on the same arrays as in ``unconditionality_quotient``, so
+    the quotient is the same float.
+    """
+    numerator = _product_norm(A, X, t.r)
+    if a_max is None:
+        a_max = float(row_norms(A, t.p).max())
+    if sub is None:
+        sub = _exhaustive_best(X, t.q, signs=False)
+    denominator = a_max * sub[0]
+    if denominator <= 0.0:
+        return None
+    return _Quotient(numerator / denominator, numerator, denominator, a_max, sub)
+
+
+def _refine_families(A, X, t, best: _Quotient, sweeps=2, steps=(0.5, 0.1)) -> _Quotient:
+    """Coordinate ascent on A, then X, by moves of +-scale * max(1, |entry|).
+
+    A and X are moved in place.  A move on A reuses X's subset max, and a
+    move on X reuses max_k ||a_k||_p.
+    """
+
+    def moves():
+        for scale in steps:
+            for M in (A, X):
+                for i in range(M.shape[0]):
+                    for j in range(M.shape[1]):
+                        span = max(1.0, abs(M[i, j]))
+                        for delta in (scale * span, -scale * span):
+                            yield M, i, j, M[i, j] + delta
+
+    def evaluate(M, cur: _Quotient):
+        if M is A:
+            return _quotient_parts(A, X, t, sub=cur.sub)
+        return _quotient_parts(A, X, t, a_max=cur.a_max)
+
+    return _coordinate_ascent(best, moves, evaluate, sweeps)
 
 
 def quotient_lower_bound_search(
@@ -582,7 +655,11 @@ def quotient_lower_bound_search(
 
     Restarts alternate entries drawn from the {-1,0,1} lattice and from the
     standard normal distribution, each followed by coordinate-wise local
-    perturbation refinement of promising draws.  Deterministic given ``seed``.
+    perturbation refinement of promising draws.  Draws with a zero
+    denominator are skipped.  Deterministic given ``seed``.  Draws are finite
+    float arrays by construction, so the search works on them directly and
+    builds a result object for the winner alone; every quotient equals
+    ``unconditionality_quotient`` of the same entries.
     """
     if budget < 1:
         raise ValueError("empty budget")
@@ -591,7 +668,7 @@ def quotient_lower_bound_search(
     _require_exhaustible(n, n_exh)
     if not t.holder_valid:
         raise ValueError(f"triple {t} is not valid: 1/r > 1/p + 1/q")
-    best: Optional[QuotientResult] = None
+    best: Optional[_Quotient] = None
     children = np.random.SeedSequence(seed).spawn(budget)
     for trial, child in enumerate(children):
         rng = np.random.default_rng(child)
@@ -601,13 +678,14 @@ def quotient_lower_bound_search(
         else:
             A = rng.standard_normal((n, dim))
             X = rng.standard_normal((n, dim))
-        res = _quotient_or_none(A, X, t, n_exh)
+        res = _quotient_parts(A, X, t)
         if res is None:
             continue
         if refine and (best is None or res.quotient > 0.8 * best.quotient):
-            _, _, res = _refine_families(A, X, t, n_exh, res)
+            res = _refine_families(A, X, t, res)
         if best is None or res.quotient > best.quotient:
             best = res
     if best is None:
         raise ValueError("search drew only degenerate families; increase the budget")
-    return best
+    sub = SubsetMaxResult(*best.sub, True, "exhaustive")
+    return QuotientResult(best.numerator, best.denominator, best.quotient, True, sub)

@@ -9,7 +9,9 @@ import math
 
 import numpy as np
 
+from uncond.lemma_lab import grothendieck_ratio
 from uncond.seqspace import row_norms
+from uncond.unconditionality import Family, unconditionality_quotient
 
 
 def gray(i: int) -> int:
@@ -129,3 +131,104 @@ def minimal_witness_n(rp: float, rq: float, rr: float, C: float, eps: float = 1e
         if n > 1000:
             raise AssertionError("no witness size below 1000")
     return n
+
+
+def _public_quotient_or_none(A: np.ndarray, X: np.ndarray, t):
+    try:
+        return unconditionality_quotient(Family(A), Family(X), t)
+    except ValueError:
+        return None
+
+
+def public_refine(A: np.ndarray, X: np.ndarray, t, best, sweeps=2, steps=(0.5, 0.1)):
+    """Moves of +-scale * max(1, |entry|) on A, then X, each scored by a fresh public quotient.
+
+    Every evaluation builds new families and re-enumerates X.  A move is
+    kept only if strictly better; returns (A, X, best QuotientResult).
+    """
+    A = A.copy()
+    X = X.copy()
+    n, dim = A.shape
+    for _ in range(sweeps):
+        improved = False
+        for scale in steps:
+            for M in (A, X):
+                for i in range(n):
+                    for j in range(dim):
+                        span = max(1.0, abs(M[i, j]))
+                        orig = M[i, j]
+                        for delta in (scale * span, -scale * span):
+                            M[i, j] = orig + delta
+                            res = _public_quotient_or_none(A, X, t)
+                            if res is not None and res.quotient > best.quotient:
+                                best = res
+                                orig = M[i, j]
+                                improved = True
+                            else:
+                                M[i, j] = orig
+        if not improved:
+            break
+    return A, X, best
+
+
+def public_quotient_search(t, n: int, dim: int, budget: int, seed, refine: bool = True):
+    """The seeded quotient search with every evaluation a public ``unconditionality_quotient``.
+
+    Same draws, the same 0.8 refinement threshold and the same tie rules
+    (strict improvement only) as ``quotient_lower_bound_search``.
+    """
+    best = None
+    for trial, child in enumerate(np.random.SeedSequence(seed).spawn(budget)):
+        rng = np.random.default_rng(child)
+        if trial % 2 == 0:
+            A = rng.integers(-1, 2, size=(n, dim)).astype(np.float64)
+            X = rng.integers(-1, 2, size=(n, dim)).astype(np.float64)
+        else:
+            A = rng.standard_normal((n, dim))
+            X = rng.standard_normal((n, dim))
+        res = _public_quotient_or_none(A, X, t)
+        if res is None:
+            continue
+        if refine and (best is None or res.quotient > 0.8 * best.quotient):
+            _, _, res = public_refine(A, X, t, res)
+        if best is None or res.quotient > best.quotient:
+            best = res
+    if best is None:
+        raise ValueError("search drew only degenerate families; increase the budget")
+    return best
+
+
+def public_sign_search(n: int, dim: int, budget: int, seed, kg_upper: float = 1.8):
+    """The seeded sign-pattern search with a public ``grothendieck_ratio`` on every flip."""
+    best = None
+    for trial, child in enumerate(np.random.SeedSequence(seed).spawn(budget)):
+        rng = np.random.default_rng(child)
+        if trial % 2 == 0:
+            X = (rng.integers(0, 2, size=(n, dim)) * 2 - 1).astype(np.float64)
+        else:
+            X = rng.standard_normal((n, dim))
+        try:
+            rep = grothendieck_ratio(Family(X), kg_upper=kg_upper)
+        except ValueError:
+            continue
+        for _ in range(8):
+            improved = False
+            for i in range(n):
+                for j in range(dim):
+                    X[i, j] = -X[i, j]
+                    try:
+                        cand = grothendieck_ratio(Family(X), kg_upper=kg_upper)
+                    except ValueError:
+                        cand = None
+                    if cand is not None and cand.ratio > rep.ratio:
+                        rep = cand
+                        improved = True
+                    else:
+                        X[i, j] = -X[i, j]
+            if not improved:
+                break
+        if best is None or rep.ratio > best.ratio:
+            best = rep
+    if best is None:
+        raise ValueError("search drew only degenerate families; increase the budget")
+    return best

@@ -151,6 +151,16 @@ class TestQuotientCommand:
                       "--avec", "/nonexistent/fam.json")
         assert res.returncode == 3
 
+    def test_random_mode_beyond_64_vectors(self, tmp_path):
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps([[1.0, 1.0]] * 70))
+        res = run_cli("quotient", "--p", "2", "--q", "2", "--r", "2", "--avec", str(path),
+                      "--mode", "random", "--budget", "1", "--seed", "0")
+        assert res.returncode == 0, res.stderr
+        out = json.loads(res.stdout)
+        assert out["subset_bitmask"] == hex((1 << 70) - 1)
+        assert out["certified"] is False
+
     def test_random_mode_needs_seed_and_budget(self, tmp_path):
         path = tmp_path / "fam.json"
         path.write_text(json.dumps([[1, 0], [0, 1]]))

@@ -18,7 +18,12 @@ from uncond.lemma_lab import (
 )
 from uncond.unconditionality import Family
 
-from _oracles import complex_subset_max_naive, naive_sign_max, scalar_subset_max_abs
+from _oracles import (
+    complex_subset_max_naive,
+    naive_sign_max,
+    public_sign_search,
+    scalar_subset_max_abs,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -199,6 +204,31 @@ class TestGrothendieckSearch:
         for seed in (0, 1):
             rep = grothendieck_search(3, 4, budget=25, seed=seed)
             assert rep.ratio <= DEFAULT_KG_UPPER + 1e-9
+
+    @pytest.mark.parametrize("shape", [(10, 3), (12, 2), (11, 3)])
+    def test_matches_public_oracle(self, shape):
+        # budget 2 draws one +-1 family (trial 0) and one normal family (trial 1)
+        for seed in (0, 1, 5):
+            got = grothendieck_search(*shape, budget=2, seed=seed)
+            want = public_sign_search(*shape, budget=2, seed=seed)
+            assert (got.ratio, got.bound, got.slack, got.certified) == (
+                want.ratio,
+                want.bound,
+                want.slack,
+                want.certified,
+            )
+            assert got.witness == want.witness
+            assert got.to_json() == want.to_json()
+
+    def test_tiny_envelope_logs_critical_like_the_oracle(self, caplog):
+        with caplog.at_level(logging.CRITICAL, logger="uncond.lemma_lab"):
+            got = grothendieck_search(3, 2, budget=2, seed=8, kg_upper=0.5)
+            logged = len(caplog.records)
+            want = public_sign_search(3, 2, budget=2, seed=8, kg_upper=0.5)
+        assert logged > 0
+        assert all(r.levelno == logging.CRITICAL and "exceeds" in r.message for r in caplog.records)
+        assert len(caplog.records) == 2 * logged
+        assert got.ratio == want.ratio and got.slack < 0
 
 
 class TestSandwichSweep:

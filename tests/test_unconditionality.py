@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from uncond import unconditionality as U
 from uncond.seqspace import EPS_NUM, ExponentTriple, FinSeq
 from uncond.unconditionality import (
     Family,
@@ -16,7 +17,14 @@ from uncond.witness import sylvester
 
 from uncond.seqspace import row_norms
 
-from _oracles import naive_sign_max, naive_subset_max, scratch_sum, sequential_scratch_max
+from _oracles import (
+    naive_sign_max,
+    naive_subset_max,
+    public_quotient_search,
+    public_refine,
+    scratch_sum,
+    sequential_scratch_max,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -112,6 +120,20 @@ class TestSubsetMaxNorm:
         a = subset_max_norm(Family(X), 2, "randomized", budget=5, seed=11)
         b = subset_max_norm(Family(X), 2, "randomized", budget=5, seed=11)
         assert a == b
+
+    def test_randomized_beyond_64_vectors(self):
+        res = subset_max_norm(Family(np.ones((70, 2))), 2, "randomized", budget=1, seed=0)
+        assert res.value == 70 * SQRT2
+        assert res.argmax_subset == (1 << 70) - 1
+
+    def test_random_mask_draws_63_bits_at_a_time(self):
+        for n in (1, 5, 62, 63):
+            want = int(np.random.default_rng(3).integers(0, 1 << n))
+            assert U._random_mask(np.random.default_rng(3), n) == want
+        rng = np.random.default_rng(3)
+        low = int(rng.integers(0, 1 << 63))
+        high = int(rng.integers(0, 1 << 7))
+        assert U._random_mask(np.random.default_rng(3), 70) == low | high << 63
 
     def test_randomized_requires_budget(self):
         with pytest.raises(ValueError, match="empty budget"):
@@ -394,3 +416,89 @@ class TestQuotientSearch:
     def test_invalid_triple(self):
         with pytest.raises(ValueError, match="not valid"):
             quotient_lower_bound_search(ExponentTriple.of(3, 3, 1), 2, 2, budget=5, seed=0)
+
+
+SEARCH_TRIPLES = [(3, 3, 3), (2, 2, 4), (4, 4, 4), (1.5, 2, "inf")]
+
+
+def _parts(res):
+    """Every field of a QuotientResult, for exact comparison."""
+    return (res.quotient, res.numerator, res.denominator, res.certified, res.subset)
+
+
+class TestSearchTrajectory:
+    """The coordinate ascent retraces the public-call search exactly, float for float."""
+
+    @pytest.mark.parametrize("refine", [True, False])
+    @pytest.mark.parametrize("triple", SEARCH_TRIPLES)
+    def test_search_matches_public_oracle(self, triple, refine):
+        t = ExponentTriple.of(*triple)
+        # budget 5 draws lattice families at even trials and normal ones at odd trials
+        for n in (3, 4):
+            for seed in (0, 1, 2):
+                got = quotient_lower_bound_search(t, n, 4, 5, seed, refine=refine)
+                want = public_quotient_search(t, n, 4, 5, seed, refine=refine)
+                assert _parts(got) == _parts(want)
+                assert got.to_json() == want.to_json()
+
+    @pytest.mark.parametrize("triple", SEARCH_TRIPLES)
+    def test_refine_matches_public_oracle(self, triple):
+        t = ExponentTriple.of(*triple)
+        rng = np.random.default_rng(17)
+        for A, X in (
+            (rng.integers(-1, 2, (3, 4)).astype(float), rng.integers(-1, 2, (3, 4)).astype(float)),
+            (rng.standard_normal((4, 4)), rng.standard_normal((4, 4))),
+        ):
+            start = unconditionality_quotient(Family(A), Family(X), t)
+            want_A, want_X, want = public_refine(A, X, t, start)
+            got_A, got_X = A.copy(), X.copy()
+            got = U._refine_families(got_A, got_X, t, U._quotient_parts(A, X, t))
+            assert (got.quotient, got.numerator, got.denominator) == _parts(want)[:3]
+            assert got.sub == (want.subset.value, want.subset.argmax_subset)
+            assert np.array_equal(got_A, want_A) and np.array_equal(got_X, want_X)
+
+    def test_move_that_zeroes_the_denominator_is_rejected(self, monkeypatch):
+        t = ExponentTriple.of(2, 2, 2)
+        # the first move, -0.5 + 0.5 * max(1, 0.5), makes A all zero
+        A = np.array([[-0.5, 0.0]])
+        X = np.array([[1.0, 1.0]])
+        scores = []
+        parts = U._quotient_parts
+
+        def spy(*args, **kwargs):
+            scores.append(parts(*args, **kwargs))
+            return scores[-1]
+
+        monkeypatch.setattr(U, "_quotient_parts", spy)
+        got = U._refine_families(A.copy(), X.copy(), t, spy(A, X, t))
+        assert scores[1] is None
+        start = unconditionality_quotient(Family(A), Family(X), t)
+        _, _, want = public_refine(A, X, t, start)
+        assert (got.quotient, got.numerator, got.denominator) == _parts(want)[:3]
+        assert got.denominator > 0
+
+    def test_degenerate_draws_are_skipped(self):
+        t = ExponentTriple.of(2, 2, 2)
+        # seed 3 draws a = 0, x = 0 at trial 0 (a lattice draw)
+        child = np.random.SeedSequence(3).spawn(1)[0]
+        rng = np.random.default_rng(child)
+        A, X = rng.integers(-1, 2, (1, 1)), rng.integers(-1, 2, (1, 1))
+        with pytest.raises(ValueError, match="degenerate"):
+            unconditionality_quotient(Family(A), Family(X), t)
+        with pytest.raises(ValueError, match="only degenerate"):
+            quotient_lower_bound_search(t, 1, 1, 1, 3)
+        for budget in (2, 4):
+            got = quotient_lower_bound_search(t, 1, 1, budget, 3)
+            assert _parts(got) == _parts(public_quotient_search(t, 1, 1, budget, 3))
+
+
+class TestPairedShapes:
+    @pytest.mark.parametrize("check", [
+        lambda a, x: unconditionality_quotient(a, x, ExponentTriple.of(2, 2, 2)),
+        lambda a, x: main1_bound_check(a, x, 2, 1.8),
+    ])
+    def test_shape_mismatches_rejected(self, check):
+        with pytest.raises(ValueError, match="same size"):
+            check([[1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="share the ambient length"):
+            check([[1.0, 0.0]], [[1.0, 0.0, 0.0]])
