@@ -7,7 +7,7 @@ lp sequence spaces, constructs certified counterexample witnesses (orthogonal
 numerically probes the elementary inequalities the machinery rests on.
 """
 
-from .action import MultiplicationAction, holder_bound_check, multiply
+from .action import holder_bound_check, multiply
 from .classifier import (
     Classification,
     Clause,
@@ -22,7 +22,6 @@ from .classifier import (
 from .errors import InternalInconsistencyError
 from .lemma_lab import (
     COMPLEX_SUBSET_BOUND,
-    DEFAULT_KG_UPPER,
     REAL_SUBSET_BOUND,
     SHARP_COMPLEX_BOUND,
     RatioReport,
@@ -78,7 +77,6 @@ __all__ = [
     "Classification",
     "Clause",
     "CrossValidation",
-    "DEFAULT_KG_UPPER",
     "DEFAULT_N_EXH",
     "EPS_CMP",
     "EPS_NUM",
@@ -90,7 +88,6 @@ __all__ = [
     "INF",
     "InternalInconsistencyError",
     "KG_UPPER",
-    "MultiplicationAction",
     "QuotientResult",
     "REAL_SUBSET_BOUND",
     "RatioReport",

@@ -2,13 +2,11 @@
 
 The product map lp x lq -> lr is well-defined and continuous exactly when
 1/r <= 1/p + 1/q, in which case ||ax||_r <= ||a||_p ||x||_q.  Triples failing
-the condition are rejected at action construction; the decision engine treats
-them separately as NotApplicable.
+the condition are rejected by ``holder_bound_check``; the decision engine
+treats them separately as NotApplicable.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .seqspace import EPS_NUM, ExponentTriple, FinSeq, norm
 
@@ -33,21 +31,3 @@ def holder_bound_check(a: FinSeq, x: FinSeq, t: ExponentTriple) -> bool:
     prod = multiply(a, x)
     return norm(prod, t.r) <= norm(a, t.p) * norm(x, t.q) * (1.0 + EPS_NUM)
 
-
-@dataclass(frozen=True)
-class MultiplicationAction:
-    """The coordinatewise-multiplication action for one validated exponent triple."""
-
-    triple: ExponentTriple
-
-    def __post_init__(self):
-        if not self.triple.holder_valid:
-            raise ValueError(
-                f"triple {self.triple} is not valid: 1/r > 1/p + 1/q"
-            )
-
-    def multiply(self, a: FinSeq, x: FinSeq) -> FinSeq:
-        return multiply(a, x)
-
-    def bound_check(self, a: FinSeq, x: FinSeq) -> bool:
-        return holder_bound_check(a, x, self.triple)

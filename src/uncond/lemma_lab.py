@@ -12,9 +12,10 @@ Covered here:
   vectors;
 * empirical lower bounds for the sign-pattern constant K in
   sum ||x_k||_2 <= K max_{s in {-1,1}^n} ||sum s_k x_k||_1,
-  reported against a configurable upper envelope.  The search climbs by
-  single-entry sign flips on the coordinate ascent of ``unconditionality``;
-  a flip leaves the numerator unchanged, so only the sign max is recomputed.
+  reported against a configurable upper envelope.  The search runs on the
+  restart loop and the coordinate ascent of ``unconditionality``, supplying
+  a +-1 or normal draw and a climb by single-entry sign flips; a flip leaves
+  the numerator unchanged, so only the sign max is recomputed.
 """
 
 from __future__ import annotations
@@ -33,14 +34,13 @@ from .unconditionality import (
     Family,
     _coordinate_ascent,
     _exhaustive_best,
+    _seeded_restarts,
     sign_max_norm,
     subset_max_norm,
 )
 
 logger = logging.getLogger(__name__)
 
-#: Upper envelope for the sign-pattern constant; exceeds every published bound.
-DEFAULT_KG_UPPER = KG_UPPER
 #: Sharp constant for the complex subset-sum inequality, to 1e-12.
 SHARP_COMPLEX_BOUND = 3.141592653589793
 
@@ -209,7 +209,7 @@ def _sign_ratio(numer: float, smax: float, kg_upper: float, n: int) -> float:
 def grothendieck_ratio(
     fam,
     *,
-    kg_upper: float = DEFAULT_KG_UPPER,
+    kg_upper: float = KG_UPPER,
     n_exh: int = DEFAULT_N_EXH,
 ) -> RatioReport:
     """sum_k ||x_k||_2 divided by the exact sign-pattern max of ||sum s_k x_k||_1.
@@ -233,7 +233,7 @@ def grothendieck_search(
     budget: int,
     seed: Optional[int] = None,
     *,
-    kg_upper: float = DEFAULT_KG_UPPER,
+    kg_upper: float = KG_UPPER,
     n_exh: int = DEFAULT_N_EXH,
 ) -> RatioReport:
     """Best sign-pattern ratio over seeded random families with sign-flip refinement.
@@ -245,41 +245,30 @@ def grothendieck_search(
     ``grothendieck_ratio`` of the same entries, and one above ``kg_upper`` is
     logged the same way.
     """
-    if budget < 1:
-        raise ValueError("empty budget")
-    if n < 1 or dim < 1:
-        raise ValueError("n and dim must be >= 1")
-    if n > n_exh:
-        raise ValueError(f"family size {n} exceeds the exhaustive cap {n_exh}")
     l1 = Exponent(1.0)
-    best_ratio, best_X = None, None
-    children = np.random.SeedSequence(seed).spawn(budget)
-    for trial, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        if trial % 2 == 0:
-            X = (rng.integers(0, 2, size=(n, dim)) * 2 - 1).astype(np.float64)
-        else:
-            X = rng.standard_normal((n, dim))
+
+    def draw(rng, lattice):
+        if lattice:
+            return (rng.integers(0, 2, size=(n, dim)) * 2 - 1).astype(np.float64)
+        return rng.standard_normal((n, dim))
+
+    def climb(X, best):
         numer = float(row_norms(X, 2).sum())
 
         def evaluate(M, cur):
             smax = _exhaustive_best(X, l1, signs=True)[0]
-            return None if smax <= 0.0 else (_sign_ratio(numer, smax, kg_upper, n),)
+            return None if smax <= 0.0 else (_sign_ratio(numer, smax, kg_upper, n), X)
 
         def flips():
             for i in range(n):
                 for j in range(dim):
                     yield X, i, j, -X[i, j]
 
-        rep = evaluate(X, None)
-        if rep is None:
-            continue
-        (ratio,) = _coordinate_ascent(rep, flips, evaluate, sweeps=8)
-        if best_ratio is None or ratio > best_ratio:
-            best_ratio, best_X = ratio, X
-    if best_ratio is None:
-        raise ValueError("search drew only degenerate families; increase the budget")
-    return RatioReport(best_ratio, kg_upper, kg_upper - best_ratio, Family(best_X), True)
+        start = evaluate(X, None)
+        return None if start is None else _coordinate_ascent(start, flips, evaluate, sweeps=8)
+
+    ratio, X = _seeded_restarts(n, dim, budget, seed, n_exh, draw, climb)
+    return RatioReport(ratio, kg_upper, kg_upper - ratio, Family(X), True)
 
 
 @dataclass(frozen=True)

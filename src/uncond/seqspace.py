@@ -141,13 +141,6 @@ class FinSeq:
     def of(values: Iterable[float]) -> "FinSeq":
         return FinSeq(np.asarray(list(values), dtype=np.float64))
 
-    @staticmethod
-    def unit(index: int, ambient_len: int) -> "FinSeq":
-        """The standard unit vector supported at ``index``."""
-        v = np.zeros(ambient_len)
-        v[index] = 1.0
-        return FinSeq(v)
-
     @property
     def ambient_len(self) -> int:
         return int(self.entries.size)
@@ -161,16 +154,6 @@ class FinSeq:
     def __iter__(self):
         return iter(self.entries)
 
-    def __add__(self, other: "FinSeq") -> "FinSeq":
-        if self.ambient_len != other.ambient_len:
-            raise ValueError("ambient length mismatch")
-        return FinSeq(self.entries + other.entries)
-
-    def __mul__(self, c: float) -> "FinSeq":
-        return FinSeq(self.entries * float(c))
-
-    __rmul__ = __mul__
-
     def __eq__(self, other):
         if not isinstance(other, FinSeq):
             return NotImplemented
@@ -178,10 +161,6 @@ class FinSeq:
 
     def to_json(self) -> list:
         return [float(v) for v in self.entries]
-
-    @staticmethod
-    def from_json(data) -> "FinSeq":
-        return FinSeq.of(data)
 
     def __repr__(self):
         return f"FinSeq({self.entries.tolist()!r})"
@@ -198,11 +177,6 @@ class ExponentTriple:
     @staticmethod
     def of(p: ExponentLike, q: ExponentLike, r: ExponentLike) -> "ExponentTriple":
         return ExponentTriple(Exponent.of(p), Exponent.of(q), Exponent.of(r))
-
-    @property
-    def holder_slack(self) -> float:
-        """1/p + 1/q - 1/r; nonnegative (up to EPS_CMP) exactly for valid triples."""
-        return self.p.reciprocal + self.q.reciprocal - self.r.reciprocal
 
     @property
     def holder_valid(self) -> bool:

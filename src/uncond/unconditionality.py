@@ -21,14 +21,18 @@ subset attaining it in Gray order.  Sign patterns walk only the half with
 the last sign +1, since s and -s have the same norm.  The enumeration is
 serial; a ``threads`` argument is accepted and changes nothing.
 
-The seeded searches for large quotients here and for large sign-pattern
-ratios in ``lemma_lab`` share one first-improvement coordinate ascent on
-matrix entries (``_coordinate_ascent``).  It works on the drawn float arrays
-and recomputes only what a move changes: a move on the a-family reuses the
-x-family's subset max, a move on the x-family reuses max_k ||a_k||_p.  Every
-quotient it compares is the float ``unconditionality_quotient`` returns for
-the same entries, and a result object is built for the winner alone.
-Randomized subset maxima keep their own single-flip climb.
+Every quotient, public or inside a search, is evaluated by one routine
+(``_quotient_parts``), so a search compares the very float
+``unconditionality_quotient`` returns for the same entries.  The seeded
+searches for large quotients here and for large sign-pattern ratios in
+``lemma_lab`` share one restart loop (``_seeded_restarts``: argument checks,
+seeded draws, skipped degenerate draws, strict improvement) and one
+first-improvement coordinate ascent on matrix entries
+(``_coordinate_ascent``); each supplies only its draw and its climb.  The
+ascent works on the drawn float arrays and recomputes only what a move
+changes: a move on the a-family reuses the x-family's subset max, a move on
+the x-family reuses max_k ||a_k||_p.  A result object is built for the
+winner alone.  Randomized subset maxima keep their own single-flip climb.
 """
 
 from __future__ import annotations
@@ -117,10 +121,6 @@ class Family:
 
     def __getitem__(self, k: int) -> FinSeq:
         return FinSeq(self.matrix[k])
-
-    @property
-    def vectors(self) -> tuple[FinSeq, ...]:
-        return tuple(FinSeq(row) for row in self.matrix)
 
     def __eq__(self, other):
         if not isinstance(other, Family):
@@ -362,21 +362,11 @@ def check_threads(threads: int) -> None:
         raise ValueError(f"threads must be >= 1, got {threads}")
 
 
-def _require_exhaustible(n: int, n_exh: int):
+def _require_exhaustible(n: int, n_exh: int, hint: str = ""):
     if n > n_exh:
         raise ValueError(
-            f"family size {n} exceeds the exhaustive cap {n_exh} "
-            f"(2^{n} subsets); use mode='randomized' with a budget"
+            f"family size {n} exceeds the exhaustive cap {n_exh} (2^{n} subsets){hint}"
         )
-
-
-def _normalize_mode(mode: str) -> str:
-    m = str(mode).strip().lower()
-    if m in ("exhaustive", "exh"):
-        return "exhaustive"
-    if m in ("randomized", "random", "rand"):
-        return "randomized"
-    raise ValueError(f"unknown mode {mode!r}; expected 'exhaustive' or 'randomized'")
 
 
 def _random_mask(rng: np.random.Generator, n: int) -> int:
@@ -443,9 +433,10 @@ def subset_max_norm(
     check_threads(threads)
     fam = Family.of(fam)
     q = Exponent.of(q)
-    mode = _normalize_mode(mode)
+    if mode not in ("exhaustive", "randomized"):
+        raise ValueError(f"unknown mode {mode!r}; expected 'exhaustive' or 'randomized'")
     if mode == "exhaustive":
-        _require_exhaustible(fam.size, n_exh)
+        _require_exhaustible(fam.size, n_exh, "; use mode='randomized' with a budget")
         val, mask = _exhaustive_best(fam.matrix, q, signs=False)
         return SubsetMaxResult(val, mask, True, "exhaustive")
     if budget is None or budget < 1:
@@ -511,15 +502,13 @@ def unconditionality_quotient(
     avec, xvec = _paired_families(avec, xvec)
     if not t.holder_valid:
         raise ValueError(f"triple {t} is not valid: 1/r > 1/p + 1/q")
-    numerator = _product_norm(avec.matrix, xvec.matrix, t.r)
-    a_max = float(row_norms(avec.matrix, t.p).max()) if avec.size else 0.0
     sub = subset_max_norm(
         xvec, t.q, mode, budget=budget, seed=seed, n_exh=n_exh, threads=threads
     )
-    denominator = a_max * sub.value
-    if denominator <= 0.0:
+    parts = _quotient_parts(avec.matrix, xvec.matrix, t, sub=(sub.value, sub.argmax_subset))
+    if parts is None:
         raise ValueError("degenerate family: denominator is zero")
-    return QuotientResult(numerator, denominator, numerator / denominator, sub.certified, sub)
+    return parts.result(sub)
 
 
 def main1_bound_check(
@@ -541,7 +530,7 @@ def main1_bound_check(
     avec, xvec = _paired_families(avec, xvec)
     q = Exponent.of(q)
     lhs = _product_norm(avec.matrix, xvec.matrix, q)
-    a_max = float(row_norms(avec.matrix, Exponent(2.0)).max()) if avec.size else 0.0
+    a_max = float(row_norms(avec.matrix, Exponent(2.0)).max(initial=0.0))
     sub = subset_max_norm(xvec, q, "exhaustive", n_exh=n_exh, threads=threads)
     rhs = 2.0 * K * a_max * sub.value
     ok = lhs <= rhs * (1.0 + EPS_NUM)
@@ -598,17 +587,23 @@ class _Quotient(NamedTuple):
     a_max: float
     sub: tuple[float, int]
 
+    def result(self, subset: SubsetMaxResult) -> QuotientResult:
+        """The public result, with ``subset`` the maximization that gave ``sub``."""
+        return QuotientResult(
+            self.numerator, self.denominator, self.quotient, subset.certified, subset
+        )
+
 
 def _quotient_parts(A, X, t: ExponentTriple, a_max=None, sub=None) -> Optional[_Quotient]:
-    """The exhaustive quotient of A and X, or None when its denominator is zero.
+    """The quotient of A and X, or None when its denominator is zero.
 
-    ``a_max`` and ``sub`` are computed unless given.  Each part is the same
-    computation on the same arrays as in ``unconditionality_quotient``, so
-    the quotient is the same float.
+    ``a_max`` and ``sub`` are computed unless given; ``sub`` defaults to X's
+    exhaustive subset max.  ``unconditionality_quotient`` and both searches
+    evaluate every quotient here.
     """
     numerator = _product_norm(A, X, t.r)
     if a_max is None:
-        a_max = float(row_norms(A, t.p).max())
+        a_max = float(row_norms(A, t.p).max(initial=0.0))
     if sub is None:
         sub = _exhaustive_best(X, t.q, signs=False)
     denominator = a_max * sub[0]
@@ -641,6 +636,31 @@ def _refine_families(A, X, t, best: _Quotient, sweeps=2, steps=(0.5, 0.1)) -> _Q
     return _coordinate_ascent(best, moves, evaluate, sweeps)
 
 
+def _seeded_restarts(n: int, dim: int, budget: int, seed, n_exh: int, draw, climb):
+    """The best climbed draw over ``budget`` seeded restarts, shared by both family searches.
+
+    Trial k runs on the k-th child of ``SeedSequence(seed)``:
+    ``draw(rng, lattice)`` returns fresh float arrays, lattice entries at
+    even trials and standard normal ones at odd trials, and
+    ``climb(arrays, best)`` refines them into a tuple whose first field is
+    the score, or returns None for a degenerate draw, which is skipped.  Only
+    a strictly higher score replaces the best.
+    """
+    if budget < 1:
+        raise ValueError("empty budget")
+    if n < 1 or dim < 1:
+        raise ValueError("n and dim must be >= 1")
+    _require_exhaustible(n, n_exh)
+    best = None
+    for trial, child in enumerate(np.random.SeedSequence(seed).spawn(budget)):
+        res = climb(draw(np.random.default_rng(child), trial % 2 == 0), best)
+        if res is not None and (best is None or res[0] > best[0]):
+            best = res
+    if best is None:
+        raise ValueError("search drew only degenerate families; increase the budget")
+    return best
+
+
 def quotient_lower_bound_search(
     t: ExponentTriple,
     n: int,
@@ -649,43 +669,29 @@ def quotient_lower_bound_search(
     seed: Optional[int] = None,
     *,
     n_exh: int = DEFAULT_N_EXH,
-    refine: bool = True,
 ) -> QuotientResult:
     """Best exhaustive quotient over ``budget`` seeded random families.
 
     Restarts alternate entries drawn from the {-1,0,1} lattice and from the
-    standard normal distribution, each followed by coordinate-wise local
-    perturbation refinement of promising draws.  Draws with a zero
-    denominator are skipped.  Deterministic given ``seed``.  Draws are finite
-    float arrays by construction, so the search works on them directly and
-    builds a result object for the winner alone; every quotient equals
-    ``unconditionality_quotient`` of the same entries.
+    standard normal distribution; each draw scoring above 0.8 times the best
+    so far is refined by coordinate ascent on its entries.  Draws with a
+    zero denominator are skipped.  Deterministic given ``seed``.  Every
+    quotient equals ``unconditionality_quotient`` of the same entries, and a
+    result object is built for the winner alone.
     """
-    if budget < 1:
-        raise ValueError("empty budget")
-    if n < 1 or dim < 1:
-        raise ValueError("n and dim must be >= 1")
-    _require_exhaustible(n, n_exh)
     if not t.holder_valid:
         raise ValueError(f"triple {t} is not valid: 1/r > 1/p + 1/q")
-    best: Optional[_Quotient] = None
-    children = np.random.SeedSequence(seed).spawn(budget)
-    for trial, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        if trial % 2 == 0:
-            A = rng.integers(-1, 2, size=(n, dim)).astype(np.float64)
-            X = rng.integers(-1, 2, size=(n, dim)).astype(np.float64)
-        else:
-            A = rng.standard_normal((n, dim))
-            X = rng.standard_normal((n, dim))
-        res = _quotient_parts(A, X, t)
-        if res is None:
-            continue
-        if refine and (best is None or res.quotient > 0.8 * best.quotient):
-            res = _refine_families(A, X, t, res)
-        if best is None or res.quotient > best.quotient:
-            best = res
-    if best is None:
-        raise ValueError("search drew only degenerate families; increase the budget")
-    sub = SubsetMaxResult(*best.sub, True, "exhaustive")
-    return QuotientResult(best.numerator, best.denominator, best.quotient, True, sub)
+
+    def draw(rng, lattice):
+        if lattice:
+            return [rng.integers(-1, 2, size=(n, dim)).astype(np.float64) for _ in range(2)]
+        return [rng.standard_normal((n, dim)) for _ in range(2)]
+
+    def climb(AX, best):
+        res = _quotient_parts(*AX, t)
+        if res is not None and (best is None or res.quotient > 0.8 * best.quotient):
+            res = _refine_families(*AX, t, res)
+        return res
+
+    best = _seeded_restarts(n, dim, budget, seed, n_exh, draw, climb)
+    return best.result(SubsetMaxResult(*best.sub, True, "exhaustive"))

@@ -111,6 +111,18 @@ def direct_norm(v, p) -> float:
     return math.fsum(t ** p for t in vals) ** (1.0 / p)
 
 
+def direct_quotient(A: np.ndarray, X: np.ndarray, p, q, r) -> tuple[float, float]:
+    """(numerator, denominator) of the unconditionality quotient, from scratch.
+
+    The numerator is the direct lr norm of sum_k a_k x_k, each coordinate an
+    fsum; the denominator is the largest direct lp norm of a row of A times
+    the naive subset max of X.  Exponents are numbers or the string 'inf'.
+    """
+    total = [math.fsum(A[:, j] * X[:, j]) for j in range(A.shape[1])]
+    a_max = max(direct_norm(row, p) for row in A)
+    return direct_norm(total, r), a_max * naive_subset_max(X, q)[0]
+
+
 def harmonic_crossing(target: float) -> int:
     """Smallest N with sum_{n<=N} 1/n >= target, by direct summation."""
     s = 0.0
@@ -171,7 +183,7 @@ def public_refine(A: np.ndarray, X: np.ndarray, t, best, sweeps=2, steps=(0.5, 0
     return A, X, best
 
 
-def public_quotient_search(t, n: int, dim: int, budget: int, seed, refine: bool = True):
+def public_quotient_search(t, n: int, dim: int, budget: int, seed):
     """The seeded quotient search with every evaluation a public ``unconditionality_quotient``.
 
     Same draws, the same 0.8 refinement threshold and the same tie rules
@@ -189,7 +201,7 @@ def public_quotient_search(t, n: int, dim: int, budget: int, seed, refine: bool 
         res = _public_quotient_or_none(A, X, t)
         if res is None:
             continue
-        if refine and (best is None or res.quotient > 0.8 * best.quotient):
+        if best is None or res.quotient > 0.8 * best.quotient:
             _, _, res = public_refine(A, X, t, res)
         if best is None or res.quotient > best.quotient:
             best = res

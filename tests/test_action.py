@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from uncond.action import MultiplicationAction, holder_bound_check, multiply
+from uncond.action import holder_bound_check, multiply
 from uncond.seqspace import EPS_NUM, ExponentTriple, FinSeq, norm
 
 
@@ -23,9 +23,9 @@ class TestMultiply:
             n = int(rng.integers(1, 8))
             a, b, x = (FinSeq(rng.standard_normal(n)) for _ in range(3))
             alpha, beta = (float(c) for c in rng.standard_normal(2))
-            left = multiply(alpha * a + beta * b, x)
-            right = alpha * multiply(a, x) + beta * multiply(b, x)
-            assert np.allclose(left.entries, right.entries, rtol=EPS_NUM, atol=1e-12)
+            left = multiply(FinSeq(alpha * a.entries + beta * b.entries), x).entries
+            right = alpha * multiply(a, x).entries + beta * multiply(b, x).entries
+            assert np.allclose(left, right, rtol=EPS_NUM, atol=1e-12)
 
 
 class TestHolderBoundCheck:
@@ -67,12 +67,3 @@ class TestHolderBoundCheck:
             x = FinSeq(rng.standard_normal(n) * 3)
             t = triples[int(rng.integers(0, len(triples)))]
             assert holder_bound_check(a, x, t)
-
-
-class TestMultiplicationAction:
-    def test_construction_gate(self):
-        act = MultiplicationAction(ExponentTriple.of(2, 2, 1))
-        assert act.multiply(FinSeq.of([1, 2]), FinSeq.of([2, 2])) == FinSeq.of([2, 4])
-        assert act.bound_check(FinSeq.of([1, 2]), FinSeq.of([2, 2]))
-        with pytest.raises(ValueError):
-            MultiplicationAction(ExponentTriple.of(3, 3, 1))

@@ -181,6 +181,13 @@ class TestEnvCap:
         assert blocked.returncode == 3
         assert "exhaustive cap 1" in json.loads(blocked.stderr)["detail"]
 
+    def test_search_beyond_the_cap_names_no_mode(self):
+        res = run_cli("search", "--p", "3", "--q", "3", "--r", "3", "--n", "25",
+                      "--dim", "2", "--budget", "1", "--seed", "0")
+        assert res.returncode == 3
+        detail = json.loads(res.stderr)["detail"]
+        assert detail == "family size 25 exceeds the exhaustive cap 24 (2^25 subsets)"
+
     def test_nexh_gates_witness_exhaustive_check(self):
         with_check = run_cli("witness-hadamard", "--p", "inf", "--q", "2", "--r", "2",
                              "--C", "1", env_extra={"UNCOND_NEXH": "2"})

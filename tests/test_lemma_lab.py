@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from uncond.lemma_lab import (
-    DEFAULT_KG_UPPER,
     SHARP_COMPLEX_BOUND,
     complex_halfplane_ratio,
     complex_subset_max,
@@ -16,7 +15,7 @@ from uncond.lemma_lab import (
     real_subset_ratio,
     sandwich_sweep,
 )
-from uncond.unconditionality import Family
+from uncond.unconditionality import KG_UPPER, Family
 
 from _oracles import (
     complex_subset_max_naive,
@@ -145,7 +144,7 @@ class TestGrothendieckRatio:
     def test_hadamard_pair(self):
         rep = grothendieck_ratio(Family.of([[1, 1], [1, -1]]))
         assert rep.ratio == pytest.approx(SQRT2, rel=1e-12)
-        assert rep.bound == DEFAULT_KG_UPPER
+        assert rep.bound == KG_UPPER
         assert rep.certified
 
     def test_single_unit_vector(self):
@@ -178,7 +177,7 @@ class TestGrothendieckRatio:
                 n, d = int(rng.integers(1, 7)), int(rng.integers(1, 7))
                 X = rng.standard_normal((n, d))
                 rep = grothendieck_ratio(Family(X))
-                assert rep.ratio <= DEFAULT_KG_UPPER + 1e-9
+                assert rep.ratio <= KG_UPPER + 1e-9
         assert not caplog.records
 
 
@@ -203,7 +202,7 @@ class TestGrothendieckSearch:
     def test_stays_under_envelope(self):
         for seed in (0, 1):
             rep = grothendieck_search(3, 4, budget=25, seed=seed)
-            assert rep.ratio <= DEFAULT_KG_UPPER + 1e-9
+            assert rep.ratio <= KG_UPPER + 1e-9
 
     @pytest.mark.parametrize("shape", [(10, 3), (12, 2), (11, 3)])
     def test_matches_public_oracle(self, shape):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from uncond import unconditionality as U
+from uncond.lemma_lab import grothendieck_search
 from uncond.seqspace import EPS_NUM, ExponentTriple, FinSeq
 from uncond.unconditionality import (
     Family,
@@ -18,6 +19,7 @@ from uncond.witness import sylvester
 from uncond.seqspace import row_norms
 
 from _oracles import (
+    direct_quotient,
     naive_sign_max,
     naive_subset_max,
     public_quotient_search,
@@ -35,7 +37,7 @@ class TestFamily:
         assert fam.size == 2
         assert fam.ambient_len == 2
         assert fam[0] == FinSeq.of([1, 0])
-        assert len(fam.vectors) == 2
+        assert len(fam) == 2
 
     def test_empty(self):
         fam = Family.of([])
@@ -95,6 +97,29 @@ class TestSubsetMaxNorm:
             subset_max_norm(fam, 2, n_exh=4)
         # explicit cap override admits it again
         assert subset_max_norm(fam, 2, n_exh=5).value == pytest.approx(5 * SQRT2)
+
+    def test_cap_messages(self):
+        # only subset_max_norm has a mode, so only it suggests the randomized one
+        fam = Family(np.ones((5, 2)))
+        plain = "family size 5 exceeds the exhaustive cap 4 (2^5 subsets)"
+        with pytest.raises(ValueError) as err:
+            subset_max_norm(fam, 2, n_exh=4)
+        assert str(err.value) == plain + "; use mode='randomized' with a budget"
+        t = ExponentTriple.of(2, 2, 2)
+        for call in (
+            lambda: sign_max_norm(fam, 2, n_exh=4),
+            lambda: quotient_lower_bound_search(t, 5, 2, 3, 0, n_exh=4),
+            lambda: grothendieck_search(5, 2, 3, 0, n_exh=4),
+        ):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == plain
+
+    def test_only_the_two_mode_names(self):
+        fam = Family.of([[1.0]])
+        for mode in ("exh", "rand", "random", "Exhaustive", " randomized"):
+            with pytest.raises(ValueError, match="unknown mode"):
+                subset_max_norm(fam, 2, mode, budget=1, seed=0)
 
     def test_threads_bit_identical(self):
         rng = np.random.default_rng(3)
@@ -390,6 +415,43 @@ class TestMain1BoundCheck:
             assert not caplog.records
 
 
+class TestQuotientOracle:
+    """unconditionality_quotient against a quotient recomputed from scratch."""
+
+    @pytest.mark.parametrize("triple", [
+        (2, 2, 2), (3, 3, 3), (1, 3, 1), ("inf", 2, 2), (2, "inf", 2),
+        (1.5, 2, "inf"), ("inf", "inf", "inf"),
+    ])
+    def test_matches_direct_quotient(self, triple):
+        t = ExponentTriple.of(*triple)
+        rng = np.random.default_rng(29)
+        for _ in range(12):
+            n, d = int(rng.integers(1, 9)), int(rng.integers(1, 7))
+            A, X = rng.standard_normal((n, d)), rng.standard_normal((n, d))
+            got = unconditionality_quotient(Family(A), Family(X), t)
+            numerator, denominator = direct_quotient(A, X, *triple)
+            assert got.numerator == pytest.approx(numerator, rel=1e-12)
+            assert got.denominator == pytest.approx(denominator, rel=1e-12)
+            assert got.quotient == pytest.approx(numerator / denominator, rel=1e-12)
+
+    def test_empty_family(self):
+        with pytest.raises(ValueError, match="degenerate"):
+            unconditionality_quotient([], [], ExponentTriple.of(2, 2, 2))
+        assert main1_bound_check([], [], 2, 1.8) is True
+
+
+class TestSearchArguments:
+    @pytest.mark.parametrize("n, dim, budget, n_exh", [
+        (2, 2, 0, 24), (0, 2, 3, 24), (2, 0, 3, 24), (5, 2, 3, 4),
+    ])
+    def test_both_searches_raise_the_same_error(self, n, dim, budget, n_exh):
+        with pytest.raises(ValueError) as quotient_err:
+            quotient_lower_bound_search(ExponentTriple.of(2, 2, 2), n, dim, budget, 0, n_exh=n_exh)
+        with pytest.raises(ValueError) as sign_err:
+            grothendieck_search(n, dim, budget, 0, n_exh=n_exh)
+        assert str(quotient_err.value) == str(sign_err.value)
+
+
 class TestQuotientSearch:
     def test_rediscovers_hadamard_level(self):
         t = ExponentTriple.of("inf", 2, 2)
@@ -429,15 +491,14 @@ def _parts(res):
 class TestSearchTrajectory:
     """The coordinate ascent retraces the public-call search exactly, float for float."""
 
-    @pytest.mark.parametrize("refine", [True, False])
     @pytest.mark.parametrize("triple", SEARCH_TRIPLES)
-    def test_search_matches_public_oracle(self, triple, refine):
+    def test_search_matches_public_oracle(self, triple):
         t = ExponentTriple.of(*triple)
         # budget 5 draws lattice families at even trials and normal ones at odd trials
         for n in (3, 4):
             for seed in (0, 1, 2):
-                got = quotient_lower_bound_search(t, n, 4, 5, seed, refine=refine)
-                want = public_quotient_search(t, n, 4, 5, seed, refine=refine)
+                got = quotient_lower_bound_search(t, n, 4, 5, seed)
+                want = public_quotient_search(t, n, 4, 5, seed)
                 assert _parts(got) == _parts(want)
                 assert got.to_json() == want.to_json()
 
