@@ -18,7 +18,6 @@ import numpy as np
 
 from uncond import (
     Family,
-    complex_halfplane_ratio,
     complex_subset_ratio,
     grothendieck_ratio,
     grothendieck_search,
@@ -36,7 +35,7 @@ rep = complex_subset_ratio([1, 1j, -1, -1j])
 print(f"  4th roots of unity: ratio {rep.ratio:.6f} (= 2*sqrt(2))")
 for n in (8, 16, 32, 64, 256, 1024):
     z = np.exp(2j * math.pi * np.arange(n) / n)
-    rep = complex_halfplane_ratio(z)
+    rep = complex_subset_ratio(z)
     tag = "certified" if rep.certified else "arc scan"
     print(f"  {n:>5}th roots: ratio {rep.ratio:.9f}  ({tag}; pi = {math.pi:.9f})")
 

@@ -26,7 +26,6 @@ from .lemma_lab import (
     SHARP_COMPLEX_BOUND,
     RatioReport,
     SandwichSweepReport,
-    complex_halfplane_ratio,
     complex_subset_max,
     complex_subset_ratio,
     grothendieck_ratio,
@@ -99,7 +98,6 @@ __all__ = [
     "WitnessCheck",
     "WitnessReport",
     "classify",
-    "complex_halfplane_ratio",
     "complex_subset_max",
     "complex_subset_ratio",
     "cross_validate",

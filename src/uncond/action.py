@@ -26,8 +26,7 @@ def holder_bound_check(a: FinSeq, x: FinSeq, t: ExponentTriple) -> bool:
     True for every input when the triple is valid; this is checked by tests
     rather than assumed.
     """
-    if not t.holder_valid:
-        raise ValueError(f"triple {t} is not valid: 1/r > 1/p + 1/q")
+    t.require_holder_valid()
     prod = multiply(a, x)
     return norm(prod, t.r) <= norm(a, t.p) * norm(x, t.q) * (1.0 + EPS_NUM)
 

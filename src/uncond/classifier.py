@@ -234,7 +234,7 @@ def cross_validate(
     """
     cls = classify(t)
     if cls.verdict is Verdict.NOT_APPLICABLE:
-        raise ValueError(f"triple {t} is not valid: 1/r > 1/p + 1/q")
+        t.require_holder_valid()  # raises: NotApplicable triples are never holder_valid
     checks: list[WitnessCheck] = []
     best_quotient = None
     if cls.verdict is Verdict.NOT_PRESERVES:

@@ -20,7 +20,6 @@ import numpy as np
 from .classifier import Verdict, classify, grid_to_csv, region_grid
 from .errors import InternalInconsistencyError
 from .lemma_lab import (
-    complex_halfplane_ratio,
     complex_subset_ratio,
     grothendieck_search,
     real_subset_ratio,
@@ -186,14 +185,13 @@ def _run_grid(args):
         (args.q_min, args.q_max),
         args.step,
         include_infinite=not args.no_infinity,
-        threads=args.threads,
     )
     text = grid_to_csv(rows)
     return text, text  # CSV is both the payload and the pretty form
 
 
 def _run_witness_hadamard(args):
-    rep = hadamard_witness(_triple(args), args.C, n_exh=_n_exh(), threads=args.threads)
+    rep = hadamard_witness(_triple(args), args.C, n_exh=_n_exh())
     payload = rep.to_json()
     pretty = (
         f"n={rep.n}: family of {rep.family_size} orthogonal +-1 rows; "
@@ -239,7 +237,6 @@ def _run_quotient(args):
         budget=args.budget,
         seed=args.seed,
         n_exh=_n_exh(),
-        threads=args.threads,
     )
     pretty = (
         f"quotient {res.quotient:.12g} = {res.numerator:.12g} / {res.denominator:.12g} "
@@ -276,7 +273,7 @@ def _run_lemmas(args):
         worst_complex = max(worst_complex, complex_subset_ratio(z, n_exh=n_exh).ratio)
 
     roots = np.exp(2j * math.pi * np.arange(64) / 64.0)
-    roots_report = complex_halfplane_ratio(roots, n_exh=n_exh)
+    roots_report = complex_subset_ratio(roots, n_exh=n_exh)
 
     pair_witness = real_subset_ratio([1.0, -1.0])
     sweep = sandwich_sweep(

@@ -5,9 +5,10 @@ Covered here:
 * the real subset-sum inequality  sum |x_k| <= 2 max_F |sum_F x_k|
   (constant 2 is sharp; the max is computed exactly from the positive /
   negative split, no enumeration needed);
-* its complex version with constant 4, sharp constant pi
-  (exact subset enumeration at desk scale, plus the half-plane arc scan
-  that finds the optimum in O(n^2));
+* its complex version with constant 4, sharp constant pi, measured by one
+  ratio (``complex_subset_ratio``): the subset max is enumerated exactly up
+  to the exhaustive cap, and found by the half-plane arc scan, in O(n^2)
+  and uncertified, above it;
 * the lp-lq sandwich  ||v||_q <= ||v||_p <= n^(1/p-1/q) ||v||_q  over random
   vectors;
 * empirical lower bounds for the sign-pattern constant K in
@@ -34,9 +35,9 @@ from .unconditionality import (
     Family,
     _coordinate_ascent,
     _exhaustive_best,
+    _require_exhaustible,
     _seeded_restarts,
     sign_max_norm,
-    subset_max_norm,
 )
 
 logger = logging.getLogger(__name__)
@@ -103,17 +104,13 @@ def _as_complex(z) -> np.ndarray:
     return arr
 
 
-def _complex_planar_family(arr: np.ndarray) -> Family:
-    # |sum_F z_k| is the l2 row norm of the (Re, Im) pair, so the complex
-    # subset max reduces to the planar subset max with its stable modulus.
-    return Family(np.column_stack([arr.real, arr.imag]))
-
-
 def complex_subset_max(z, *, n_exh: int = DEFAULT_N_EXH) -> tuple[float, int]:
     """Exact max_F |sum_F z_k| by subset enumeration; returns (value, bitmask)."""
     arr = _as_complex(z)
-    res = subset_max_norm(_complex_planar_family(arr), 2, "exhaustive", n_exh=n_exh)
-    return res.value, res.argmax_subset
+    _require_exhaustible(arr.size, n_exh)
+    # |sum_F z_k| is the l2 norm of the (Re, Im) pair, so the complex subset
+    # max is the planar subset max with its stable modulus.
+    return _exhaustive_best(np.column_stack([arr.real, arr.imag]), Exponent(2.0), signs=False)
 
 
 def halfplane_subset_max(z) -> float:
@@ -143,44 +140,17 @@ def halfplane_subset_max(z) -> float:
 
 
 def complex_subset_ratio(z, *, n_exh: int = DEFAULT_N_EXH) -> RatioReport:
-    """sum |z_k| divided by the exact subset max, certified by enumeration."""
-    arr = _as_complex(z)
-    if arr.size > n_exh:
-        raise ValueError(
-            f"{arr.size} entries exceed the exhaustive cap {n_exh}; "
-            "use complex_halfplane_ratio"
-        )
-    total = float(np.abs(arr).sum())
-    if total <= 0.0:
-        raise ValueError("degenerate input: all entries are zero")
-    denom, _ = complex_subset_max(arr, n_exh=n_exh)
-    ratio = total / denom
-    return RatioReport(
-        ratio,
-        COMPLEX_SUBSET_BOUND,
-        COMPLEX_SUBSET_BOUND - ratio,
-        arr.copy(),
-        True,
-        sharp_bound=SHARP_COMPLEX_BOUND,
-    )
+    """sum |z_k| divided by max_F |sum_F z_k|, for any number of entries.
 
-
-def complex_halfplane_ratio(z, *, n_exh: int = DEFAULT_N_EXH) -> RatioReport:
-    """Like complex_subset_ratio but via the arc scan, so any n is allowed.
-
-    Certified only when enumeration is feasible and agrees with the scan;
-    the scan is not trusted on its own.
+    Up to ``n_exh`` entries the max is enumerated and the ratio certified;
+    above that the arc scan finds it, and the ratio is not certified.
     """
     arr = _as_complex(z)
     total = float(np.abs(arr).sum())
     if total <= 0.0:
         raise ValueError("degenerate input: all entries are zero")
-    denom = halfplane_subset_max(arr)
-    certified = False
-    if arr.size <= n_exh:
-        exact, _ = complex_subset_max(arr, n_exh=n_exh)
-        certified = abs(denom - exact) <= EPS_NUM * max(1.0, exact)
-        denom = exact if certified else denom
+    certified = arr.size <= n_exh
+    denom = complex_subset_max(arr, n_exh=n_exh)[0] if certified else halfplane_subset_max(arr)
     ratio = total / denom
     return RatioReport(
         ratio,

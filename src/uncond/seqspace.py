@@ -183,6 +183,11 @@ class ExponentTriple:
         """Whether 1/r <= 1/p + 1/q, the condition for the product map to land in lr."""
         return self.r.reciprocal <= self.p.reciprocal + self.q.reciprocal + EPS_CMP
 
+    def require_holder_valid(self) -> None:
+        """Raise ValueError unless the triple is ``holder_valid``."""
+        if not self.holder_valid:
+            raise ValueError(f"triple {self} is not valid: 1/r > 1/p + 1/q")
+
     def __str__(self):
         return f"({self.p}, {self.q}, {self.r})"
 

@@ -19,7 +19,8 @@ best is recomputed from scratch: the reported value is the norm of the
 reported subset's sum, added in index order, and ties resolve to the first
 subset attaining it in Gray order.  Sign patterns walk only the half with
 the last sign +1, since s and -s have the same norm.  The enumeration is
-serial; a ``threads`` argument is accepted and changes nothing.
+serial; the ``threads`` argument of ``subset_max_norm`` and ``sign_max_norm``
+is accepted and changes nothing.
 
 Every quotient, public or inside a search, is evaluated by one routine
 (``_quotient_parts``), so a search compares the very float
@@ -491,7 +492,6 @@ def unconditionality_quotient(
     budget: Optional[int] = None,
     seed: Optional[int] = None,
     n_exh: int = DEFAULT_N_EXH,
-    threads: int = 1,
 ) -> QuotientResult:
     """The quotient ||sum a_k x_k||_r / (max_k ||a_k||_p * subset_max(x, q)).
 
@@ -500,11 +500,8 @@ def unconditionality_quotient(
     x-families make the denominator vanish and are rejected as degenerate.
     """
     avec, xvec = _paired_families(avec, xvec)
-    if not t.holder_valid:
-        raise ValueError(f"triple {t} is not valid: 1/r > 1/p + 1/q")
-    sub = subset_max_norm(
-        xvec, t.q, mode, budget=budget, seed=seed, n_exh=n_exh, threads=threads
-    )
+    t.require_holder_valid()
+    sub = subset_max_norm(xvec, t.q, mode, budget=budget, seed=seed, n_exh=n_exh)
     parts = _quotient_parts(avec.matrix, xvec.matrix, t, sub=(sub.value, sub.argmax_subset))
     if parts is None:
         raise ValueError("degenerate family: denominator is zero")
@@ -518,7 +515,6 @@ def main1_bound_check(
     K: float,
     *,
     n_exh: int = DEFAULT_N_EXH,
-    threads: int = 1,
 ) -> bool:
     """Check ||sum a_k x_k||_q <= 2 K max_k ||a_k||_2 * subset_max(x, q).
 
@@ -531,8 +527,8 @@ def main1_bound_check(
     q = Exponent.of(q)
     lhs = _product_norm(avec.matrix, xvec.matrix, q)
     a_max = float(row_norms(avec.matrix, Exponent(2.0)).max(initial=0.0))
-    sub = subset_max_norm(xvec, q, "exhaustive", n_exh=n_exh, threads=threads)
-    rhs = 2.0 * K * a_max * sub.value
+    _require_exhaustible(xvec.size, n_exh)
+    rhs = 2.0 * K * a_max * _exhaustive_best(xvec.matrix, q, signs=False)[0]
     ok = lhs <= rhs * (1.0 + EPS_NUM)
     if not ok and K >= KG_UPPER:
         logger.critical(
@@ -679,8 +675,7 @@ def quotient_lower_bound_search(
     quotient equals ``unconditionality_quotient`` of the same entries, and a
     result object is built for the winner alone.
     """
-    if not t.holder_valid:
-        raise ValueError(f"triple {t} is not valid: 1/r > 1/p + 1/q")
+    t.require_holder_valid()
 
     def draw(rng, lattice):
         if lattice:

@@ -12,6 +12,12 @@ Two generators:
 * ``tail_witness`` exhibits, for r < q, the power sequence x(n) = n^(-1/r)
   whose basis expansion is unconditionally Cauchy in lq (summable tail) while
   its partial lr norms grow beyond any bound B.
+
+The partial lr norms of that sequence are harmonic sums to the power 1/r.
+``tail_witness`` and ``divergent_tail_norm`` take those sums from one routine
+(``_harmonic``), which adds 1/k in fixed-size chunks, each one cumulative sum
+seeded with the running total: the same left-to-right float sum as a loop
+over k, with memory bounded by the chunk size.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from scipy.special import zeta
 
 from .errors import InternalInconsistencyError
 from .seqspace import EPS_CMP, Exponent, ExponentLike, ExponentTriple
-from .unconditionality import DEFAULT_N_EXH, Family, check_threads, unconditionality_quotient
+from .unconditionality import DEFAULT_N_EXH, Family, unconditionality_quotient
 
 #: Largest doubling step for explicit +-1 matrices (size 4096).
 SYLVESTER_MAX_LOG = 12
@@ -34,8 +40,11 @@ MATERIALIZE_MAX_LOG = 10
 #: Cap on the certificate step count.  Beyond MATERIALIZE_MAX_LOG the
 #: certificate is pure log2 arithmetic, so the cap only keeps 2^n a finite float.
 WITNESS_MAX_LOG = 1023
-#: Cap on terms summed when locating the divergent-tail crossing.
+#: Cap on terms summed when locating the divergent-tail crossing; it bounds
+#: the time (about 150 chunks), while _HARMONIC_CHUNK bounds the memory.
 TAIL_MAX_TERMS = 10_000_000
+#: Terms per chunk of a harmonic sum: 2^16 float64 values, 0.5 MB.
+_HARMONIC_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,8 +171,7 @@ def witness_size(t: ExponentTriple, C: float) -> int:
     itself.  Raises ValueError for a triple outside the strict clause and for
     an n above WITNESS_MAX_LOG ("C too large for desk scale").
     """
-    if not t.holder_valid:
-        raise ValueError(f"triple {t} is not valid: 1/r > 1/p + 1/q")
+    t.require_holder_valid()
     if not C > 0:
         raise ValueError("C must be positive")
     gap = second_clause_gap(t)
@@ -195,7 +203,6 @@ def hadamard_witness(
     C: float,
     *,
     n_exh: int = DEFAULT_N_EXH,
-    threads: int = 1,
 ) -> WitnessReport:
     """Construct the orthogonal +-1 family defeating the constant C.
 
@@ -205,7 +212,6 @@ def hadamard_witness(
     multipliers and as summands; it is materialized (and, when 2^n is within
     the exhaustive cap, its exact quotient computed) only at desk scale.
     """
-    check_threads(threads)
     n = witness_size(t, C)
     num_slope, den_slope = _slopes(t)
 
@@ -223,9 +229,7 @@ def hadamard_witness(
             )
         family = H.rows_family()
         if (1 << n) <= n_exh:
-            exq = unconditionality_quotient(
-                family, family, t, "exhaustive", n_exh=n_exh, threads=threads
-            ).quotient
+            exq = unconditionality_quotient(family, family, t, n_exh=n_exh).quotient
     return WitnessReport(
         triple=t,
         C=float(C),
@@ -240,6 +244,28 @@ def hadamard_witness(
     )
 
 
+def _harmonic(limit: int, target: float = math.inf) -> tuple[int, float]:
+    """(N, s_N) for the smallest N <= limit with s_N >= target, else (limit, s_limit).
+
+    s_N = 1/1 + 1/2 + ... + 1/N is added left to right, so it is bit for bit
+    the float a loop over k gives: each chunk of _HARMONIC_CHUNK terms is one
+    cumulative sum whose first term carries the running total, and the
+    crossing is the first index of that nondecreasing chunk at or above
+    ``target``.
+    """
+    s, n = 0.0, 0
+    while n < limit and s < target:
+        part = np.arange(n + 1, min(limit, n + _HARMONIC_CHUNK) + 1, dtype=np.float64)
+        np.divide(1.0, part, out=part)
+        part[0] += s
+        np.cumsum(part, out=part)
+        k = int(np.searchsorted(part, target))
+        if k < part.size:
+            return n + k + 1, float(part[k])
+        n, s = n + part.size, float(part[-1])
+    return n, s
+
+
 class TailWitness(NamedTuple):
     N: int
     partial_r_norm: float
@@ -251,10 +277,7 @@ def divergent_tail_norm(r: ExponentLike, N: int) -> float:
     r = Exponent.of(r)
     if r.is_infinite:
         raise ValueError("r must be finite")
-    s = 0.0
-    for k in range(1, N + 1):
-        s += 1.0 / k
-    return s ** (1.0 / r.value)
+    return _harmonic(N)[1] ** (1.0 / r.value)
 
 
 def tail_q_bound(q: ExponentLike, r: ExponentLike, N: int) -> float:
@@ -286,11 +309,7 @@ def tail_witness(q: ExponentLike, r: ExponentLike, B: float) -> TailWitness:
     if not B > 0:
         raise ValueError("B must be positive")
     target = float(B) ** r.value
-    s = 0.0
-    N = 0
-    while s < target:
-        N += 1
-        if N > TAIL_MAX_TERMS:
-            raise ValueError("B too large for desk scale")
-        s += 1.0 / N
+    N, s = _harmonic(TAIL_MAX_TERMS, target)
+    if s < target:
+        raise ValueError("B too large for desk scale")
     return TailWitness(N, s ** (1.0 / r.value), tail_q_bound(q, r, N))

@@ -123,6 +123,14 @@ def direct_quotient(A: np.ndarray, X: np.ndarray, p, q, r) -> tuple[float, float
     return direct_norm(total, r), a_max * naive_subset_max(X, q)[0]
 
 
+def harmonic_sum(N: int) -> float:
+    """sum_{n<=N} 1/n, added left to right one term at a time."""
+    s = 0.0
+    for n in range(1, N + 1):
+        s += 1.0 / n
+    return s
+
+
 def harmonic_crossing(target: float) -> int:
     """Smallest N with sum_{n<=N} 1/n >= target, by direct summation."""
     s = 0.0

@@ -14,7 +14,6 @@ import pytest
 
 from uncond.classifier import Clause, Verdict, classify
 from uncond.lemma_lab import (
-    complex_halfplane_ratio,
     complex_subset_ratio,
     grothendieck_ratio,
     grothendieck_search,
@@ -180,7 +179,7 @@ def test_criterion_05_subset_sum_constants():
     ok = ok and worst_complex <= 4.0
 
     roots = np.exp(2j * math.pi * np.arange(64) / 64.0)
-    roots_ratio = complex_halfplane_ratio(roots).ratio
+    roots_ratio = complex_subset_ratio(roots).ratio
     ok = ok and 3.0 <= roots_ratio <= math.pi + 1e-9
 
     elapsed = time.perf_counter() - t0

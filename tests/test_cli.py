@@ -8,6 +8,47 @@ from uncond.cli import main
 
 CLI = [sys.executable, "-m", "uncond.cli"]
 
+#: stdout of `uncond lemmas --budget 30 --dim 6 --seed 9`, pinned byte for byte.
+LEMMAS_STDOUT = (
+    '{"real_pair_witness":{"ratio":2.0,"bound":2.0,"slack":0.0,"witness":[1.0,-1.0],'
+    '"certified":true},"real_random_max_ratio":1.9367059962062103,"real_trials":30,'
+    '"complex_random_max_ratio":1.5282245354681943,"complex_trials":3,'
+    '"roots64_ratio":3.140331156954752,"sandwich":{"violations":0,"records":[{"p":1.0,'
+    '"q":2.0,"dim":2,"trials":10,"violations":0,"min_lower_slack":0.04718252797300382,'
+    '"min_upper_slack":0.02325910284079369},{'
+    '"p":1.0,"q":2.0,"dim":5,"trials":10,"violations":0,"min_lower_slack":0.6930921648031902,'
+    '"min_upper_slack":0.19362679611677525},{'
+    '"p":1.0,"q":2.0,"dim":16,"trials":10,"violations":0,"min_lower_slack":7.700369691892223,'
+    '"min_upper_slack":1.0645964007686732},{'
+    '"p":1.5,"q":3.0,"dim":2,"trials":10,"violations":0,'
+    '"min_lower_slack":0.0001033684120022027,"min_upper_slack":0.00022049078367092356},{'
+    '"p":1.5,"q":3.0,"dim":5,"trials":10,"violations":0,"min_lower_slack":0.2619228904585025,'
+    '"min_upper_slack":0.07043360595163994},{'
+    '"p":1.5,"q":3.0,"dim":16,"trials":10,"violations":0,'
+    '"min_lower_slack":2.0469902216345695,"min_upper_slack":0.7226298032884149},{'
+    '"p":2.0,"q":4.0,"dim":2,"trials":10,"violations":0,'
+    '"min_lower_slack":0.0028330389379233045,"min_upper_slack":3.185837556463067e-05},{'
+    '"p":2.0,"q":4.0,"dim":5,"trials":10,"violations":0,'
+    '"min_lower_slack":0.18245372201400967,"min_upper_slack":0.3027000821136365},{'
+    '"p":2.0,"q":4.0,"dim":16,"trials":10,"violations":0,'
+    '"min_lower_slack":1.0924324051047787,"min_upper_slack":0.3033004572205429}]}}'
+    "\n"
+)
+
+#: stdout of `uncond witness-tail` at two levels, pinned byte for byte.
+WITNESS_TAIL_STDOUT = {
+    ("--q", "2", "--r", "1", "--B", "12.5"): (
+        '{"q":2.0,"r":1.0,"B":12.5,'
+        '"N":150661,"partial_r_norm":12.500006542426194,"tail_q_bound":0.002576314373553548}'
+        "\n"
+    ),
+    ("--q", "3", "--r", "2", "--B", "3.77"): (
+        '{"q":3.0,"r":2.0,"B":3.77,'
+        '"N":835415,"partial_r_norm":3.7700000198620898,"tail_q_bound":0.12982537242023187}'
+        "\n"
+    ),
+}
+
 
 def run_cli(*args, env_extra=None, stdin_data=None):
     import os
@@ -188,6 +229,18 @@ class TestEnvCap:
         detail = json.loads(res.stderr)["detail"]
         assert detail == "family size 25 exceeds the exhaustive cap 24 (2^25 subsets)"
 
+    def test_lemmas_scan_complex_draws_beyond_the_cap(self, monkeypatch, capsys):
+        # the complex draws have up to 6 entries; past a cap of 1 they are scanned
+        monkeypatch.setenv("UNCOND_NEXH", "1")
+        assert main(["lemmas", "--budget", "30", "--dim", "6", "--seed", "9"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        pinned = json.loads(LEMMAS_STDOUT)
+        assert out["complex_random_max_ratio"] == pytest.approx(
+            pinned["complex_random_max_ratio"], rel=1e-12
+        )
+        del out["complex_random_max_ratio"], pinned["complex_random_max_ratio"]
+        assert out == pinned
+
     def test_nexh_gates_witness_exhaustive_check(self):
         with_check = run_cli("witness-hadamard", "--p", "inf", "--q", "2", "--r", "2",
                              "--C", "1", env_extra={"UNCOND_NEXH": "2"})
@@ -227,15 +280,18 @@ class TestDeterminism:
         assert a.stdout == b.stdout
 
     def test_lemmas_byte_identical(self):
-        args = ("lemmas", "--budget", "30", "--dim", "6", "--seed", "9")
-        a = run_cli(*args)
-        b = run_cli(*args)
+        a = run_cli("lemmas", "--budget", "30", "--dim", "6", "--seed", "9")
         assert a.returncode == 0
-        assert a.stdout == b.stdout
+        assert a.stdout == LEMMAS_STDOUT
         out = json.loads(a.stdout)
         assert out["real_random_max_ratio"] <= 2.0
         assert 3.0 <= out["roots64_ratio"] <= 3.1415926536
         assert out["sandwich"]["violations"] == 0
+
+    @pytest.mark.parametrize("args", sorted(WITNESS_TAIL_STDOUT))
+    def test_witness_tail_byte_identical(self, args, capsys):
+        assert main(["witness-tail", *args]) == 0
+        assert capsys.readouterr().out == WITNESS_TAIL_STDOUT[args]
 
     def test_grothendieck_output(self):
         res = run_cli("grothendieck", "--n", "2", "--dim", "2", "--budget", "30", "--seed", "1")
@@ -253,7 +309,12 @@ class TestDeterminism:
 
 
     def test_threads_below_one_is_domain_error(self, capsys):
-        for command in (["classify", "--p", "2", "--q", "2", "--r", "2"], ["grid", "--r", "2"]):
+        for command in (
+            ["classify", "--p", "2", "--q", "2", "--r", "2"],
+            ["grid", "--r", "2"],
+            ["witness-hadamard", "--p", "inf", "--q", "2", "--r", "2", "--C", "1"],
+            ["witness-tail", "--q", "2", "--r", "1", "--B", "2"],
+        ):
             assert main([*command, "--threads", "0"]) == 3
             err = json.loads(capsys.readouterr().err)
             assert err["error"] == "domain-error"

@@ -6,7 +6,6 @@ import pytest
 
 from uncond.lemma_lab import (
     SHARP_COMPLEX_BOUND,
-    complex_halfplane_ratio,
     complex_subset_max,
     complex_subset_ratio,
     grothendieck_ratio,
@@ -76,8 +75,26 @@ class TestComplexSubsetRatio:
     def test_degenerate_and_cap(self):
         with pytest.raises(ValueError, match="degenerate"):
             complex_subset_ratio([0j, 0j])
-        with pytest.raises(ValueError, match="exhaustive cap"):
-            complex_subset_ratio(roots_of_unity(8), n_exh=4)
+        # above the cap the arc scan stands in for enumeration, uncertified
+        z = roots_of_unity(8)
+        rep = complex_subset_ratio(z, n_exh=4)
+        assert rep.ratio == float(np.abs(z).sum()) / halfplane_subset_max(z)
+        assert not rep.certified
+
+    def test_scan_above_the_cap_enumeration_within_it(self):
+        rng = np.random.default_rng(6)
+        for _ in range(60):
+            n = int(rng.integers(1, 11))
+            z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            total = float(np.abs(z).sum())
+            for n_exh in (n - 1, n, n + 1):
+                rep = complex_subset_ratio(z, n_exh=n_exh)
+                if n > n_exh:
+                    assert rep.ratio == total / halfplane_subset_max(z)
+                    assert not rep.certified
+                else:
+                    assert rep.ratio == total / complex_subset_max(z, n_exh=n_exh)[0]
+                    assert rep.certified
 
     def test_enumeration_matches_naive(self):
         rng = np.random.default_rng(2)
@@ -125,16 +142,16 @@ class TestHalfplaneScan:
         assert halfplane_subset_max(z) == pytest.approx(SQRT2, rel=1e-15)
 
     def test_sixtyfourth_roots_band(self):
-        rep = complex_halfplane_ratio(roots_of_unity(64))
+        rep = complex_subset_ratio(roots_of_unity(64))
         assert 3.0 <= rep.ratio <= SHARP_COMPLEX_BOUND + 1e-9
         assert not rep.certified  # 64 entries exceed the enumeration cap
 
     def test_certified_when_small(self):
-        rep = complex_halfplane_ratio(roots_of_unity(8))
+        rep = complex_subset_ratio(roots_of_unity(8))
         assert rep.certified
 
     def test_ratio_approaches_sharp_constant(self):
-        ratios = [complex_halfplane_ratio(roots_of_unity(n)).ratio for n in (8, 16, 64, 256)]
+        ratios = [complex_subset_ratio(roots_of_unity(n)).ratio for n in (8, 16, 64, 256)]
         assert all(a < b for a, b in zip(ratios, ratios[1:]))
         assert ratios[-1] < SHARP_COMPLEX_BOUND
         assert ratios[-1] > 3.141

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from uncond import unconditionality as U
-from uncond.lemma_lab import grothendieck_search
+from uncond.lemma_lab import complex_subset_max, grothendieck_search
 from uncond.seqspace import EPS_NUM, ExponentTriple, FinSeq
 from uncond.unconditionality import (
     Family,
@@ -108,6 +108,8 @@ class TestSubsetMaxNorm:
         t = ExponentTriple.of(2, 2, 2)
         for call in (
             lambda: sign_max_norm(fam, 2, n_exh=4),
+            lambda: main1_bound_check(fam, fam, 2, 1.8, n_exh=4),
+            lambda: complex_subset_max(np.ones(5), n_exh=4),
             lambda: quotient_lower_bound_search(t, 5, 2, 3, 0, n_exh=4),
             lambda: grothendieck_search(5, 2, 3, 0, n_exh=4),
         ):
@@ -304,8 +306,6 @@ class TestKernel:
         for fn in (subset_max_norm, sign_max_norm):
             with pytest.raises(ValueError, match="threads"):
                 fn(fam, 2, threads=0)
-        with pytest.raises(ValueError, match="threads"):
-            unconditionality_quotient(fam, fam, ExponentTriple.of(2, 2, 2), threads=-1)
 
 
 class TestQuotient:

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from uncond.seqspace import ExponentTriple
 from uncond.unconditionality import subset_max_norm
 from uncond.witness import (
+    _HARMONIC_CHUNK,
     HadamardMatrix,
+    _harmonic,
     hadamard_witness,
     second_clause_gap,
     witness_size,
@@ -18,7 +20,7 @@ from uncond.witness import (
     tail_witness,
 )
 
-from _oracles import harmonic_crossing, minimal_witness_n
+from _oracles import harmonic_crossing, harmonic_sum, minimal_witness_n
 
 SQRT2 = math.sqrt(2.0)
 
@@ -177,10 +179,6 @@ class TestHadamardWitness:
         with pytest.raises(ValueError, match="desk scale"):
             hadamard_witness(ExponentTriple.of("inf", 2, 2), 2.0 ** 1000)
 
-    def test_threads_below_one_rejected(self):
-        with pytest.raises(ValueError, match="threads"):
-            hadamard_witness(ExponentTriple.of("inf", 2, 2), 1.0, threads=0)
-
     def test_nonpositive_constant_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             hadamard_witness(ExponentTriple.of("inf", 2, 2), 0.0)
@@ -206,7 +204,46 @@ class TestHadamardWitness:
         assert "exhaustive_quotient" not in rep_big.to_json()
 
 
+class TestHarmonicSum:
+    C = _HARMONIC_CHUNK
+
+    @pytest.mark.parametrize("N", [1, 2, C - 1, C, C + 1, 2 * C + 1, 866_991])
+    def test_equals_the_loop_sum(self, N):
+        assert _harmonic(N) == (N, harmonic_sum(N))
+        assert divergent_tail_norm(1, N) == harmonic_sum(N)
+        assert divergent_tail_norm(2, N) == harmonic_sum(N) ** 0.5
+
+    def test_empty_sum(self):
+        assert _harmonic(0) == (0, 0.0)
+        assert divergent_tail_norm(3, 0) == 0.0
+
+    @pytest.mark.parametrize("N", [C - 1, C, C + 1, 2 * C])
+    def test_crossing_at_a_chunk_boundary(self, N):
+        # a target equal to s_N is crossed exactly at N, on either side of a chunk edge
+        assert _harmonic(10 * N, harmonic_sum(N)) == (N, harmonic_sum(N))
+
+    def test_limit_stops_short_of_the_target(self):
+        s = harmonic_sum(100)
+        assert _harmonic(100, s + 1e-9) == (100, s)
+
+
 class TestTailWitness:
+    def test_seeded_targets_match_the_loop(self):
+        rng = np.random.default_rng(61)
+        targets = [1.0, 4.0, 5.0, 14.3, *(14.3 - rng.uniform(0.0, 14.3, size=200))]
+        for target in targets:
+            tw = tail_witness(2, 1, target)
+            N = harmonic_crossing(target)
+            assert tw.N == N
+            assert tw.partial_r_norm == harmonic_sum(N)
+
+    def test_square_root_targets_match_the_loop(self):
+        for B in (0.3, 1.0, 2.0, 3.77):
+            tw = tail_witness(3, 2, B)
+            N = harmonic_crossing(B ** 2.0)
+            assert tw.N == N
+            assert tw.partial_r_norm == harmonic_sum(N) ** 0.5
+
     def test_harmonic_crossing_at_five(self):
         tw = tail_witness(2, 1, 5.0)
         assert tw.N == harmonic_crossing(5.0)
