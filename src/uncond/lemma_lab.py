@@ -16,7 +16,11 @@ Covered here:
   reported against a configurable upper envelope.  The search runs on the
   restart loop and the coordinate ascent of ``unconditionality``, supplying
   a +-1 or normal draw and a climb by single-entry sign flips; a flip leaves
-  the numerator unchanged, so only the sign max is recomputed.
+  the numerator unchanged, so only the sign max is recomputed.  Flips are
+  screened on the dual table P = S X^T: one pass bounds the sign max after
+  every single-entry flip from below, and a flip that provably neither
+  lowers the sign max below the one held nor lifts the ratio above the
+  envelope is skipped, since it would be scored, reverted and not logged.
 """
 
 from __future__ import annotations
@@ -34,9 +38,11 @@ from .unconditionality import (
     KG_UPPER,
     Family,
     _coordinate_ascent,
+    _dual_slack,
     _exhaustive_best,
     _require_exhaustible,
     _seeded_restarts,
+    _sign_blocks,
     sign_max_norm,
 )
 
@@ -197,6 +203,27 @@ def grothendieck_ratio(
     return RatioReport(ratio, kg_upper, kg_upper - ratio, fam, True)
 
 
+def _flip_floors(X: np.ndarray) -> np.ndarray:
+    """Proven lower bounds on the q = 1 sign max of X after negating each single entry.
+
+    With P = S X^T the dual table over the sign vectors s with s_{d-1} = +1,
+    negating X[i, j] moves P[s, i] by -2 s_j X[i, j], so the dual score
+    sum_k |P[s, k]| becomes h(s) - |P[s, i]| + |P[s, i] - 2 s_j X[i, j]|.
+    The sign max after the flip is at least the best such score, and the
+    float sign max ``_exhaustive_best`` reports is at least that score less
+    the rounding slack of the dual routes.  Entry (i, j) is that bound.
+    """
+    n, d = X.shape
+    best = np.full((n, d), -np.inf)
+    for S in _sign_blocks(d, True, n * d):
+        P = S @ X.T
+        absP = np.abs(P)
+        moved = np.abs(P[:, :, None] - 2.0 * S[:, None, :] * X)
+        moved += (absP.sum(axis=1)[:, None] - absP)[:, :, None]
+        np.maximum(best, moved.max(axis=0), out=best)
+    return best - _dual_slack(X)
+
+
 def grothendieck_search(
     n: int,
     dim: int,
@@ -210,12 +237,18 @@ def grothendieck_search(
 
     Negating a single entry never changes sum ||x_k||_2, not even in its last
     bit, so it is computed once per draw and refinement recomputes only the
-    sign max of the denominator.  The running best is nondecreasing over the
-    budget, and the whole run is deterministic per seed.  Every ratio equals
-    ``grothendieck_ratio`` of the same entries, and one above ``kg_upper`` is
-    logged the same way.
+    sign max of the denominator.  Flips are screened on the dual table
+    (``_flip_floors``, rebuilt each sweep and after each kept flip): a flip
+    whose sign max provably stays at or above the one held, with a ratio
+    provably at most ``kg_upper`` + EPS_NUM, would be scored, reverted and
+    not logged, so it is skipped.  The screen runs when dim < n, where the
+    dual table is smaller than the walk.  The running best is nondecreasing
+    over the budget, and the whole run is deterministic per seed.  Every
+    ratio equals ``grothendieck_ratio`` of the same entries, and one above
+    ``kg_upper`` is logged the same way.
     """
     l1 = Exponent(1.0)
+    limit = kg_upper + EPS_NUM
 
     def draw(rng, lattice):
         if lattice:
@@ -224,18 +257,36 @@ def grothendieck_search(
 
     def climb(X, best):
         numer = float(row_norms(X, 2).sum())
+        # the sign max of the entries the climb holds, and of the last ones scored
+        held = last = 0.0
 
         def evaluate(M, cur):
-            smax = _exhaustive_best(X, l1, signs=True)[0]
-            return None if smax <= 0.0 else (_sign_ratio(numer, smax, kg_upper, n), X)
+            nonlocal last
+            last = _exhaustive_best(X, l1, signs=True)[0]
+            return None if last <= 0.0 else (_sign_ratio(numer, last, kg_upper, n), X)
+
+        def screen():
+            return _flip_floors(X) if dim < n else np.full((n, dim), -np.inf)
 
         def flips():
+            nonlocal held
+            floors = screen()
             for i in range(n):
                 for j in range(dim):
-                    yield X, i, j, -X[i, j]
+                    floor = floors[i, j]
+                    if floor >= held and numer / floor <= limit:
+                        continue
+                    before = X[i, j]
+                    yield X, i, j, -before
+                    if X[i, j] != before:
+                        held = last
+                        floors = screen()
 
         start = evaluate(X, None)
-        return None if start is None else _coordinate_ascent(start, flips, evaluate, sweeps=8)
+        if start is None:
+            return None
+        held = last
+        return _coordinate_ascent(start, flips, evaluate, sweeps=8)
 
     ratio, X = _seeded_restarts(n, dim, budget, seed, n_exh, draw, climb)
     return RatioReport(ratio, kg_upper, kg_upper - ratio, Family(X), True)

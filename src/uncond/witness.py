@@ -245,16 +245,17 @@ def hadamard_witness(
 
 
 def _harmonic(limit: int, target: float = math.inf) -> tuple[int, float]:
-    """(N, s_N) for the smallest N <= limit with s_N >= target, else (limit, s_limit).
+    """(N, s_N) for the smallest N with 1 <= N <= limit and s_N >= target, else (limit, s_limit).
 
     s_N = 1/1 + 1/2 + ... + 1/N is added left to right, so it is bit for bit
     the float a loop over k gives: each chunk of _HARMONIC_CHUNK terms is one
     cumulative sum whose first term carries the running total, and the
     crossing is the first index of that nondecreasing chunk at or above
-    ``target``.
+    ``target``.  N is at least 1 even for a target of 0, such as a level
+    B^r that underflowed; only limit = 0 gives the empty sum (0, 0.0).
     """
     s, n = 0.0, 0
-    while n < limit and s < target:
+    while n < limit and (n == 0 or s < target):
         part = np.arange(n + 1, min(limit, n + _HARMONIC_CHUNK) + 1, dtype=np.float64)
         np.divide(1.0, part, out=part)
         part[0] += s

@@ -5,7 +5,9 @@ the library (naive re-enumeration, direct summation, closed forms) so a bug
 cannot hide in shared code paths.
 """
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -70,6 +72,45 @@ def sequential_scratch_max(X: np.ndarray, q, signs: bool = False):
         if vals[k] > best_val:
             best_val, best_mask = float(vals[k]), int(masks[k])
     return best_val, best_mask
+
+
+def dual_l1_max(X: np.ndarray, signs: bool = False) -> Fraction:
+    """The exact largest l1 norm of a subset sum (or signed sum) of the rows of X, by duality.
+
+    ||v||_1 = max over sigma in {-1,1}^d of <sigma, v>, so the subset max is
+    max_sigma sum_k <sigma, x_k>^+ and the sign max is
+    max_sigma sum_k |<sigma, x_k>|.  Every entry becomes a Fraction, so no
+    step rounds.
+    """
+    rows = [[Fraction(float(v)) for v in row] for row in X]
+    best = Fraction(0)
+    for sigma in itertools.product((1, -1), repeat=X.shape[1]):
+        dots = [sum(s * v for s, v in zip(sigma, row)) for row in rows]
+        best = max(best, sum(abs(t) for t in dots) if signs else sum(t for t in dots if t > 0))
+    return best
+
+
+def column_inf_max(X: np.ndarray, signs: bool = False) -> Fraction:
+    """The exact largest sup norm of a subset sum (or signed sum) of the rows of X.
+
+    ||v||_inf is the max of sigma * v_j over columns j and sigma = +-1, so the
+    subset max is the largest column sum of positive parts or of negative
+    parts, and the sign max the largest column sum of absolute values; in
+    Fractions.
+    """
+    best = Fraction(0)
+    for j, sigma in itertools.product(range(X.shape[1]), (1, -1)):
+        col = [sigma * Fraction(float(v)) for v in X[:, j]]
+        best = max(best, sum(abs(t) for t in col) if signs else sum(t for t in col if t > 0))
+    return best
+
+
+def exact_norm(X: np.ndarray, mask: int, q, signs: bool = False) -> Fraction:
+    """The l1 or sup norm (q = 1 or 'inf') of one mask's subset sum (or signed sum), in Fractions."""
+    n, d = X.shape
+    coef = [(-1 if (mask >> k) & 1 else 1) if signs else (mask >> k) & 1 for k in range(n)]
+    total = [sum(c * Fraction(float(X[k, j])) for k, c in enumerate(coef)) for j in range(d)]
+    return max(map(abs, total), default=Fraction(0)) if q == "inf" else sum(map(abs, total))
 
 
 def scratch_sum(X: np.ndarray, mask: int, signs: bool = False) -> np.ndarray:

@@ -139,6 +139,13 @@ class TestWitnessCommands:
         assert out["N"] == 83
         assert out["partial_r_norm"] >= 5.0
 
+    def test_tail_level_whose_power_underflows(self, capsys):
+        # 1e-200 ** 2 is 0.0 in floats; the witness still starts at N = 1
+        assert main(["witness-tail", "--q", "3", "--r", "2", "--B", "1e-200"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["N"], out["partial_r_norm"]) == (1, 1.0)
+        assert out["partial_r_norm"] >= out["B"]
+
 
 class TestGridCommand:
     def test_header_and_row_count(self):

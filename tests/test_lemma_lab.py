@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from uncond import lemma_lab, unconditionality
 from uncond.lemma_lab import (
     SHARP_COMPLEX_BOUND,
     complex_subset_max,
@@ -14,7 +15,8 @@ from uncond.lemma_lab import (
     real_subset_ratio,
     sandwich_sweep,
 )
-from uncond.unconditionality import KG_UPPER, Family
+from uncond.seqspace import Exponent
+from uncond.unconditionality import KG_UPPER, Family, _dual_slack, _exhaustive_best
 
 from _oracles import (
     complex_subset_max_naive,
@@ -245,6 +247,69 @@ class TestGrothendieckSearch:
         assert all(r.levelno == logging.CRITICAL and "exceeds" in r.message for r in caplog.records)
         assert len(caplog.records) == 2 * logged
         assert got.ratio == want.ratio and got.slack < 0
+
+
+class TestFlipScreen:
+    """The dual-table screen of the sign-flip climb skips only flips the oracle would revert unlogged."""
+
+    def test_floors_bound_the_sign_max_after_each_flip(self):
+        rng = np.random.default_rng(83)
+        l1 = Exponent(1.0)
+        for trial in range(24):
+            n = int(rng.integers(4, 13))
+            d = int(rng.integers(1, min(n, 5)))
+            X = rng.standard_normal((n, d)) if trial % 3 else rng.integers(-3, 4, size=(n, d)) * 0.1
+            floors = lemma_lab._flip_floors(X)
+            slack = _dual_slack(X)
+            for i in range(n):
+                for j in range(d):
+                    Y = X.copy()
+                    Y[i, j] = -Y[i, j]
+                    smax = _exhaustive_best(Y, l1, signs=True)[0]
+                    # a proven lower bound, and within twice the slack of the value
+                    assert floors[i, j] <= smax
+                    assert smax - floors[i, j] <= 2.0 * slack
+
+    def test_floors_from_several_blocks(self):
+        # 2^11 sign vectors times 156 entries fill four 1 MiB blocks
+        X = np.random.default_rng(89).standard_normal((13, 12))
+        floors = lemma_lab._flip_floors(X)
+        for i, j in [(0, 0), (5, 7), (12, 11)]:
+            Y = X.copy()
+            Y[i, j] = -Y[i, j]
+            smax = _exhaustive_best(Y, Exponent(1.0), signs=True)[0]
+            assert 0.0 <= smax - floors[i, j] <= 2.0 * _dual_slack(X)
+
+    @pytest.mark.parametrize("kg_upper", [1.2, 1.3, 1.4])
+    @pytest.mark.parametrize("shape", [(10, 3), (12, 2), (11, 3), (8, 4)])
+    def test_mid_envelopes_match_the_public_oracle(self, shape, kg_upper, caplog):
+        # ratios near these envelopes make some flips log and others not
+        for seed in (2, 3, 7):
+            caplog.clear()
+            with caplog.at_level(logging.CRITICAL, logger="uncond.lemma_lab"):
+                got = grothendieck_search(*shape, budget=2, seed=seed, kg_upper=kg_upper)
+                logged = len(caplog.records)
+                want = public_sign_search(*shape, budget=2, seed=seed, kg_upper=kg_upper)
+            assert len(caplog.records) == 2 * logged
+            assert (got.ratio, got.slack) == (want.ratio, want.slack)
+            assert got.witness == want.witness
+            assert got.to_json() == want.to_json()
+
+    def test_screen_skips_most_flips(self, monkeypatch):
+        calls = []
+        evaluate = lemma_lab._exhaustive_best
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(lemma_lab, "_exhaustive_best", counting)
+        monkeypatch.setattr(unconditionality, "_exhaustive_best", counting)
+        grothendieck_search(11, 3, budget=2, seed=5)
+        screened = len(calls)
+        calls.clear()
+        public_sign_search(11, 3, budget=2, seed=5)
+        assert 0 < screened < len(calls) / 2
 
 
 class TestSandwichSweep:

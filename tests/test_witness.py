@@ -215,7 +215,12 @@ class TestHarmonicSum:
 
     def test_empty_sum(self):
         assert _harmonic(0) == (0, 0.0)
+        assert _harmonic(0, 0.0) == (0, 0.0)
         assert divergent_tail_norm(3, 0) == 0.0
+
+    def test_zero_target_is_crossed_at_the_first_term(self):
+        assert _harmonic(10, 0.0) == (1, 1.0)
+        assert _harmonic(10, -1.0) == (1, 1.0)
 
     @pytest.mark.parametrize("N", [C - 1, C, C + 1, 2 * C])
     def test_crossing_at_a_chunk_boundary(self, N):
@@ -254,6 +259,15 @@ class TestTailWitness:
         tw = tail_witness(2, 1, 1.0)
         assert tw.N == 1
         assert tw.partial_r_norm == 1.0
+
+    @pytest.mark.parametrize("B", [1e-200, 1e-170, 5e-324])
+    def test_underflowing_level_crosses_at_the_first_term(self, B):
+        # B ** 2 rounds to 0.0, yet the level B > 0 is first passed at N = 1
+        assert B ** 2.0 == 0.0
+        tw = tail_witness(3, 2, B)
+        assert (tw.N, tw.partial_r_norm) == (1, 1.0)
+        assert tw.partial_r_norm >= B
+        assert tw.tail_q_bound == tail_q_bound(3, 2, 1)
 
     def test_square_root_scale(self):
         tw = tail_witness(4, 2, 2.0)
