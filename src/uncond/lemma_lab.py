@@ -25,6 +25,7 @@ Covered here:
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -37,16 +38,18 @@ from .unconditionality import (
     DEFAULT_N_EXH,
     KG_UPPER,
     Family,
+    _BLOCK_BYTES,
     _coordinate_ascent,
-    _dual_slack,
     _exhaustive_best,
     _require_exhaustible,
     _seeded_restarts,
-    _sign_blocks,
     sign_max_norm,
 )
 
 logger = logging.getLogger(__name__)
+
+_EPS = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).smallest_subnormal)
 
 #: Sharp constant for the complex subset-sum inequality, to 1e-12.
 SHARP_COMPLEX_BOUND = 3.141592653589793
@@ -203,25 +206,50 @@ def grothendieck_ratio(
     return RatioReport(ratio, kg_upper, kg_upper - ratio, fam, True)
 
 
+def _flip_slack(X: np.ndarray) -> float:
+    """An absolute bound, twice over, on the rounding the flip screen must absorb.
+
+    With A = sum |x_kj| and u the unit roundoff, the scratch norm of any sign
+    pattern (a sum of n rows, then of d coordinates) is within (n + d) u A of
+    its exact l1 norm, so the float sign max ``_exhaustive_best`` reports is
+    at least the exact one less that.  A float bound of ``_flip_floors``
+    (a d-term product per entry of P, an n-term sum, and three more
+    roundings) is within (n + d + 3) u A of its exact value.  The sum of the
+    two is at most (n + d + 2) eps A; the slack is four times that.  The
+    subnormal term covers gradual underflow.
+    """
+    n, d = X.shape
+    return 4.0 * (n + d + 2) * (_EPS * float(np.abs(X).sum()) + _TINY)
+
+
+@functools.lru_cache(maxsize=None)
+def _half_signs(d: int) -> np.ndarray:
+    """The 2^(d-1) sign vectors of length d with s_{d-1} = +1, one per row (read-only).
+
+    Row j is -1 where bit i of j is set.  The screen builds them only for
+    d <= 10, where its bounds fit one block.
+    """
+    table = 1.0 - 2.0 * (np.arange(1 << (d - 1))[:, None] >> np.arange(d) & 1)
+    table.setflags(write=False)
+    return table
+
+
 def _flip_floors(X: np.ndarray) -> np.ndarray:
     """Proven lower bounds on the q = 1 sign max of X after negating each single entry.
 
     With P = S X^T the dual table over the sign vectors s with s_{d-1} = +1,
     negating X[i, j] moves P[s, i] by -2 s_j X[i, j], so the dual score
-    sum_k |P[s, k]| becomes h(s) - |P[s, i]| + |P[s, i] - 2 s_j X[i, j]|.
+    h(s) = sum_k |P[s, k]| becomes h(s) - |P[s, i]| + |P[s, i] - 2 s_j X[i, j]|.
     The sign max after the flip is at least the best such score, and the
     float sign max ``_exhaustive_best`` reports is at least that score less
-    the rounding slack of the dual routes.  Entry (i, j) is that bound.
+    ``_flip_slack``.  Entry (i, j) is that bound.
     """
-    n, d = X.shape
-    best = np.full((n, d), -np.inf)
-    for S in _sign_blocks(d, True, n * d):
-        P = S @ X.T
-        absP = np.abs(P)
-        moved = np.abs(P[:, :, None] - 2.0 * S[:, None, :] * X)
-        moved += (absP.sum(axis=1)[:, None] - absP)[:, :, None]
-        np.maximum(best, moved.max(axis=0), out=best)
-    return best - _dual_slack(X)
+    S = _half_signs(X.shape[1])
+    P = S @ X.T
+    absP = np.abs(P)
+    moved = np.abs(P[:, :, None] - 2.0 * S[:, None, :] * X)
+    moved += (absP.sum(axis=1)[:, None] - absP)[:, :, None]
+    return moved.max(axis=0) - _flip_slack(X)
 
 
 def grothendieck_search(
@@ -242,13 +270,17 @@ def grothendieck_search(
     whose sign max provably stays at or above the one held, with a ratio
     provably at most ``kg_upper`` + EPS_NUM, would be scored, reverted and
     not logged, so it is skipped.  The screen runs when dim < n, where the
-    dual table is smaller than the walk.  The running best is nondecreasing
+    dual table has fewer rows than there are sign patterns, and its bounds
+    fit one _BLOCK_BYTES block (dim <= 10); otherwise every flip is scored.
+    Whether it runs is decided once per search.  The running best is nondecreasing
     over the budget, and the whole run is deterministic per seed.  Every
     ratio equals ``grothendieck_ratio`` of the same entries, and one above
     ``kg_upper`` is logged the same way.
     """
     l1 = Exponent(1.0)
     limit = kg_upper + EPS_NUM
+    # the screen's bounds fill a 2^(dim-1) x n x dim array
+    screened = 0 < dim < n and 8 * n * dim << (dim - 1) <= _BLOCK_BYTES
 
     def draw(rng, lattice):
         if lattice:
@@ -265,12 +297,14 @@ def grothendieck_search(
             last = _exhaustive_best(X, l1, signs=True)[0]
             return None if last <= 0.0 else (_sign_ratio(numer, last, kg_upper, n), X)
 
-        def screen():
-            return _flip_floors(X) if dim < n else np.full((n, dim), -np.inf)
+        def all_flips():
+            for i in range(n):
+                for j in range(dim):
+                    yield X, i, j, -X[i, j]
 
-        def flips():
+        def screened_flips():
             nonlocal held
-            floors = screen()
+            floors = _flip_floors(X)
             for i in range(n):
                 for j in range(dim):
                     floor = floors[i, j]
@@ -280,13 +314,13 @@ def grothendieck_search(
                     yield X, i, j, -before
                     if X[i, j] != before:
                         held = last
-                        floors = screen()
+                        floors = _flip_floors(X)
 
         start = evaluate(X, None)
         if start is None:
             return None
         held = last
-        return _coordinate_ascent(start, flips, evaluate, sweeps=8)
+        return _coordinate_ascent(start, screened_flips if screened else all_flips, evaluate, sweeps=8)
 
     ratio, X = _seeded_restarts(n, dim, budget, seed, n_exh, draw, climb)
     return RatioReport(ratio, kg_upper, kg_upper - ratio, Family(X), True)

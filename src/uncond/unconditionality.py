@@ -8,27 +8,19 @@ whose supremum over all finite families is the smallest constant making the
 action unconditional.  Every quotient computed here is therefore a certified
 lower bound for that constant.
 
-For each exact maximum the dispatcher (``_exhaustive_best``) picks the
-cheaper of two routes by one cost comparison, with no option to set.  At
-q = 1 and q = inf the norm is a maximum of linear functionals over the
-vertices of the dual unit ball ({-1,1}^d, or +-e_j), so the subset max is
-max_s sum_k <s, x_k>^+ and the sign max max_s sum_k |<s, x_k>|; the dual
-route scores every row of that table (2^d or 2d rows, half for signs) and
-serves the call when the table has fewer rows than there are subsets.
-Otherwise, or when too many masks tie on the table, the walk runs through
-the reflected-Gray-code order over subsets (or sign patterns) in blocks of
-2^k positions.  Inside a block the high bits are fixed and the low k bits
-run through the Gray order, forwards or mirrored, so a block is one
-from-scratch sum of the high rows plus a table of low sums built once per
-call.  Blocks hold about 1 MiB of sums, a size set by the ambient length
-alone, so memory stays bounded for every n.  Both routes hand every mask
-that can be the best, after a proven rounding slack, to one ranking that
-recomputes it from scratch: the reported value is the norm of the reported
-subset's sum, added in index order, and ties resolve to the first subset
-attaining it in Gray order, so the routes agree bit for bit.  Sign patterns
-list only the half with the last sign +1, since s and -s have the same
-norm.  The work is serial; the ``threads`` argument of ``subset_max_norm``
-and ``sign_max_norm`` is accepted and changes nothing.
+Exhaustive enumerations walk the reflected-Gray-code order over subsets (or
+sign patterns) in blocks of 2^k positions.  Inside a block the high bits are
+fixed and the low k bits run through the Gray order, forwards or mirrored,
+so a block is one from-scratch sum of the high rows plus a table of low sums
+built once per call.  Blocks hold about 1 MiB of sums, a size set by the
+ambient length alone, so memory stays bounded for every n.  Positions are
+ranked by power sums, and every position within the rounding slack of the
+best is recomputed from scratch: the reported value is the norm of the
+reported subset's sum, added in index order, and ties resolve to the first
+subset attaining it in Gray order.  Sign patterns walk only the half with
+the last sign +1, since s and -s have the same norm.  The enumeration is
+serial; the ``threads`` argument of ``subset_max_norm`` and ``sign_max_norm``
+is accepted and changes nothing.
 
 Every quotient, public or inside a search, is evaluated by one routine
 (``_quotient_parts``), so a search compares the very float
@@ -83,13 +75,6 @@ _BLOCK_MAX_LOG = 15
 _SCRATCH_ALL_TERMS = 2048
 #: Largest q whose power sums rank walked rows; above it rows rank by norm.
 _POWER_MAX_Q = 64.0
-#: The dual routes hand at most this many candidate masks to the scratch
-#: ranking; a call whose near-best rows tie on more goes to the walk.
-_ROUTE_MAX_MASKS = 1 << 12
-#: Masks are int64, so the dual routes serve families of at most 62 vectors.
-_ROUTE_MAX_N = 62
-_EPS = float(np.finfo(np.float64).eps)
-_TINY = float(np.finfo(np.float64).smallest_subnormal)
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,20 +292,32 @@ def _ranking(q: Exponent, n: int, d: int):
     return key, 4.0 * p * drift
 
 
-def _gray_walk(X: np.ndarray, q: Exponent, signs: bool, total: int, chunk: int):
-    """The walk over all ``total`` Gray positions: (value, mask) as ``_exhaustive_best`` reports it.
+def _exhaustive_best(X: np.ndarray, q: Exponent, signs: bool):
+    """Exact (value, mask) of the largest subset sum, or signed sum, of the rows of X.
 
     Each block of Gray positions is the high-row sum of its first position
     plus the low table (mirrored when bit k of the block start is set, since
     that is bit k-1 of its Gray code).  Blocks are ranked by power sums of an
     exactly scaled copy of X, and every position whose key comes within the
-    rounding slack of the best so far is recomputed from scratch.
+    rounding slack of the best so far is recomputed from scratch.  The value
+    is the norm of the returned mask's scratch sum, and the mask is the first
+    in Gray order attaining it, as in a from-scratch enumeration.  Sign
+    patterns walk only the positions with bit n-1 clear: s and -s have the
+    same norm, and the clear one comes first.
     """
     n, d = X.shape
+    absmax = float(np.abs(X).max()) if X.size else 0.0
+    if absmax == 0.0:
+        return 0.0, 0
+    total = 1 << (n - 1 if signs else n)
+    # scratch sums are evaluated in chunks of about _BLOCK_BYTES of terms
+    chunk = max(1, _BLOCK_BYTES // (8 * n * d))
+    if total * n * d <= _SCRATCH_ALL_TERMS:
+        return _first_best(X, q, signs, [np.arange(total)], chunk, (-1.0, 0))
     rows = _block_rows(d, total)
     k = rows.bit_length() - 1
     # every subset sum of the scaled rows stays below 1 in absolute value
-    Xs = np.ldexp(X, -(math.frexp(float(np.abs(X).max()))[1] + n.bit_length()))
+    Xs = np.ldexp(X, -(math.frexp(absmax)[1] + n.bit_length()))
     low = _low_walk(Xs, k, signs)
     mirrored = low[:, ::-1]
     high_rows, high_bits = Xs[k:], np.arange(k, n)
@@ -353,151 +350,6 @@ def _gray_walk(X: np.ndarray, q: Exponent, signs: bool, total: int, chunk: int):
     if pending:
         best = _first_best(X, q, signs, pending, chunk, best)
     return best
-
-
-def _dual_slack(X: np.ndarray) -> float:
-    """An absolute bound, twice over, on the rounding the dual routes must absorb.
-
-    With A = sum |x_kj| and u the unit roundoff, the scratch norm of any
-    subset or sign pattern (a sum of n rows, then of d coordinates) is within
-    (n + d) u A of its exact value at q = 1 and q = inf, and so is the float
-    dual score sum_k |<s, x_k>| or sum_k <s, x_k>^+ of any row s of the dual
-    table.  The routes need twice the sum of these two bounds, and the flip
-    screen of ``lemma_lab.grothendieck_search`` their sum plus a few roundings
-    of A; 4 (n + d + 2) eps A is twice the larger.  The subnormal term covers
-    gradual underflow.
-    """
-    n, d = X.shape
-    return 4.0 * (n + d + 2) * (_EPS * float(np.abs(X).sum()) + _TINY)
-
-
-@functools.lru_cache(maxsize=None)
-def _sign_table(k: int) -> np.ndarray:
-    """Every sign vector of length k, one per row; row j is -1 where bit i of j is set (read-only).
-
-    The first half of the rows are the vectors with s_{k-1} = +1.  Only
-    tables of at most 2^_BLOCK_MAX_LOG rows are built: at most 16 tables,
-    about 8 MB in all.
-    """
-    table = 1.0 - 2.0 * (np.arange(1 << k)[:, None] >> np.arange(k) & 1)
-    table.setflags(write=False)
-    return table
-
-
-def _sign_blocks(d: int, signs: bool, width: int):
-    """The sign vectors s of length d, in blocks of rows; only those with s_{d-1} = +1 when ``signs``.
-
-    A block has a power-of-two number of rows such that a product with
-    ``width`` columns per row fits _BLOCK_BYTES.  When every vector fits one
-    block it is the cached table; otherwise one buffer is refilled and
-    yielded for every block, so a caller keeps products, not blocks.
-    """
-    count = 1 << (d - signs)
-    fit = max(0, (_BLOCK_BYTES // (8 * max(width, 1))).bit_length() - 1)
-    rows = min(count, 1 << min(fit, _BLOCK_MAX_LOG))
-    if rows == count and d <= _BLOCK_MAX_LOG:
-        yield _sign_table(d)[:count]
-        return
-    k = rows.bit_length() - 1
-    S = np.empty((rows, d))
-    S[:, :k] = _sign_table(k)
-    high = np.arange(d - k)
-    for top in range(count >> k):
-        S[:, k:] = 1.0 - 2.0 * (top >> high & 1)
-        yield S
-
-
-def _dual_tables(X: np.ndarray, q: Exponent, signs: bool):
-    """Blocks of the dual table P = S X^T, one row per vertex s of the dual unit ball.
-
-    The lq norm of a vector v is max_s <s, v> over the vertices: +-e_j for
-    q = inf, {-1, 1}^d for q = 1.  For sign patterns s and -s give the same
-    norm, so only +e_j, or only s with s_{d-1} = +1, are listed.
-    """
-    if q.is_infinite:
-        yield X.T
-        if not signs:
-            yield -X.T
-        return
-    for S in _sign_blocks(X.shape[1], signs, X.shape[0]):
-        yield S @ X.T
-
-
-def _dual_best(X: np.ndarray, q: Exponent, signs: bool, chunk: int):
-    """(value, mask) as ``_exhaustive_best`` reports it, from the dual table; None when too many masks tie.
-
-    The subset max is max_s sum_k <s, x_k>^+ and the sign max is
-    max_s sum_k |<s, x_k>|.  Every mask whose scratch norm can be the largest
-    comes from a row s whose float score is within the slack of the best:
-    its rows with <s, x_k> beyond the slack are fixed by sign (in, or sign -1
-    for patterns with the product negative), and the rows within it take
-    every in/out choice.  Those candidate masks, in Gray order, are ranked
-    by scratch norm like the walk's candidates, so value and mask are the
-    walk's bit for bit.
-    """
-    n = X.shape[0]
-    tol = _dual_slack(X)
-    best_score, near, kept = -1.0, [], 0
-    for P in _dual_tables(X, q, signs):
-        scores = (np.abs(P) if signs else np.maximum(P, 0.0)).sum(axis=1)
-        best_score = max(best_score, float(scores.max()))
-        keep = scores >= best_score - tol
-        kept += int(np.count_nonzero(keep))
-        # each kept row gives at least one mask, so this also bounds memory
-        if kept > _ROUTE_MAX_MASKS:
-            return None
-        near.append((P[keep], scores[keep]))
-    P = np.concatenate([rows[s >= best_score - tol] for rows, s in near])
-    # on[r, k]: row k is in the subset (has sign -1) in every mask of row r of P
-    on = (P < -tol) if signs else (P > tol)
-    free = np.abs(P) <= tol
-    if free.any():
-        if np.ldexp(1.0, free.sum(axis=1)).sum() > _ROUTE_MAX_MASKS:
-            return None
-        # copy c of row r turns on its i-th free row when bit i of c is set
-        copies = np.left_shift(1, free.sum(axis=1))
-        row = np.repeat(np.arange(P.shape[0]), copies)
-        copy = np.arange(row.size) - np.repeat(np.cumsum(copies) - copies, copies)
-        rank = np.maximum(np.cumsum(free, axis=1) - 1, 0)
-        on = on[row] | free[row] & (copy[:, None] >> rank[row] & 1).astype(bool)
-    if signs:
-        # -s has the norm of s; the walk lists the pattern with bit n-1 clear
-        on ^= on[:, -1:]
-    # bit i of a Gray position is the parity of the mask's bits i..n-1
-    position = np.logical_xor.accumulate(on[:, ::-1], axis=1)[:, ::-1]
-    weights = np.left_shift(1, np.arange(n, dtype=np.int64))
-    return _first_best(X, q, signs, [np.unique(position @ weights)], chunk, (-1.0, 0))
-
-
-def _exhaustive_best(X: np.ndarray, q: Exponent, signs: bool):
-    """Exact (value, mask) of the largest subset sum, or signed sum, of the rows of X.
-
-    The value is the norm of the returned mask's scratch sum, and the mask is
-    the first in Gray order attaining it, as in a from-scratch enumeration.
-    Sign patterns list only the positions with bit n-1 clear: s and -s have
-    the same norm, and the clear one comes first.  One cost comparison picks
-    the route: at q = 1 and q = inf the dual table (``_dual_best``) serves
-    the call when it has fewer rows than the walk has positions, unless too
-    many masks tie; otherwise the Gray walk (``_gray_walk``) does.  Calls of
-    at most _SCRATCH_ALL_TERMS terms recompute every position from scratch.
-    """
-    n, d = X.shape
-    absmax = float(np.abs(X).max()) if X.size else 0.0
-    if absmax == 0.0:
-        return 0.0, 0
-    total = 1 << (n - 1 if signs else n)
-    # scratch sums are evaluated in chunks of about _BLOCK_BYTES of terms
-    chunk = max(1, _BLOCK_BYTES // (8 * n * d))
-    if total * n * d <= _SCRATCH_ALL_TERMS:
-        return _first_best(X, q, signs, [np.arange(total)], chunk, (-1.0, 0))
-    if (q.is_infinite or q.value == 1.0) and n <= _ROUTE_MAX_N:
-        # rows of the dual table: 2d (or d) for q = inf, 2^d (or 2^(d-1)) for q = 1
-        table = (2 - signs) * d if q.is_infinite else 1 << (min(d, n) - signs)
-        if table < total:
-            best = _dual_best(X, q, signs, chunk)
-            if best is not None:
-                return best
-    return _gray_walk(X, q, signs, total, chunk)
 
 
 def check_threads(threads: int) -> None:
@@ -573,10 +425,9 @@ def subset_max_norm(
 ) -> SubsetMaxResult:
     """max over subsets F of ||sum_{k in F} x_k||_q.
 
-    Exhaustive mode is exact and certified (n <= n_exh; the dual table at
-    q = 1 and q = inf when it is the cheaper route, the Gray-code walk over
-    all 2^n subsets otherwise; the value is the norm of the reported subset's
-    sum recomputed from scratch).  Randomized mode
+    Exhaustive mode is exact and certified (Gray-code walk over all 2^n
+    subsets, n <= n_exh; the value is the norm of the reported subset's sum
+    recomputed from scratch).  Randomized mode
     runs ``budget`` seeded restarts with single-flip hill climbing and returns
     an uncertified lower bound.
     """
@@ -604,10 +455,9 @@ def sign_max_norm(
 ) -> SubsetMaxResult:
     """max over sign patterns s in {-1,1}^n of ||sum_k s_k x_k||_q.
 
-    Exact: the 2^(n-1) patterns with s_{n-1} = +1 are enumerated (s and -s
-    have the same norm), or at q = 1 and q = inf the dual table serves when
-    it is smaller; the argmax bitmask has bit = 1 where the sign is -1, so
-    its bit n-1 is always clear.
+    Exact Gray-code enumeration of the 2^(n-1) patterns with s_{n-1} = +1,
+    since s and -s have the same norm; the argmax bitmask has bit = 1 where
+    the sign is -1, so its bit n-1 is always clear.
     """
     check_threads(threads)
     fam = Family.of(fam)

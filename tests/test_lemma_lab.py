@@ -16,7 +16,7 @@ from uncond.lemma_lab import (
     sandwich_sweep,
 )
 from uncond.seqspace import Exponent
-from uncond.unconditionality import KG_UPPER, Family, _dual_slack, _exhaustive_best
+from uncond.unconditionality import KG_UPPER, Family, _exhaustive_best
 
 from _oracles import (
     complex_subset_max_naive,
@@ -260,7 +260,7 @@ class TestFlipScreen:
             d = int(rng.integers(1, min(n, 5)))
             X = rng.standard_normal((n, d)) if trial % 3 else rng.integers(-3, 4, size=(n, d)) * 0.1
             floors = lemma_lab._flip_floors(X)
-            slack = _dual_slack(X)
+            slack = lemma_lab._flip_slack(X)
             for i in range(n):
                 for j in range(d):
                     Y = X.copy()
@@ -270,15 +270,15 @@ class TestFlipScreen:
                     assert floors[i, j] <= smax
                     assert smax - floors[i, j] <= 2.0 * slack
 
-    def test_floors_from_several_blocks(self):
-        # 2^11 sign vectors times 156 entries fill four 1 MiB blocks
-        X = np.random.default_rng(89).standard_normal((13, 12))
+    def test_floors_at_the_largest_screened_table(self):
+        # d = 10 is the widest table whose bounds fit one block
+        X = np.random.default_rng(89).standard_normal((11, 10))
         floors = lemma_lab._flip_floors(X)
-        for i, j in [(0, 0), (5, 7), (12, 11)]:
+        for i, j in [(0, 0), (5, 7), (10, 9)]:
             Y = X.copy()
             Y[i, j] = -Y[i, j]
             smax = _exhaustive_best(Y, Exponent(1.0), signs=True)[0]
-            assert 0.0 <= smax - floors[i, j] <= 2.0 * _dual_slack(X)
+            assert 0.0 <= smax - floors[i, j] <= 2.0 * lemma_lab._flip_slack(X)
 
     @pytest.mark.parametrize("kg_upper", [1.2, 1.3, 1.4])
     @pytest.mark.parametrize("shape", [(10, 3), (12, 2), (11, 3), (8, 4)])
@@ -295,7 +295,8 @@ class TestFlipScreen:
             assert got.witness == want.witness
             assert got.to_json() == want.to_json()
 
-    def test_screen_skips_most_flips(self, monkeypatch):
+    @staticmethod
+    def _count_evaluations(monkeypatch):
         calls = []
         evaluate = lemma_lab._exhaustive_best
 
@@ -305,11 +306,26 @@ class TestFlipScreen:
 
         monkeypatch.setattr(lemma_lab, "_exhaustive_best", counting)
         monkeypatch.setattr(unconditionality, "_exhaustive_best", counting)
+        return calls
+
+    def test_screen_skips_most_flips(self, monkeypatch):
+        calls = self._count_evaluations(monkeypatch)
         grothendieck_search(11, 3, budget=2, seed=5)
         screened = len(calls)
         calls.clear()
         public_sign_search(11, 3, budget=2, seed=5)
         assert 0 < screened < len(calls) / 2
+
+    @pytest.mark.parametrize("shape", [(4, 5), (6, 6), (12, 11)])
+    def test_unscreened_shapes_score_every_flip(self, shape, monkeypatch):
+        # dim >= n, or bounds wider than one block: the climb scores what the oracle scores
+        calls = self._count_evaluations(monkeypatch)
+        got = grothendieck_search(*shape, budget=1, seed=4)
+        unscreened = len(calls)
+        calls.clear()
+        want = public_sign_search(*shape, budget=1, seed=4)
+        assert unscreened == len(calls)
+        assert got.to_json() == want.to_json()
 
 
 class TestSandwichSweep:

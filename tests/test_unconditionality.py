@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from uncond import unconditionality as U
 from uncond.lemma_lab import complex_subset_max, grothendieck_search
-from uncond.seqspace import EPS_NUM, Exponent, ExponentTriple, FinSeq
+from uncond.seqspace import EPS_NUM, ExponentTriple, FinSeq
 from uncond.unconditionality import (
     Family,
     main1_bound_check,
@@ -301,6 +301,23 @@ class TestKernel:
             res = sign_max_norm(Family(X), (1, 2, 3, "inf")[trial % 4])
             assert (res.argmax_subset >> (n - 1)) & 1 == 0
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(8, 12),
+        d=st.integers(1, 4),
+        span=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_exact_maximum_on_integer_families(self, n, d, span, seed):
+        # integer sums of at most 12 terms are exact in floats, so value == the Fraction oracle
+        X = np.random.default_rng(seed).integers(-span, span + 1, size=(n, d)).astype(float)
+        for q, oracle in ((1, dual_l1_max), ("inf", column_inf_max)):
+            for signs, fn in ((False, subset_max_norm), (True, sign_max_norm)):
+                want = oracle(X, signs)
+                got = fn(Family(X), q)
+                assert got.value == want
+                assert exact_norm(X, got.argmax_subset, q, signs) == want
+
     def test_threads_identical_at_wide_d(self):
         X = np.random.default_rng(59).standard_normal((14, 256))
         for fn in (subset_max_norm, sign_max_norm):
@@ -311,142 +328,6 @@ class TestKernel:
         for fn in (subset_max_norm, sign_max_norm):
             with pytest.raises(ValueError, match="threads"):
                 fn(fam, 2, threads=0)
-
-
-def _route_spy(monkeypatch):
-    """Record each call of the dual route, and whether it answered or handed the call to the walk."""
-    calls = []
-    route = U._dual_best
-
-    def spy(*args):
-        res = route(*args)
-        calls.append(res is not None)
-        return res
-
-    monkeypatch.setattr(U, "_dual_best", spy)
-    return calls
-
-
-def _tie_families(rng, n, d):
-    """+-1, {-1,0,1} and 0.1 lattices, normal draws, and zero, repeated and opposite rows."""
-    yield rng.choice([-1.0, 1.0], size=(n, d))
-    yield rng.integers(-1, 2, size=(n, d)).astype(float)
-    yield rng.integers(-3, 4, size=(n, d)) * 0.1
-    yield rng.standard_normal((n, d))
-    X = rng.standard_normal((n, d))
-    X[1], X[2], X[3] = 0.0, X[0], -X[0]
-    yield X
-    X = rng.integers(-1, 2, size=(n, d)).astype(float)
-    X[0], X[2], X[n - 1] = 0.0, X[1], -X[1]
-    yield X
-
-
-class TestDispatcher:
-    """The q = 1 and q = inf dual routes against oracles that enumerate every mask themselves."""
-
-    # (n, d, q, takes the route): the route serves q = 1 when d < n and
-    # q = inf when 2d < 2^n (d < 2^(n-1) for signs); the others walk
-    SHAPES = [
-        (9, 2, 1, True), (10, 4, 1, True), (12, 3, 1, True), (8, 7, 1, True),
-        (8, 8, 1, False), (8, 9, 1, False),
-        (9, 2, "inf", True), (12, 3, "inf", True), (6, 31, "inf", True), (6, 32, "inf", False),
-    ]
-
-    @pytest.mark.parametrize("n, d, q, routed", SHAPES)
-    def test_matches_the_naive_oracles(self, n, d, q, routed, monkeypatch):
-        calls = _route_spy(monkeypatch)
-        rng = np.random.default_rng(1000 * n + d)
-        for family, X in enumerate(_tie_families(rng, n, d)):
-            for signs, fn, naive in ((False, subset_max_norm, naive_subset_max), (True, sign_max_norm, naive_sign_max)):
-                calls.clear()
-                got = fn(Family(X), q)
-                assert (got.value, got.argmax_subset) == naive(X, q)
-                assert (got.value, got.argmax_subset) == sequential_scratch_max(X, q, signs)
-                assert bool(calls) == routed
-                if routed and family == 3:
-                    # a normal family never ties on the table, so the route answers
-                    assert calls == [True]
-
-    def test_single_coordinate_matches_the_sequential_oracle(self, monkeypatch):
-        # at d = 1 numpy's pairwise sums in the naive oracles can differ in the last bit
-        calls = _route_spy(monkeypatch)
-        rng = np.random.default_rng(71)
-        for n in (9, 12, 15):
-            for X in _tie_families(rng, n, 1):
-                for q in (1, "inf"):
-                    for signs, fn in ((False, subset_max_norm), (True, sign_max_norm)):
-                        got = fn(Family(X), q)
-                        assert (got.value, got.argmax_subset) == sequential_scratch_max(X, q, signs)
-        assert calls and any(calls)
-
-    def test_extreme_scales(self):
-        rng = np.random.default_rng(73)
-        for scale in (1e-300, 1e-250, 1e250):
-            X = rng.standard_normal((13, 3)) * scale
-            X[4] = X[7]
-            for q in (1, "inf"):
-                for signs, fn in ((False, subset_max_norm), (True, sign_max_norm)):
-                    got = fn(Family(X), q)
-                    assert (got.value, got.argmax_subset) == sequential_scratch_max(X, q, signs)
-
-    @pytest.mark.parametrize("n, d, q", [(18, 14, 1), (17, 16, 1), (18, 3, "inf")])
-    def test_tables_in_several_blocks(self, n, d, q, monkeypatch):
-        # 2^14 or 2^16 sign vectors fill several 1 MiB blocks; q = inf lists +e_j, then -e_j
-        calls = _route_spy(monkeypatch)
-        rng = np.random.default_rng(n * d)
-        for X in (rng.standard_normal((n, d)), rng.integers(-1, 2, size=(n, d)).astype(float)):
-            for signs, fn in ((False, subset_max_norm), (True, sign_max_norm)):
-                got = fn(Family(X), q)
-                assert (got.value, got.argmax_subset) == sequential_scratch_max(X, q, signs)
-        assert len(calls) == 4
-
-    def test_too_many_ties_go_to_the_walk(self, monkeypatch):
-        # with 13 rows zero, every dual row leaves 2^13 in/out choices
-        calls = _route_spy(monkeypatch)
-        X = np.random.default_rng(79).standard_normal((16, 2))
-        X[:13] = 0.0
-        for signs, fn in ((False, subset_max_norm), (True, sign_max_norm)):
-            got = fn(Family(X), 1)
-            assert (got.value, got.argmax_subset) == sequential_scratch_max(X, 1, signs)
-        assert calls == [False, False]
-
-    def test_many_tied_table_rows_go_to_the_walk(self, monkeypatch):
-        # one nonzero column: all 2^13 sign vectors with s_0 = +1 tie
-        calls = _route_spy(monkeypatch)
-        X = np.zeros((15, 14))
-        X[:, 0] = np.random.default_rng(97).standard_normal(15)
-        got = subset_max_norm(Family(X), 1)
-        assert (got.value, got.argmax_subset) == sequential_scratch_max(X, 1, False)
-        assert calls == [False]
-
-    @pytest.mark.parametrize("n, d, signs", [(18, 20, False), (18, 18, True)])
-    def test_benchmark_shapes_stay_on_the_walk(self, n, d, signs, monkeypatch):
-        calls = _route_spy(monkeypatch)
-        X = np.random.default_rng(n + d).standard_normal((n, d))
-        got = (sign_max_norm if signs else subset_max_norm)(Family(X), 1)
-        assert (got.value, got.argmax_subset) == sequential_scratch_max(X, 1, signs)
-        assert calls == []
-
-    @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(
-        n=st.integers(8, 12),
-        d=st.integers(1, 4),
-        span=st.integers(1, 5),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_routes_give_the_exact_maximum(self, n, d, span, seed):
-        X = np.random.default_rng(seed).integers(-span, span + 1, size=(n, d)).astype(float)
-        chunk = 1 << 12
-        for q, oracle in ((1, dual_l1_max), ("inf", column_inf_max)):
-            e = Exponent.of(q)
-            for signs, fn in ((False, subset_max_norm), (True, sign_max_norm)):
-                want = oracle(X, signs)
-                got = fn(Family(X), q)
-                assert got.value == want
-                assert exact_norm(X, got.argmax_subset, q, signs) == want
-                route = U._dual_best(X, e, signs, chunk)
-                if route is not None:
-                    assert route == (got.value, got.argmax_subset)
 
 
 class TestQuotient:
