@@ -17,7 +17,9 @@ rather than NotApplicable.
 Both verdict-bearing clause families are evaluated on every call; if they
 ever fire together the engine raises InternalInconsistencyError, since that
 would falsify the implementation.  Strict comparisons require margin EPS_CMP
-and boundary equalities resolve toward the non-strict side.
+and boundary equalities resolve toward the non-strict side.  One call of
+``witness.second_clause_gap`` per triple decides the strict clause and
+enters the margin, the same float ``witness_size`` tests.
 """
 
 from __future__ import annotations
@@ -68,26 +70,16 @@ class Classification:
         }
 
 
-def _boundary_margin(t: ExponentTriple) -> float:
-    """Distance, in reciprocal coordinates, to the nearest clause boundary.
+def classify(t: ExponentTriple) -> Classification:
+    """Classify one triple; see the module docstring for the decision table.
 
-    The boundaries are the planes 1/r = 1/p + 1/q, 1/p = 1/2, 1/q = 1/r and
-    the kinked surface 1/2 + 1/r = 1/p + 1/min(2,q).
+    The margin is the distance, in reciprocal coordinates, to the nearest
+    clause boundary: the planes 1/r = 1/p + 1/q, 1/p = 1/2, 1/q = 1/r and the
+    kinked surface 1/2 + 1/r = 1/p + 1/min(2,q), at signed distance ``gap``.
     """
     rp, rq, rr = t.p.reciprocal, t.q.reciprocal, t.r.reciprocal
-    rq2 = max(0.5, rq)
-    return min(
-        abs(rp + rq - rr),
-        abs(rp - 0.5),
-        abs(rq - rr),
-        abs(0.5 + rr - rp - rq2),
-    )
-
-
-def classify(t: ExponentTriple) -> Classification:
-    """Classify one triple; see the module docstring for the decision table."""
-    rp, rq, rr = t.p.reciprocal, t.q.reciprocal, t.r.reciprocal
-    margin = _boundary_margin(t)
+    gap = second_clause_gap(t)
+    margin = min(abs(rp + rq - rr), abs(rp - 0.5), abs(rq - rr), abs(gap))
     if rr > rp + rq + EPS_CMP:
         if t.p.is_infinite:
             # gate failure with 1/p = 0 says exactly r < q; the tail witness applies
@@ -99,7 +91,7 @@ def classify(t: ExponentTriple) -> Classification:
     preserves_nested = rp >= 0.5 - EPS_CMP and rq >= rr - EPS_CMP
     # strict clause family: r < q, or 1/2 + 1/r > 1/p + 1/min(2,q)
     not_preserves_r_lt_q = rr > rq + EPS_CMP
-    not_preserves_strict = second_clause_gap(t) > EPS_CMP
+    not_preserves_strict = gap > EPS_CMP
 
     fires_preserve = preserves_r_inf or preserves_nested
     fires_not = not_preserves_r_lt_q or not_preserves_strict

@@ -205,14 +205,7 @@ def _run_witness_hadamard(args):
 
 def _run_witness_tail(args):
     tw = tail_witness(args.q, args.r, args.B)
-    payload = {
-        "q": args.q.to_json(),
-        "r": args.r.to_json(),
-        "B": args.B,
-        "N": tw.N,
-        "partial_r_norm": tw.partial_r_norm,
-        "tail_q_bound": tw.tail_q_bound,
-    }
+    payload = {"q": args.q.to_json(), "r": args.r.to_json(), "B": args.B, **tw._asdict()}
     pretty = (
         f"N={tw.N}: partial l_{args.r} norm {tw.partial_r_norm:.6g} >= {args.B:g}, "
         f"l_{args.q} tail bound {tw.tail_q_bound:.6g}"

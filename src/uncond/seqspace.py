@@ -110,6 +110,18 @@ class Exponent:
 INF = Exponent(None)
 
 
+def _finite_array(values, dtype=np.float64) -> np.ndarray:
+    """``values`` as a fresh array of ``dtype``; ValueError if an entry is NaN or infinite.
+
+    The one finite-entry check for sequences, families, norms and the lemma
+    inputs; for a complex dtype both parts are checked.
+    """
+    arr = np.array(values, dtype=dtype)
+    if not np.isfinite(arr).all():
+        raise ValueError("entries must be finite numbers")
+    return arr
+
+
 def dual_exponent(p: ExponentLike) -> Exponent:
     """The exponent p* with 1/p + 1/p* = 1.  dual(1)=inf, dual(inf)=1."""
     p = Exponent.of(p)
@@ -131,9 +143,7 @@ class FinSeq:
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.entries, dtype=np.float64, copy=True).reshape(-1)
-        if arr.size and not np.all(np.isfinite(arr)):
-            raise ValueError("sequence entries must be finite numbers")
+        arr = _finite_array(self.entries).reshape(-1)
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
@@ -197,7 +207,8 @@ def row_norms(mat: np.ndarray, p: ExponentLike) -> np.ndarray:
 
     Single implementation shared by the scalar ``norm`` and every enumeration
     loop, so a vector's norm is the same float no matter which code path
-    computed it.
+    computed it.  Entries are not checked here: this is the hot kernel, and
+    its callers validate (a non-finite entry gives nan or inf).
     """
     p = Exponent.of(p)
     a = np.abs(np.asarray(mat, dtype=np.float64))
@@ -220,8 +231,11 @@ def row_norms(mat: np.ndarray, p: ExponentLike) -> np.ndarray:
 
 
 def norm(v, p: ExponentLike) -> float:
-    """The lp norm of a vector: (sum |v_k|^p)^(1/p), or max |v_k| for p = inf."""
-    arr = v.entries if isinstance(v, FinSeq) else np.asarray(v, dtype=np.float64).reshape(-1)
+    """The lp norm of a vector: (sum |v_k|^p)^(1/p), or max |v_k| for p = inf.
+
+    Non-finite entries are rejected with ValueError.
+    """
+    arr = v.entries if isinstance(v, FinSeq) else _finite_array(v).reshape(-1)
     return float(row_norms(arr.reshape(1, -1), p)[0])
 
 
@@ -229,7 +243,7 @@ def norm_sandwich_check(v, p: ExponentLike, q: ExponentLike) -> tuple[bool, bool
     """Check ||v||_q <= ||v||_p <= n^(1/p-1/q) ||v||_q for 1 <= p <= q < inf.
 
     Returns (lower_ok, upper_ok), each allowing relative slack EPS_NUM.
-    Rejects p > q and infinite q.
+    Rejects p > q, infinite q and non-finite entries.
     """
     p = Exponent.of(p)
     q = Exponent.of(q)
@@ -237,7 +251,7 @@ def norm_sandwich_check(v, p: ExponentLike, q: ExponentLike) -> tuple[bool, bool
         raise ValueError("requires q < inf")
     if p.is_infinite or p.value > q.value:
         raise ValueError("requires p <= q")
-    arr = v.entries if isinstance(v, FinSeq) else np.asarray(v, dtype=np.float64).reshape(-1)
+    arr = v.entries if isinstance(v, FinSeq) else _finite_array(v).reshape(-1)
     n = arr.size
     if n < 1:
         raise ValueError("requires a nonempty vector")

@@ -52,6 +52,7 @@ from .seqspace import (
     ExponentLike,
     ExponentTriple,
     FinSeq,
+    _finite_array,
     row_norms,
 )
 
@@ -84,11 +85,9 @@ class Family:
     matrix: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.matrix, dtype=np.float64, copy=True)
+        arr = _finite_array(self.matrix)
         if arr.ndim != 2:
             raise ValueError("family matrix must be 2-d (one row per vector)")
-        if arr.size and not np.all(np.isfinite(arr)):
-            raise ValueError("family entries must be finite numbers")
         arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
 
@@ -173,15 +172,10 @@ class QuotientResult:
     subset: SubsetMaxResult
 
     def to_json(self) -> dict:
-        out = {
-            "quotient": self.quotient,
-            "subset_bitmask": f"{self.subset.argmax_subset:#x}",
-            "certified": self.certified,
-            "mode": self.subset.mode,
-        }
-        if self.subset.seed is not None:
-            out["seed"] = self.subset.seed
-        return out
+        """The subset's JSON with its ``value`` replaced by the quotient, which comes first."""
+        out = self.subset.to_json()
+        del out["value"]
+        return {"quotient": self.quotient, **out}
 
 
 def _scratch_sums(X: np.ndarray, masks: np.ndarray, signs: bool = False) -> np.ndarray:
@@ -520,15 +514,18 @@ def main1_bound_check(
 
     The a-family is measured in the l2 norm; for coordinatewise
     multiplication l2 x lq -> lq the relevant operator norm is 1, so the
-    right side needs no extra factor.  The comparison is denominator-free:
-    all-zero families satisfy it as 0 <= 0.
+    right side needs no extra factor.  Both sides come from the quotient
+    evaluator at the triple (2, q, q); all-zero families satisfy the check
+    as 0 <= 0.
     """
     avec, xvec = _paired_families(avec, xvec)
-    q = Exponent.of(q)
-    lhs = _product_norm(avec.matrix, xvec.matrix, q)
-    a_max = float(row_norms(avec.matrix, Exponent(2.0)).max(initial=0.0))
     _require_exhaustible(xvec.size, n_exh)
-    rhs = 2.0 * K * a_max * _exhaustive_best(xvec.matrix, q, signs=False)[0]
+    q = Exponent.of(q)
+    parts = _quotient_parts(avec.matrix, xvec.matrix, ExponentTriple(Exponent(2.0), q, q))
+    if parts is None:
+        return True  # a zero denominator means a zero product: 0 <= 0
+    lhs = parts.numerator
+    rhs = 2.0 * K * parts.a_max * parts.sub[0]
     ok = lhs <= rhs * (1.0 + EPS_NUM)
     if not ok and K >= KG_UPPER:
         logger.critical(

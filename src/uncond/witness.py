@@ -166,36 +166,24 @@ def _slopes(t: ExponentTriple) -> tuple[float, float]:
 def witness_size(t: ExponentTriple, C: float) -> int:
     """The minimal n >= 1 with n(1+1/r) > log2(C) + n(1/p + 1/2 + 1/q''), by margin EPS_CMP.
 
-    The closed form floor(log2(C) / gap) + 1 is confirmed, and moved by a
-    step where rounding puts it on the wrong side, with the margin test
-    itself.  Raises ValueError for a triple outside the strict clause and for
-    an n above WITNESS_MAX_LOG ("C too large for desk scale").
+    The size is the first n in 1..WITNESS_MAX_LOG that passes this margin
+    test, so the test alone decides it.  Raises ValueError for a triple
+    outside the strict clause and when no n up to WITNESS_MAX_LOG passes,
+    C = inf included ("C too large for desk scale").
     """
     t.require_holder_valid()
     if not C > 0:
         raise ValueError("C must be positive")
-    gap = second_clause_gap(t)
-    if gap <= EPS_CMP:
+    if second_clause_gap(t) <= EPS_CMP:
         raise ValueError(
             "second-clause condition not satisfied: needs 1/2 + 1/r > 1/p + 1/min(2,q)"
         )
     num_slope, den_slope = _slopes(t)
     log2C = math.log2(C)
-
-    def beats(n: int) -> bool:
-        return n * num_slope - (log2C + n * den_slope) > EPS_CMP
-
-    estimate = log2C / gap
-    if not estimate < WITNESS_MAX_LOG:
-        raise ValueError("C too large for desk scale")
-    n = max(1, math.floor(estimate) + 1)
-    while n > 1 and beats(n - 1):
-        n -= 1
-    while not beats(n):
-        n += 1
-    if n > WITNESS_MAX_LOG:
-        raise ValueError("C too large for desk scale")
-    return n
+    for n in range(1, WITNESS_MAX_LOG + 1):
+        if n * num_slope - (log2C + n * den_slope) > EPS_CMP:
+            return n
+    raise ValueError("C too large for desk scale")
 
 
 def hadamard_witness(

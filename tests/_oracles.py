@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from uncond.lemma_lab import grothendieck_ratio
-from uncond.seqspace import row_norms
+from uncond.seqspace import EPS_NUM, Exponent, norm, row_norms
 from uncond.unconditionality import Family, unconditionality_quotient
 
 
@@ -293,3 +293,45 @@ def public_sign_search(n: int, dim: int, budget: int, seed, kg_upper: float = 1.
     if best is None:
         raise ValueError("search drew only degenerate families; increase the budget")
     return best
+
+
+def sandwich_sweep_loop(dims, p_q_pairs, trials: int, seed) -> dict:
+    """The JSON of ``lemma_lab.sandwich_sweep``, one vector and one ``norm`` call at a time.
+
+    Draws each vector separately from the same seeded stream and keeps
+    running minima of the two slacks.
+    """
+    rng = np.random.default_rng(seed)
+    records = []
+    for pv, qv in p_q_pairs:
+        p, q = Exponent.of(pv), Exponent.of(qv)
+        for dim in dims:
+            violations = 0
+            min_lower = min_upper = math.inf
+            factor = float(dim) ** (p.reciprocal - q.reciprocal)
+            for _ in range(trials):
+                v = rng.standard_normal(dim)
+                np_, nq = norm(v, p), norm(v, q)
+                lower_slack = np_ - nq
+                upper_slack = factor * nq - np_
+                if lower_slack < -EPS_NUM * max(1.0, np_) or upper_slack < -EPS_NUM * max(1.0, np_):
+                    violations += 1
+                min_lower = min(min_lower, lower_slack)
+                min_upper = min(min_upper, upper_slack)
+            records.append({
+                "p": p.to_json(), "q": q.to_json(), "dim": int(dim), "trials": trials,
+                "violations": violations, "min_lower_slack": min_lower,
+                "min_upper_slack": min_upper,
+            })
+    return {"violations": sum(r["violations"] for r in records), "records": records}
+
+
+def main1_sides(A: np.ndarray, X: np.ndarray, q, K: float) -> tuple[float, float]:
+    """(lhs, rhs) of the 2K check: the lq norm of sum a_k x_k, and 2 K max ||a_k||_2 subset_max.
+
+    The subset max is the row-by-row scratch enumeration, and rhs is
+    multiplied left to right as written.
+    """
+    lhs = float(row_norms((A * X).sum(axis=0).reshape(1, -1), q)[0])
+    a_max = float(row_norms(A, 2).max(initial=0.0))
+    return lhs, 2.0 * K * a_max * sequential_scratch_max(X, q)[0]

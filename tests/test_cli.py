@@ -1,3 +1,5 @@
+import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -48,6 +50,54 @@ WITNESS_TAIL_STDOUT = {
         "\n"
     ),
 }
+
+#: Exit code and sha256 of stdout for each argv, pinned; ``quotient`` reads
+#: GOLDEN_FAMILY on stdin.
+GOLDEN = {
+    ("lemmas", "--budget", "1000", "--dim", "12", "--seed", "0"): (
+        0, "64a75477bdd218fb207ded40cb3e7cae603e9b8eee8e9e012a69d713008f2c29"
+    ),
+    ("lemmas", "--budget", "100", "--dim", "16", "--seed", "3"): (
+        0, "186b65f552add309af065846a1fc14c4c92f174b623e17bbaa26ea0f1d27f25d"
+    ),
+    ("lemmas", "--budget", "30", "--dim", "6", "--seed", "9", "--pretty"): (
+        0, "d4e328c5f0568be1b72f14791deb965bdf01377e47fc7388ff8ac8ff2579da39"
+    ),
+    ("witness-hadamard", "--p", "inf", "--q", "2", "--r", "3", "--C", "2"): (
+        0, "3ede0a20f9495123a3b8358448b5a626fd941c7f0a2a7878213b9e6d8c67f289"
+    ),
+    ("witness-hadamard", "--p", "inf", "--q", "1", "--r", "1", "--C", "1e6"): (
+        0, "1943ba8819fe056f8722c26abb544961e538e4d416a3a1e225bd322b7431366c"
+    ),
+    ("witness-hadamard", "--p", "4", "--q", "2", "--r", "3", "--C", "100"): (
+        0, "e2bd0fc9fdacc90491d9069d29cca11025ba2881e9019bd0a77fd3b53a2201ab"
+    ),
+    ("witness-hadamard", "--p", "4", "--q", "2", "--r", "3", "--C", "1e300"): (
+        3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+    ),
+    ("witness-tail", "--q", "2", "--r", "1", "--B", "5"): (
+        0, "32dd004ae247fa130a39c2d8b6ba59d71957b25817e2d31f02bc5aa694334e42"
+    ),
+    ("grid", "--r", "2", "--step", "0.25"): (
+        0, "5f8d504255fcd15990b6a7d4f05c91e143e2b8cda9b23f497675789503100128"
+    ),
+    ("grid", "--r", "inf", "--step", "0.125"): (
+        0, "d4bc7e0209179ff07dea9b480c444b5c6cd8b96a2e4d420b30562ccfe56b3f1b"
+    ),
+    ("classify", "--p", "4", "--q", "2", "--r", "3"): (
+        0, "1f64b6ab3e19540deedfa471d80e15c2793ade4b963d57fde0c9c20364384edd"
+    ),
+    ("classify", "--p", "inf", "--q", "1.5", "--r", "2"): (
+        0, "a450e6235609f868abcee764f4305f5ff82eba579d3e7dc303a3e166c696db2c"
+    ),
+    ("quotient", "--p", "3", "--q", "2", "--r", "1.5", "--avec", "-"): (
+        0, "b8ead8d66c95449dc51a680ff24f1d2f0ca28874dd52587fbe5a3cff2972c388"
+    ),
+    ("search", "--p", "3", "--q", "3", "--r", "3", "--n", "3", "--dim", "4", "--budget", "20", "--seed", "0"): (
+        0, "0026fd7dd20fbfc379a5ad2adc813248f093b2ddb7a177b35dbdedc3e6b8a68e"
+    ),
+}
+GOLDEN_FAMILY = [[1.0, 2.0, -0.5], [0.25, -1.0, 3.0], [2.0, 0.5, 1.0], [-1.5, 1.0, 0.75]]
 
 
 def run_cli(*args, env_extra=None, stdin_data=None):
@@ -348,3 +398,19 @@ class TestMainEntry:
         assert main(["classify", "--p", "2", "--q", "2", "--r", "2"]) == 4
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "internal-inconsistency"
+
+
+class TestGolden:
+    @pytest.mark.parametrize("argv", sorted(GOLDEN), ids=" ".join)
+    def test_stdout_and_exit_code(self, argv, monkeypatch, capsys):
+        monkeypatch.delenv("UNCOND_NEXH", raising=False)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(GOLDEN_FAMILY)))
+        code = main(list(argv))
+        out = capsys.readouterr().out
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN[argv]
+
+    def test_too_large_witness_names_desk_scale(self, capsys):
+        argv = ["witness-hadamard", "--p", "4", "--q", "2", "--r", "3", "--C", "1e300"]
+        assert main(argv) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "domain-error", "detail": "C too large for desk scale"}

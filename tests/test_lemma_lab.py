@@ -1,3 +1,4 @@
+import json
 import logging
 import math
 
@@ -22,6 +23,7 @@ from _oracles import (
     complex_subset_max_naive,
     naive_sign_max,
     public_sign_search,
+    sandwich_sweep_loop,
     scalar_subset_max_abs,
 )
 
@@ -345,6 +347,15 @@ class TestSandwichSweep:
             sandwich_sweep((2,), ((3, 2),), trials=10, seed=0)
         with pytest.raises(ValueError):
             sandwich_sweep((2,), ((1, "inf"),), trials=10, seed=0)
+
+    @pytest.mark.parametrize("trials", [1, 3, 10, 333])
+    def test_matches_the_per_vector_loop(self, trials):
+        # one row_norms call per cell gives the floats of one norm call per vector
+        dims = (1, 2, 5, 16, 40)
+        pairs = ((1, 1), (1, 2), (1.5, 3), (2, 4), (3, 3))
+        for seed in range(6):
+            got = sandwich_sweep(dims, pairs, trials, seed).to_json()
+            assert json.dumps(got) == json.dumps(sandwich_sweep_loop(dims, pairs, trials, seed))
 
     def test_json_shape(self):
         rep = sandwich_sweep((2,), ((1, 2),), trials=10, seed=0)

@@ -15,6 +15,9 @@ from uncond.seqspace import (
     row_norms,
 )
 
+from uncond.lemma_lab import complex_subset_ratio, real_subset_ratio
+from uncond.unconditionality import Family
+
 from _oracles import direct_norm
 
 
@@ -188,3 +191,35 @@ class TestExponentTriple:
         # 1/r = 1/p + 1/q exactly
         assert ExponentTriple.of(2, 2, 1).holder_valid
         assert ExponentTriple.of(4, 4, 2).holder_valid
+
+
+class TestNonFiniteEntries:
+    BAD = [[math.inf, 1.0], [1.0, math.nan], [-math.inf]]
+
+    @pytest.mark.parametrize("v", BAD)
+    def test_norm_rejects(self, v):
+        # the unchecked kernel gives nan for [inf, 1.0] at p = 2
+        for p in (1, 2, 3, "inf"):
+            with pytest.raises(ValueError, match="^entries must be finite numbers$"):
+                norm(v, p)
+
+    @pytest.mark.parametrize("v", BAD)
+    def test_sandwich_check_rejects(self, v):
+        # unchecked, both comparisons come out False for [inf, 1.0]
+        with pytest.raises(ValueError, match="^entries must be finite numbers$"):
+            norm_sandwich_check(v, 1, 2)
+
+    def test_one_message_for_every_input(self):
+        for call in (
+            lambda: FinSeq.of([1.0, math.nan]),
+            lambda: Family.of([[1.0, math.inf]]),
+            lambda: Family(np.array([[math.nan]])),
+            lambda: real_subset_ratio([1.0, -math.inf]),
+            lambda: complex_subset_ratio([1.0, complex(0.0, math.nan)]),
+            lambda: complex_subset_ratio([complex(math.inf, 1.0)]),
+        ):
+            with pytest.raises(ValueError, match="^entries must be finite numbers$"):
+                call()
+
+    def test_row_norms_leaves_checking_to_its_callers(self):
+        assert row_norms(np.array([[math.inf, 1.0]]), "inf")[0] == math.inf

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -25,6 +26,7 @@ from _oracles import (
     direct_quotient,
     dual_l1_max,
     exact_norm,
+    main1_sides,
     naive_sign_max,
     naive_subset_max,
     public_quotient_search,
@@ -435,6 +437,41 @@ class TestMain1BoundCheck:
             # tiny K fails quietly: failing below the envelope is not a finding
             assert not main1_bound_check(fam, fam, 2, 0.01)
             assert not caplog.records
+
+    def test_boundary_matches_the_oracle_bit_for_bit(self):
+        # K puts lhs at rhs * (1 + EPS_NUM); the check must flip where the oracle flips
+        rng = np.random.default_rng(43)
+        for trial in range(60):
+            n, d = int(rng.integers(1, 7)), int(rng.integers(1, 5))
+            q = (1, 1.5, 2, 3, "inf")[trial % 5]
+            A, X = rng.standard_normal((n, d)), rng.standard_normal((n, d))
+            lhs, rhs = main1_sides(A, X, q, 1.0)
+            K = lhs / (rhs * (1.0 + EPS_NUM))
+            for _ in range(16):
+                K = np.nextafter(K, 0.0)
+            verdicts = set()
+            for _ in range(33):
+                lhs, rhs = main1_sides(A, X, q, K)
+                want = lhs <= rhs * (1.0 + EPS_NUM)
+                assert main1_bound_check(Family(A), Family(X), q, K) == want
+                verdicts.add(want)
+                K = np.nextafter(K, np.inf)
+            assert verdicts == {False, True}
+
+    @pytest.mark.parametrize("K", [1.8, 3.0])
+    def test_critical_message_at_conservative_k(self, K, caplog, monkeypatch):
+        # no honest family fails at K >= 1.8, so the product norm is inflated
+        real = U._product_norm
+        monkeypatch.setattr(U, "_product_norm", lambda A, X, r: 100.0 * real(A, X, r))
+        A = np.array([[1.0, 1.0], [1.0, -1.0], [0.5, 2.0]])
+        X = np.array([[2.0, -1.0], [1.0, 1.0], [-0.5, 0.25]])
+        lhs, rhs = main1_sides(A, X, 2, K)
+        with caplog.at_level(logging.CRITICAL, logger="uncond.unconditionality"):
+            assert not main1_bound_check(Family(A), Family(X), 2, K)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"2K inequality violated at conservative K={K:.3g}: lhs {100.0 * lhs:.12g} > "
+            f"rhs {rhs:.12g} on a 3-vector family; this should be impossible"
+        ]
 
 
 class TestQuotientOracle:

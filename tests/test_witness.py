@@ -5,10 +5,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from uncond.seqspace import ExponentTriple
+from uncond.seqspace import EPS_CMP, ExponentTriple
 from uncond.unconditionality import subset_max_norm
 from uncond.witness import (
     _HARMONIC_CHUNK,
+    WITNESS_MAX_LOG,
     HadamardMatrix,
     _harmonic,
     hadamard_witness,
@@ -135,6 +136,34 @@ class TestHadamardWitness:
         C = 2.0 ** log2C
         want = minimal_witness_n(t.p.reciprocal, t.q.reciprocal, t.r.reciprocal, C)
         assert witness_size(t, C) == want
+
+    @pytest.mark.parametrize("triple, C", [
+        (("inf", 2, 2), math.inf),
+        ((4, 2, 3), math.inf),
+        ((4, 2, 3), 1e300),
+        (("inf", 1, 1), 1e300),
+    ])
+    def test_beyond_desk_scale(self, triple, C):
+        with pytest.raises(ValueError, match="^C too large for desk scale$"):
+            witness_size(ExponentTriple.of(*triple), C)
+
+    def test_sizes_at_the_cap(self):
+        # gap 1/2: n passes when n/2 - log2(C) > EPS_CMP
+        t = ExponentTriple.of("inf", 2, 2)
+        assert witness_size(t, 2.0 ** 510.75) == WITNESS_MAX_LOG - 1
+        assert witness_size(t, 2.0 ** 511) == WITNESS_MAX_LOG  # n = 1022 ties exactly
+        with pytest.raises(ValueError, match="desk scale"):
+            witness_size(t, 2.0 ** 511.5)
+
+    def test_gap_just_above_the_margin(self):
+        t = ExponentTriple.of("inf", 2, 5e11)  # gap about 2e-12
+        assert EPS_CMP < second_clause_gap(t) < 3 * EPS_CMP
+        assert witness_size(t, 1.0) == 1
+        assert witness_size(t, 1.0) == minimal_witness_n(0.0, 0.5, t.r.reciprocal, 1.0)
+        with pytest.raises(ValueError, match="desk scale"):
+            witness_size(t, 2.0)
+        with pytest.raises(ValueError, match="second-clause condition"):
+            witness_size(ExponentTriple.of("inf", 2, 2e12), 1.0)  # gap about 5e-13
 
     def test_log2_certificate_fields(self):
         t = ExponentTriple.of("inf", 2, 2)
