@@ -24,7 +24,7 @@ enters the margin, the same float ``witness_size`` tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Optional
 
@@ -108,12 +108,23 @@ def classify(t: ExponentTriple) -> Classification:
     return Classification(t, Verdict.UNKNOWN, Clause.OPEN, margin)
 
 
-def _lattice(rng: tuple[float, float], step: float) -> list[Exponent]:
+#: Cap on the points of a region grid, inf samples included; [1, 64]^2 at
+#: step 0.125 with inf is 506^2 = 256 036 points.
+GRID_MAX_POINTS = 1 << 18
+
+
+def _lattice_len(rng: tuple[float, float], step: float) -> float:
+    """The number of points ``_lattice`` gives on ``rng``, up to rounding, without building it."""
     lo, hi = float(rng[0]), float(rng[1])
     if lo > hi:
-        return []
+        return 0.0
     if not (1.0 <= lo and hi <= 64.0):
         raise ValueError("ranges must lie within [1, 64]")
+    return (hi - lo + EPS_CMP) // step + 1.0
+
+
+def _lattice(rng: tuple[float, float], step: float) -> list[Exponent]:
+    lo, hi = float(rng[0]), float(rng[1])
     vals = []
     k = 0
     while True:
@@ -138,21 +149,24 @@ def region_grid(
 
     The infinite exponent is sampled explicitly as an extra lattice point on
     each axis (1/inf = 0 exactly; no large finite stand-in), unless disabled.
-    Rows are emitted in row-major (p outer, q inner) order.  ``threads`` is
-    accepted for compatibility; classification is pure Python under the GIL,
-    so the grid is evaluated serially.
+    Rows are emitted in row-major (p outer, q inner) order.  The number of
+    points is worked out before any is built, and a grid of more than
+    GRID_MAX_POINTS raises ValueError.  ``threads`` is accepted for
+    compatibility; classification is pure Python under the GIL, so the grid
+    is evaluated serially.
     """
     check_threads(threads)
     if step <= 0:
         raise ValueError("step must be positive")
     r = Exponent.of(r)
-    ps = _lattice(p_range, step)
-    qs = _lattice(q_range, step)
-    if not ps or not qs:
+    lens = [_lattice_len(rng, step) for rng in (p_range, q_range)]
+    if not all(lens):
         return []
-    if include_infinite:
-        ps = ps + [INF]
-        qs = qs + [INF]
+    extra = 1 if include_infinite else 0
+    if (lens[0] + extra) * (lens[1] + extra) > GRID_MAX_POINTS:
+        raise ValueError(f"grid exceeds the cap of {GRID_MAX_POINTS} points; use a larger step")
+    ps = _lattice(p_range, step) + [INF] * extra
+    qs = _lattice(q_range, step) + [INF] * extra
     return [classify(ExponentTriple(p, q, r)) for p in ps for q in qs]
 
 
@@ -179,12 +193,7 @@ class WitnessCheck:
     detail: dict
 
     def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "parameter": self.parameter,
-            "ok": self.ok,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -255,18 +264,7 @@ def cross_validate(
                     raise InternalInconsistencyError(
                         f"r<q fired for {t} but the tail witness failed at B={B}: {exc}"
                     ) from exc
-                checks.append(
-                    WitnessCheck(
-                        "tail",
-                        B,
-                        True,
-                        {
-                            "N": tw.N,
-                            "partial_r_norm": tw.partial_r_norm,
-                            "tail_q_bound": tw.tail_q_bound,
-                        },
-                    )
-                )
+                checks.append(WitnessCheck("tail", B, True, tw._asdict()))
     else:
         res = quotient_lower_bound_search(t, n, dim, budget, seed, n_exh=n_exh)
         best_quotient = res.quotient

@@ -40,10 +40,10 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_INTERNAL = 4
 
-_RANDOMIZED_COMMANDS = {"search", "grothendieck", "lemmas"}
-
 #: Largest exhaustive cap UNCOND_NEXH may set: 2^30 subsets already take hours.
 MAX_N_EXH = 30
+#: Largest ``lemmas --dim``: each real draw is one vector of up to this many entries.
+LEMMAS_MAX_DIM = 1 << 20
 
 
 class _UsageError(Exception):
@@ -132,20 +132,20 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True, help="family size")
     p.add_argument("--dim", type=int, required=True, help="ambient length")
     p.add_argument("--budget", type=int, required=True)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, required=True)
     add_common(p)
 
     p = sub.add_parser("lemmas", help="battery over the subset-sum and sandwich inequalities")
     p.add_argument("--budget", type=int, default=1000, help="random trials per check")
     p.add_argument("--dim", type=int, default=12, help="max sequence length for random draws")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, required=True)
     add_common(p)
 
     p = sub.add_parser("grothendieck", help="seeded lower-bound search for the sign-pattern constant")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--budget", type=int, required=True)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, required=True)
     add_common(p)
 
     return parser
@@ -167,9 +167,7 @@ def _triple(args) -> ExponentTriple:
 def _run_classify(args):
     cls = classify(_triple(args))
     if cls.verdict is Verdict.NOT_APPLICABLE:
-        raise ValueError(
-            f"Holder-invalid triple {cls.triple}: 1/r > 1/p + 1/q"
-        )
+        cls.triple.require_holder_valid()  # raises: NotApplicable triples are never holder_valid
     payload = cls.to_json()
     pretty = (
         f"l_{args.p} x l_{args.q} -> l_{args.r}: {cls.verdict.value} "
@@ -247,6 +245,8 @@ def _run_search(args):
 
 
 def _run_lemmas(args):
+    if args.dim > LEMMAS_MAX_DIM:
+        raise ValueError(f"--dim {args.dim} exceeds the cap of {LEMMAS_MAX_DIM}")
     rng = np.random.default_rng(args.seed)
     n_exh = _n_exh()
 
@@ -322,8 +322,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command in _RANDOMIZED_COMMANDS and args.seed is None:
-            raise _UsageError("--seed is required for randomized commands")
         check_threads(args.threads)
         payload, pretty_text = _HANDLERS[args.command](args)
     except _UsageError as exc:

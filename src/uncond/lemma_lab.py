@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -267,16 +267,18 @@ def grothendieck_search(
     provably at most ``kg_upper`` + EPS_NUM, would be scored, reverted and
     not logged, so it is skipped.  The screen runs when dim < n, where the
     dual table has fewer rows than there are sign patterns, and its bounds
-    fit one _BLOCK_BYTES block (dim <= 10); otherwise every flip is scored.
-    Whether it runs is decided once per search.  The running best is nondecreasing
-    over the budget, and the whole run is deterministic per seed.  Every
-    ratio equals ``grothendieck_ratio`` of the same entries, and one above
-    ``kg_upper`` is logged the same way.
+    fit one _BLOCK_BYTES block (dim <= 10); otherwise every floor is -inf
+    and every flip is scored.  Whether it runs is decided once per search.
+    The running best is nondecreasing over the budget, and the whole run is
+    deterministic per seed.  Every ratio equals ``grothendieck_ratio`` of the
+    same entries, and one above ``kg_upper`` is logged the same way.
     """
     l1 = Exponent(1.0)
     limit = kg_upper + EPS_NUM
-    # the screen's bounds fill a 2^(dim-1) x n x dim array
+    # the screen's bounds fill a 2^(dim-1) x n x dim array; unscreened, every
+    # floor is -inf, so every flip is scored
     screened = 0 < dim < n and 8 * n * dim << (dim - 1) <= _BLOCK_BYTES
+    floors_of = _flip_floors if screened else lambda X: np.broadcast_to(-np.inf, X.shape)
 
     def draw(rng, lattice):
         if lattice:
@@ -293,14 +295,9 @@ def grothendieck_search(
             last = _exhaustive_best(X, l1, signs=True)[0]
             return None if last <= 0.0 else (_sign_ratio(numer, last, kg_upper, n), X)
 
-        def all_flips():
-            for i in range(n):
-                for j in range(dim):
-                    yield X, i, j, -X[i, j]
-
-        def screened_flips():
+        def flips():
             nonlocal held
-            floors = _flip_floors(X)
+            floors = floors_of(X)
             for i in range(n):
                 for j in range(dim):
                     floor = floors[i, j]
@@ -310,13 +307,13 @@ def grothendieck_search(
                     yield X, i, j, -before
                     if X[i, j] != before:
                         held = last
-                        floors = _flip_floors(X)
+                        floors = floors_of(X)
 
         start = evaluate(X, None)
         if start is None:
             return None
         held = last
-        return _coordinate_ascent(start, screened_flips if screened else all_flips, evaluate, sweeps=8)
+        return _coordinate_ascent(start, flips, evaluate, sweeps=8)
 
     ratio, X = _seeded_restarts(n, dim, budget, seed, n_exh, draw, climb)
     return RatioReport(ratio, kg_upper, kg_upper - ratio, Family(X), True)
@@ -333,15 +330,7 @@ class SandwichSweepRecord:
     min_upper_slack: float
 
     def to_json(self) -> dict:
-        return {
-            "p": self.p.to_json(),
-            "q": self.q.to_json(),
-            "dim": self.dim,
-            "trials": self.trials,
-            "violations": self.violations,
-            "min_lower_slack": self.min_lower_slack,
-            "min_upper_slack": self.min_upper_slack,
-        }
+        return {**asdict(self), "p": self.p.to_json(), "q": self.q.to_json()}
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ overflow.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Union
@@ -25,6 +26,7 @@ EPS_NUM = 1e-9
 ExponentLike = Union["Exponent", float, int, str]
 
 
+@functools.total_ordering
 @dataclass(frozen=True)
 class Exponent:
     """An extended exponent p in [1, inf].  ``value is None`` encodes infinity."""
@@ -79,21 +81,6 @@ class Exponent:
             return True
         return self.value < other.value
 
-    def __le__(self, other: "Exponent"):
-        if not isinstance(other, Exponent):
-            return NotImplemented
-        return self == other or self < other
-
-    def __gt__(self, other: "Exponent"):
-        if not isinstance(other, Exponent):
-            return NotImplemented
-        return not self <= other
-
-    def __ge__(self, other: "Exponent"):
-        if not isinstance(other, Exponent):
-            return NotImplemented
-        return not self < other
-
     def token(self) -> str:
         """Canonical text form: ``"inf"`` or the shortest round-trip float repr."""
         return "inf" if self.value is None else repr(self.value)
@@ -114,9 +101,13 @@ def _finite_array(values, dtype=np.float64) -> np.ndarray:
     """``values`` as a fresh array of ``dtype``; ValueError if an entry is NaN or infinite.
 
     The one finite-entry check for sequences, families, norms and the lemma
-    inputs; for a complex dtype both parts are checked.
+    inputs; for a complex dtype both parts are checked.  Complex input for a
+    real dtype is rejected, not cast, which would drop its imaginary parts.
     """
-    arr = np.array(values, dtype=dtype)
+    arr = np.asarray(values)
+    if np.iscomplexobj(arr) and not np.issubdtype(dtype, np.complexfloating):
+        raise ValueError("entries must be real numbers")
+    arr = np.array(arr, dtype=dtype)
     if not np.isfinite(arr).all():
         raise ValueError("entries must be finite numbers")
     return arr
@@ -149,7 +140,7 @@ class FinSeq:
 
     @staticmethod
     def of(values: Iterable[float]) -> "FinSeq":
-        return FinSeq(np.asarray(list(values), dtype=np.float64))
+        return FinSeq(list(values))
 
     @property
     def ambient_len(self) -> int:

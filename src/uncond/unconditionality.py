@@ -66,6 +66,9 @@ DEFAULT_N_EXH = 24
 #: a check run at this level is a critical finding, not noise.
 KG_UPPER = 1.8
 
+#: Cap on n * dim for the families a seeded search draws (8 MB per float64 array).
+DRAW_MAX_ENTRIES = 1 << 20
+
 # Enumeration blocks hold about _BLOCK_BYTES of float64 sums (at least one
 # position, at most 2^_BLOCK_MAX_LOG), so their size depends on the ambient
 # length alone and memory stays bounded for every n.
@@ -100,7 +103,7 @@ class Family:
             return Family(vectors)
         rows = []
         for v in vectors:
-            rows.append(v.entries if isinstance(v, FinSeq) else np.asarray(v, dtype=np.float64))
+            rows.append(v.entries if isinstance(v, FinSeq) else np.asarray(v))
         if not rows:
             return Family(np.zeros((0, 0)))
         lengths = {r.size for r in rows}
@@ -637,12 +640,15 @@ def _seeded_restarts(n: int, dim: int, budget: int, seed, n_exh: int, draw, clim
     even trials and standard normal ones at odd trials, and
     ``climb(arrays, best)`` refines them into a tuple whose first field is
     the score, or returns None for a degenerate draw, which is skipped.  Only
-    a strictly higher score replaces the best.
+    a strictly higher score replaces the best.  n * dim > DRAW_MAX_ENTRIES
+    raises ValueError before anything is drawn.
     """
     if budget < 1:
         raise ValueError("empty budget")
     if n < 1 or dim < 1:
         raise ValueError("n and dim must be >= 1")
+    if n * dim > DRAW_MAX_ENTRIES:
+        raise ValueError(f"n * dim = {n * dim} exceeds the cap of {DRAW_MAX_ENTRIES} entries per draw")
     _require_exhaustible(n, n_exh)
     best = None
     for trial, child in enumerate(np.random.SeedSequence(seed).spawn(budget)):

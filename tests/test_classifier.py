@@ -1,13 +1,18 @@
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
+from uncond import classifier
 from uncond.classifier import (
     Classification,
     Clause,
     GRID_CSV_HEADER,
+    GRID_MAX_POINTS,
     Verdict,
+    WitnessCheck,
     classify,
     cross_validate,
     grid_to_csv,
@@ -20,6 +25,25 @@ from _oracles import minimal_witness_n
 
 def T(p, q, r):
     return ExponentTriple.of(p, q, r)
+
+
+def sha256_json(obj):
+    return hashlib.sha256(json.dumps(obj, separators=(",", ":")).encode()).hexdigest()
+
+
+#: sha256 of the compact JSON of [cross_validate(t, 4, seed, n=4).to_json() for
+#: seed in (0, 1)] (the error text for a NotApplicable triple), pinned so that
+#: no field, value or key order drifts.
+CROSS_VALIDATE_JSON = {
+    (3.0, 2.0, "inf"): "8b69f20b9b1d3eb5d882d52d50d829757eeeb010175b935fa837feeca2d44abf",
+    (2.0, 2.0, 4.0): "778b52b2e968c2a4cdeb90458cc440581fbdcbdac7f099743af217eb2835eee3",
+    (2.0, 4.0, 3.0): "8034e3005c28ce55c2f94b5f5806105d82b560bf4c6888ae50bd219b5bb5ce2a",
+    ("inf", 4.0, 2.0): "20f5d808510d81cb869cd1a4398126f2cafa82e6fc92629e98e8c70b78544b9a",
+    ("inf", 2.0, 2.0): "22fa252422ddb770e0999341b94693c92ba3a55f6c9ce7daaf81826a677371a7",
+    (3.0, 3.0, 3.0): "188241b0e31de02258f5862011697a27f8ec8a1c487c51ef8b5e4cabfb20e3b6",
+    (4.0, 4.0, 1.0): "2f97d1615ce8892625ff2cccff44d679cd9c7f9cf3b0ea4a27480fa876908fbb",
+    (4.0, 2.0, 3.0): "46da086622c7d00314498db7e7ac0b4acc566024d4e3b132c574178db95d88b6",
+}
 
 
 class TestDecisionTable:
@@ -137,6 +161,31 @@ class TestRegionGrid:
         with pytest.raises(ValueError, match="threads"):
             region_grid(2, (1, 2), (1, 2), 1.0, threads=0)
 
+    @pytest.mark.parametrize("p_range, q_range, step", [
+        ((1, 64), (1, 64), 0.001),  # about 4e9 points
+        ((2, 2), (2, 2), 1e-300),  # lo + k * step never passes hi + EPS_CMP
+        ((2, 2), (1, 4), 1e-17),
+        ((1, 64), (1, 64), 5e-324),
+    ])
+    def test_oversized_grid_rejected_before_it_is_built(self, p_range, q_range, step):
+        with pytest.raises(ValueError, match="^grid exceeds the cap of 262144 points"):
+            region_grid(2, p_range, q_range, step)
+
+    def test_largest_grid_fits_the_cap(self, monkeypatch):
+        # [1, 64]^2 at step 0.125 is 505 lattice points a side, plus inf
+        monkeypatch.setattr(classifier, "classify", lambda t: t)
+        rows = region_grid(2, (1, 64), (1, 64), 0.125)
+        assert len(rows) == 506 ** 2 <= GRID_MAX_POINTS
+        assert rows[504 * 506 + 504] == T(64, 64, 2)
+
+    def test_cap_counts_the_inf_samples(self, monkeypatch):
+        monkeypatch.setattr(classifier, "GRID_MAX_POINTS", 25)
+        assert len(region_grid(2, (1, 4), (1, 4), 1.0)) == 25
+        monkeypatch.setattr(classifier, "GRID_MAX_POINTS", 24)
+        with pytest.raises(ValueError, match="cap of 24 points"):
+            region_grid(2, (1, 4), (1, 4), 1.0)
+        assert len(region_grid(2, (1, 4), (1, 4), 1.0, include_infinite=False)) == 16
+
     def test_csv_format(self):
         rows = region_grid(2, (1, 2), (1, 2), 1.0)
         text = grid_to_csv(rows)
@@ -223,3 +272,22 @@ class TestCrossValidate:
         out = cv.to_json()
         assert out["classification"]["verdict"] == "NotPreserves"
         assert len(out["checks"]) == 3
+
+    @pytest.mark.parametrize("triple", sorted(CROSS_VALIDATE_JSON, key=str))
+    def test_json_pinned(self, triple):
+        t = T(*triple)
+
+        def run(seed):
+            try:
+                return cross_validate(t, 4, seed, n=4).to_json()
+            except ValueError as exc:
+                return str(exc)
+
+        assert sha256_json([run(0), run(1)]) == CROSS_VALIDATE_JSON[triple]
+
+    def test_witness_check_json_pinned(self):
+        check = WitnessCheck("tail", 2.0, True, {"N": 4, "partial_r_norm": 2.083, "tail_q_bound": 0.5})
+        assert list(check.to_json()) == ["kind", "parameter", "ok", "detail"]
+        assert sha256_json(check.to_json()) == (
+            "85973dba4986397b06fb9199dbed7a9f5c5c593774f27d848cc4275a054b0a6d"
+        )

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from uncond.cli import main
+from uncond.cli import LEMMAS_MAX_DIM, main
 
 CLI = [sys.executable, "-m", "uncond.cli"]
 
@@ -131,6 +131,11 @@ class TestClassifyCommand:
         assert err["error"] == "domain-error"
         assert "1/r > 1/p + 1/q" in err["detail"]
 
+    def test_invalid_triple_gives_the_shared_message(self, capsys):
+        assert main(["classify", "--p", "3", "--q", "3", "--r", "1"]) == 3
+        detail = json.loads(capsys.readouterr().err)["detail"]
+        assert detail == "triple (3.0, 3.0, 1.0) is not valid: 1/r > 1/p + 1/q"
+
     def test_inf_tokens(self):
         res = run_cli("classify", "--p", "inf", "--q", "2", "--r", "2")
         assert res.returncode == 0
@@ -166,6 +171,37 @@ class TestUsageErrors:
     def test_seed_required_for_grothendieck_and_lemmas(self):
         assert run_cli("grothendieck", "--n", "2", "--dim", "2", "--budget", "5").returncode == 2
         assert run_cli("lemmas").returncode == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["search", "--p", "2", "--q", "2", "--r", "2", "--n", "2", "--dim", "2", "--budget", "5"],
+        ["grothendieck", "--n", "2", "--dim", "2", "--budget", "5"],
+        ["lemmas"],
+    ], ids=lambda argv: argv[0])
+    def test_missing_seed_is_named_by_argparse(self, argv, capsys):
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "usage", "detail": "the following arguments are required: --seed"}
+
+
+class TestSizeCaps:
+    @pytest.mark.parametrize("argv, detail", [
+        (["grid", "--r", "2", "--p-max", "64", "--q-max", "64", "--step", "0.001"],
+         "grid exceeds the cap of 262144 points; use a larger step"),
+        (["grid", "--r", "2", "--p-min", "2", "--p-max", "2", "--step", "1e-300"],
+         "grid exceeds the cap of 262144 points; use a larger step"),
+        (["search", "--p", "3", "--q", "3", "--r", "3", "--n", "3", "--dim", "1000000000",
+          "--budget", "1", "--seed", "0"],
+         "n * dim = 3000000000 exceeds the cap of 1048576 entries per draw"),
+        (["grothendieck", "--n", "3", "--dim", "1000000000", "--budget", "1", "--seed", "0"],
+         "n * dim = 3000000000 exceeds the cap of 1048576 entries per draw"),
+        (["lemmas", "--dim", str(LEMMAS_MAX_DIM + 1), "--seed", "0"],
+         "--dim 1048577 exceeds the cap of 1048576"),
+    ], ids=["grid", "stalled-grid", "search", "grothendieck", "lemmas"])
+    def test_domain_error_before_anything_is_built(self, argv, detail, capsys):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "domain-error", "detail": detail}
 
 
 class TestWitnessCommands:

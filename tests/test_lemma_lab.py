@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 import math
@@ -356,6 +357,16 @@ class TestSandwichSweep:
         for seed in range(6):
             got = sandwich_sweep(dims, pairs, trials, seed).to_json()
             assert json.dumps(got) == json.dumps(sandwich_sweep_loop(dims, pairs, trials, seed))
+
+    def test_json_pinned(self):
+        out = sandwich_sweep((2, 5, 16), ((1, 2), (1.5, 3), (2, 4)), 7, 5).to_json()
+        assert list(out["records"][0]) == [
+            "p", "q", "dim", "trials", "violations", "min_lower_slack", "min_upper_slack"
+        ]
+        text = json.dumps(out, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "cee89b9c212f94f8665438f26d81834e5ae164d35cb0581ccd60e421a5bcf9c7"
+        )
 
     def test_json_shape(self):
         rep = sandwich_sweep((2,), ((1, 2),), trials=10, seed=0)

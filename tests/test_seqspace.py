@@ -1,4 +1,6 @@
 import math
+import operator
+import warnings
 
 import numpy as np
 import pytest
@@ -43,6 +45,23 @@ class TestExponent:
         assert INF <= INF
         assert not INF < INF
         assert Exponent.of(3) >= Exponent.of(3)
+
+    def test_order_table(self):
+        values = (1, 1.5, 2, 64, "inf")
+        # a second list of equal but distinct objects, so equality is by value
+        left = [Exponent.of(v) for v in values]
+        right = [Exponent.of(v) for v in values]
+        for i, a in enumerate(left):
+            for j, b in enumerate(right):
+                got = (a < b, a <= b, a > b, a >= b, a == b)
+                assert got == (i < j, i <= j, i > j, i >= j, i == j), (a, b)
+
+    @pytest.mark.parametrize("op", [operator.lt, operator.le, operator.gt, operator.ge])
+    def test_no_order_against_numbers(self, op):
+        with pytest.raises(TypeError):
+            op(Exponent(1), 1)
+        with pytest.raises(TypeError):
+            op(1.5, INF)
 
     def test_tokens_and_json(self):
         assert INF.token() == "inf"
@@ -223,3 +242,28 @@ class TestNonFiniteEntries:
 
     def test_row_norms_leaves_checking_to_its_callers(self):
         assert row_norms(np.array([[math.inf, 1.0]]), "inf")[0] == math.inf
+
+
+class TestComplexEntries:
+    @pytest.mark.parametrize("call", [
+        lambda: Family(np.array([[1 + 5j, 2]])),
+        lambda: Family.of([np.array([1 + 5j, 2.0])]),
+        lambda: Family.of([[1 + 5j, 2.0]]),
+        lambda: FinSeq(np.array([1j, 2])),
+        lambda: FinSeq.of([1j, 2]),
+        lambda: norm(np.array([3 + 4j]), 2),
+        lambda: norm([3 + 4j], 2),
+        lambda: norm_sandwich_check(np.array([1 + 1j, 2.0]), 1, 2),
+        lambda: real_subset_ratio(np.array([1 + 1j, -1.0])),
+    ], ids=range(9))
+    def test_real_inputs_reject_complex(self, call):
+        # cast to float64, these kept only the real part, with a ComplexWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^entries must be real numbers$"):
+                call()
+
+    def test_complex_inputs_keep_both_parts(self):
+        rep = complex_subset_ratio(np.array([1 + 5j, 2.0]))
+        assert rep.witness.tolist() == [1 + 5j, 2 + 0j]
+        assert rep.ratio == pytest.approx((abs(1 + 5j) + 2.0) / abs(3 + 5j), rel=1e-12)

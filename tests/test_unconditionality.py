@@ -502,6 +502,7 @@ class TestQuotientOracle:
 class TestSearchArguments:
     @pytest.mark.parametrize("n, dim, budget, n_exh", [
         (2, 2, 0, 24), (0, 2, 3, 24), (2, 0, 3, 24), (5, 2, 3, 4),
+        (2, U.DRAW_MAX_ENTRIES // 2 + 1, 3, 24), (3, 10**9, 1, 24),
     ])
     def test_both_searches_raise_the_same_error(self, n, dim, budget, n_exh):
         with pytest.raises(ValueError) as quotient_err:

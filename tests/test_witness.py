@@ -69,6 +69,17 @@ class TestSylvester:
         with pytest.raises(ValueError, match="entries"):
             HadamardMatrix(0, np.array([[2]], dtype=np.int8))
 
+    @pytest.mark.parametrize("value", [257, 1.5, 1.0000001])
+    def test_constructor_checks_the_values_given(self, value):
+        # an int8 cast would turn each of these into 1
+        with pytest.raises(ValueError, match="entries must be exactly"):
+            HadamardMatrix(0, np.array([[value]]))
+
+    def test_constructor_stores_int8(self):
+        H = HadamardMatrix(1, np.array([[1.0, 1.0], [1.0, -1.0]]))
+        assert H.entries.dtype == np.int8
+        assert H.entries.tolist() == [[1, 1], [1, -1]]
+
     def test_packed_round_trip(self):
         for n in (0, 1, 3, 5):
             H = sylvester(n)
