@@ -24,6 +24,7 @@ enters the margin, the same float ``witness_size`` tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Optional
@@ -156,8 +157,8 @@ def region_grid(
     is evaluated serially.
     """
     check_threads(threads)
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"step must be finite and positive, got {step!r}")
     r = Exponent.of(r)
     lens = [_lattice_len(rng, step) for rng in (p_range, q_range)]
     if not all(lens):

@@ -44,6 +44,9 @@ EXIT_INTERNAL = 4
 MAX_N_EXH = 30
 #: Largest ``lemmas --dim``: each real draw is one vector of up to this many entries.
 LEMMAS_MAX_DIM = 1 << 20
+#: Largest ``lemmas --budget``: the sandwich sweep draws budget // 3 vectors of
+#: up to 16 entries per cell.
+LEMMAS_MAX_BUDGET = 1 << 20
 
 
 class _UsageError(Exception):
@@ -245,8 +248,14 @@ def _run_search(args):
 
 
 def _run_lemmas(args):
-    if args.dim > LEMMAS_MAX_DIM:
-        raise ValueError(f"--dim {args.dim} exceeds the cap of {LEMMAS_MAX_DIM}")
+    for name, value, cap in (
+        ("--budget", args.budget, LEMMAS_MAX_BUDGET),
+        ("--dim", args.dim, LEMMAS_MAX_DIM),
+    ):
+        if value < 1:
+            raise ValueError(f"{name} {value} must be at least 1")
+        if value > cap:
+            raise ValueError(f"{name} {value} exceeds the cap of {cap}")
     rng = np.random.default_rng(args.seed)
     n_exh = _n_exh()
 

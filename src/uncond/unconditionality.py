@@ -18,9 +18,15 @@ ranked by power sums, and every position within the rounding slack of the
 best is recomputed from scratch: the reported value is the norm of the
 reported subset's sum, added in index order, and ties resolve to the first
 subset attaining it in Gray order.  Sign patterns walk only the half with
-the last sign +1, since s and -s have the same norm.  The enumeration is
-serial; the ``threads`` argument of ``subset_max_norm`` and ``sign_max_norm``
-is accepted and changes nothing.
+the last sign +1, since s and -s have the same norm.  For q = 2 a subset
+sum's norm depends on the Gram matrix XX^T alone, so when d >= 2n and there
+are at least 2^12 positions the walk ranks the n x n triangular factor W of
+a QR factorization of X^T instead of the d wide rows: WW^T equals XX^T up
+to an a posteriori bound eta, every squared key is within eta of the true
+one, and the candidate floor drops by 2 eta.  Candidates are still
+recomputed from the rows of X, so results are the same bit for bit.  The
+enumeration is serial; the ``threads`` argument of ``subset_max_norm`` and
+``sign_max_norm`` is accepted and changes nothing.
 
 Every quotient, public or inside a search, is evaluated by one routine
 (``_quotient_parts``), so a search compares the very float
@@ -79,6 +85,11 @@ _BLOCK_MAX_LOG = 15
 _SCRATCH_ALL_TERMS = 2048
 #: Largest q whose power sums rank walked rows; above it rows rank by norm.
 _POWER_MAX_Q = 64.0
+#: q = 2 walks rank an n x n factor of the Gram matrix when d is at least
+#: _GRAM_MIN_RATIO * n and there are at least _GRAM_MIN_POSITIONS positions;
+#: below either, setting up the factor (about 0.1 ms) costs more than it saves.
+_GRAM_MIN_RATIO = 2
+_GRAM_MIN_POSITIONS = 1 << 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,6 +300,45 @@ def _ranking(q: Exponent, n: int, d: int):
     return key, 4.0 * p * drift
 
 
+def _gram_factor(Xs: np.ndarray) -> tuple[np.ndarray, float]:
+    """An n x n family W whose Gram matrix is that of the rows of Xs up to eta, and eta.
+
+    W is the transposed R factor of the QR factorization of Xs^T, so it is
+    lower triangular.  For q = 2 the squared norm of a subset sum,
+    ||1_F^T Xs||^2 = 1_F^T (Xs Xs^T) 1_F, depends on the Gram matrix alone,
+    and the same holds for every sign vector s in place of 1_F, so
+
+        | ||1_F^T W||^2 - ||1_F^T Xs||^2 |  =  |1_F^T E 1_F|  <=  sum_ij |E_ij|
+
+    with E = WW^T - XsXs^T exactly, since every entry of 1_F (or s) has
+    absolute value at most 1.  The bound is a posteriori: the factorization
+    may be as inaccurate as it likes.  E is bounded through the computed Gram
+    matrices.  A d-term dot product is off by at most gamma_d sum_l |a_l b_l|
+    (gamma_m = m u / (1 - m u), u = eps / 2, any summation order), so
+
+        |E_ij| <= |fl(WW^T)_ij - fl(XsXs^T)_ij|
+                  + gamma_d (|Xs||Xs|^T)_ij + gamma_n (|W||W|^T)_ij,
+
+    and summing over i, j turns the last two terms into
+    gamma_d || |Xs|^T 1 ||^2 + gamma_n || |W|^T 1 ||^2.  The computed
+    differences and their math.fsum each round once, which the factor
+    1 + 4u covers; gamma = (d + n + 4) eps is more than twice gamma_d and
+    gamma_n, and covers the rounding of the two squared norms as well.  The
+    last term bounds products that underflow: each of the n^2 (d + n)
+    products may lose up to the smallest subnormal.  The caller passes the
+    power-of-two-scaled rows, whose entries are below 1, so nothing here
+    overflows at any scale of the family.
+    """
+    n, d = Xs.shape
+    W = np.linalg.qr(Xs.T, mode="r").T
+    gap = np.abs(W @ W.T - Xs @ Xs.T)
+    eps = float(np.finfo(np.float64).eps)
+    sides = float(np.square(np.abs(Xs).sum(axis=0)).sum() + np.square(np.abs(W).sum(axis=0)).sum())
+    eta = (1.0 + 2.0 * eps) * math.fsum(gap.ravel()) + (d + n + 4) * eps * sides
+    eta += 2.0 * n * n * (d + n) * float(np.finfo(np.float64).smallest_subnormal)
+    return W, eta
+
+
 def _exhaustive_best(X: np.ndarray, q: Exponent, signs: bool):
     """Exact (value, mask) of the largest subset sum, or signed sum, of the rows of X.
 
@@ -301,6 +351,17 @@ def _exhaustive_best(X: np.ndarray, q: Exponent, signs: bool):
     in Gray order attaining it, as in a from-scratch enumeration.  Sign
     patterns walk only the positions with bit n-1 clear: s and -s have the
     same norm, and the clear one comes first.
+
+    For q = 2 with d >= _GRAM_MIN_RATIO * n and at least _GRAM_MIN_POSITIONS
+    positions, the walk ranks an n x n factor W of the Gram matrix instead
+    of the d wide rows (``_gram_factor``): every squared key is then within
+    eta of the squared norm of the same subset of the scaled rows.  The floor
+    drops by 2 eta, which keeps the first position attaining the scratch
+    maximum among the candidates: its key is at least f* - eta less the
+    walk's relative rounding, while the top key is at most f* + eta plus that
+    rounding, for f* the largest squared norm, and the relative slack covers
+    the rounding exactly as without W.  The slack is the one for the d wide
+    rows, which bounds the rounding of the walk on W as well.
     """
     n, d = X.shape
     absmax = float(np.abs(X).max()) if X.size else 0.0
@@ -311,17 +372,24 @@ def _exhaustive_best(X: np.ndarray, q: Exponent, signs: bool):
     chunk = max(1, _BLOCK_BYTES // (8 * n * d))
     if total * n * d <= _SCRATCH_ALL_TERMS:
         return _first_best(X, q, signs, [np.arange(total)], chunk, (-1.0, 0))
-    rows = _block_rows(d, total)
-    k = rows.bit_length() - 1
     # every subset sum of the scaled rows stays below 1 in absolute value
     Xs = np.ldexp(X, -(math.frexp(absmax)[1] + n.bit_length()))
-    low = _low_walk(Xs, k, signs)
-    mirrored = low[:, ::-1]
-    high_rows, high_bits = Xs[k:], np.arange(k, n)
-    base = np.empty(d)
-    buf = np.empty((d, rows))
-    keys = np.empty(rows)
     key, slack = _ranking(q, n, d)
+    walked, eta = Xs, 0.0
+    if q.value == 2.0 and d >= _GRAM_MIN_RATIO * n and total >= _GRAM_MIN_POSITIONS:
+        W, eta = _gram_factor(Xs)
+        # rescaled like Xs, so every subset sum of the walked rows stays below 1
+        shift = math.frexp(float(np.abs(W).max()))[1] + n.bit_length()
+        walked, eta = np.ldexp(W, -shift), math.ldexp(eta, -2 * shift)
+    width = walked.shape[1]
+    rows = _block_rows(width, total)
+    k = rows.bit_length() - 1
+    low = _low_walk(walked, k, signs)
+    mirrored = low[:, ::-1]
+    high_rows, high_bits = walked[k:], np.arange(k, n)
+    base = np.empty(width)
+    buf = np.empty((width, rows))
+    keys = np.empty(rows)
 
     best_key = floor = -1.0
     best = (-1.0, 0)
@@ -336,7 +404,7 @@ def _exhaustive_best(X: np.ndarray, q: Exponent, signs: bool):
         if top < floor:
             continue
         if top > best_key:
-            best_key, floor = top, top * (1.0 - slack)
+            best_key, floor = top, top * (1.0 - slack) - 2.0 * eta
         hits = np.flatnonzero(ranked >= floor)
         hits += lo
         pending.append(hits)

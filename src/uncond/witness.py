@@ -51,8 +51,10 @@ class HadamardMatrix:
     """A 2^n x 2^n matrix of +-1 entries with mutually orthogonal rows.
 
     Shape and exact +-1 entries are checked on the values given, before the
-    int8 cast.  The float64 Gram matrix is then exact, with diagonal 2^n, so
-    the rows are orthogonal exactly when it has 2^n nonzero entries.
+    int8 cast.  Every partial sum of the Gram product is then an integer of
+    magnitude at most 2^n, so the float32 Gram matrix is exact up to 2^n = 2^24,
+    far beyond any matrix that fits in memory.  Its diagonal is 2^n, and the
+    rows are orthogonal exactly when it has 2^n nonzero entries.
     """
 
     log_size: int
@@ -66,7 +68,7 @@ class HadamardMatrix:
         if not np.all((arr == 1) | (arr == -1)):
             raise ValueError("entries must be exactly +1 or -1")
         arr = arr.astype(np.int8)
-        f = arr.astype(np.float64)
+        f = arr.astype(np.float32)
         if np.count_nonzero(f @ f.T) != size:
             raise ValueError("rows are not mutually orthogonal")
         arr.setflags(write=False)

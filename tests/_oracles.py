@@ -113,6 +113,61 @@ def exact_norm(X: np.ndarray, mask: int, q, signs: bool = False) -> Fraction:
     return max(map(abs, total), default=Fraction(0)) if q == "inf" else sum(map(abs, total))
 
 
+def _dyadic_ints(*arrays: np.ndarray) -> tuple[list, int]:
+    """The arrays as object arrays of Python ints, all scaled by one power of two, and that power.
+
+    Every float is an integer times a power of two, so the largest
+    denominator among the entries is a multiple of every other one.
+    """
+    fracs = [[Fraction(float(v)) for v in a.reshape(-1)] for a in arrays]
+    den = max((f.denominator for fr in fracs for f in fr), default=1)
+    ints = [np.array([int(f * den) for f in fr], dtype=object).reshape(a.shape) for fr, a in zip(fracs, arrays)]
+    return ints, den
+
+
+def _coefficients(n: int, signs: bool) -> np.ndarray:
+    """Every subset indicator (or sign vector, bit = 1 meaning -1) of length n, as Python ints."""
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    return (1 - 2 * bits if signs else bits).astype(object)
+
+
+def exact_l2_sq_max(X: np.ndarray, signs: bool = False) -> Fraction:
+    """The exact largest squared l2 norm of a subset sum (or signed sum) of the rows of X, n <= 12.
+
+    X is scaled to Python integers by one power of two, and the squared norm
+    of c^T X is c^T G c for the integer Gram matrix G, evaluated for every
+    coefficient vector c without rounding.
+    """
+    n = X.shape[0]
+    if n > 12:
+        raise ValueError("exact_l2_sq_max enumerates 2^n coefficient vectors; n <= 12")
+    (ints,), den = _dyadic_ints(X)
+    coef = _coefficients(n, signs)
+    vals = ((coef @ (ints @ ints.T)) * coef).sum(axis=1)
+    return Fraction(int(vals.max()), den * den)
+
+
+def exact_l2_sq(X: np.ndarray, mask: int, signs: bool = False) -> Fraction:
+    """The exact squared l2 norm of one mask's subset sum (or signed sum) of the rows of X."""
+    (ints,), den = _dyadic_ints(X)
+    n = X.shape[0]
+    coef = np.array([(-1 if (mask >> k) & 1 else 1) if signs else (mask >> k) & 1 for k in range(n)], dtype=object)
+    total = coef @ ints
+    return Fraction(int((total * total).sum()), den * den)
+
+
+def gram_form_max(W: np.ndarray, X: np.ndarray) -> Fraction:
+    """max over subset indicators and sign vectors c of |c^T (W W^T - X X^T) c|, exactly (n <= 12)."""
+    n = X.shape[0]
+    (iw, ix), den = _dyadic_ints(W, X)
+    E = iw @ iw.T - ix @ ix.T
+    best = 0
+    for signs in (False, True):
+        coef = _coefficients(n, signs)
+        best = max(best, max(abs(int(v)) for v in ((coef @ E) * coef).sum(axis=1)))
+    return Fraction(best, den * den)
+
+
 def scratch_sum(X: np.ndarray, mask: int, signs: bool = False) -> np.ndarray:
     """The subset sum (or signed sum, bit = 1 meaning -1) of one mask, as the naive oracles form it."""
     n = X.shape[0]

@@ -161,6 +161,11 @@ class TestRegionGrid:
         with pytest.raises(ValueError, match="threads"):
             region_grid(2, (1, 2), (1, 2), 1.0, threads=0)
 
+    @pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_step_must_be_finite_and_positive(self, step):
+        with pytest.raises(ValueError, match=f"^step must be finite and positive, got {step!r}$"):
+            region_grid(2, (1, 2), (1, 2), step)
+
     @pytest.mark.parametrize("p_range, q_range, step", [
         ((1, 64), (1, 64), 0.001),  # about 4e9 points
         ((2, 2), (2, 2), 1e-300),  # lo + k * step never passes hi + EPS_CMP

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from uncond.cli import LEMMAS_MAX_DIM, main
+from uncond.cli import LEMMAS_MAX_BUDGET, LEMMAS_MAX_DIM, main
 
 CLI = [sys.executable, "-m", "uncond.cli"]
 
@@ -194,9 +194,17 @@ class TestSizeCaps:
          "n * dim = 3000000000 exceeds the cap of 1048576 entries per draw"),
         (["grothendieck", "--n", "3", "--dim", "1000000000", "--budget", "1", "--seed", "0"],
          "n * dim = 3000000000 exceeds the cap of 1048576 entries per draw"),
+        (["grid", "--r", "2", "--step", "nan"], "step must be finite and positive, got nan"),
+        (["grid", "--r", "2", "--step", "inf"], "step must be finite and positive, got inf"),
         (["lemmas", "--dim", str(LEMMAS_MAX_DIM + 1), "--seed", "0"],
          "--dim 1048577 exceeds the cap of 1048576"),
-    ], ids=["grid", "stalled-grid", "search", "grothendieck", "lemmas"])
+        (["lemmas", "--dim", "0", "--seed", "0"], "--dim 0 must be at least 1"),
+        (["lemmas", "--budget", str(LEMMAS_MAX_BUDGET + 1), "--seed", "0"],
+         "--budget 1048577 exceeds the cap of 1048576"),
+        (["lemmas", "--budget", "-2", "--seed", "0"], "--budget -2 must be at least 1"),
+        (["lemmas", "--budget", "0", "--dim", "0", "--seed", "0"], "--budget 0 must be at least 1"),
+    ], ids=["grid", "stalled-grid", "search", "grothendieck", "nan-step", "inf-step", "lemmas",
+            "lemmas-dim-0", "lemmas-budget", "lemmas-negative-budget", "lemmas-budget-first"])
     def test_domain_error_before_anything_is_built(self, argv, detail, capsys):
         assert main(argv) == 3
         captured = capsys.readouterr()

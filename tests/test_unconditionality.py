@@ -25,7 +25,10 @@ from _oracles import (
     column_inf_max,
     direct_quotient,
     dual_l1_max,
+    exact_l2_sq,
+    exact_l2_sq_max,
     exact_norm,
+    gram_form_max,
     main1_sides,
     naive_sign_max,
     naive_subset_max,
@@ -330,6 +333,105 @@ class TestKernel:
         for fn in (subset_max_norm, sign_max_norm):
             with pytest.raises(ValueError, match="threads"):
                 fn(fam, 2, threads=0)
+
+
+class TestGramRoute:
+    """q = 2 walks on the n x n Gram factor: the same (value, mask) as the walk on the d wide rows."""
+
+    @staticmethod
+    def _counting(mp):
+        # counts the Gram factorizations, so each test knows the route ran
+        calls = []
+        factor = U._gram_factor
+
+        def counting(Xs):
+            calls.append(Xs.shape)
+            return factor(Xs)
+
+        mp.setattr(U, "_gram_factor", counting)
+        return calls
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(8, 11),
+        wide=st.integers(1, 3),
+        span=st.integers(1, 4),
+        zero_rows=st.integers(0, 2),
+        duplicate=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_exact_maximum_on_integer_families(self, n, wide, span, zero_rows, duplicate, seed):
+        # n < d <= 4n; zero and duplicated rows make the Gram matrix singular
+        rng = np.random.default_rng(seed)
+        d = n + int(rng.integers(1, wide * n + 1))
+        X = rng.integers(-span, span + 1, size=(n, d)).astype(float)
+        X[:zero_rows] = 0.0
+        if duplicate:
+            X[n - 1] = X[n - 2]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(U, "_GRAM_MIN_RATIO", 0)
+            mp.setattr(U, "_GRAM_MIN_POSITIONS", 0)
+            calls = self._counting(mp)
+            for signs, fn in ((False, subset_max_norm), (True, sign_max_norm)):
+                got = fn(Family(X), 2)
+                assert exact_l2_sq(X, got.argmax_subset, signs) == exact_l2_sq_max(X, signs)
+                assert (got.value, got.argmax_subset) == sequential_scratch_max(X, 2, signs)
+            assert calls == [(n, d), (n, d)]
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(2, 10),
+        wide=st.integers(1, 4),
+        kind=st.sampled_from(["normal", "integer", "rank-one", "duplicate"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_eta_bounds_every_gram_form(self, n, wide, kind, seed):
+        rng = np.random.default_rng(seed)
+        d = n + int(rng.integers(0, wide * n + 1))
+        if kind == "integer":
+            X = rng.integers(-3, 4, size=(n, d)).astype(float)
+        elif kind == "rank-one":
+            X = np.outer(rng.standard_normal(n), rng.standard_normal(d))
+        else:
+            X = rng.standard_normal((n, d))
+            if kind == "duplicate":
+                X[0] = X[-1]
+        if not X.any():
+            return
+        # scaled by a power of two as the walk scales it, every subset sum below 1
+        Xs = np.ldexp(X, -(math.frexp(float(np.abs(X).max()))[1] + n.bit_length()))
+        W, eta = U._gram_factor(Xs)
+        assert W.shape == (n, n) and not np.triu(W, 1).any()
+        # eta bounds max_c |c^T (WW^T - XsXs^T) c|, and is not vacuous
+        assert gram_form_max(W, Xs) <= eta
+        assert eta <= 1e-12 * float(np.square(np.abs(Xs).sum(axis=0)).sum())
+
+    @pytest.mark.parametrize("scale", [-900, 900])
+    def test_matches_sequential_scratch_at_extreme_scales(self, scale, monkeypatch):
+        # d >= 2n and at least 2^12 positions: the route runs by default
+        calls = self._counting(monkeypatch)
+        rng = np.random.default_rng(67)
+        for n, d in ((13, 26), (13, 40), (14, 64)):
+            X = np.ldexp(rng.standard_normal((n, d)), scale)
+            for signs, fn in ((False, subset_max_norm), (True, sign_max_norm)):
+                got = fn(Family(X), 2)
+                assert (got.value, got.argmax_subset) == sequential_scratch_max(X, 2, signs)
+        assert len(calls) == 6
+
+    def test_route_rule(self, monkeypatch):
+        # q = 2 only, d >= 2n, and at least 2^12 positions (signs walk half)
+        calls = self._counting(monkeypatch)
+        rng = np.random.default_rng(71)
+        for n, d, q, signs, taken in (
+            (12, 24, 2, False, True),
+            (12, 24, 2, True, False),
+            (13, 25, 2, False, False),
+            (13, 26, 3, False, False),
+            (13, 26, 2, True, True),
+        ):
+            before = len(calls)
+            U._exhaustive_best(rng.standard_normal((n, d)), U.Exponent.of(q), signs)
+            assert (len(calls) > before) == taken
 
 
 class TestQuotient:

@@ -69,6 +69,14 @@ class TestSylvester:
         with pytest.raises(ValueError, match="entries"):
             HadamardMatrix(0, np.array([[2]], dtype=np.int8))
 
+    def test_constructor_rejects_one_flipped_entry_at_log_size_10(self):
+        # the float32 Gram check sees a single flipped sign in a 1024 x 1024 matrix
+        E = sylvester(10).entries.copy()
+        HadamardMatrix(10, E)
+        E[700, 513] = -E[700, 513]
+        with pytest.raises(ValueError, match="orthogonal"):
+            HadamardMatrix(10, E)
+
     @pytest.mark.parametrize("value", [257, 1.5, 1.0000001])
     def test_constructor_checks_the_values_given(self, value):
         # an int8 cast would turn each of these into 1
