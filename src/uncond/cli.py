@@ -47,6 +47,10 @@ LEMMAS_MAX_DIM = 1 << 20
 #: Largest ``lemmas --budget``: the sandwich sweep draws budget // 3 vectors of
 #: up to 16 entries per cell.
 LEMMAS_MAX_BUDGET = 1 << 20
+#: Largest ``lemmas --budget`` times ``--dim``: the real draws, one vector of up
+#: to --dim entries per trial, cost about 30 ns per entry of the product, so
+#: at the cap they take about half a second.
+LEMMAS_MAX_ENTRIES = 1 << 24
 
 
 class _UsageError(Exception):
@@ -256,6 +260,11 @@ def _run_lemmas(args):
             raise ValueError(f"{name} {value} must be at least 1")
         if value > cap:
             raise ValueError(f"{name} {value} exceeds the cap of {cap}")
+    if args.budget * args.dim > LEMMAS_MAX_ENTRIES:
+        raise ValueError(
+            f"--budget {args.budget} times --dim {args.dim} exceeds the cap of "
+            f"{LEMMAS_MAX_ENTRIES} entries; lower one of them"
+        )
     rng = np.random.default_rng(args.seed)
     n_exh = _n_exh()
 

@@ -40,6 +40,8 @@ from .unconditionality import (
     KG_UPPER,
     Family,
     _BLOCK_BYTES,
+    _EPS,
+    _TINY,
     _coordinate_ascent,
     _exhaustive_best,
     _require_exhaustible,
@@ -48,9 +50,6 @@ from .unconditionality import (
 )
 
 logger = logging.getLogger(__name__)
-
-_EPS = float(np.finfo(np.float64).eps)
-_TINY = float(np.finfo(np.float64).smallest_subnormal)
 
 #: Sharp constant for the complex subset-sum inequality, to 1e-12.
 SHARP_COMPLEX_BOUND = 3.141592653589793

@@ -8,6 +8,15 @@ whose supremum over all finite families is the smallest constant making the
 action unconditional.  Every quotient computed here is therefore a certified
 lower bound for that constant.
 
+An exact maximum takes one of four routes, picked per call from n, d, q and
+the number of positions (2^n subsets, or 2^(n-1) sign patterns): tiny
+enumerations recompute every position from scratch; narrow ones (n >= 2d,
+at least 2^15 positions) run a branch and bound and fall back to the walk
+when its frontier outgrows a fixed byte budget; q = 2 with d >= 2n and at
+least 2^12 positions walks an n x n Gram factor; everything else walks the
+rows.  All four report the same (value, mask), bit for bit: the scratch norm
+of the first position in Gray order attaining the largest scratch norm.
+
 Exhaustive enumerations walk the reflected-Gray-code order over subsets (or
 sign patterns) in blocks of 2^k positions.  Inside a block the high bits are
 fixed and the low k bits run through the Gray order, forwards or mirrored,
@@ -25,8 +34,12 @@ a QR factorization of X^T instead of the d wide rows: WW^T equals XX^T up
 to an a posteriori bound eta, every squared key is within eta of the true
 one, and the candidate floor drops by 2 eta.  Candidates are still
 recomputed from the rows of X, so results are the same bit for bit.  The
-enumeration is serial; the ``threads`` argument of ``subset_max_norm`` and
-``sign_max_norm`` is accepted and changes nothing.
+branch and bound fixes one row per level, largest norm first, and prunes a
+partial sum when the box holding all its completions provably cannot reach
+the incumbent, a zonotope vertex, less a proven rounding margin; the
+leaves left are recomputed from scratch in Gray order exactly as the walk's
+candidates are.  The enumeration is serial; the ``threads`` argument of
+``subset_max_norm`` and ``sign_max_norm`` is accepted and changes nothing.
 
 Every quotient, public or inside a search, is evaluated by one routine
 (``_quotient_parts``), so a search compares the very float
@@ -90,6 +103,20 @@ _POWER_MAX_Q = 64.0
 #: below either, setting up the factor (about 0.1 ms) costs more than it saves.
 _GRAM_MIN_RATIO = 2
 _GRAM_MIN_POSITIONS = 1 << 12
+#: Enumerations with n >= _BNB_MIN_RATIO * d and at least _BNB_MIN_POSITIONS
+#: positions run a branch and bound before the walk.  Below 2^15 positions
+#: its setup (about 0.7 ms) costs more than the walk; it still wins up to
+#: d = 0.7 n on normal and lattice families, and at d >= n it can lose
+#: (q = 1 signs).  Masks are int64, so the route stops at n = _BNB_MAX_N.
+_BNB_MIN_RATIO = 2
+_BNB_MIN_POSITIONS = 1 << 15
+_BNB_MAX_N = 62
+#: Cap on the bytes one branch-and-bound level allocates; past it the walk runs.
+_FRONTIER_BYTES = 4 * _BLOCK_BYTES
+#: Ascent steps from each zonotope-vertex seed of the branch-and-bound incumbent.
+_SEED_STEPS = 3
+_EPS = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).smallest_subnormal)
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,7 +293,7 @@ def _ranking(q: Exponent, n: int, d: int):
     plus a high-row sum, each a dot product of at most n terms (about 3n for
     signs), and its key adds the rounding of a d-term sum.
     """
-    drift = 2.0 * (2 * n + d + 2) * np.finfo(np.float64).eps * d ** q.reciprocal
+    drift = 2.0 * (2 * n + d + 2) * _EPS * d ** q.reciprocal
     if q.is_infinite:
 
         def key(buf, out):
@@ -332,11 +359,154 @@ def _gram_factor(Xs: np.ndarray) -> tuple[np.ndarray, float]:
     n, d = Xs.shape
     W = np.linalg.qr(Xs.T, mode="r").T
     gap = np.abs(W @ W.T - Xs @ Xs.T)
-    eps = float(np.finfo(np.float64).eps)
     sides = float(np.square(np.abs(Xs).sum(axis=0)).sum() + np.square(np.abs(W).sum(axis=0)).sum())
-    eta = (1.0 + 2.0 * eps) * math.fsum(gap.ravel()) + (d + n + 4) * eps * sides
-    eta += 2.0 * n * n * (d + n) * float(np.finfo(np.float64).smallest_subnormal)
+    eta = (1.0 + 2.0 * _EPS) * math.fsum(gap.ravel()) + (d + n + 4) * _EPS * sides
+    eta += 2.0 * n * n * (d + n) * _TINY
     return W, eta
+
+
+def _vertex_seeds(Xs: np.ndarray, q: Exponent, signs: bool, key) -> float:
+    """The largest key over a few zonotope vertices of the rows of Xs.
+
+    The vertex for a direction h is the subset {k : <h, x_k> >= 0} (for
+    signs, +1 there and -1 elsewhere): its sum maximizes <h, s> over every
+    subset (or signed) sum s.  From each of h = +-e_j, every step moves h to
+    a subgradient of the lq norm at the sum just found, which by convexity
+    never lowers the norm.  Each key is that of a float evaluation of an
+    actual subset (or signed) sum, as ``_bnb_candidates`` requires of its
+    incumbent.
+    """
+    d = Xs.shape[1]
+    H = np.concatenate([np.eye(d), -np.eye(d)])
+    best = 0.0
+    for _ in range(_SEED_STEPS):
+        P = H @ Xs.T
+        S = (np.where(P >= 0.0, 1.0, -1.0) if signs else (P >= 0.0).astype(np.float64)) @ Xs
+        best = max(best, float(key(S.T.copy(), np.empty(len(S))).max()))
+        # at q = 1 a zero coordinate takes +1, so the climb can leave it
+        sign = np.where(S < 0.0, -1.0, 1.0)
+        A = np.abs(S)
+        top = A.max(axis=1, keepdims=True)
+        if q.is_infinite:
+            H = sign * (A == top)
+        else:
+            H = sign * (A / np.where(top > 0.0, top, 1.0)) ** (q.value - 1.0)
+    return best
+
+
+def _bnb_candidates(Xs: np.ndarray, shift: int, q: Exponent, signs: bool, key):
+    """Sorted Gray ranks of every position that may attain the scratch maximum, or None; and the frontier peak.
+
+    Xs is X scaled by 2^-shift, and ``key`` is the key of ``_ranking``:
+    kappa(v) = ||v||_q^e up to rounding, with e = q for power sums and e = 1
+    otherwise.  Rows are branched on in order of decreasing norm, breadth
+    first, one level per row; for signs the root holds row n-1 with sign +1,
+    as in the walk's half.  A node fixes the rows of the levels so far
+    and holds their sum s.  Every completion of it lies coordinatewise in the
+    box [s + sum_rest min(x, 0), s + sum_rest max(x, 0)] (for signs,
+    s -+ sum_rest |x|), and every lq norm is monotone in the absolute values
+    of the coordinates, so ||V||_q bounds the norm of every completion, where
+    V = max(|lo|, |hi|) = |s + c| + w with c the box's centre offset and w
+    its half-width.  A node is pruned when the key of its computed V is below
+    a floor (``floor_of``); the nodes left after the last level are leaves,
+    and their masks go back to Gray ranks by the prefix XOR.  None means a
+    level would allocate more than _FRONTIER_BYTES, which ties can cause.
+
+    Why the first position in Gray order attaining the scratch maximum, F*,
+    is never pruned.  Let A_j = sum_k |x_kj| over the scaled rows, u = eps/2,
+    and rho = (d + 8) eps.
+    (1) Every float sum of the rows of a subset or sign pattern F, in any
+        order (BLAS included), differs from the exact sum S_F by at most
+        gamma_{n-1} A_j in coordinate j, gamma_m = m u / (1 - m u).  The
+        computed V differs from the exact one by at most gamma_{n+3} A_j:
+        the prefix sum and the suffix sums behind c and w each carry
+        gamma_{n-1} times their own share of A_j, and the halving is exact
+        while the last additions round four more times.  With
+        gamma = (n + 4) eps > 2 gamma_{n+3}, let E_j = gamma A_j + t, where
+        t = 4 n ulp(0) max(1, 2^-shift) covers gradual underflow in the
+        scaled rows, the sums, and the scratch sums of the unscaled rows.
+    (2) The scratch norm f(F) that ``_first_best`` ranks is, scaled by
+        2^-shift, within a factor 1 +- rho of the lq norm of the scratch sum,
+        a float sum as in (1).  A d-term key of a vector v is within a factor
+        1 +- rho of ||v||_q^e, give or take d ulp(0) from underflowing powers.
+    (3) Let G be the incumbent and g a float sum of its rows whose key is
+        kappa_g, and write kappa' = kappa_g - d ulp(0).  Since
+        f(F*) >= f(G), (1) and (2) give
+        ||S_F*|| >= ||g|| - 2 rho ||g|| - 3 ||E||, and the computed V of an
+        ancestor of F* has ||V|| >= ||S_F*|| - ||E||, so
+        ||V|| >= kappa'^(1/e) (1 - 4 rho) - 4 ||E||, with
+        ||E||_q <= gamma ||A||_q + d t; its key is at least (1 - rho) times
+        the e-th power of that, less d ulp(0).
+    The floor is that bound, lowered for the rounding of the scalar steps
+    that compute it: 2 rho more in the first factor and in the last, and a
+    factor 1 + 2 rho on the margin.  The first covers the root's own
+    rounding and that of the exponent 1/e, which moves the root by at most
+    u |ln ||g|||, under 3 eps, since the seeds give ||g|| >= max_j A_j / 2
+    >= 2^-(bit_length(n) + 2).  So every ancestor of F*, and F* itself,
+    keeps a key at or above the floor.  The incumbent starts at the best of
+    ``_vertex_seeds``, and the last level's best leaf can raise it.  The
+    margin is about 8 (n + d) eps ||A||_q, below the walk's slack, since
+    ||A||_q is at most 2 d^(1/q) times the largest subset norm (d^(1/q) for
+    signs).
+    """
+    n, d = Xs.shape
+    order = np.argsort(-row_norms(Xs, q), kind="stable")
+    if signs:
+        order = np.concatenate(([n - 1], order[order != n - 1]))
+    R = Xs[order]
+    # the box of the rows after level t is row t of (centre, half); the last is empty
+    rest = np.zeros((2, n + 1, d))
+    if signs:
+        rest[1, :n] = np.cumsum(np.abs(R[::-1]), axis=0)[::-1]
+    else:
+        hi = np.cumsum(np.maximum(R[::-1], 0.0), axis=0)[::-1]
+        lo = np.cumsum(np.minimum(R[::-1], 0.0), axis=0)[::-1]
+        rest[0, :n], rest[1, :n] = (hi + lo) * 0.5, (hi - lo) * 0.5
+    centre, half = rest[0, 1:, :, None], rest[1, 1:, :, None]
+
+    rho = (d + 8) * _EPS
+    e = q.value if not q.is_infinite and q.value <= _POWER_MAX_Q else 1.0
+    tiny = 4 * n * math.ldexp(_TINY, max(0, -shift))
+    norm_a = float(row_norms(np.abs(Xs).sum(axis=0)[None], q)[0])
+    margin = 4.0 * (1.0 + 2.0 * rho) * ((n + 4) * _EPS * norm_a + d * tiny)
+
+    def floor_of(best_key):
+        low = max(best_key - d * _TINY, 0.0) ** (1.0 / e) * (1.0 - 6.0 * rho) - margin
+        return max(low, 0.0) ** e * (1.0 - 2.0 * rho) - d * _TINY
+
+    best_key = _vertex_seeds(Xs, q, signs, key)
+    floor = floor_of(best_key)
+    # for signs the root already holds row n-1, first in order, with sign +1
+    sums = R[:1].T.copy() if signs else np.zeros((d, 1))
+    masks = np.zeros(1, dtype=np.int64)
+    peak = 1
+    for t in range(int(signs), n):
+        m = masks.size
+        if 16 * m * (2 * d + 2) > _FRONTIER_BYTES:
+            return None, peak
+        row = R[t][:, None]
+        kids = np.empty((d, 2 * m))
+        if signs:
+            np.add(sums, row, out=kids[:, :m])
+            np.subtract(sums, row, out=kids[:, m:])
+        else:
+            kids[:, :m] = sums
+            np.add(sums, row, out=kids[:, m:])
+        kid_masks = np.concatenate([masks, masks | np.int64(1) << order[t]])
+        bound = kids + centre[t]
+        np.abs(bound, out=bound)
+        bound += half[t]
+        keys = key(bound, np.empty(kids.shape[1]))
+        if t == n - 1:
+            best_key = max(best_key, float(keys.max()))
+            floor = floor_of(best_key)
+        keep = keys >= floor
+        sums, masks = kids[:, keep], kid_masks[keep]
+        peak = max(peak, masks.size)
+    for step in (1, 2, 4, 8, 16, 32):
+        masks ^= masks >> step
+    masks.sort()
+    return masks, peak
 
 
 def _exhaustive_best(X: np.ndarray, q: Exponent, signs: bool):
@@ -362,6 +532,14 @@ def _exhaustive_best(X: np.ndarray, q: Exponent, signs: bool):
     rounding, for f* the largest squared norm, and the relative slack covers
     the rounding exactly as without W.  The slack is the one for the d wide
     rows, which bounds the rounding of the walk on W as well.
+
+    With n >= _BNB_MIN_RATIO * d and at least _BNB_MIN_POSITIONS positions,
+    ``_bnb_candidates`` runs first: its leaves include the first position
+    attaining the scratch maximum, so ranking them with ``_first_best`` in
+    Gray order gives the walk's (value, mask).  If its frontier outgrows
+    _FRONTIER_BYTES, the walk runs instead.  Each call logs its route at
+    debug level, with the positions, the frontier peak and the number of
+    candidates recomputed.
     """
     n, d = X.shape
     absmax = float(np.abs(X).max()) if X.size else 0.0
@@ -371,12 +549,22 @@ def _exhaustive_best(X: np.ndarray, q: Exponent, signs: bool):
     # scratch sums are evaluated in chunks of about _BLOCK_BYTES of terms
     chunk = max(1, _BLOCK_BYTES // (8 * n * d))
     if total * n * d <= _SCRATCH_ALL_TERMS:
+        _log_route("scratch", total, 0, total)
         return _first_best(X, q, signs, [np.arange(total)], chunk, (-1.0, 0))
     # every subset sum of the scaled rows stays below 1 in absolute value
-    Xs = np.ldexp(X, -(math.frexp(absmax)[1] + n.bit_length()))
+    shift = math.frexp(absmax)[1] + n.bit_length()
+    Xs = np.ldexp(X, -shift)
     key, slack = _ranking(q, n, d)
+    route, peak = "walk", 0
+    if _BNB_MIN_RATIO * d <= n <= _BNB_MAX_N and total >= _BNB_MIN_POSITIONS:
+        ranks, peak = _bnb_candidates(Xs, shift, q, signs, key)
+        if ranks is not None:
+            _log_route("branch and bound", total, peak, ranks.size)
+            return _first_best(X, q, signs, [ranks], chunk, (-1.0, 0))
+        route = "branch-and-bound fallback"
     walked, eta = Xs, 0.0
     if q.value == 2.0 and d >= _GRAM_MIN_RATIO * n and total >= _GRAM_MIN_POSITIONS:
+        route = "Gram walk"
         W, eta = _gram_factor(Xs)
         # rescaled like Xs, so every subset sum of the walked rows stays below 1
         shift = math.frexp(float(np.abs(W).max()))[1] + n.bit_length()
@@ -394,7 +582,7 @@ def _exhaustive_best(X: np.ndarray, q: Exponent, signs: bool):
     best_key = floor = -1.0
     best = (-1.0, 0)
     pending: list[np.ndarray] = []
-    pending_rows = 0
+    pending_rows = recomputed = 0
     for lo in range(0, total, rows):
         on = (lo ^ (lo >> 1)) >> high_bits & 1
         np.dot(1.0 - 2.0 * on if signs else on.astype(np.float64), high_rows, out=base)
@@ -409,12 +597,24 @@ def _exhaustive_best(X: np.ndarray, q: Exponent, signs: bool):
         hits += lo
         pending.append(hits)
         pending_rows += hits.size
+        recomputed += hits.size
         if pending_rows >= chunk:
             best = _first_best(X, q, signs, pending, chunk, best)
             pending, pending_rows = [], 0
     if pending:
         best = _first_best(X, q, signs, pending, chunk, best)
+    _log_route(route, total, peak, recomputed)
     return best
+
+
+def _log_route(route: str, positions: int, peak: int, recomputed: int) -> None:
+    logger.debug(
+        "exact route %s: %d positions, frontier peak %d, %d candidates recomputed",
+        route,
+        positions,
+        peak,
+        recomputed,
+    )
 
 
 def check_threads(threads: int) -> None:
@@ -490,11 +690,16 @@ def subset_max_norm(
 ) -> SubsetMaxResult:
     """max over subsets F of ||sum_{k in F} x_k||_q.
 
-    Exhaustive mode is exact and certified (Gray-code walk over all 2^n
-    subsets, n <= n_exh; the value is the norm of the reported subset's sum
-    recomputed from scratch).  Randomized mode
-    runs ``budget`` seeded restarts with single-flip hill climbing and returns
-    an uncertified lower bound.
+    Exhaustive mode is exact and certified for n <= n_exh: the value is the
+    norm of the reported subset's sum recomputed from scratch, and the subset
+    is the first attaining it in Gray-code order.  The route is picked from
+    the shape (see the module docstring): every subset from scratch when
+    2^n n d <= 2048; a branch and bound when n >= 2d and 2^n >= 2^15, with
+    the walk as fallback; for q = 2 with d >= 2n and 2^n >= 2^12, a walk on
+    an n x n Gram factor; otherwise a Gray-code walk over all 2^n subsets.
+    Every route gives the same result.  Randomized mode runs ``budget``
+    seeded restarts with single-flip hill climbing and returns an
+    uncertified lower bound.
     """
     check_threads(threads)
     fam = Family.of(fam)
@@ -520,9 +725,12 @@ def sign_max_norm(
 ) -> SubsetMaxResult:
     """max over sign patterns s in {-1,1}^n of ||sum_k s_k x_k||_q.
 
-    Exact Gray-code enumeration of the 2^(n-1) patterns with s_{n-1} = +1,
-    since s and -s have the same norm; the argmax bitmask has bit = 1 where
-    the sign is -1, so its bit n-1 is always clear.
+    Exact over the 2^(n-1) patterns with s_{n-1} = +1, since s and -s have
+    the same norm; the argmax bitmask has bit = 1 where the sign is -1, so
+    its bit n-1 is always clear.  The route is picked as for
+    ``subset_max_norm`` with 2^(n-1) positions: from scratch, branch and
+    bound (n >= 2d, 2^(n-1) >= 2^15), the Gram walk (q = 2, d >= 2n,
+    2^(n-1) >= 2^12), or the Gray-code walk; all give the same result.
     """
     check_threads(threads)
     fam = Family.of(fam)

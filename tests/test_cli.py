@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from uncond.cli import LEMMAS_MAX_BUDGET, LEMMAS_MAX_DIM, main
@@ -52,7 +53,7 @@ WITNESS_TAIL_STDOUT = {
 }
 
 #: Exit code and sha256 of stdout for each argv, pinned; ``quotient`` reads
-#: GOLDEN_FAMILY on stdin.
+#: GOLDEN_FAMILY on stdin, or its entry in GOLDEN_STDIN.
 GOLDEN = {
     ("lemmas", "--budget", "1000", "--dim", "12", "--seed", "0"): (
         0, "64a75477bdd218fb207ded40cb3e7cae603e9b8eee8e9e012a69d713008f2c29"
@@ -96,8 +97,16 @@ GOLDEN = {
     ("search", "--p", "3", "--q", "3", "--r", "3", "--n", "3", "--dim", "4", "--budget", "20", "--seed", "0"): (
         0, "0026fd7dd20fbfc379a5ad2adc813248f093b2ddb7a177b35dbdedc3e6b8a68e"
     ),
+    # reads NARROW_FAMILY, whose exact subset max runs the branch and bound
+    ("quotient", "--p", "3", "--q", "3", "--r", "1.5", "--avec", "-"): (
+        0, "cbefc814bcb43f9ecc288d15191e3ecefacc14ed712ae01ae014194eb00f5b43"
+    ),
 }
 GOLDEN_FAMILY = [[1.0, 2.0, -0.5], [0.25, -1.0, 3.0], [2.0, 0.5, 1.0], [-1.5, 1.0, 0.75]]
+#: 18 vectors of length 4 (n >= 2d, 2^18 subsets).
+NARROW_FAMILY = np.random.default_rng(18).standard_normal((18, 4)).round(6).tolist()
+#: stdin of the GOLDEN argv that do not read GOLDEN_FAMILY.
+GOLDEN_STDIN = {("quotient", "--p", "3", "--q", "3", "--r", "1.5", "--avec", "-"): NARROW_FAMILY}
 
 
 def run_cli(*args, env_extra=None, stdin_data=None):
@@ -203,8 +212,13 @@ class TestSizeCaps:
          "--budget 1048577 exceeds the cap of 1048576"),
         (["lemmas", "--budget", "-2", "--seed", "0"], "--budget -2 must be at least 1"),
         (["lemmas", "--budget", "0", "--dim", "0", "--seed", "0"], "--budget 0 must be at least 1"),
+        (["lemmas", "--budget", str(LEMMAS_MAX_BUDGET), "--dim", str(LEMMAS_MAX_DIM), "--seed", "0"],
+         "--budget 1048576 times --dim 1048576 exceeds the cap of 16777216 entries; lower one of them"),
+        (["lemmas", "--budget", "17", "--dim", str(LEMMAS_MAX_DIM), "--seed", "0"],
+         "--budget 17 times --dim 1048576 exceeds the cap of 16777216 entries; lower one of them"),
     ], ids=["grid", "stalled-grid", "search", "grothendieck", "nan-step", "inf-step", "lemmas",
-            "lemmas-dim-0", "lemmas-budget", "lemmas-negative-budget", "lemmas-budget-first"])
+            "lemmas-dim-0", "lemmas-budget", "lemmas-negative-budget", "lemmas-budget-first",
+            "lemmas-both-caps", "lemmas-entries"])
     def test_domain_error_before_anything_is_built(self, argv, detail, capsys):
         assert main(argv) == 3
         captured = capsys.readouterr()
@@ -448,7 +462,7 @@ class TestGolden:
     @pytest.mark.parametrize("argv", sorted(GOLDEN), ids=" ".join)
     def test_stdout_and_exit_code(self, argv, monkeypatch, capsys):
         monkeypatch.delenv("UNCOND_NEXH", raising=False)
-        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(GOLDEN_FAMILY)))
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(GOLDEN_STDIN.get(argv, GOLDEN_FAMILY))))
         code = main(list(argv))
         out = capsys.readouterr().out
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN[argv]

@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -135,7 +136,7 @@ class TestSubsetMaxNorm:
 
     def test_threads_bit_identical(self):
         rng = np.random.default_rng(3)
-        X = rng.standard_normal((17, 3))  # spans four fixed-size blocks
+        X = rng.standard_normal((17, 3))  # a narrow family: the branch and bound runs
         one = subset_max_norm(Family(X), 2.5, threads=1)
         four = subset_max_norm(Family(X), 2.5, threads=4)
         assert one.value == four.value
@@ -432,6 +433,151 @@ class TestGramRoute:
             before = len(calls)
             U._exhaustive_best(rng.standard_normal((n, d)), U.Exponent.of(q), signs)
             assert (len(calls) > before) == taken
+
+
+class TestBranchAndBound:
+    """Narrow families (n >= 2d): the same (value, mask) as the walk, from the surviving leaves."""
+
+    @staticmethod
+    def _counting(mp):
+        # records each run's shape and whether it finished, so each test knows the route ran
+        runs = []
+        candidates = U._bnb_candidates
+
+        def counting(Xs, *args):
+            ranks, peak = candidates(Xs, *args)
+            runs.append((Xs.shape, ranks is not None))
+            return ranks, peak
+
+        mp.setattr(U, "_bnb_candidates", counting)
+        return runs
+
+    @pytest.mark.parametrize("q", [1, 1.5, 2, 3, "inf"])
+    @settings(max_examples=4, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(17, 19),
+        span=st.integers(1, 4),
+        zero_rows=st.integers(0, 2),
+        duplicate=st.booleans(),
+        negated=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_sequential_scratch_on_integer_families(self, q, n, span, zero_rows, duplicate, negated, seed):
+        # zero, duplicated and negated rows make exact ties, which the first-in-Gray-order rule decides
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(1, n // 2 + 1))
+        X = rng.integers(-span, span + 1, size=(n, d)).astype(float)
+        X[:zero_rows] = 0.0
+        if duplicate:
+            X[n - 1] = X[n - 2]
+        if negated:
+            X[n - 3] = -X[n - 4]
+        with pytest.MonkeyPatch.context() as mp:
+            runs = self._counting(mp)
+            for signs, fn in ((False, subset_max_norm), (True, sign_max_norm)):
+                got = fn(Family(X), q)
+                assert (got.value, got.argmax_subset) == sequential_scratch_max(X, q, signs)
+        assert runs == [((n, d), True), ((n, d), True)]
+
+    def test_decimal_lattice_near_ties(self, monkeypatch):
+        # multiples of 0.1: equal exact sums whose float sums differ in the last
+        # bits with the order of addition, which differs between the levels and
+        # the scratch recompute, so a floor with no allowance for rounding
+        # would prune the first maximum
+        runs = self._counting(monkeypatch)
+        rng = np.random.default_rng(97)
+        for trial in range(10):
+            n = int(rng.integers(16, 18))
+            X = rng.integers(-3, 4, size=(n, int(rng.integers(1, 5)))) * 0.1
+            q = (1, 2, 3, "inf", 1.5)[trial % 5]
+            for signs, fn in ((False, subset_max_norm), (True, sign_max_norm)):
+                got = fn(Family(X), q)
+                assert (got.value, got.argmax_subset) == sequential_scratch_max(X, q, signs)
+        assert len(runs) == 20 and all(done for _, done in runs)
+
+    @pytest.mark.parametrize("scale", [-900, 900])
+    def test_matches_sequential_scratch_at_extreme_scales(self, scale, monkeypatch):
+        runs = self._counting(monkeypatch)
+        rng = np.random.default_rng(79)
+        for n, d, q in ((16, 8, 1.5), (17, 3, 3), (16, 5, "inf"), (17, 8, 100)):
+            X = np.ldexp(rng.standard_normal((n, d)), scale)
+            for signs, fn in ((False, subset_max_norm), (True, sign_max_norm)):
+                got = fn(Family(X), q)
+                assert (got.value, got.argmax_subset) == sequential_scratch_max(X, q, signs)
+        assert len(runs) == 8 and all(done for _, done in runs)
+
+    def test_tie_heavy_family_falls_back_to_the_walk(self, monkeypatch):
+        # three unit rows and fifteen zero rows: each best pattern ties with 2^15
+        # others, so the sign frontier outgrows _FRONTIER_BYTES
+        runs = self._counting(monkeypatch)
+        X = np.zeros((18, 3))
+        X[:3] = np.eye(3)
+        for signs, fn in ((False, subset_max_norm), (True, sign_max_norm)):
+            got = fn(Family(X), 2)
+            assert (got.value, got.argmax_subset) == sequential_scratch_max(X, 2, signs)
+        assert runs == [((18, 3), True), ((18, 3), False)]
+
+    def test_walk_on_narrow_families_with_the_route_off(self, monkeypatch):
+        # the fallback's walk, across several 2^15-position blocks, keeps its own check
+        monkeypatch.setattr(U, "_BNB_MIN_POSITIONS", 1 << 62)
+        runs = self._counting(monkeypatch)
+        rng = np.random.default_rng(101)
+        for q in (1, 2.5, "inf"):
+            X = rng.standard_normal((17, 3))
+            for signs, fn in ((False, subset_max_norm), (True, sign_max_norm)):
+                got = fn(Family(X), q)
+                assert (got.value, got.argmax_subset) == sequential_scratch_max(X, q, signs)
+        assert runs == []
+
+    def test_route_rule(self, monkeypatch):
+        # n >= 2d and at least 2^15 positions (signs walk half); never on the Gram route's shapes
+        runs = self._counting(monkeypatch)
+        grams = TestGramRoute._counting(monkeypatch)
+        rng = np.random.default_rng(73)
+        for n, d, q, signs, taken in (
+            (15, 7, 2, False, True),
+            (15, 8, 2, False, False),
+            (14, 7, 2, False, False),
+            (16, 8, 3, True, True),
+            (15, 7, 1, True, False),
+            (16, 8, "inf", False, True),
+            (12, 24, 2, False, False),
+            (13, 26, 2, True, False),
+        ):
+            before = len(runs)
+            U._exhaustive_best(rng.standard_normal((n, d)), U.Exponent.of(q), signs)
+            assert (len(runs) > before) == taken
+        assert grams == [(12, 24), (13, 26)]
+
+
+class TestRouteLog:
+    LINE = re.compile(r"exact route (.+): (\d+) positions, frontier peak (\d+), (\d+) candidates recomputed")
+
+    def test_debug_line_names_each_route(self, caplog):
+        rng = np.random.default_rng(83)
+        ties = np.zeros((18, 3))
+        ties[:3] = np.eye(3)
+        cases = (
+            (rng.standard_normal((4, 2)), False, "scratch", 16),
+            (rng.standard_normal((12, 8)), False, "walk", 4096),
+            (rng.standard_normal((12, 24)), False, "Gram walk", 4096),
+            (rng.standard_normal((16, 4)), True, "branch and bound", 32768),
+            (ties, True, "branch-and-bound fallback", 131072),
+        )
+        for X, signs, route, positions in cases:
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger=U.logger.name):
+                U._exhaustive_best(X, U.Exponent.of(2), signs)
+            [record] = caplog.records
+            name, seen, peak, recomputed = self.LINE.fullmatch(record.getMessage()).groups()
+            assert (name, int(seen)) == (route, positions)
+            assert (int(peak) > 0) == route.startswith("branch")
+            assert 1 <= int(recomputed) <= positions
+
+    def test_off_by_default(self, caplog):
+        U._exhaustive_best(np.random.default_rng(89).standard_normal((16, 4)), U.Exponent.of(2), False)
+        assert not U.logger.isEnabledFor(logging.DEBUG)
+        assert caplog.records == []
 
 
 class TestQuotient:
