@@ -44,9 +44,10 @@ EXIT_INTERNAL = 4
 MAX_N_EXH = 30
 #: Largest ``lemmas --dim``: each real draw is one vector of up to this many entries.
 LEMMAS_MAX_DIM = 1 << 20
-#: Largest ``lemmas --budget``: the sandwich sweep draws budget // 3 vectors of
-#: up to 16 entries per cell.
-LEMMAS_MAX_BUDGET = 1 << 20
+#: Largest ``lemmas --budget``: each unit is one Python-level real draw, and
+#: every tenth a complex trial of up to 14 entries enumerated exhaustively, so
+#: the cap keeps a run near a second (``--budget 65536 --dim 16``: 1.3 s).
+LEMMAS_MAX_BUDGET = 1 << 16
 #: Largest ``lemmas --budget`` times ``--dim``: the real draws, one vector of up
 #: to --dim entries per trial, cost about 30 ns per entry of the product, so
 #: at the cap they take about half a second.

@@ -19,9 +19,10 @@ Covered here:
   a +-1 or normal draw and a climb by single-entry sign flips; a flip leaves
   the numerator unchanged, so only the sign max is recomputed.  Flips are
   screened on the dual table P = S X^T: one pass bounds the sign max after
-  every single-entry flip from below, and a flip that provably neither
-  lowers the sign max below the one held nor lifts the ratio above the
-  envelope is skipped, since it would be scored, reverted and not logged.
+  every single-entry flip from below, at the enumeration's rounding slack,
+  and a flip that provably neither lowers the sign max below the one held
+  nor lifts the ratio above the envelope is skipped, since it would be
+  scored, reverted and not logged.
 """
 
 from __future__ import annotations
@@ -40,12 +41,11 @@ from .unconditionality import (
     KG_UPPER,
     Family,
     _BLOCK_BYTES,
-    _EPS,
-    _TINY,
     _coordinate_ascent,
     _exhaustive_best,
     _require_exhaustible,
     _seeded_restarts,
+    _slack,
     sign_max_norm,
 )
 
@@ -201,22 +201,6 @@ def grothendieck_ratio(
     return RatioReport(ratio, kg_upper, kg_upper - ratio, fam, True)
 
 
-def _flip_slack(X: np.ndarray) -> float:
-    """An absolute bound, twice over, on the rounding the flip screen must absorb.
-
-    With A = sum |x_kj| and u the unit roundoff, the scratch norm of any sign
-    pattern (a sum of n rows, then of d coordinates) is within (n + d) u A of
-    its exact l1 norm, so the float sign max ``_exhaustive_best`` reports is
-    at least the exact one less that.  A float bound of ``_flip_floors``
-    (a d-term product per entry of P, an n-term sum, and three more
-    roundings) is within (n + d + 3) u A of its exact value.  The sum of the
-    two is at most (n + d + 2) eps A; the slack is four times that.  The
-    subnormal term covers gradual underflow.
-    """
-    n, d = X.shape
-    return 4.0 * (n + d + 2) * (_EPS * float(np.abs(X).sum()) + _TINY)
-
-
 @functools.lru_cache(maxsize=None)
 def _half_signs(d: int) -> np.ndarray:
     """The 2^(d-1) sign vectors of length d with s_{d-1} = +1, one per row (read-only).
@@ -235,16 +219,18 @@ def _flip_floors(X: np.ndarray) -> np.ndarray:
     With P = S X^T the dual table over the sign vectors s with s_{d-1} = +1,
     negating X[i, j] moves P[s, i] by -2 s_j X[i, j], so the dual score
     h(s) = sum_k |P[s, k]| becomes h(s) - |P[s, i]| + |P[s, i] - 2 s_j X[i, j]|.
-    The sign max after the flip is at least the best such score, and the
-    float sign max ``_exhaustive_best`` reports is at least that score less
-    ``_flip_slack``.  Entry (i, j) is that bound.
+    The best such score is the exact sign max after the flip, since
+    max_s <s, v> = ||v||_1.  The float sign max ``_exhaustive_best`` reports
+    is at least the float score times 1 - ``_slack`` at q = 1, whose proof
+    covers both (a flip leaves every |x_kj| as it was).  Entry (i, j) is that
+    bound.
     """
     S = _half_signs(X.shape[1])
     P = S @ X.T
     absP = np.abs(P)
     moved = np.abs(P[:, :, None] - 2.0 * S[:, None, :] * X)
     moved += (absP.sum(axis=1)[:, None] - absP)[:, :, None]
-    return moved.max(axis=0) - _flip_slack(X)
+    return moved.max(axis=0) * (1.0 - _slack(Exponent(1.0), *X.shape))
 
 
 def grothendieck_search(

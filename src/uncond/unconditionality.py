@@ -14,31 +14,14 @@ enumerations recompute every position from scratch; narrow ones (n >= 2d,
 at least 2^15 positions) run a branch and bound and fall back to the walk
 when its frontier outgrows a fixed byte budget; q = 2 with d >= 2n and at
 least 2^12 positions walks an n x n Gram factor; everything else walks the
-rows.  All four report the same (value, mask), bit for bit: the scratch norm
-of the first position in Gray order attaining the largest scratch norm.
-
-Exhaustive enumerations walk the reflected-Gray-code order over subsets (or
-sign patterns) in blocks of 2^k positions.  Inside a block the high bits are
-fixed and the low k bits run through the Gray order, forwards or mirrored,
-so a block is one from-scratch sum of the high rows plus a table of low sums
-built once per call.  Blocks hold about 1 MiB of sums, a size set by the
-ambient length alone, so memory stays bounded for every n.  Positions are
-ranked by power sums, and every position within the rounding slack of the
-best is recomputed from scratch: the reported value is the norm of the
-reported subset's sum, added in index order, and ties resolve to the first
-subset attaining it in Gray order.  Sign patterns walk only the half with
-the last sign +1, since s and -s have the same norm.  For q = 2 a subset
-sum's norm depends on the Gram matrix XX^T alone, so when d >= 2n and there
-are at least 2^12 positions the walk ranks the n x n triangular factor W of
-a QR factorization of X^T instead of the d wide rows: WW^T equals XX^T up
-to an a posteriori bound eta, every squared key is within eta of the true
-one, and the candidate floor drops by 2 eta.  Candidates are still
-recomputed from the rows of X, so results are the same bit for bit.  The
-branch and bound fixes one row per level, largest norm first, and prunes a
-partial sum when the box holding all its completions provably cannot reach
-the incumbent, a zonotope vertex, less a proven rounding margin; the
-leaves left are recomputed from scratch in Gray order exactly as the walk's
-candidates are.  The enumeration is serial; the ``threads`` argument of
+rows in reflected-Gray-code order, in blocks of about 1 MiB of sums
+(``_exhaustive_best``).  The walks and the branch and bound rank positions
+by keys and recompute from scratch every position whose key may be the
+largest.  One relative slack (``_slack``) is their only rounding rule; the
+Gram walk also lowers its floor by a proven factorization bound.  All four
+report the same (value, mask), bit for bit: the norm of the first position
+in Gray order attaining the largest scratch norm, its sum added in index
+order.  The enumeration is serial; the ``threads`` argument of
 ``subset_max_norm`` and ``sign_max_norm`` is accepted and changes nothing.
 
 Every quotient, public or inside a search, is evaluated by one routine
@@ -281,29 +264,61 @@ def _low_walk(Xs: np.ndarray, k: int, signs: bool) -> np.ndarray:
     return low
 
 
-def _ranking(q: Exponent, n: int, d: int):
-    """A key monotone in the lq norm of each position (column) of a block, and its candidate slack.
+def _slack(q: Exponent, n: int, d: int) -> float:
+    """The relative rounding slack of every candidate floor, for n rows of length d.
 
-    Keys are power sums sum |s|^q (the max |s| for q = inf); the walked
-    family is kept below 1 by an exact power-of-two scaling, so no root is
-    taken and nothing overflows.  Above _POWER_MAX_Q the power sums could
-    underflow and positions are ranked by their norms.  The slack is a
-    relative bound, four times over, on how far rounding can move the key of
-    a position that ranks near the top: each walked sum is a low-table entry
-    plus a high-row sum, each a dot product of at most n terms (about 3n for
-    signs), and its key adds the rounding of a d-term sum.
+    The walk, the Gram walk and the branch and bound keep every position (or
+    partial sum) whose key is at least ``top * (1 - slack)``, for ``top`` the
+    largest key computed so far; ``lemma_lab``'s flip screen lowers its q = 1
+    dual-table bounds by the same factor.  Keys (``_ranking``) are
+    ||v||_q^e up to rounding, e = q for power sums and 1 otherwise.  With
+    A_j = sum_k |x_kj|, u = eps / 2 and gamma_m = m u / (1 - m u):
+
+    * Sum error.  Every float sum behind a key adds rows times +-1 or 2: a
+      walk sum, a box bound |s + c| + w with its prefix and suffix sums, a
+      seed or leaf sum, a dual-table bound, and the scratch sum
+      ``_first_best`` ranks.  Each has at most n + 4 terms (about 3n in the
+      sign walk, whose low sums are doubled), so in any order it is within
+      gamma_m A_j of its exact value in coordinate j, and each norm or key
+      adds the rounding of its own d-term sum.
+    * Relative form.  Each A_j is at most twice the largest |coordinate j|
+      of a subset sum (once for signs), so ||A||_q <= 2 d^(1/q) M for M the
+      largest subset (or sign) norm; the screen uses ||A||_1 <= d M.  Chain
+      the computed top key, the scratch norms of its position and of the
+      first position F attaining the scratch maximum, and the computed key of
+      F (or of the box of an ancestor of F, which the exact box bounds from
+      above): keys move by a factor of at most about
+      1 + e (4n + 4d + 24) eps d^(1/q).  The slack,
+      8 e (2n + d + 2) eps d^(1/q), is well above that, so F and each of its
+      branch-and-bound ancestors keeps a key at or above the floor.
+    * Underflow.  The walked family is scaled (``_below_one``) so that M is
+      at least 2^-(bit_length(n) + 2); keys near the top are then above
+      2^-600, and the few ulps of 0 lost in the subnormal range are far
+      below the slack.  The screen works on the unscaled family at q = 1,
+      where every operation is an addition, an absolute value or a product
+      by +-1 or 2, none of which rounds in the subnormal range.
     """
-    drift = 2.0 * (2 * n + d + 2) * _EPS * d ** q.reciprocal
+    e = 1.0 if q.is_infinite or q.value > _POWER_MAX_Q else q.value
+    return 4.0 * e * (2.0 * (2 * n + d + 2) * _EPS * d ** q.reciprocal)
+
+
+def _ranking(q: Exponent, d: int):
+    """A key monotone in the lq norm of each position (column) of a block of d rows.
+
+    Keys are power sums sum |s|^q (the max |s| for q = inf) of a family
+    scaled by ``_below_one``, so no root is taken and nothing overflows.
+    Above _POWER_MAX_Q power sums could underflow, and norms are the keys.
+    """
     if q.is_infinite:
 
         def key(buf, out):
             np.abs(buf, out=buf)
             return buf.max(axis=0, out=out)
 
-        return key, 4.0 * drift
+        return key
     p = q.value
     if p > _POWER_MAX_Q:
-        return (lambda buf, out: row_norms(buf.T, q)), 4.0 * drift
+        return lambda buf, out: row_norms(buf.T, q)
     ones = np.ones(d)
     if p == 2.0:
 
@@ -324,7 +339,17 @@ def _ranking(q: Exponent, n: int, d: int):
                 np.power(buf, p, out=buf)
             return np.dot(ones, buf, out=out)
 
-    return key, 4.0 * p * drift
+    return key
+
+
+def _below_one(M: np.ndarray) -> tuple[np.ndarray, int]:
+    """M times 2^-shift, and shift: every subset or signed sum of its rows is then below 1.
+
+    shift is the binary exponent of the largest |entry| plus bit_length(n),
+    so the largest scaled entry is at least 2^-(bit_length(n) + 1).
+    """
+    shift = math.frexp(float(np.abs(M).max()))[1] + M.shape[0].bit_length()
+    return np.ldexp(M, -shift), shift
 
 
 def _gram_factor(Xs: np.ndarray) -> tuple[np.ndarray, float]:
@@ -372,9 +397,8 @@ def _vertex_seeds(Xs: np.ndarray, q: Exponent, signs: bool, key) -> float:
     signs, +1 there and -1 elsewhere): its sum maximizes <h, s> over every
     subset (or signed) sum s.  From each of h = +-e_j, every step moves h to
     a subgradient of the lq norm at the sum just found, which by convexity
-    never lowers the norm.  Each key is that of a float evaluation of an
-    actual subset (or signed) sum, as ``_bnb_candidates`` requires of its
-    incumbent.
+    never lowers the norm.  Each key is that of a float sum of an actual
+    position, as ``_slack`` requires of the incumbent it prunes against.
     """
     d = Xs.shape[1]
     H = np.concatenate([np.eye(d), -np.eye(d)])
@@ -394,60 +418,24 @@ def _vertex_seeds(Xs: np.ndarray, q: Exponent, signs: bool, key) -> float:
     return best
 
 
-def _bnb_candidates(Xs: np.ndarray, shift: int, q: Exponent, signs: bool, key):
+def _bnb_candidates(Xs: np.ndarray, q: Exponent, signs: bool, key):
     """Sorted Gray ranks of every position that may attain the scratch maximum, or None; and the frontier peak.
 
-    Xs is X scaled by 2^-shift, and ``key`` is the key of ``_ranking``:
-    kappa(v) = ||v||_q^e up to rounding, with e = q for power sums and e = 1
-    otherwise.  Rows are branched on in order of decreasing norm, breadth
-    first, one level per row; for signs the root holds row n-1 with sign +1,
-    as in the walk's half.  A node fixes the rows of the levels so far
-    and holds their sum s.  Every completion of it lies coordinatewise in the
-    box [s + sum_rest min(x, 0), s + sum_rest max(x, 0)] (for signs,
-    s -+ sum_rest |x|), and every lq norm is monotone in the absolute values
-    of the coordinates, so ||V||_q bounds the norm of every completion, where
-    V = max(|lo|, |hi|) = |s + c| + w with c the box's centre offset and w
-    its half-width.  A node is pruned when the key of its computed V is below
-    a floor (``floor_of``); the nodes left after the last level are leaves,
-    and their masks go back to Gray ranks by the prefix XOR.  None means a
-    level would allocate more than _FRONTIER_BYTES, which ties can cause.
-
-    Why the first position in Gray order attaining the scratch maximum, F*,
-    is never pruned.  Let A_j = sum_k |x_kj| over the scaled rows, u = eps/2,
-    and rho = (d + 8) eps.
-    (1) Every float sum of the rows of a subset or sign pattern F, in any
-        order (BLAS included), differs from the exact sum S_F by at most
-        gamma_{n-1} A_j in coordinate j, gamma_m = m u / (1 - m u).  The
-        computed V differs from the exact one by at most gamma_{n+3} A_j:
-        the prefix sum and the suffix sums behind c and w each carry
-        gamma_{n-1} times their own share of A_j, and the halving is exact
-        while the last additions round four more times.  With
-        gamma = (n + 4) eps > 2 gamma_{n+3}, let E_j = gamma A_j + t, where
-        t = 4 n ulp(0) max(1, 2^-shift) covers gradual underflow in the
-        scaled rows, the sums, and the scratch sums of the unscaled rows.
-    (2) The scratch norm f(F) that ``_first_best`` ranks is, scaled by
-        2^-shift, within a factor 1 +- rho of the lq norm of the scratch sum,
-        a float sum as in (1).  A d-term key of a vector v is within a factor
-        1 +- rho of ||v||_q^e, give or take d ulp(0) from underflowing powers.
-    (3) Let G be the incumbent and g a float sum of its rows whose key is
-        kappa_g, and write kappa' = kappa_g - d ulp(0).  Since
-        f(F*) >= f(G), (1) and (2) give
-        ||S_F*|| >= ||g|| - 2 rho ||g|| - 3 ||E||, and the computed V of an
-        ancestor of F* has ||V|| >= ||S_F*|| - ||E||, so
-        ||V|| >= kappa'^(1/e) (1 - 4 rho) - 4 ||E||, with
-        ||E||_q <= gamma ||A||_q + d t; its key is at least (1 - rho) times
-        the e-th power of that, less d ulp(0).
-    The floor is that bound, lowered for the rounding of the scalar steps
-    that compute it: 2 rho more in the first factor and in the last, and a
-    factor 1 + 2 rho on the margin.  The first covers the root's own
-    rounding and that of the exponent 1/e, which moves the root by at most
-    u |ln ||g|||, under 3 eps, since the seeds give ||g|| >= max_j A_j / 2
-    >= 2^-(bit_length(n) + 2).  So every ancestor of F*, and F* itself,
-    keeps a key at or above the floor.  The incumbent starts at the best of
-    ``_vertex_seeds``, and the last level's best leaf can raise it.  The
-    margin is about 8 (n + d) eps ||A||_q, below the walk's slack, since
-    ||A||_q is at most 2 d^(1/q) times the largest subset norm (d^(1/q) for
-    signs).
+    Xs is scaled by ``_below_one`` and ``key`` is that of ``_ranking``.  Rows
+    are branched on in order of decreasing norm, breadth first, one level per
+    row; for signs the root holds row n-1 with sign +1, as in the walk's
+    half.  A node holds the sum s of the rows fixed so far.  Every completion
+    lies coordinatewise in the box [s + sum_rest min(x, 0), s + sum_rest
+    max(x, 0)] (for signs, s -+ sum_rest |x|), and lq norms are monotone in
+    the absolute values of the coordinates, so ||V||_q bounds every
+    completion's norm, where V = |s + c| + w with c the box's centre offset
+    and w its half-width.  A node is pruned when the key of its computed V is
+    below the incumbent's key times 1 - ``_slack``, which keeps every
+    ancestor of the first position in Gray order attaining the scratch
+    maximum.  The incumbent is the best of ``_vertex_seeds``, raised by the
+    last level's best leaf, whose box is its own sum.  The leaves' masks go
+    back to Gray ranks by the prefix XOR.  None means a level would allocate
+    more than _FRONTIER_BYTES, which ties can cause.
     """
     n, d = Xs.shape
     order = np.argsort(-row_norms(Xs, q), kind="stable")
@@ -464,18 +452,7 @@ def _bnb_candidates(Xs: np.ndarray, shift: int, q: Exponent, signs: bool, key):
         rest[0, :n], rest[1, :n] = (hi + lo) * 0.5, (hi - lo) * 0.5
     centre, half = rest[0, 1:, :, None], rest[1, 1:, :, None]
 
-    rho = (d + 8) * _EPS
-    e = q.value if not q.is_infinite and q.value <= _POWER_MAX_Q else 1.0
-    tiny = 4 * n * math.ldexp(_TINY, max(0, -shift))
-    norm_a = float(row_norms(np.abs(Xs).sum(axis=0)[None], q)[0])
-    margin = 4.0 * (1.0 + 2.0 * rho) * ((n + 4) * _EPS * norm_a + d * tiny)
-
-    def floor_of(best_key):
-        low = max(best_key - d * _TINY, 0.0) ** (1.0 / e) * (1.0 - 6.0 * rho) - margin
-        return max(low, 0.0) ** e * (1.0 - 2.0 * rho) - d * _TINY
-
-    best_key = _vertex_seeds(Xs, q, signs, key)
-    floor = floor_of(best_key)
+    best_key, shrink = _vertex_seeds(Xs, q, signs, key), 1.0 - _slack(q, n, d)
     # for signs the root already holds row n-1, first in order, with sign +1
     sums = R[:1].T.copy() if signs else np.zeros((d, 1))
     masks = np.zeros(1, dtype=np.int64)
@@ -499,8 +476,7 @@ def _bnb_candidates(Xs: np.ndarray, shift: int, q: Exponent, signs: bool, key):
         keys = key(bound, np.empty(kids.shape[1]))
         if t == n - 1:
             best_key = max(best_key, float(keys.max()))
-            floor = floor_of(best_key)
-        keep = keys >= floor
+        keep = keys >= best_key * shrink
         sums, masks = kids[:, keep], kid_masks[keep]
         peak = max(peak, masks.size)
     for step in (1, 2, 4, 8, 16, 32):
@@ -514,9 +490,9 @@ def _exhaustive_best(X: np.ndarray, q: Exponent, signs: bool):
 
     Each block of Gray positions is the high-row sum of its first position
     plus the low table (mirrored when bit k of the block start is set, since
-    that is bit k-1 of its Gray code).  Blocks are ranked by power sums of an
-    exactly scaled copy of X, and every position whose key comes within the
-    rounding slack of the best so far is recomputed from scratch.  The value
+    that is bit k-1 of its Gray code).  Blocks are ranked by power sums of X
+    scaled by ``_below_one``, and every position whose key is at least the
+    best so far times 1 - ``_slack`` is recomputed from scratch.  The value
     is the norm of the returned mask's scratch sum, and the mask is the first
     in Gray order attaining it, as in a from-scratch enumeration.  Sign
     patterns walk only the positions with bit n-1 clear: s and -s have the
@@ -524,26 +500,21 @@ def _exhaustive_best(X: np.ndarray, q: Exponent, signs: bool):
 
     For q = 2 with d >= _GRAM_MIN_RATIO * n and at least _GRAM_MIN_POSITIONS
     positions, the walk ranks an n x n factor W of the Gram matrix instead
-    of the d wide rows (``_gram_factor``): every squared key is then within
-    eta of the squared norm of the same subset of the scaled rows.  The floor
-    drops by 2 eta, which keeps the first position attaining the scratch
-    maximum among the candidates: its key is at least f* - eta less the
-    walk's relative rounding, while the top key is at most f* + eta plus that
-    rounding, for f* the largest squared norm, and the relative slack covers
-    the rounding exactly as without W.  The slack is the one for the d wide
-    rows, which bounds the rounding of the walk on W as well.
+    of the d wide rows (``_gram_factor``), rescaled by ``_below_one``: each
+    squared key is within eta of that of the same subset of the scaled rows,
+    so the floor drops by 2 eta as well.  Eta covers the factorization; the
+    slack, the one for the d wide rows, covers the rounding of the walk on W.
 
     With n >= _BNB_MIN_RATIO * d and at least _BNB_MIN_POSITIONS positions,
-    ``_bnb_candidates`` runs first: its leaves include the first position
-    attaining the scratch maximum, so ranking them with ``_first_best`` in
-    Gray order gives the walk's (value, mask).  If its frontier outgrows
-    _FRONTIER_BYTES, the walk runs instead.  Each call logs its route at
-    debug level, with the positions, the frontier peak and the number of
-    candidates recomputed.
+    ``_bnb_candidates`` runs first, pruning at the same slack: its leaves
+    include the first position attaining the scratch maximum, so ranking
+    them with ``_first_best`` in Gray order gives the walk's (value, mask).
+    If its frontier outgrows _FRONTIER_BYTES, the walk runs instead.  Each
+    call logs its route at debug level, with the positions, the frontier
+    peak and the number of candidates recomputed.
     """
     n, d = X.shape
-    absmax = float(np.abs(X).max()) if X.size else 0.0
-    if absmax == 0.0:
+    if not X.any():
         return 0.0, 0
     total = 1 << (n - 1 if signs else n)
     # scratch sums are evaluated in chunks of about _BLOCK_BYTES of terms
@@ -551,13 +522,11 @@ def _exhaustive_best(X: np.ndarray, q: Exponent, signs: bool):
     if total * n * d <= _SCRATCH_ALL_TERMS:
         _log_route("scratch", total, 0, total)
         return _first_best(X, q, signs, [np.arange(total)], chunk, (-1.0, 0))
-    # every subset sum of the scaled rows stays below 1 in absolute value
-    shift = math.frexp(absmax)[1] + n.bit_length()
-    Xs = np.ldexp(X, -shift)
-    key, slack = _ranking(q, n, d)
+    Xs = _below_one(X)[0]
+    key, shrink = _ranking(q, d), 1.0 - _slack(q, n, d)
     route, peak = "walk", 0
     if _BNB_MIN_RATIO * d <= n <= _BNB_MAX_N and total >= _BNB_MIN_POSITIONS:
-        ranks, peak = _bnb_candidates(Xs, shift, q, signs, key)
+        ranks, peak = _bnb_candidates(Xs, q, signs, key)
         if ranks is not None:
             _log_route("branch and bound", total, peak, ranks.size)
             return _first_best(X, q, signs, [ranks], chunk, (-1.0, 0))
@@ -566,9 +535,8 @@ def _exhaustive_best(X: np.ndarray, q: Exponent, signs: bool):
     if q.value == 2.0 and d >= _GRAM_MIN_RATIO * n and total >= _GRAM_MIN_POSITIONS:
         route = "Gram walk"
         W, eta = _gram_factor(Xs)
-        # rescaled like Xs, so every subset sum of the walked rows stays below 1
-        shift = math.frexp(float(np.abs(W).max()))[1] + n.bit_length()
-        walked, eta = np.ldexp(W, -shift), math.ldexp(eta, -2 * shift)
+        walked, shift = _below_one(W)
+        eta = math.ldexp(eta, -2 * shift)
     width = walked.shape[1]
     rows = _block_rows(width, total)
     k = rows.bit_length() - 1
@@ -592,7 +560,7 @@ def _exhaustive_best(X: np.ndarray, q: Exponent, signs: bool):
         if top < floor:
             continue
         if top > best_key:
-            best_key, floor = top, top * (1.0 - slack) - 2.0 * eta
+            best_key, floor = top, top * shrink - 2.0 * eta
         hits = np.flatnonzero(ranked >= floor)
         hits += lo
         pending.append(hits)

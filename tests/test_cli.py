@@ -209,11 +209,11 @@ class TestSizeCaps:
          "--dim 1048577 exceeds the cap of 1048576"),
         (["lemmas", "--dim", "0", "--seed", "0"], "--dim 0 must be at least 1"),
         (["lemmas", "--budget", str(LEMMAS_MAX_BUDGET + 1), "--seed", "0"],
-         "--budget 1048577 exceeds the cap of 1048576"),
+         "--budget 65537 exceeds the cap of 65536"),
         (["lemmas", "--budget", "-2", "--seed", "0"], "--budget -2 must be at least 1"),
         (["lemmas", "--budget", "0", "--dim", "0", "--seed", "0"], "--budget 0 must be at least 1"),
         (["lemmas", "--budget", str(LEMMAS_MAX_BUDGET), "--dim", str(LEMMAS_MAX_DIM), "--seed", "0"],
-         "--budget 1048576 times --dim 1048576 exceeds the cap of 16777216 entries; lower one of them"),
+         "--budget 65536 times --dim 1048576 exceeds the cap of 16777216 entries; lower one of them"),
         (["lemmas", "--budget", "17", "--dim", str(LEMMAS_MAX_DIM), "--seed", "0"],
          "--budget 17 times --dim 1048576 exceeds the cap of 16777216 entries; lower one of them"),
     ], ids=["grid", "stalled-grid", "search", "grothendieck", "nan-step", "inf-step", "lemmas",

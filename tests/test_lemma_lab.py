@@ -263,25 +263,26 @@ class TestFlipScreen:
             d = int(rng.integers(1, min(n, 5)))
             X = rng.standard_normal((n, d)) if trial % 3 else rng.integers(-3, 4, size=(n, d)) * 0.1
             floors = lemma_lab._flip_floors(X)
-            slack = lemma_lab._flip_slack(X)
+            slack = unconditionality._slack(l1, n, d)
             for i in range(n):
                 for j in range(d):
                     Y = X.copy()
                     Y[i, j] = -Y[i, j]
                     smax = _exhaustive_best(Y, l1, signs=True)[0]
-                    # a proven lower bound, and within twice the slack of the value
+                    # a proven lower bound, and within twice the relative slack of the value
                     assert floors[i, j] <= smax
-                    assert smax - floors[i, j] <= 2.0 * slack
+                    assert smax - floors[i, j] <= 2.0 * slack * smax
 
     def test_floors_at_the_largest_screened_table(self):
         # d = 10 is the widest table whose bounds fit one block
         X = np.random.default_rng(89).standard_normal((11, 10))
         floors = lemma_lab._flip_floors(X)
+        slack = unconditionality._slack(Exponent(1.0), 11, 10)
         for i, j in [(0, 0), (5, 7), (10, 9)]:
             Y = X.copy()
             Y[i, j] = -Y[i, j]
             smax = _exhaustive_best(Y, Exponent(1.0), signs=True)[0]
-            assert 0.0 <= smax - floors[i, j] <= 2.0 * lemma_lab._flip_slack(X)
+            assert 0.0 <= smax - floors[i, j] <= 2.0 * slack * smax
 
     @pytest.mark.parametrize("kg_upper", [1.2, 1.3, 1.4])
     @pytest.mark.parametrize("shape", [(10, 3), (12, 2), (11, 3), (8, 4)])

@@ -419,6 +419,29 @@ class TestGramRoute:
                 assert (got.value, got.argmax_subset) == sequential_scratch_max(X, 2, signs)
         assert len(calls) == 6
 
+    def test_near_tie_within_the_slack_is_recomputed(self, monkeypatch):
+        # the last row is -1e-12 times the best subset sum S of the others, so
+        # adding it to that subset lowers the squared norm by about 2e-12 of
+        # it: more than 2 eta (about 6e-13 here), less than the slack (about
+        # 6e-12), and later in Gray order, so only the slack keeps it
+        calls = self._counting(monkeypatch)
+        X = np.random.default_rng(113).standard_normal((13, 120))
+        mask = sequential_scratch_max(X[:12], 2)[1]
+        X[12] = -1e-12 * scratch_sum(X[:12], mask)
+        seen = set()
+        first_best = U._first_best
+
+        def recording(*args):
+            # args[3] holds the Gray ranks of the candidates; record their masks
+            seen.update(int(p ^ (p >> 1)) for part in args[3] for p in part)
+            return first_best(*args)
+
+        monkeypatch.setattr(U, "_first_best", recording)
+        got = subset_max_norm(Family(X), 2)
+        assert calls == [(13, 120)]
+        assert {mask, mask | 1 << 12} <= seen
+        assert (got.value, got.argmax_subset) == sequential_scratch_max(X, 2)
+
     def test_route_rule(self, monkeypatch):
         # q = 2 only, d >= 2n, and at least 2^12 positions (signs walk half)
         calls = self._counting(monkeypatch)
@@ -573,6 +596,31 @@ class TestRouteLog:
             assert (name, int(seen)) == (route, positions)
             assert (int(peak) > 0) == route.startswith("branch")
             assert 1 <= int(recomputed) <= positions
+
+    def test_pinned_frontiers_and_candidates(self, caplog):
+        # frontier peaks and candidate counts of three narrow families and one
+        # wide one, pinned at the walk's slack: a looser floor keeps more nodes,
+        # a tighter one can lose the first maximum
+        rng = np.random.default_rng(109)
+        cases = (
+            (rng.standard_normal((17, 4)), 2, False),
+            (rng.integers(-3, 4, size=(18, 3)) * 0.1, 1, True),
+            (rng.integers(-3, 4, size=(16, 6)) * 0.1, 3, True),
+            (rng.integers(-3, 4, size=(13, 40)) * 0.1, 2, False),
+        )
+        lines = []
+        for X, q, signs in cases:
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger=U.logger.name):
+                U._exhaustive_best(X, U.Exponent.of(q), signs)
+            [record] = caplog.records
+            lines.append(record.getMessage())
+        assert lines == [
+            "exact route branch and bound: 131072 positions, frontier peak 26, 1 candidates recomputed",
+            "exact route branch and bound: 131072 positions, frontier peak 239, 10 candidates recomputed",
+            "exact route branch and bound: 32768 positions, frontier peak 26, 1 candidates recomputed",
+            "exact route Gram walk: 8192 positions, frontier peak 0, 1 candidates recomputed",
+        ]
 
     def test_off_by_default(self, caplog):
         U._exhaustive_best(np.random.default_rng(89).standard_normal((16, 4)), U.Exponent.of(2), False)

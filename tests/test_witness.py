@@ -94,6 +94,15 @@ class TestSylvester:
             again = HadamardMatrix.unpack(n, H.packed())
             assert np.array_equal(H.entries, again.entries)
 
+    @pytest.mark.parametrize("log_size, data, detail", [
+        (0, b"", "must be 1 bytes for log_size 0, got 0"),
+        (3, sylvester(3).packed() + b"garbage", "must be 8 bytes for log_size 3, got 15"),
+        (3, sylvester(3).packed()[:-1], "must be 8 bytes for log_size 3, got 7"),
+    ], ids=["empty", "trailing", "one-short"])
+    def test_unpack_requires_the_exact_length(self, log_size, data, detail):
+        with pytest.raises(ValueError, match=detail):
+            HadamardMatrix.unpack(log_size, data)
+
 
 class TestHadamardWitness:
     def test_c10_needs_n7(self):
