@@ -16,13 +16,13 @@ Covered here:
   sum ||x_k||_2 <= K max_{s in {-1,1}^n} ||sum s_k x_k||_1,
   reported against a configurable upper envelope.  The search runs on the
   restart loop and the coordinate ascent of ``unconditionality``, supplying
-  a +-1 or normal draw and a climb by single-entry sign flips; a flip leaves
-  the numerator unchanged, so only the sign max is recomputed.  Flips are
-  screened on the dual table P = S X^T: one pass bounds the sign max after
-  every single-entry flip from below, at the enumeration's rounding slack,
-  and a flip that provably neither lowers the sign max below the one held
-  nor lifts the ratio above the envelope is skipped, since it would be
-  scored, reverted and not logged.
+  a +-1 or normal draw and a climb by single-entry sign flips, one flip per
+  batch of the ascent; a flip leaves the numerator unchanged, so only the
+  sign max is recomputed.  Flips are screened on the dual table P = S X^T:
+  one pass bounds the sign max after every single-entry flip from below, at
+  the enumeration's rounding slack, and a flip that provably neither lowers
+  the sign max below the one held nor lifts the ratio above the envelope is
+  skipped, since it would be scored, reverted and not logged.
 """
 
 from __future__ import annotations
@@ -275,10 +275,19 @@ def grothendieck_search(
         # the sign max of the entries the climb holds, and of the last ones scored
         held = last = 0.0
 
-        def evaluate(M, cur):
+        def score():
             nonlocal last
             last = _exhaustive_best(X, l1, signs=True)[0]
-            return None if last <= 0.0 else (_sign_ratio(numer, last, kg_upper, n), X)
+            return -np.inf if last <= 0.0 else _sign_ratio(numer, last, kg_upper, n)
+
+        def evaluate(M, i, cols, deltas, cur):
+            # every batch is one flip
+            j = cols[0]
+            before = X[i, j]
+            X[i, j] = before + deltas[0]
+            ratio = score()
+            X[i, j] = before
+            return (ratio,), lambda k: (ratio, X)
 
         def flips():
             nonlocal held
@@ -289,16 +298,17 @@ def grothendieck_search(
                     if floor >= held and numer / floor <= limit:
                         continue
                     before = X[i, j]
-                    yield X, i, j, -before
+                    # a batch of one flip: x - 2x is -x exactly
+                    yield X, i, (j,), (-2.0 * before,)
                     if X[i, j] != before:
                         held = last
                         floors = floors_of(X)
 
-        start = evaluate(X, None)
-        if start is None:
+        start = score()
+        if start == -np.inf:
             return None
         held = last
-        return _coordinate_ascent(start, flips, evaluate, sweeps=8)
+        return _coordinate_ascent((start, X), flips, evaluate, 8, "sign-flip climb")
 
     ratio, X = _seeded_restarts(n, dim, budget, seed, n_exh, draw, climb)
     return RatioReport(ratio, kg_upper, kg_upper - ratio, Family(X), True)

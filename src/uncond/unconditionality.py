@@ -10,7 +10,8 @@ lower bound for that constant.
 
 An exact maximum takes one of four routes, picked per call from n, d, q and
 the number of positions (2^n subsets, or 2^(n-1) sign patterns): tiny
-enumerations recompute every position from scratch; narrow ones (n >= 2d,
+enumerations recompute every position from scratch (``_scratch_maxima``,
+which takes a whole stack of families at once); narrow ones (n >= 2d,
 at least 2^15 positions) run a branch and bound and fall back to the walk
 when its frontier outgrows a fixed byte budget; q = 2 with d >= 2n and at
 least 2^12 positions walks an n x n Gram factor; everything else walks the
@@ -25,17 +26,24 @@ order.  The enumeration is serial; the ``threads`` argument of
 ``subset_max_norm`` and ``sign_max_norm`` is accepted and changes nothing.
 
 Every quotient, public or inside a search, is evaluated by one routine
-(``_quotient_parts``), so a search compares the very float
+(``_quotient_parts``), which scores a stack of families at once; the public
+functions pass a stack of one, so a search compares the very float
 ``unconditionality_quotient`` returns for the same entries.  The seeded
 searches for large quotients here and for large sign-pattern ratios in
 ``lemma_lab`` share one restart loop (``_seeded_restarts``: argument checks,
 seeded draws, skipped degenerate draws, strict improvement) and one
 first-improvement coordinate ascent on matrix entries
 (``_coordinate_ascent``); each supplies only its draw and its climb.  The
-ascent works on the drawn float arrays and recomputes only what a move
-changes: a move on the a-family reuses the x-family's subset max, a move on
-the x-family reuses max_k ||a_k||_p.  A result object is built for the
-winner alone.  Randomized subset maxima keep their own single-flip climb.
+ascent scores moves in batches: the quotient search scores each row's moves
+as one stack, keeps the first strictly improving one and scores the rest of
+the row again, so it climbs exactly as one move at a time would; the sign
+search scores one flip per batch.  It works on the drawn float arrays and
+recomputes only what a move changes: a move on the a-family reuses the
+x-family's subset max, a move on the x-family reuses max_k ||a_k||_p, and
+the x-family maxima of a whole stack of tiny families come from one
+from-scratch pass (``_stack_subset_best``).  A result object is built for
+the winner alone.  Randomized subset maxima keep their own single-flip
+climb.
 """
 
 from __future__ import annotations
@@ -212,6 +220,35 @@ def _scratch_sums(X: np.ndarray, masks: np.ndarray, signs: bool = False) -> np.n
     terms = coef[:, :, None] * X
     np.cumsum(terms, axis=1, out=terms)
     return terms[:, -1]
+
+
+def _scratch_maxima(X: np.ndarray, q: Exponent, signs: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(value, mask) of the first largest scratch norm in Gray order, for each family of a stack.
+
+    X is an (m, n, d) stack with n, d >= 1.  Every position of every family
+    is summed at once: the sums over rows 0..k-1 at Gray positions 0..2^k-1
+    are followed by the same sums in reverse order plus row k (reflected
+    Gray code), or for signs minus row k, after which the first half takes
+    +row k.  So each sum adds its rows in index order, as ``_scratch_sums``
+    does, and is the same float up to the sign of a zero.  Sign patterns
+    keep bit n-1 clear: row n-1 is added last, with sign +1.
+    """
+    m, n, d = X.shape
+    low = n - 1 if signs else n
+    sums = np.zeros((m, 1 << low, d))
+    for k in range(low):
+        head, tail = sums[:, : 1 << k], sums[:, 1 << k : 2 << k]
+        row = X[:, k, None]
+        if signs:
+            np.subtract(head[:, ::-1], row, out=tail)
+            head += row
+        else:
+            np.add(head[:, ::-1], row, out=tail)
+    if signs:
+        sums += X[:, n - 1, None]
+    vals = row_norms(sums.reshape(-1, d), q).reshape(m, -1)
+    k = vals.argmax(axis=1)
+    return vals.max(axis=1), k ^ (k >> 1)
 
 
 def _first_best(X, q, signs, positions, chunk, best):
@@ -517,11 +554,12 @@ def _exhaustive_best(X: np.ndarray, q: Exponent, signs: bool):
     if not X.any():
         return 0.0, 0
     total = 1 << (n - 1 if signs else n)
-    # scratch sums are evaluated in chunks of about _BLOCK_BYTES of terms
-    chunk = max(1, _BLOCK_BYTES // (8 * n * d))
     if total * n * d <= _SCRATCH_ALL_TERMS:
         _log_route("scratch", total, 0, total)
-        return _first_best(X, q, signs, [np.arange(total)], chunk, (-1.0, 0))
+        [value], [mask] = _scratch_maxima(X[None], q, signs)
+        return float(value), int(mask)
+    # scratch sums are evaluated in chunks of about _BLOCK_BYTES of terms
+    chunk = max(1, _BLOCK_BYTES // (8 * n * d))
     Xs = _below_one(X)[0]
     key, shrink = _ranking(q, d), 1.0 - _slack(q, n, d)
     route, peak = "walk", 0
@@ -583,6 +621,23 @@ def _log_route(route: str, positions: int, peak: int, recomputed: int) -> None:
         peak,
         recomputed,
     )
+
+
+def _stack_subset_best(X: np.ndarray, q: Exponent) -> tuple[np.ndarray, np.ndarray]:
+    """Exact (values, masks) of the largest subset sum of each family of an (m, n, d) stack.
+
+    Each entry is what ``_exhaustive_best`` returns for that family.  When
+    2^n n d <= _SCRATCH_ALL_TERMS the whole stack takes the scratch route at
+    once (``_scratch_maxima``) and logs one route line; otherwise each family
+    is enumerated alone.
+    """
+    m, n, d = X.shape
+    total = 1 << n
+    if X.size and total * n * d <= _SCRATCH_ALL_TERMS:
+        _log_route("scratch", total, 0, total)
+        return _scratch_maxima(X, q, signs=False)
+    values, masks = zip(*(_exhaustive_best(x, q, signs=False) for x in X))
+    return np.array(values), np.array(masks)
 
 
 def check_threads(threads: int) -> None:
@@ -719,9 +774,9 @@ def _paired_families(avec, xvec) -> tuple[Family, Family]:
     return avec, xvec
 
 
-def _product_norm(A: np.ndarray, X: np.ndarray, r: Exponent) -> float:
-    """||sum_k a_k x_k||_r for the rows a_k of A and x_k of X."""
-    return float(row_norms((A * X).sum(axis=0).reshape(1, -1), r)[0])
+def _product_norm(A: np.ndarray, X: np.ndarray, r: Exponent) -> np.ndarray:
+    """||sum_k a_k x_k||_r of each family of a stack, for the rows a_k of A[m] and x_k of X[m]."""
+    return row_norms((A * X).sum(axis=1), r)
 
 
 def unconditionality_quotient(
@@ -786,31 +841,62 @@ def main1_bound_check(
     return ok
 
 
-def _coordinate_ascent(best, moves, evaluate, sweeps: int):
-    """First-improvement coordinate ascent on the entries of float matrices.
+def _coordinate_ascent(best, moves, evaluate, sweeps: int, name: str):
+    """First-improvement coordinate ascent on the entries of float matrices, scored in batches.
 
     ``best`` describes the current entries: a tuple whose first field is the
     score, carrying whatever ``evaluate`` may reuse.  A sweep runs through
-    ``moves()``, which yields ``(M, i, j, value)`` one move at a time; the
-    entry ``M[i, j]`` is set to ``value`` and ``evaluate(M, best)`` describes
-    the moved entries, recomputing only what depends on M, or returns None
-    for a degenerate family.  A move is kept only if it scores strictly
-    higher, and reverted otherwise.  The climb stops after a sweep that keeps
-    no move, or after ``sweeps`` sweeps.  On return the matrices hold the
-    entries the returned tuple describes.
+    ``moves()``, which yields batches ``(M, i, cols, deltas)``: the moves
+    ``M[i, cols[k]] += deltas[k]`` on row i of M, in order, with ``cols``
+    and ``deltas`` two sequences (arrays or tuples) of one length.
+    ``evaluate(M, i, cols, deltas, best)`` scores every move of the batch
+    from the current entries, recomputing only what depends on M, and
+    returns ``(scores, pick)``: one score per move (-inf for a degenerate
+    family) and ``pick(k)``, the tuple describing the entries after move k.
+    The first move scoring strictly higher is kept and the rest of the batch
+    is scored again from the new entries, so the moves are tried in order,
+    each against the entries every earlier kept move left.  The climb stops
+    after a sweep that keeps no move, or after ``sweeps`` sweeps.  On return
+    the matrices hold the entries the returned tuple describes.
+
+    One debug line per climb, headed ``name``, gives the sweeps, the batches
+    scored, the moves scored in them, the moves a one-at-a-time ascent would
+    have scored (each batch up to its kept move), the moves kept, and the
+    reverse moves scored: moves on the entry a kept move just changed.
     """
-    for _ in range(sweeps):
+    sweep = batches = scored = tried = kept = reverse = 0
+    for sweep in range(1, sweeps + 1):
         improved = False
-        for M, i, j, value in moves():
-            orig = M[i, j]
-            M[i, j] = value
-            cand = evaluate(M, best)
-            if cand is not None and cand[0] > best[0]:
-                best, improved = cand, True
-            else:
-                M[i, j] = orig
+        for M, i, cols, deltas in moves():
+            while len(cols):
+                scores, pick = evaluate(M, i, cols, deltas, best)
+                batches += 1
+                scored += len(cols)
+                for k, score in enumerate(scores):
+                    if score > best[0]:
+                        break
+                else:
+                    tried += len(cols)
+                    break
+                j = cols[k]
+                M[i, j] += deltas[k]
+                best, improved = pick(k), True
+                tried += k + 1
+                kept += 1
+                cols, deltas = cols[k + 1 :], deltas[k + 1 :]
+                reverse += len(cols) > 0 and cols[0] == j
         if not improved:
             break
+    logger.debug(
+        "%s: %d sweeps, %d batches, %d moves scored, %d tried in order, %d kept, %d reverse moves scored",
+        name,
+        sweep,
+        batches,
+        scored,
+        tried,
+        kept,
+        reverse,
+    )
     return best
 
 
@@ -834,46 +920,89 @@ class _Quotient(NamedTuple):
         )
 
 
-def _quotient_parts(A, X, t: ExponentTriple, a_max=None, sub=None) -> Optional[_Quotient]:
-    """The quotient of A and X, or None when its denominator is zero.
+class _Quotients(NamedTuple):
+    """The quotients of a stack of families, one entry per family, and their parts.
 
-    ``a_max`` and ``sub`` are computed unless given; ``sub`` defaults to X's
-    exhaustive subset max.  ``unconditionality_quotient`` and both searches
-    evaluate every quotient here.
+    ``a_max`` and ``sub`` = (values, masks) hold one entry per family, or a
+    float (and an int mask) shared by every family.  A family whose
+    denominator is zero has quotient -inf.
     """
+
+    quotient: np.ndarray
+    numerator: np.ndarray
+    denominator: np.ndarray
+    a_max: object
+    sub: tuple
+
+    def at(self, k: int) -> Optional[_Quotient]:
+        """Family k's quotient, or None when its denominator is zero."""
+        if self.denominator[k] <= 0.0:
+            return None
+        a_max, value, mask = (v[k] if isinstance(v, np.ndarray) else v for v in (self.a_max, *self.sub))
+        return _Quotient(
+            float(self.quotient[k]),
+            float(self.numerator[k]),
+            float(self.denominator[k]),
+            float(a_max),
+            (float(value), int(mask)),
+        )
+
+
+def _quotient_parts(A, X, t: ExponentTriple, a_max=None, sub=None):
+    """The quotients of the families A[k], X[k] of a stack.
+
+    A and X are (m, n, d) arrays, or one of them a stack of one shared by
+    every family, whose part is then given: ``a_max`` (max_k ||a_k||_p, one
+    float) for A, ``sub`` (the (value, mask) of the exact subset max) for X.
+    A part not given is computed per family, ``sub`` by
+    ``_stack_subset_best``.  Two (n, d) arrays are one family, scored as a
+    stack of one: the result is its ``_Quotient``, or None when the
+    denominator is zero.  ``unconditionality_quotient``,
+    ``main1_bound_check`` and the quotient search evaluate every quotient
+    here.
+    """
+    single = A.ndim == 2
+    if single:
+        A, X = A[None], X[None]
+    n, d = A.shape[1:]
     numerator = _product_norm(A, X, t.r)
     if a_max is None:
-        a_max = float(row_norms(A, t.p).max(initial=0.0))
+        a_max = row_norms(A.reshape(A.shape[0] * n, d), t.p).reshape(A.shape[0], n).max(axis=1, initial=0.0)
     if sub is None:
-        sub = _exhaustive_best(X, t.q, signs=False)
+        sub = _stack_subset_best(X, t.q)
     denominator = a_max * sub[0]
-    if denominator <= 0.0:
-        return None
-    return _Quotient(numerator / denominator, numerator, denominator, a_max, sub)
+    quotient = np.divide(numerator, denominator, out=np.full(numerator.shape, -np.inf), where=denominator > 0.0)
+    res = _Quotients(quotient, numerator, denominator, a_max, sub)
+    return res.at(0) if single else res
 
 
 def _refine_families(A, X, t, best: _Quotient, sweeps=2, steps=(0.5, 0.1)) -> _Quotient:
     """Coordinate ascent on A, then X, by moves of +-scale * max(1, |entry|).
 
-    A and X are moved in place.  A move on A reuses X's subset max, and a
-    move on X reuses max_k ||a_k||_p.
+    A and X are moved in place.  Each batch holds one row's moves, entry by
+    entry, + before -, and is scored as one stack of moved families: a move
+    on A reuses X's subset max, and a move on X reuses max_k ||a_k||_p.  The
+    - move after a kept + move keeps the step of the entry before it moved.
     """
+    cols = np.repeat(np.arange(A.shape[1]), 2)
+    signs = np.tile([1.0, -1.0], A.shape[1])
 
     def moves():
         for scale in steps:
             for M in (A, X):
                 for i in range(M.shape[0]):
-                    for j in range(M.shape[1]):
-                        span = max(1.0, abs(M[i, j]))
-                        for delta in (scale * span, -scale * span):
-                            yield M, i, j, M[i, j] + delta
+                    yield M, i, cols, signs * np.repeat(scale * np.maximum(1.0, np.abs(M[i])), 2)
 
-    def evaluate(M, cur: _Quotient):
+    def evaluate(M, i, cols, deltas, cur: _Quotient):
+        moved = np.repeat(M[None], cols.size, axis=0)
+        moved[np.arange(cols.size), i, cols] += deltas
         if M is A:
-            return _quotient_parts(A, X, t, sub=cur.sub)
-        return _quotient_parts(A, X, t, a_max=cur.a_max)
+            res = _quotient_parts(moved, X[None], t, sub=cur.sub)
+        else:
+            res = _quotient_parts(A[None], moved, t, a_max=cur.a_max)
+        return res.quotient.tolist(), res.at
 
-    return _coordinate_ascent(best, moves, evaluate, sweeps)
+    return _coordinate_ascent(best, moves, evaluate, sweeps, "refinement")
 
 
 def _seeded_restarts(n: int, dim: int, budget: int, seed, n_exh: int, draw, climb):

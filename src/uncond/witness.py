@@ -90,11 +90,18 @@ class HadamardMatrix:
 
     @classmethod
     def unpack(cls, log_size: int, data: bytes) -> "HadamardMatrix":
-        """The matrix ``packed`` wrote, from exactly ceil(4^log_size / 8) bytes."""
+        """The matrix ``packed`` wrote, from exactly ceil(4^log_size / 8) bytes.
+
+        The padding bits that fill the last byte must be clear, as ``packed``
+        leaves them.
+        """
         size = 1 << log_size
         expected = (size * size + 7) // 8
         if len(data) != expected:
             raise ValueError(f"packed data must be {expected} bytes for log_size {log_size}, got {len(data)}")
+        padding = 8 * expected - size * size
+        if data[-1] & ((1 << padding) - 1):
+            raise ValueError(f"packed data sets padding bits of its last byte: {data[-1]:#04x}")
         bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=size * size)
         entries = np.where(bits.reshape(size, size) == 1, -1, 1).astype(np.int8)
         return cls(log_size, entries)

@@ -97,6 +97,14 @@ GOLDEN = {
     ("search", "--p", "3", "--q", "3", "--r", "3", "--n", "3", "--dim", "4", "--budget", "20", "--seed", "0"): (
         0, "0026fd7dd20fbfc379a5ad2adc813248f093b2ddb7a177b35dbdedc3e6b8a68e"
     ),
+    # a q = 2 search whose refinement scores every x-family move from scratch
+    ("search", "--p", "1.5", "--q", "2", "--r", "inf", "--n", "4", "--dim", "4", "--budget", "12", "--seed", "7"): (
+        0, "04c704baf4a8c4f1f77b51bc674aead824bf06aaa338351a12d430ca0c1402af"
+    ),
+    # 2^7 * 7 * 4 terms is past the from-scratch route, so x-family moves walk one family at a time
+    ("search", "--p", "3", "--q", "3", "--r", "3", "--n", "7", "--dim", "4", "--budget", "4", "--seed", "5"): (
+        0, "c4997921815f63a3a578e45beb2262cc1cf71a2001058bc81c4066b97de2355a"
+    ),
     # reads NARROW_FAMILY, whose exact subset max runs the branch and bound
     ("quotient", "--p", "3", "--q", "3", "--r", "1.5", "--avec", "-"): (
         0, "cbefc814bcb43f9ecc288d15191e3ecefacc14ed712ae01ae014194eb00f5b43"

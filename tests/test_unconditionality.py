@@ -22,6 +22,7 @@ from uncond.witness import sylvester
 
 from uncond.seqspace import row_norms
 
+import _oracles
 from _oracles import (
     column_inf_max,
     direct_quotient,
@@ -879,16 +880,21 @@ class TestSearchTrajectory:
         # the first move, -0.5 + 0.5 * max(1, 0.5), makes A all zero
         A = np.array([[-0.5, 0.0]])
         X = np.array([[1.0, 1.0]])
-        scores = []
+        batches = []
         parts = U._quotient_parts
 
         def spy(*args, **kwargs):
-            scores.append(parts(*args, **kwargs))
-            return scores[-1]
+            batches.append(parts(*args, **kwargs))
+            return batches[-1]
 
         monkeypatch.setattr(U, "_quotient_parts", spy)
-        got = U._refine_families(A.copy(), X.copy(), t, spy(A, X, t))
-        assert scores[1] is None
+        got_A = A.copy()
+        got = U._refine_families(got_A, X.copy(), t, parts(A, X, t))
+        # the first batch scores row 0 of A; its first move scores the degenerate marker
+        first = batches[0]
+        assert first.denominator[0] == 0.0
+        assert first.quotient[0] == -np.inf and first.at(0) is None
+        assert got_A.any()  # the all-zero a-family was not kept
         start = unconditionality_quotient(Family(A), Family(X), t)
         _, _, want = public_refine(A, X, t, start)
         assert (got.quotient, got.numerator, got.denominator) == _parts(want)[:3]
@@ -907,6 +913,122 @@ class TestSearchTrajectory:
         for budget in (2, 4):
             got = quotient_lower_bound_search(t, 1, 1, budget, 3)
             assert _parts(got) == _parts(public_quotient_search(t, 1, 1, budget, 3))
+
+
+def _moved_stack(M, i, deltas):
+    """The stack a refinement batch of row i scores: one copy of M per delta, entries in order, + and - each."""
+    cols = np.repeat(np.arange(M.shape[1]), 2)[: deltas.size]
+    stack = np.repeat(M[None], deltas.size, axis=0)
+    stack[np.arange(deltas.size), i, cols] += deltas
+    return stack
+
+
+class TestStackedQuotient:
+    """A stack of families scores each family exactly as a stack of one does."""
+
+    # 2^n n d <= 2048 takes the scratch route on the whole stack (n = 8, d = 1 is
+    # its edge); (7, 4) and (9, 1) enumerate each family alone
+    SHAPES = [(3, 1), (3, 4), (3, 8), (3, 9), (8, 1), (7, 4), (9, 1)]
+
+    @staticmethod
+    def _stacks(n, dim, rng):
+        for A, X in (
+            (rng.integers(-1, 2, (n, dim)).astype(float), rng.integers(-1, 2, (n, dim)).astype(float)),
+            (rng.standard_normal((n, dim)), rng.standard_normal((n, dim))),
+        ):
+            for m in sorted({1, 2, 2 * dim}):
+                deltas = np.tile([0.5, -0.5], dim)[:m] * np.repeat(np.maximum(1.0, np.abs(A[n - 1])), 2)[:m]
+                yield A, X, _moved_stack(A, n - 1, deltas), _moved_stack(X, n - 1, deltas)
+
+    @pytest.mark.parametrize("q", [1, 1.5, 2, 3, "inf"])
+    @pytest.mark.parametrize("n, dim", SHAPES)
+    def test_every_family_matches_a_stack_of_one(self, n, dim, q):
+        t = ExponentTriple.of(1.5, q, 3)
+        rng = np.random.default_rng(n * 100 + dim)
+        for A, X, As, Xs in self._stacks(n, dim, rng):
+            sub = U._quotient_parts(A, X, t).sub
+            a_max = float(row_norms(A, t.p).max())
+            moved_a = U._quotient_parts(As, X[None], t, sub=sub)
+            moved_x = U._quotient_parts(A[None], Xs, t, a_max=a_max)
+            for k in range(len(As)):
+                one = U._quotient_parts(As[k], X, t, sub=sub)
+                assert tuple(moved_a.at(k)) == tuple(one)
+                assert one.a_max == float(row_norms(As[k], t.p).max())
+                assert moved_a.quotient[k] == one.quotient
+            for k in range(len(Xs)):
+                one = U._quotient_parts(A, Xs[k], t, a_max=a_max)
+                assert tuple(moved_x.at(k)) == tuple(one)
+                assert one.sub == sequential_scratch_max(Xs[k], t.q) == U._exhaustive_best(Xs[k], t.q, False)
+                assert moved_x.quotient[k] == one.quotient
+
+    def test_zero_denominator_scores_minus_inf(self):
+        t = ExponentTriple.of(2, 2, 2)
+        A = np.array([[1.0, -1.0], [0.5, 2.0]])
+        X = np.array([[1.0, 1.0], [-1.0, 0.5]])
+        As = np.stack([A, np.zeros_like(A), 2.0 * A])
+        res = U._quotient_parts(As, X[None], t, sub=U._quotient_parts(A, X, t).sub)
+        assert res.quotient[1] == -np.inf and res.denominator[1] == 0.0
+        assert res.at(1) is None
+        assert tuple(res.at(2)) == tuple(U._quotient_parts(2.0 * A, X, t))
+        assert U._quotient_parts(np.zeros_like(A), X, t) is None
+
+    @pytest.mark.parametrize("q", [1, 1.5, 2, 3, "inf", 100])
+    def test_scratch_route_matches_the_sequential_oracle(self, q):
+        # lattice families with zero, repeated and negated rows tie often
+        q = U.Exponent.of(q)
+        rng = np.random.default_rng(61)
+        for _ in range(40):
+            n, dim = int(rng.integers(1, 7)), int(rng.integers(1, 5))
+            stack = rng.integers(-2, 3, (3, n, dim)) * 0.1
+            stack[0, rng.integers(0, n)] = 0.0
+            stack[1, -1] = -stack[1, 0]
+            for signs in (False, True):
+                values, masks = U._scratch_maxima(stack, q, signs)
+                for k, X in enumerate(stack):
+                    assert (values[k], masks[k]) == sequential_scratch_max(X, q, signs)
+
+
+class TestRefinementBatches:
+    @pytest.mark.parametrize("triple", SEARCH_TRIPLES)
+    @pytest.mark.parametrize("n, dim", [(7, 4), (3, 9)])
+    def test_refine_matches_public_oracle(self, triple, n, dim):
+        # (7, 4) is past the scratch route: each moved x-family is enumerated alone
+        t = ExponentTriple.of(*triple)
+        rng = np.random.default_rng(n * dim)
+        for A, X in (
+            (rng.integers(-1, 2, (n, dim)).astype(float), rng.integers(-1, 2, (n, dim)).astype(float)),
+            (rng.standard_normal((n, dim)), rng.standard_normal((n, dim))),
+        ):
+            start = unconditionality_quotient(Family(A), Family(X), t)
+            want_A, want_X, want = public_refine(A, X, t, start)
+            got_A, got_X = A.copy(), X.copy()
+            got = U._refine_families(got_A, got_X, t, U._quotient_parts(A, X, t))
+            assert (got.quotient, got.numerator, got.denominator) == _parts(want)[:3]
+            assert got.sub == (want.subset.value, want.subset.argmax_subset)
+            assert np.array_equal(got_A, want_A) and np.array_equal(got_X, want_X)
+
+    def test_debug_line_counts_the_climb(self, caplog, monkeypatch):
+        rng = np.random.default_rng(2026)
+        A, X = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
+        t = ExponentTriple.of(3, 3, 3)
+        with caplog.at_level(logging.DEBUG, logger=U.logger.name):
+            U._refine_families(A.copy(), X.copy(), t, U._quotient_parts(A, X, t))
+        [line] = [r.getMessage() for r in caplog.records if r.getMessage().startswith("refinement")]
+        assert line == (
+            "refinement: 2 sweeps, 74 batches, 404 moves scored, 192 tried in order, 51 kept, 30 reverse moves scored"
+        )
+        # "tried in order" counts what the one-move-at-a-time oracle evaluates
+        evaluations = []
+        real = _oracles._public_quotient_or_none
+        monkeypatch.setattr(_oracles, "_public_quotient_or_none", lambda *a: evaluations.append(1) or real(*a))
+        public_refine(A, X, t, unconditionality_quotient(Family(A), Family(X), t))
+        assert len(evaluations) == 192
+
+    def test_no_line_by_default(self, caplog):
+        t = ExponentTriple.of(3, 3, 3)
+        A = X = np.eye(2)
+        U._refine_families(A.copy(), X.copy(), t, U._quotient_parts(A, X, t))
+        assert caplog.records == []
 
 
 class TestPairedShapes:

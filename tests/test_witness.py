@@ -98,7 +98,9 @@ class TestSylvester:
         (0, b"", "must be 1 bytes for log_size 0, got 0"),
         (3, sylvester(3).packed() + b"garbage", "must be 8 bytes for log_size 3, got 15"),
         (3, sylvester(3).packed()[:-1], "must be 8 bytes for log_size 3, got 7"),
-    ], ids=["empty", "trailing", "one-short"])
+        (0, b"\x7f", "sets padding bits of its last byte: 0x7f"),
+        (1, bytes([sylvester(1).packed()[0] | 0x0F]), "sets padding bits of its last byte: 0x1f"),
+    ], ids=["empty", "trailing", "one-short", "padding-of-one-entry", "padding-of-four-entries"])
     def test_unpack_requires_the_exact_length(self, log_size, data, detail):
         with pytest.raises(ValueError, match=detail):
             HadamardMatrix.unpack(log_size, data)
