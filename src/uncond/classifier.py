@@ -14,25 +14,43 @@ so the divergent-tail counterexample applies even though the global product
 map is unbounded.  Those triples are classified NotPreserves via r < q
 rather than NotApplicable.
 
-Both verdict-bearing clause families are evaluated on every call; if they
-ever fire together the engine raises InternalInconsistencyError, since that
-would falsify the implementation.  Strict comparisons require margin EPS_CMP
-and boundary equalities resolve toward the non-strict side.  One call of
-``witness.second_clause_gap`` per triple decides the strict clause and
-enters the margin, the same float ``witness_size`` tests.
+One kernel, ``_classify_lattice``, evaluates the table over a whole (p, q)
+lattice at fixed r as broadcast float64 arrays: ``region_grid`` is one call
+of it and ``classify`` its 1 x 1 case.  The strict clause's gap is computed
+in the operation order of ``witness.second_clause_gap``, so it is the float
+``witness_size`` tests, and it enters the margin.
+
+Strict comparisons require margin EPS_CMP and boundary equalities resolve
+toward the non-strict side.  That includes the one place two clauses of
+opposite verdicts overlap: p <= 2 and q <= r within EPS_CMP each allow a gap
+of up to 2 EPS_CMP, so the nested clause and the strict clause both hold
+where the gap lies in (EPS_CMP, 2 EPS_CMP], as at (2.000000000003, 2,
+1.999999999998).  There the nested clause decides (Preserves).  Every other
+pair is disjoint with room to spare for rounding, which is about 1e-16 here:
+r = inf gives 1/q >= 1/r, so r < q fails, and a gap of at most
+1/2 - 1/p - 1/2 <= 0; the nested clause and r < q would need
+1/r - EPS_CMP <= 1/q < 1/r - EPS_CMP.  Both clause families are still
+evaluated at every point; if any other pair ever fires together the engine
+raises InternalInconsistencyError, since that would falsify the
+implementation.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Optional
 
+import numpy as np
+
 from .errors import InternalInconsistencyError
 from .seqspace import EPS_CMP, INF, Exponent, ExponentLike, ExponentTriple
 from .unconditionality import DEFAULT_N_EXH, check_threads, quotient_lower_bound_search
-from .witness import hadamard_witness, second_clause_gap, tail_witness, witness_size
+from .witness import hadamard_witness, tail_witness, witness_size
+
+logger = logging.getLogger(__name__)
 
 
 class Verdict(str, Enum):
@@ -71,42 +89,81 @@ class Classification:
         }
 
 
+#: The verdict and clause of each kernel code; a clause's code is its index in ``Clause``.
+_DECISIONS = (
+    (Verdict.PRESERVES, Clause.R_INFINITE),
+    (Verdict.PRESERVES, Clause.SMALL_P_NESTED_Q),
+    (Verdict.NOT_PRESERVES, Clause.R_BELOW_Q),
+    (Verdict.NOT_PRESERVES, Clause.STRICT_GAP),
+    (Verdict.NOT_APPLICABLE, Clause.HOLDER_INVALID),
+    (Verdict.UNKNOWN, Clause.OPEN),
+)
+_R_INFINITE, _NESTED, _R_BELOW_Q, _STRICT_GAP, _HOLDER_INVALID, _OPEN = range(len(_DECISIONS))
+
+
+def _classify_lattice(
+    ps: list[Exponent], qs: list[Exponent], r: Exponent
+) -> tuple[list[Classification], np.ndarray]:
+    """Classify every (p, q, r) with p in ``ps`` and q in ``qs``, row-major (p outer, q inner).
+
+    Returns the records and the (len(ps), len(qs)) array of clause codes.
+    Every quantity of the decision table is one broadcast float64 array over
+    a column of 1/p and a row of 1/q, built by the same IEEE operations in
+    the same order as a scalar evaluation (``second_clause_gap`` included),
+    so each point gets the floats, and hence the clause and margin, that
+    evaluating it alone gives.
+    """
+    rp = np.array([p.reciprocal for p in ps])[:, None]
+    rq = np.array([q.reciprocal for q in qs])[None, :]
+    rr = r.reciprocal
+    holder = rp + rq
+    gap = 0.5 + rr - rp - np.maximum(0.5, rq)
+    margin = np.minimum(
+        np.minimum(np.abs(holder - rr), np.abs(rp - 0.5)),
+        np.minimum(np.abs(rq - rr), np.abs(gap)),
+    )
+    gate = rr > holder + EPS_CMP
+    p_infinite = rp == 0.0  # 1/p is 0.0 exactly for p = inf and positive for every finite p
+    # non-strict clause family: r = inf, or p <= 2 and q <= r
+    r_infinite = r.is_infinite
+    nested = (rp >= 0.5 - EPS_CMP) & (rq >= rr - EPS_CMP)
+    # strict clause family: r < q, or 1/2 + 1/r > 1/p + 1/min(2,q); the
+    # nested clause takes the band of the strict one it overlaps
+    r_below_q = rr > rq + EPS_CMP
+    strict = (gap > EPS_CMP) & ~nested
+    clash = ~gate & (r_infinite | nested) & (r_below_q | strict)
+    if clash.any():
+        i, j = divmod(int(np.argmax(clash)), len(qs))
+        raise InternalInconsistencyError(
+            f"both clause families fire for {ExponentTriple(ps[i], qs[j], r)}; "
+            "the implemented clauses must be disjoint"
+        )
+    codes = np.where(
+        gate,
+        np.where(p_infinite, _R_BELOW_Q, _HOLDER_INVALID),
+        np.where(
+            r_infinite,
+            _R_INFINITE,
+            np.where(nested, _NESTED, np.where(r_below_q, _R_BELOW_Q, np.where(strict, _STRICT_GAP, _OPEN))),
+        ),
+    )
+    rows = []
+    for p, code_row, margin_row in zip(ps, codes.tolist(), margin.tolist()):
+        for q, code, m in zip(qs, code_row, margin_row):
+            verdict, clause = _DECISIONS[code]
+            rows.append(Classification(ExponentTriple(p, q, r), verdict, clause, m))
+    return rows, codes
+
+
 def classify(t: ExponentTriple) -> Classification:
     """Classify one triple; see the module docstring for the decision table.
 
     The margin is the distance, in reciprocal coordinates, to the nearest
     clause boundary: the planes 1/r = 1/p + 1/q, 1/p = 1/2, 1/q = 1/r and the
     kinked surface 1/2 + 1/r = 1/p + 1/min(2,q), at signed distance ``gap``.
+    This is the 1 x 1 lattice of ``region_grid``'s kernel.
     """
-    rp, rq, rr = t.p.reciprocal, t.q.reciprocal, t.r.reciprocal
-    gap = second_clause_gap(t)
-    margin = min(abs(rp + rq - rr), abs(rp - 0.5), abs(rq - rr), abs(gap))
-    if rr > rp + rq + EPS_CMP:
-        if t.p.is_infinite:
-            # gate failure with 1/p = 0 says exactly r < q; the tail witness applies
-            return Classification(t, Verdict.NOT_PRESERVES, Clause.R_BELOW_Q, margin)
-        return Classification(t, Verdict.NOT_APPLICABLE, Clause.HOLDER_INVALID, margin)
-
-    # non-strict clause family: r = inf, or p <= 2 and q <= r
-    preserves_r_inf = t.r.is_infinite
-    preserves_nested = rp >= 0.5 - EPS_CMP and rq >= rr - EPS_CMP
-    # strict clause family: r < q, or 1/2 + 1/r > 1/p + 1/min(2,q)
-    not_preserves_r_lt_q = rr > rq + EPS_CMP
-    not_preserves_strict = gap > EPS_CMP
-
-    fires_preserve = preserves_r_inf or preserves_nested
-    fires_not = not_preserves_r_lt_q or not_preserves_strict
-    if fires_preserve and fires_not:
-        raise InternalInconsistencyError(
-            f"both clause families fire for {t}; the implemented clauses must be disjoint"
-        )
-    if fires_preserve:
-        clause = Clause.R_INFINITE if preserves_r_inf else Clause.SMALL_P_NESTED_Q
-        return Classification(t, Verdict.PRESERVES, clause, margin)
-    if fires_not:
-        clause = Clause.R_BELOW_Q if not_preserves_r_lt_q else Clause.STRICT_GAP
-        return Classification(t, Verdict.NOT_PRESERVES, clause, margin)
-    return Classification(t, Verdict.UNKNOWN, Clause.OPEN, margin)
+    return _classify_lattice([t.p], [t.q], t.r)[0][0]
 
 
 #: Cap on the points of a region grid, inf samples included; [1, 64]^2 at
@@ -152,23 +209,35 @@ def region_grid(
     each axis (1/inf = 0 exactly; no large finite stand-in), unless disabled.
     Rows are emitted in row-major (p outer, q inner) order.  The number of
     points is worked out before any is built, and a grid of more than
-    GRID_MAX_POINTS raises ValueError.  ``threads`` is accepted for
-    compatibility; classification is pure Python under the GIL, so the grid
-    is evaluated serially.
+    GRID_MAX_POINTS raises ValueError.  The whole lattice is classified by
+    one call of the kernel ``classify`` uses, so every record equals
+    ``classify`` of its triple.  ``threads`` is accepted for compatibility
+    and validated; the grid is evaluated serially.  Each call logs its point
+    count and the count per clause at debug level.
     """
     check_threads(threads)
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"step must be finite and positive, got {step!r}")
     r = Exponent.of(r)
     lens = [_lattice_len(rng, step) for rng in (p_range, q_range)]
-    if not all(lens):
-        return []
-    extra = 1 if include_infinite else 0
-    if (lens[0] + extra) * (lens[1] + extra) > GRID_MAX_POINTS:
-        raise ValueError(f"grid exceeds the cap of {GRID_MAX_POINTS} points; use a larger step")
-    ps = _lattice(p_range, step) + [INF] * extra
-    qs = _lattice(q_range, step) + [INF] * extra
-    return [classify(ExponentTriple(p, q, r)) for p in ps for q in qs]
+    ps: list[Exponent] = []
+    qs: list[Exponent] = []
+    if all(lens):
+        extra = 1 if include_infinite else 0
+        if (lens[0] + extra) * (lens[1] + extra) > GRID_MAX_POINTS:
+            raise ValueError(f"grid exceeds the cap of {GRID_MAX_POINTS} points; use a larger step")
+        ps = _lattice(p_range, step) + [INF] * extra
+        qs = _lattice(q_range, step) + [INF] * extra
+    rows, codes = _classify_lattice(ps, qs, r)
+    if logger.isEnabledFor(logging.DEBUG):
+        counts = np.bincount(codes.ravel(), minlength=len(_DECISIONS)).tolist()
+        logger.debug(
+            "region grid at r=%s: %d points; %s",
+            r,
+            codes.size,
+            ", ".join(f"{clause.value} {k}" for (_, clause), k in zip(_DECISIONS, counts)),
+        )
+    return rows
 
 
 GRID_CSV_HEADER = "p,q,r,verdict,clause,margin"

@@ -11,9 +11,12 @@ from fractions import Fraction
 
 import numpy as np
 
+from uncond.classifier import Classification, Clause, Verdict
+from uncond.errors import InternalInconsistencyError
 from uncond.lemma_lab import grothendieck_ratio
-from uncond.seqspace import EPS_NUM, Exponent, norm, row_norms
+from uncond.seqspace import EPS_CMP, EPS_NUM, Exponent, ExponentTriple, norm, row_norms
 from uncond.unconditionality import Family, unconditionality_quotient
+from uncond.witness import second_clause_gap
 
 
 def gray(i: int) -> int:
@@ -390,3 +393,38 @@ def main1_sides(A: np.ndarray, X: np.ndarray, q, K: float) -> tuple[float, float
     lhs = float(row_norms((A * X).sum(axis=0).reshape(1, -1), q)[0])
     a_max = float(row_norms(A, 2).max(initial=0.0))
     return lhs, 2.0 * K * a_max * sequential_scratch_max(X, q)[0]
+
+
+def classify(t: ExponentTriple) -> Classification:
+    """The decision table for one triple, evaluated in Python floats clause by clause.
+
+    The per-point rule the library replaced with its lattice kernel, kept as
+    the reference: the same float expressions and clause priority, and the
+    nested clause decides where it overlaps the strict one.
+    """
+    rp, rq, rr = t.p.reciprocal, t.q.reciprocal, t.r.reciprocal
+    gap = second_clause_gap(t)
+    margin = min(abs(rp + rq - rr), abs(rp - 0.5), abs(rq - rr), abs(gap))
+    if rr > rp + rq + EPS_CMP:
+        if t.p.is_infinite:
+            return Classification(t, Verdict.NOT_PRESERVES, Clause.R_BELOW_Q, margin)
+        return Classification(t, Verdict.NOT_APPLICABLE, Clause.HOLDER_INVALID, margin)
+
+    preserves_r_inf = t.r.is_infinite
+    preserves_nested = rp >= 0.5 - EPS_CMP and rq >= rr - EPS_CMP
+    not_preserves_r_lt_q = rr > rq + EPS_CMP
+    not_preserves_strict = gap > EPS_CMP and not preserves_nested
+
+    fires_preserve = preserves_r_inf or preserves_nested
+    fires_not = not_preserves_r_lt_q or not_preserves_strict
+    if fires_preserve and fires_not:
+        raise InternalInconsistencyError(
+            f"both clause families fire for {t}; the implemented clauses must be disjoint"
+        )
+    if fires_preserve:
+        clause = Clause.R_INFINITE if preserves_r_inf else Clause.SMALL_P_NESTED_Q
+        return Classification(t, Verdict.PRESERVES, clause, margin)
+    if fires_not:
+        clause = Clause.R_BELOW_Q if not_preserves_r_lt_q else Clause.STRICT_GAP
+        return Classification(t, Verdict.NOT_PRESERVES, clause, margin)
+    return Classification(t, Verdict.UNKNOWN, Clause.OPEN, margin)

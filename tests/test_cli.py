@@ -160,6 +160,16 @@ class TestClassifyCommand:
         assert out["p"] == "inf"
         assert out["verdict"] == "NotPreserves"
 
+    def test_nested_and_strict_overlap_is_nested(self, capsys):
+        # the gap 1.25e-12 lies in (EPS_CMP, 2 EPS_CMP], where p <= 2 and q <= r hold within EPS_CMP
+        assert main(["classify", "--p", "2.000000000003", "--q", "2", "--r", "1.999999999998"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == (
+            '{"p":2.000000000003,"q":2.0,"r":1.999999999998,"verdict":"Preserves",'
+            '"clause":"T1.4-1-pLe2qLeR","margin":5.000444502911705e-13}\n'
+        )
+
     def test_pretty(self):
         res = run_cli("classify", "--p", "2", "--q", "2", "--r", "2", "--pretty")
         assert res.returncode == 0
@@ -271,6 +281,20 @@ class TestGridCommand:
         lines = res.stdout.strip().split("\n")
         assert lines[0] == "p,q,r,verdict,clause,margin"
         assert len(lines) == 1 + 4 * 4  # 3x3 lattice plus inf samples
+
+    def test_nested_and_strict_overlap_is_nested(self, capsys):
+        argv = ["grid", "--r", "1.999999999998", "--p-min", "2.000000000003", "--p-max", "2.5",
+                "--q-min", "2", "--q-max", "2.5", "--step", "1"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == (
+            "p,q,r,verdict,clause,margin\n"
+            "2.000000000003,2.0,1.999999999998,Preserves,T1.4-1-pLe2qLeR,5.000444502911705e-13\n"
+            "2.000000000003,inf,1.999999999998,NotApplicable,HolderInvalid,7.499556531342932e-13\n"
+            "inf,2.0,1.999999999998,NotPreserves,T1.4-2-strict,5.000444502911705e-13\n"
+            "inf,inf,1.999999999998,NotPreserves,T1.4-2-rLtQ,0.5\n"
+        )
 
     def test_out_file(self, tmp_path):
         target = tmp_path / "grid.csv"
