@@ -18,11 +18,12 @@ Covered here:
   restart loop and the coordinate ascent of ``unconditionality``, supplying
   a +-1 or normal draw and a climb by single-entry sign flips, one flip per
   batch of the ascent; a flip leaves the numerator unchanged, so only the
-  sign max is recomputed.  Flips are screened on the dual table P = S X^T:
-  one pass bounds the sign max after every single-entry flip from below, at
-  the enumeration's rounding slack, and a flip that provably neither lowers
-  the sign max below the one held nor lifts the ratio above the envelope is
-  skipped, since it would be scored, reverted and not logged.
+  sign max is recomputed.  Flips are screened on the dual table P = S X^T,
+  built once per climb and after each kept flip: one pass bounds the sign
+  max after every single-entry flip from below, at the enumeration's
+  rounding slack, and a flip that provably neither lowers the sign max
+  below the one held nor lifts the ratio above the envelope is skipped,
+  since it would be scored, reverted and not logged.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .unconditionality import (
     KG_UPPER,
     Family,
     _BLOCK_BYTES,
+    _SIGN_FLIP_SWEEPS,
     _coordinate_ascent,
     _exhaustive_best,
     _require_exhaustible,
@@ -190,8 +192,10 @@ def grothendieck_ratio(
 
     Every returned ratio is a valid lower bound for the constant of the sign
     inequality; a ratio above ``kg_upper`` would be a critical finding and is
-    logged as such.
+    logged as such.  A NaN ``kg_upper`` raises ValueError.
     """
+    if math.isnan(kg_upper):
+        raise ValueError("kg_upper cannot be NaN")
     fam = Family.of(fam)
     smax = sign_max_norm(fam, 1, n_exh=n_exh)
     if smax.value <= 0.0:
@@ -247,7 +251,7 @@ def grothendieck_search(
     Negating a single entry never changes sum ||x_k||_2, not even in its last
     bit, so it is computed once per draw and refinement recomputes only the
     sign max of the denominator.  Flips are screened on the dual table
-    (``_flip_floors``, rebuilt each sweep and after each kept flip): a flip
+    (``_flip_floors``, built once per climb and after each kept flip): a flip
     whose sign max provably stays at or above the one held, with a ratio
     provably at most ``kg_upper`` + EPS_NUM, would be scored, reverted and
     not logged, so it is skipped.  The screen runs when dim < n, where the
@@ -258,6 +262,8 @@ def grothendieck_search(
     deterministic per seed.  Every ratio equals ``grothendieck_ratio`` of the
     same entries, and one above ``kg_upper`` is logged the same way.
     """
+    if math.isnan(kg_upper):
+        raise ValueError("kg_upper cannot be NaN")
     l1 = Exponent(1.0)
     limit = kg_upper + EPS_NUM
     # the screen's bounds fill a 2^(dim-1) x n x dim array; unscreened, every
@@ -272,43 +278,36 @@ def grothendieck_search(
 
     def climb(X, best):
         numer = float(row_norms(X, 2).sum())
-        # the sign max of the entries the climb holds, and of the last ones scored
-        held = last = 0.0
-
-        def score():
-            nonlocal last
-            last = _exhaustive_best(X, l1, signs=True)[0]
-            return -np.inf if last <= 0.0 else _sign_ratio(numer, last, kg_upper, n)
+        # the sign max of the entries the climb holds, and their screen
+        held = _exhaustive_best(X, l1, signs=True)[0]
+        if held <= 0.0:
+            return None
+        floors = floors_of(X)
 
         def evaluate(M, i, cols, deltas, cur):
-            # every batch is one flip
-            j = cols[0]
-            before = X[i, j]
-            X[i, j] = before + deltas[0]
-            ratio = score()
-            X[i, j] = before
-            return (ratio,), lambda k: (ratio, X)
+            # every batch is one flip: x - 2x is -x and -x + 2x is x exactly
+            X[i, cols[0]] += deltas[0]
+            smax = _exhaustive_best(X, l1, signs=True)[0]
+            X[i, cols[0]] -= deltas[0]
+            ratio = -np.inf if smax <= 0.0 else _sign_ratio(numer, smax, kg_upper, n)
+
+            def pick(k):
+                # the ascent kept the flip and has applied it
+                nonlocal held, floors
+                held, floors = smax, floors_of(X)
+                return ratio, X
+
+            return (ratio,), pick
 
         def flips():
-            nonlocal held
-            floors = floors_of(X)
             for i in range(n):
                 for j in range(dim):
                     floor = floors[i, j]
-                    if floor >= held and numer / floor <= limit:
-                        continue
-                    before = X[i, j]
-                    # a batch of one flip: x - 2x is -x exactly
-                    yield X, i, (j,), (-2.0 * before,)
-                    if X[i, j] != before:
-                        held = last
-                        floors = floors_of(X)
+                    if not (floor >= held and numer / floor <= limit):
+                        yield X, i, (j,), (-2.0 * X[i, j],)
 
-        start = score()
-        if start == -np.inf:
-            return None
-        held = last
-        return _coordinate_ascent((start, X), flips, evaluate, 8, "sign-flip climb")
+        start = (_sign_ratio(numer, held, kg_upper, n), X)
+        return _coordinate_ascent(start, flips, evaluate, _SIGN_FLIP_SWEEPS, "sign-flip climb")
 
     ratio, X = _seeded_restarts(n, dim, budget, seed, n_exh, draw, climb)
     return RatioReport(ratio, kg_upper, kg_upper - ratio, Family(X), True)

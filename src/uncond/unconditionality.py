@@ -106,6 +106,10 @@ _BNB_MAX_N = 62
 _FRONTIER_BYTES = 4 * _BLOCK_BYTES
 #: Ascent steps from each zonotope-vertex seed of the branch-and-bound incumbent.
 _SEED_STEPS = 3
+#: Sweep caps of the coordinate ascents, and the quotient refinement's step scales.
+_REFINE_SWEEPS = 2
+_REFINE_STEPS = (0.5, 0.1)
+_SIGN_FLIP_SWEEPS = 8
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).smallest_subnormal)
 
@@ -818,8 +822,10 @@ def main1_bound_check(
     multiplication l2 x lq -> lq the relevant operator norm is 1, so the
     right side needs no extra factor.  Both sides come from the quotient
     evaluator at the triple (2, q, q); all-zero families satisfy the check
-    as 0 <= 0.
+    as 0 <= 0.  A NaN ``K`` raises ValueError.
     """
+    if math.isnan(K):
+        raise ValueError("K cannot be NaN")
     avec, xvec = _paired_families(avec, xvec)
     _require_exhaustible(xvec.size, n_exh)
     q = Exponent.of(q)
@@ -853,11 +859,12 @@ def _coordinate_ascent(best, moves, evaluate, sweeps: int, name: str):
     from the current entries, recomputing only what depends on M, and
     returns ``(scores, pick)``: one score per move (-inf for a degenerate
     family) and ``pick(k)``, the tuple describing the entries after move k.
-    The first move scoring strictly higher is kept and the rest of the batch
-    is scored again from the new entries, so the moves are tried in order,
-    each against the entries every earlier kept move left.  The climb stops
-    after a sweep that keeps no move, or after ``sweeps`` sweeps.  On return
-    the matrices hold the entries the returned tuple describes.
+    The first move scoring strictly higher is kept, ``pick`` runs for it
+    after it is applied to M (a client's only notice of a keep), and the
+    rest of the batch is scored again from the new entries, so the moves are
+    tried in order, each against the entries every earlier kept move left.
+    The climb stops after a sweep that keeps no move, or after ``sweeps``
+    sweeps, and the matrices then hold the entries the returned tuple describes.
 
     One debug line per climb, headed ``name``, gives the sweeps, the batches
     scored, the moves scored in them, the moves a one-at-a-time ascent would
@@ -976,7 +983,7 @@ def _quotient_parts(A, X, t: ExponentTriple, a_max=None, sub=None):
     return res.at(0) if single else res
 
 
-def _refine_families(A, X, t, best: _Quotient, sweeps=2, steps=(0.5, 0.1)) -> _Quotient:
+def _refine_families(A, X, t, best: _Quotient) -> _Quotient:
     """Coordinate ascent on A, then X, by moves of +-scale * max(1, |entry|).
 
     A and X are moved in place.  Each batch holds one row's moves, entry by
@@ -988,7 +995,7 @@ def _refine_families(A, X, t, best: _Quotient, sweeps=2, steps=(0.5, 0.1)) -> _Q
     signs = np.tile([1.0, -1.0], A.shape[1])
 
     def moves():
-        for scale in steps:
+        for scale in _REFINE_STEPS:
             for M in (A, X):
                 for i in range(M.shape[0]):
                     yield M, i, cols, signs * np.repeat(scale * np.maximum(1.0, np.abs(M[i])), 2)
@@ -1002,7 +1009,7 @@ def _refine_families(A, X, t, best: _Quotient, sweeps=2, steps=(0.5, 0.1)) -> _Q
             res = _quotient_parts(A[None], moved, t, a_max=cur.a_max)
         return res.quotient.tolist(), res.at
 
-    return _coordinate_ascent(best, moves, evaluate, sweeps, "refinement")
+    return _coordinate_ascent(best, moves, evaluate, _REFINE_SWEEPS, "refinement")
 
 
 def _seeded_restarts(n: int, dim: int, budget: int, seed, n_exh: int, draw, climb):

@@ -268,11 +268,17 @@ class TailWitness(NamedTuple):
     tail_q_bound: float
 
 
+def _require_count(N) -> None:
+    if not isinstance(N, (int, np.integer)) or N < 0:
+        raise ValueError(f"N must be an integer >= 0, got {N!r}")
+
+
 def divergent_tail_norm(r: ExponentLike, N: int) -> float:
     """||(x(1),...,x(N))||_r for x(n) = n^(-1/r): the harmonic sum to the 1/r."""
     r = Exponent.of(r)
     if r.is_infinite:
         raise ValueError("r must be finite")
+    _require_count(N)
     return _harmonic(N)[1] ** (1.0 / r.value)
 
 
@@ -282,6 +288,7 @@ def tail_q_bound(q: ExponentLike, r: ExponentLike, N: int) -> float:
     r = Exponent.of(r)
     if r.is_infinite or not r < q:
         raise ValueError("requires r < q")
+    _require_count(N)
     if q.is_infinite:
         return float(N + 1) ** (-r.reciprocal)
     s = q.value / r.value

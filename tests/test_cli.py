@@ -109,6 +109,20 @@ GOLDEN = {
     ("quotient", "--p", "3", "--q", "3", "--r", "1.5", "--avec", "-"): (
         0, "cbefc814bcb43f9ecc288d15191e3ecefacc14ed712ae01ae014194eb00f5b43"
     ),
+    # sign-flip climbs screened on the dual table (dim < n)
+    ("grothendieck", "--n", "11", "--dim", "3", "--budget", "2", "--seed", "5"): (
+        0, "0750d60e4495ba81a89ce377cbc18ff3ba1c462db619c043a07ca378d738e0dd"
+    ),
+    ("grothendieck", "--n", "10", "--dim", "3", "--budget", "4", "--seed", "0"): (
+        0, "3de067fc5a3a1a18cf55af5c5a7d646d6dabff4e2a87e436e2c383f5010db785"
+    ),
+    ("grothendieck", "--n", "12", "--dim", "2", "--budget", "2", "--seed", "3"): (
+        0, "e7f6f97143979384a8e92febe7e6fa50e83c3c1bd94ec390e48d3f44b1a24b60"
+    ),
+    # dim >= n: every flip is scored
+    ("grothendieck", "--n", "4", "--dim", "5", "--budget", "2", "--seed", "4"): (
+        0, "ab1c8bbe15ce29613f41f4e75b80825e3137b2bdd08ef7fb8a0dd7e3be37eda4"
+    ),
 }
 GOLDEN_FAMILY = [[1.0, 2.0, -0.5], [0.25, -1.0, 3.0], [2.0, 0.5, 1.0], [-1.5, 1.0, 0.75]]
 #: 18 vectors of length 4 (n >= 2d, 2^18 subsets).

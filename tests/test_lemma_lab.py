@@ -2,6 +2,7 @@ import hashlib
 import json
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -330,6 +331,63 @@ class TestFlipScreen:
         want = public_sign_search(*shape, budget=1, seed=4)
         assert unscreened == len(calls)
         assert got.to_json() == want.to_json()
+
+
+class TestFloorBuilds:
+    """The screen is built once per climb and then only when the ascent reports a kept flip."""
+
+    CLIMB_LINE = re.compile(r"^sign-flip climb: (\d+) sweeps, .*, (\d+) kept, ")
+
+    @pytest.mark.parametrize("args", [(11, 3, 2, 5), (10, 3, 4, 0), (12, 2, 2, 3), (8, 4, 3, 7)])
+    def test_one_build_per_climb_and_per_kept_flip(self, args, monkeypatch, caplog):
+        builds = []
+        floors = lemma_lab._flip_floors
+
+        def counting(X):
+            builds.append(X.copy())
+            return floors(X)
+
+        monkeypatch.setattr(lemma_lab, "_flip_floors", counting)
+        with caplog.at_level(logging.DEBUG, logger="uncond.unconditionality"):
+            grothendieck_search(*args)
+        climbs = [self.CLIMB_LINE.match(r.getMessage()) for r in caplog.records]
+        climbs = [(int(m[1]), int(m[2])) for m in climbs if m]
+        assert climbs
+        # some climb ran a second sweep, where a rebuild at each sweep start would show
+        assert any(sweeps > 1 for sweeps, _ in climbs)
+        assert sum(kept for _, kept in climbs) > 0
+        assert len(builds) == len(climbs) + sum(kept for _, kept in climbs)
+        # every build after a climb's first sees entries a kept flip changed
+        assert all(not np.array_equal(a, b) for a, b in zip(builds, builds[1:]))
+
+    def test_unscreened_shapes_build_no_floors(self, monkeypatch):
+        monkeypatch.setattr(lemma_lab, "_flip_floors", lambda X: pytest.fail("screened"))
+        grothendieck_search(4, 5, 2, 4)
+
+
+class TestNanEnvelope:
+    """A NaN envelope is rejected before any work: it would silence the screen and the log."""
+
+    def test_ratio(self, monkeypatch):
+        monkeypatch.setattr(lemma_lab, "sign_max_norm", lambda *a, **k: pytest.fail("evaluated"))
+        with pytest.raises(ValueError, match="^kg_upper cannot be NaN$"):
+            grothendieck_ratio([[1.0, 0.0]], kg_upper=float("nan"))
+        # rejected before the family is read
+        with pytest.raises(ValueError, match="^kg_upper cannot be NaN$"):
+            grothendieck_ratio([[math.inf]], kg_upper=np.nan)
+
+    @pytest.mark.parametrize("shape", [(11, 3), (4, 5)])
+    def test_search(self, shape, monkeypatch):
+        monkeypatch.setattr(lemma_lab, "_exhaustive_best", lambda *a, **k: pytest.fail("evaluated"))
+        with pytest.raises(ValueError, match="^kg_upper cannot be NaN$"):
+            grothendieck_search(*shape, budget=2, seed=0, kg_upper=float("nan"))
+        # rejected before the budget is checked
+        with pytest.raises(ValueError, match="^kg_upper cannot be NaN$"):
+            grothendieck_search(*shape, budget=0, seed=0, kg_upper=np.float64("nan"))
+
+    def test_infinite_envelope_still_runs(self):
+        rep = grothendieck_search(3, 2, budget=2, seed=1, kg_upper=math.inf)
+        assert rep.bound == math.inf and rep.ratio > 0
 
 
 class TestSandwichSweep:

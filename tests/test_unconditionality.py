@@ -711,6 +711,17 @@ class TestMain1BoundCheck:
         fam = sylvester(1).rows_family()
         assert main1_bound_check(fam, fam, 2, 1.8)
 
+    @pytest.mark.parametrize("K", [float("nan"), np.nan, np.float64("nan")])
+    def test_nan_constant_is_rejected_before_any_work(self, K, monkeypatch):
+        # False would read as "the 2K inequality failed"
+        monkeypatch.setattr(U, "_quotient_parts", lambda *a, **k: pytest.fail("evaluated"))
+        fam = sylvester(1).rows_family()
+        with pytest.raises(ValueError, match="^K cannot be NaN$"):
+            main1_bound_check(fam, fam, 2, K)
+        # rejected before the families are read
+        with pytest.raises(ValueError, match="^K cannot be NaN$"):
+            main1_bound_check([[1.0]], [[1.0], [2.0]], 2, K)
+
     def test_zero_family_holds_vacuously(self):
         zeros = Family(np.zeros((2, 2)))
         assert main1_bound_check(zeros, zeros, 2, 1.8)

@@ -380,3 +380,36 @@ class TestTailWitness:
         # q = inf: the tail bound is the first omitted term
         tw = tail_witness("inf", 2, 2.0)
         assert tw.tail_q_bound == pytest.approx((tw.N + 1) ** -0.5, rel=1e-15)
+
+
+class TestTailCounts:
+    """The tail helpers take N as outside input: an integer N >= 0 or ValueError naming it."""
+
+    @pytest.mark.parametrize(
+        "call, N",
+        [
+            (lambda: tail_q_bound("inf", 1, -5), -5),  # was -0.25, a negative norm
+            (lambda: tail_q_bound("inf", 1, -1), -1),  # was ZeroDivisionError
+            (lambda: tail_q_bound(2, 1, -1), -1),  # was inf
+            (lambda: divergent_tail_norm(2, -1), -1),  # was 0.0
+            (lambda: divergent_tail_norm(2, 2.5), 2.5),  # was a sum of three terms
+            (lambda: tail_q_bound(2, 1, 3.0), 3.0),
+            (lambda: divergent_tail_norm(2, "3"), "3"),
+        ],
+    )
+    def test_rejects_a_bad_count(self, call, N):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == f"N must be an integer >= 0, got {N!r}"
+
+    def test_accepts_zero_and_numpy_integers(self):
+        assert tail_q_bound("inf", 1, 0) == 1.0
+        assert divergent_tail_norm(2, 0) == 0.0
+        assert tail_q_bound(2, 1, np.int64(10)) == tail_q_bound(2, 1, 10)
+        assert divergent_tail_norm(2, np.int32(3)) == divergent_tail_norm(2, 3)
+
+    def test_exponent_errors_come_first(self):
+        with pytest.raises(ValueError, match="requires r < q"):
+            tail_q_bound(1, 2, -1)
+        with pytest.raises(ValueError, match="r must be finite"):
+            divergent_tail_norm("inf", -1)
