@@ -41,7 +41,7 @@ import logging
 import math
 from dataclasses import asdict, dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -71,8 +71,15 @@ class Clause(str, Enum):
     OPEN = "Open"
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
+    """The verdict, clause and margin of one triple.
+
+    A named tuple, like ``ExponentTriple`` and for the same reason: a region
+    grid builds one per point.  It equals and hashes as the plain tuple
+    (triple, verdict, clause, margin), and assigning a field raises
+    AttributeError.
+    """
+
     triple: ExponentTriple
     verdict: Verdict
     clause: Clause
@@ -99,6 +106,9 @@ _DECISIONS = (
     (Verdict.UNKNOWN, Clause.OPEN),
 )
 _R_INFINITE, _NESTED, _R_BELOW_Q, _STRICT_GAP, _HOLDER_INVALID, _OPEN = range(len(_DECISIONS))
+#: The code of each layer of the kernel's flag stack, in the order the table
+#: tries its clauses; the first layer that holds decides, and the last always holds.
+_LAYER_CODES = np.array([_R_BELOW_Q, _HOLDER_INVALID, _R_INFINITE, _NESTED, _R_BELOW_Q, _STRICT_GAP, _OPEN])
 
 
 def _classify_lattice(
@@ -112,6 +122,10 @@ def _classify_lattice(
     the same order as a scalar evaluation (``second_clause_gap`` included),
     so each point gets the floats, and hence the clause and margin, that
     evaluating it alone gives.
+
+    Each clause is one layer of a boolean stack, in the order of
+    ``_LAYER_CODES``, and a point's code is that of its first layer that
+    holds: one lookup for the whole lattice.
     """
     rp = np.array([p.reciprocal for p in ps])[:, None]
     rq = np.array([q.reciprocal for q in qs])[None, :]
@@ -122,15 +136,20 @@ def _classify_lattice(
         np.minimum(np.abs(holder - rr), np.abs(rp - 0.5)),
         np.minimum(np.abs(rq - rr), np.abs(gap)),
     )
-    gate = rr > holder + EPS_CMP
-    p_infinite = rp == 0.0  # 1/p is 0.0 exactly for p = inf and positive for every finite p
+    layers = np.empty((len(_LAYER_CODES), len(ps), len(qs)), dtype=bool)
+    gate_p_infinite, gate, r_infinite, nested, r_below_q, strict, open_ = layers
+    np.greater(rr, holder + EPS_CMP, out=gate)
+    # 1/p is 0.0 exactly for p = inf and positive for every finite p
+    np.logical_and(gate, rp == 0.0, out=gate_p_infinite)
     # non-strict clause family: r = inf, or p <= 2 and q <= r
-    r_infinite = r.is_infinite
-    nested = (rp >= 0.5 - EPS_CMP) & (rq >= rr - EPS_CMP)
+    r_infinite[...] = r.is_infinite
+    np.logical_and(rp >= 0.5 - EPS_CMP, rq >= rr - EPS_CMP, out=nested)
     # strict clause family: r < q, or 1/2 + 1/r > 1/p + 1/min(2,q); the
     # nested clause takes the band of the strict one it overlaps
-    r_below_q = rr > rq + EPS_CMP
-    strict = (gap > EPS_CMP) & ~nested
+    np.greater(rr, rq + EPS_CMP, out=r_below_q)
+    np.greater(gap, EPS_CMP, out=strict)
+    strict &= ~nested
+    open_[...] = True
     clash = ~gate & (r_infinite | nested) & (r_below_q | strict)
     if clash.any():
         i, j = divmod(int(np.argmax(clash)), len(qs))
@@ -138,20 +157,14 @@ def _classify_lattice(
             f"both clause families fire for {ExponentTriple(ps[i], qs[j], r)}; "
             "the implemented clauses must be disjoint"
         )
-    codes = np.where(
-        gate,
-        np.where(p_infinite, _R_BELOW_Q, _HOLDER_INVALID),
-        np.where(
-            r_infinite,
-            _R_INFINITE,
-            np.where(nested, _NESTED, np.where(r_below_q, _R_BELOW_Q, np.where(strict, _STRICT_GAP, _OPEN))),
-        ),
-    )
-    rows = []
+    codes = _LAYER_CODES[layers.argmax(axis=0)]
+    # tuple.__new__ makes the same named tuples the class calls make, without
+    # their Python-level __new__, which would take 40% of this loop's time
+    record, rows = tuple.__new__, []
     for p, code_row, margin_row in zip(ps, codes.tolist(), margin.tolist()):
         for q, code, m in zip(qs, code_row, margin_row):
             verdict, clause = _DECISIONS[code]
-            rows.append(Classification(ExponentTriple(p, q, r), verdict, clause, m))
+            rows.append(record(Classification, (record(ExponentTriple, (p, q, r)), verdict, clause, m)))
     return rows, codes
 
 

@@ -10,6 +10,7 @@ reproducible; identical argv implies byte-identical stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -28,6 +29,7 @@ from .lemma_lab import (
 from .seqspace import Exponent, ExponentTriple
 from .unconditionality import (
     DEFAULT_N_EXH,
+    WALK_MAX_LOG,
     Family,
     check_threads,
     quotient_lower_bound_search,
@@ -40,8 +42,9 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_INTERNAL = 4
 
-#: Largest exhaustive cap UNCOND_NEXH may set: 2^30 subsets already take hours.
-MAX_N_EXH = 30
+#: Largest exhaustive cap UNCOND_NEXH may set: the walk's reach, since 2^30
+#: subsets already take hours.
+MAX_N_EXH = WALK_MAX_LOG
 #: Largest ``lemmas --dim``: each real draw is one vector of up to this many entries.
 LEMMAS_MAX_DIM = 1 << 20
 #: Largest ``lemmas --budget``: each unit is one Python-level real draw, and
@@ -87,7 +90,13 @@ def _n_exh() -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argparse tree of every command, built once per process.
+
+    ``parse_args`` leaves the parser as it found it, so one tree serves every
+    ``main`` call; building it costs several times more than parsing.
+    """
     parser = _Parser(prog="uncond", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

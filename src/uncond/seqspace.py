@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 import numpy as np
 
@@ -167,9 +167,15 @@ class FinSeq:
         return f"FinSeq({self.entries.tolist()!r})"
 
 
-@dataclass(frozen=True)
-class ExponentTriple:
-    """Exponents (p, q, r) for the action lp x lq -> lr."""
+class ExponentTriple(NamedTuple):
+    """Exponents (p, q, r) for the action lp x lq -> lr.
+
+    A named tuple: a region grid builds one per point, and a tuple costs half
+    what a frozen dataclass does to make, with no instance dict for the
+    garbage collector to track.  So a triple also equals, hashes, iterates
+    and orders as the plain tuple (p, q, r), and assigning a field raises
+    AttributeError.
+    """
 
     p: Exponent
     q: Exponent

@@ -104,6 +104,9 @@ _BNB_MIN_POSITIONS = 1 << 15
 _BNB_MAX_N = 62
 #: Cap on the bytes one branch-and-bound level allocates; past it the walk runs.
 _FRONTIER_BYTES = 4 * _BLOCK_BYTES
+#: The walk's reach, as log2 of its positions: a walk of 2^30 already takes
+#: hours, so ``_exhaustive_best`` refuses a longer one with ValueError.
+WALK_MAX_LOG = 30
 #: Ascent steps from each zonotope-vertex seed of the branch-and-bound incumbent.
 _SEED_STEPS = 3
 #: Sweep caps of the coordinate ascents, and the quotient refinement's step scales.
@@ -552,7 +555,8 @@ def _exhaustive_best(X: np.ndarray, q: Exponent, signs: bool):
     them with ``_first_best`` in Gray order gives the walk's (value, mask).
     If its frontier outgrows _FRONTIER_BYTES, the walk runs instead.  Each
     call logs its route at debug level, with the positions, the frontier
-    peak and the number of candidates recomputed.
+    peak and the number of candidates recomputed.  A walk of more than
+    2^WALK_MAX_LOG positions raises ValueError before it starts.
     """
     n, d = X.shape
     if not X.any():
@@ -573,6 +577,11 @@ def _exhaustive_best(X: np.ndarray, q: Exponent, signs: bool):
             _log_route("branch and bound", total, peak, ranks.size)
             return _first_best(X, q, signs, [ranks], chunk, (-1.0, 0))
         route = "branch-and-bound fallback"
+    if total > 1 << WALK_MAX_LOG:
+        raise ValueError(
+            f"an exact maximum over {total} positions needs a walk past the reach of "
+            f"2^{WALK_MAX_LOG} positions (branch-and-bound frontier peak {peak})"
+        )
     walked, eta = Xs, 0.0
     if q.value == 2.0 and d >= _GRAM_MIN_RATIO * n and total >= _GRAM_MIN_POSITIONS:
         route = "Gram walk"

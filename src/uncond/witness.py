@@ -50,11 +50,16 @@ _HARMONIC_CHUNK = 1 << 16
 class HadamardMatrix:
     """A 2^n x 2^n matrix of +-1 entries with mutually orthogonal rows.
 
+    The constructor and ``unpack`` take outside input, so they check it.
     Shape and exact +-1 entries are checked on the values given, before the
     int8 cast.  Every partial sum of the Gram product is then an integer of
     magnitude at most 2^n, so the float32 Gram matrix is exact up to 2^n = 2^24,
     far beyond any matrix that fits in memory.  Its diagonal is 2^n, and the
     rows are orthogonal exactly when it has 2^n nonzero entries.
+
+    ``sylvester`` alone skips these checks, through ``_trusted``: its
+    doubling rule gives orthogonal +-1 rows by construction, and at n = 10
+    the checks would take over 90% of the call.
     """
 
     log_size: int
@@ -78,8 +83,18 @@ class HadamardMatrix:
     def size(self) -> int:
         return 1 << self.log_size
 
+    @classmethod
+    def _trusted(cls, log_size: int, entries: np.ndarray) -> "HadamardMatrix":
+        """The matrix of int8 +-1 ``entries`` known to be Hadamard, taken as they are, unchecked."""
+        entries.setflags(write=False)
+        H = object.__new__(cls)
+        object.__setattr__(H, "log_size", log_size)
+        object.__setattr__(H, "entries", entries)
+        return H
+
     def rows_family(self) -> Family:
-        return Family(self.entries.astype(np.float64))
+        """The rows as a family: a read-only float64 copy of the entries."""
+        return Family(self.entries)
 
     def to_json_rows(self) -> list:
         return [[int(v) for v in row] for row in self.entries]
@@ -111,14 +126,22 @@ class HadamardMatrix:
 
 
 def sylvester(n: int) -> HadamardMatrix:
-    """The n-th doubling of [[1]]: H(2m) = [[H, H], [H, -H]], size 2^n."""
+    """The n-th doubling of [[1]]: H(2m) = [[H, H], [H, -H]], size 2^n.
+
+    If the rows h_i of H are orthogonal +-1 vectors, so are the rows
+    (h_i, h_i) and (h_i, -h_i) of the doubled matrix: two rows of one half
+    meet in 2<h_i, h_j> = 0, and rows of opposite halves in
+    <h_i, h_j> - <h_i, h_j> = 0.  So the result is Hadamard by induction and
+    is built unchecked (``HadamardMatrix._trusted``); its entries are int8 and
+    read-only.
+    """
     if not 0 <= n <= SYLVESTER_MAX_LOG:
         raise ValueError(f"n must be in [0, {SYLVESTER_MAX_LOG}] (size cap 2^{SYLVESTER_MAX_LOG})")
     block = np.array([[1, 1], [1, -1]], dtype=np.int8)
     H = np.array([[1]], dtype=np.int8)
     for _ in range(n):
         H = np.kron(block, H)
-    return HadamardMatrix(n, H)
+    return HadamardMatrix._trusted(n, H)
 
 
 @dataclass(frozen=True)
@@ -212,7 +235,7 @@ def hadamard_witness(
     multipliers and as summands; it is materialized (and, when 2^n is within
     the exhaustive cap, its exact quotient computed) only at desk scale.
     Its product vector sum_k h_k * h_k is constantly 2^n because every entry
-    is +-1, which ``HadamardMatrix`` checked on these very entries.
+    is +-1, as ``sylvester``'s doubling rule guarantees.
     """
     n = witness_size(t, C)
     num_slope, den_slope = _slopes(t)

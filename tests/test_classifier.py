@@ -2,6 +2,7 @@ import hashlib
 import json
 import logging
 import math
+import pickle
 from collections import Counter
 
 import numpy as np
@@ -121,6 +122,16 @@ GRID_JSON_FINITE = "73d3dc7f0c02e1f45eab85ea9cf15a9643bfc7d99492aea43e8162f00919
 
 #: sha256 of grid_to_csv(region_grid(3, (1, 64), (1, 64), 0.5)).
 GRID_CSV = "b797efbd5b1894c71f35229aa0c062b2a4a31dbb5ec233be7b9683003b56571a"
+
+#: sha256 of grid_to_csv(region_grid(r, (1, 8), (1, 8), 0.125)), pinned while
+#: the records were frozen dataclasses.
+GRID_CSV_FINE = {
+    1.5: "35938ce6cea2194c2a11129011cb663e0fc96ca056402802b79f1462cc219423",
+    3: "ac89a09f33d5bf3a2dcc8a53863051fb6a98974bb50d55c76bc1963257bc7801",
+    "inf": "54f4ec244baa215efd90343eb6c77010aa8c519eb5b56216d3fd7503082cf299",
+}
+#: sha256 of repr(region_grid(2.5, (1, 8), (1, 8), 0.125)), pinned likewise.
+GRID_REPR = "b67c7bd94eed6ee3da5fbadbd22260ef093690536d3013494ff8410e71fd459c"
 
 
 def _exponent(reciprocal):
@@ -424,6 +435,66 @@ class TestRegionGrid:
         assert any(",inf," in line or line.startswith("inf,") for line in lines[1:])
         # every line parses into six fields
         assert all(len(line.split(",")) == 6 for line in lines)
+
+    @pytest.mark.parametrize("r", list(GRID_CSV_FINE))
+    def test_fine_grid_csv_pinned(self, r):
+        text = grid_to_csv(region_grid(r, (1, 8), (1, 8), 0.125))
+        assert hashlib.sha256(text.encode()).hexdigest() == GRID_CSV_FINE[r]
+
+    def test_grid_repr_pinned(self):
+        text = repr(region_grid(2.5, (1, 8), (1, 8), 0.125))
+        assert hashlib.sha256(text.encode()).hexdigest() == GRID_REPR
+
+
+class TestClassificationRecord:
+    #: repr and to_json of classify at three triples, one with each exponent infinite or finite.
+    CASES = {
+        (3.0, 2.0, "inf"): (
+            "Classification(triple=ExponentTriple(p=Exponent(value=3.0), q=Exponent(value=2.0), "
+            "r=Exponent(value=None)), verdict=<Verdict.PRESERVES: 'Preserves'>, "
+            "clause=<Clause.R_INFINITE: 'T1.4-1-rInf'>, margin=0.16666666666666669)",
+            {"p": 3.0, "q": 2.0, "r": "inf", "verdict": "Preserves", "clause": "T1.4-1-rInf",
+             "margin": 0.16666666666666669},
+        ),
+        ("inf", 4.0, 2.0): (
+            "Classification(triple=ExponentTriple(p=Exponent(value=None), q=Exponent(value=4.0), "
+            "r=Exponent(value=2.0)), verdict=<Verdict.NOT_PRESERVES: 'NotPreserves'>, "
+            "clause=<Clause.R_BELOW_Q: 'T1.4-2-rLtQ'>, margin=0.25)",
+            {"p": "inf", "q": 4.0, "r": 2.0, "verdict": "NotPreserves", "clause": "T1.4-2-rLtQ", "margin": 0.25},
+        ),
+        (2.5, 3.0, 3.0): (
+            "Classification(triple=ExponentTriple(p=Exponent(value=2.5), q=Exponent(value=3.0), "
+            "r=Exponent(value=3.0)), verdict=<Verdict.UNKNOWN: 'Unknown'>, "
+            "clause=<Clause.OPEN: 'Open'>, margin=0.0)",
+            {"p": 2.5, "q": 3.0, "r": 3.0, "verdict": "Unknown", "clause": "Open", "margin": 0.0},
+        ),
+    }
+
+    @pytest.mark.parametrize("triple", list(CASES), ids=str)
+    def test_repr_str_and_json(self, triple):
+        c = classify(T(*triple))
+        text, payload = self.CASES[triple]
+        assert repr(c) == str(c) == text
+        assert c.to_json() == payload
+        assert json.dumps(c.to_json()) == json.dumps(payload)
+
+    @pytest.mark.parametrize("triple", list(CASES), ids=str)
+    def test_equality_hash_and_pickle(self, triple):
+        c = classify(T(*triple))
+        same = classify(T(*triple))
+        assert c == same and hash(c) == hash(same)
+        assert hash(c) == hash((c.triple, c.verdict, c.clause, c.margin))
+        assert c != Classification(c.triple, c.verdict, c.clause, c.margin + 1.0)
+        again = pickle.loads(pickle.dumps(c))
+        assert again == c and repr(again) == repr(c) and type(again) is Classification
+        assert again.verdict is c.verdict and again.clause is c.clause
+
+    def test_fields_cannot_be_assigned(self):
+        c = classify(T(2, 2, 2))
+        for name, value in (("margin", 1.0), ("verdict", Verdict.UNKNOWN), ("triple", T(3, 3, 3))):
+            with pytest.raises(AttributeError):
+                setattr(c, name, value)
+        assert c == classify(T(2, 2, 2))
 
 
 class TestCrossValidate:

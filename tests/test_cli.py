@@ -504,6 +504,38 @@ class TestMainEntry:
         assert err["error"] == "internal-inconsistency"
 
 
+class TestSharedParser:
+    """``main`` reuses one parser per process, so no call may leave state behind for the next."""
+
+    @pytest.mark.parametrize("sequence", [
+        [["classify", "--p", "2", "--bogus"], ["classify", "--p", "2", "--q", "3", "--r", "2"]],
+        [["classify", "--p", "3", "--q", "3", "--r", "3", "--pretty"], ["classify", "--p", "3", "--q", "3", "--r", "3"]],
+        [["witness-tail", "--q", "2", "--r", "1", "--B", "2", "--out", "{out}"],
+         ["witness-tail", "--q", "2", "--r", "1", "--B", "2"]],
+        [["grid", "--r", "2", "--p-max", "2", "--q-max", "2", "--no-infinity"],
+         ["grid", "--r", "2", "--p-max", "2", "--q-max", "2"]],
+    ], ids=["usage-then-valid", "pretty-then-plain", "out-then-stdout", "no-infinity-then-infinity"])
+    def test_each_call_matches_a_fresh_process(self, sequence, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("UNCOND_NEXH", raising=False)
+        out_file = tmp_path / "out.json"
+
+        def outcome(code, stdout, stderr):
+            written = out_file.read_text() if out_file.exists() else None
+            out_file.unlink(missing_ok=True)
+            return code, stdout, stderr, written
+
+        argvs = [[arg.format(out=out_file) for arg in argv] for argv in sequence]
+        fresh = []
+        for argv in argvs:
+            res = run_cli(*argv)
+            fresh.append(outcome(res.returncode, res.stdout, res.stderr))
+        for argv, want in zip(argvs, fresh):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert outcome(code, captured.out, captured.err) == want, argv
+        assert fresh[0] != fresh[1]
+
+
 class TestGolden:
     @pytest.mark.parametrize("argv", sorted(GOLDEN), ids=" ".join)
     def test_stdout_and_exit_code(self, argv, monkeypatch, capsys):

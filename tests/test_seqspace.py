@@ -1,5 +1,6 @@
 import math
 import operator
+import pickle
 import warnings
 
 import numpy as np
@@ -210,6 +211,19 @@ class TestExponentTriple:
         # 1/r = 1/p + 1/q exactly
         assert ExponentTriple.of(2, 2, 1).holder_valid
         assert ExponentTriple.of(4, 4, 2).holder_valid
+
+    def test_record_semantics(self):
+        t = ExponentTriple.of(2, "inf", 1.5)
+        assert repr(t) == "ExponentTriple(p=Exponent(value=2.0), q=Exponent(value=None), r=Exponent(value=1.5))"
+        assert str(t) == "(2.0, inf, 1.5)"
+        assert (t.p, t.q, t.r) == (Exponent(2.0), INF, Exponent(1.5))
+        same = ExponentTriple(Exponent(2.0), INF, Exponent(1.5))
+        assert t == same and hash(t) == hash(same) == hash((t.p, t.q, t.r))
+        assert t != ExponentTriple.of(2, "inf", 2) and len({t, same}) == 1
+        again = pickle.loads(pickle.dumps(t))
+        assert again == t and repr(again) == repr(t) and type(again) is ExponentTriple
+        with pytest.raises(AttributeError):
+            t.p = Exponent(3.0)
 
 
 class TestNonFiniteEntries:

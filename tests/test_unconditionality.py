@@ -1,12 +1,14 @@
 import logging
 import math
 import re
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uncond import cli
 from uncond import unconditionality as U
 from uncond.lemma_lab import complex_subset_max, grothendieck_search
 from uncond.seqspace import EPS_NUM, ExponentTriple, FinSeq
@@ -574,8 +576,46 @@ class TestBranchAndBound:
         assert grams == [(12, 24), (13, 26)]
 
 
+class TestWalkReach:
+    """No walk of more than 2^WALK_MAX_LOG positions starts; the call fails at once instead."""
+
+    def test_fallback_past_the_reach_raises_within_a_second(self):
+        fam = Family(np.random.default_rng(60).standard_normal((60, 4)))
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as err:
+            subset_max_norm(fam, 3, n_exh=62)
+        assert time.perf_counter() - start < 1.0
+        match = re.fullmatch(
+            r"an exact maximum over (\d+) positions needs a walk past the reach of "
+            r"2\^30 positions \(branch-and-bound frontier peak (\d+)\)",
+            str(err.value),
+        )
+        assert match and int(match[1]) == 1 << 60 and int(match[2]) > 0
+
+    def test_wide_family_past_the_reach_raises_before_the_walk(self, monkeypatch):
+        monkeypatch.setattr(U, "_low_walk", None)  # a walk would fail on this, not on the cap
+        fam = Family(np.random.default_rng(31).standard_normal((32, 32)))
+        with pytest.raises(ValueError, match=r"over 2147483648 positions .* frontier peak 0\)"):
+            sign_max_norm(fam, 2, n_exh=40)
+
+    def test_a_walk_of_exactly_the_reach_runs(self, monkeypatch):
+        # 2^n n d > 2048 at d = 40, so these take the walk, not the scratch route
+        monkeypatch.setattr(U, "WALK_MAX_LOG", 4)
+        X = np.random.default_rng(5).standard_normal((5, 40))
+        for got, (value, mask) in (
+            (sign_max_norm(X, 3), naive_sign_max(X, 3)),
+            (subset_max_norm(X[:4], 3), naive_subset_max(X[:4], 3)),
+        ):
+            assert got.argmax_subset == mask and got.value == pytest.approx(value, rel=1e-12)
+        with pytest.raises(ValueError, match="over 32 positions"):
+            subset_max_norm(X, 3)
+
+    def test_cli_cap_is_the_walks_reach(self):
+        assert cli.MAX_N_EXH == U.WALK_MAX_LOG == 30
+
+
 class TestRouteLog:
-    LINE = re.compile(r"exact route (.+): (\d+) positions, frontier peak (\d+), (\d+) candidates recomputed")
+    LINE =re.compile(r"exact route (.+): (\d+) positions, frontier peak (\d+), (\d+) candidates recomputed")
 
     def test_debug_line_names_each_route(self, caplog):
         rng = np.random.default_rng(83)

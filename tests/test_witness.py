@@ -88,6 +88,33 @@ class TestSylvester:
         assert H.entries.dtype == np.int8
         assert H.entries.tolist() == [[1, 1], [1, -1]]
 
+    def test_checked_constructor_accepts_every_doubling(self):
+        for n in range(0, 11):
+            H = HadamardMatrix(n, sylvester(n).entries)
+            assert np.array_equal(H.entries, sylvester(n).entries)
+
+    @pytest.mark.parametrize("n", [0, 1, 4, 10])
+    def test_entries_are_read_only_int8(self, n):
+        E = sylvester(n).entries
+        assert E.dtype == np.int8 and E.shape == (1 << n, 1 << n)
+        assert not E.flags.writeable
+        with pytest.raises(ValueError):
+            E[0, 0] = -1
+
+    @pytest.mark.parametrize("n", [0, 3, 10])
+    def test_rows_family_is_a_read_only_float64_copy(self, n):
+        H = sylvester(n)
+        M = H.rows_family().matrix
+        assert M.dtype == np.float64 and not M.flags.writeable
+        assert np.array_equal(M, H.entries)
+
+    def test_unpack_rejects_one_flipped_sign(self):
+        E = sylvester(5).entries.copy()
+        E[17, 9] = -E[17, 9]
+        data = np.packbits(E.reshape(-1) == -1).tobytes()
+        with pytest.raises(ValueError, match="orthogonal"):
+            HadamardMatrix.unpack(5, data)
+
     def test_packed_round_trip(self):
         for n in (0, 1, 3, 5):
             H = sylvester(n)
