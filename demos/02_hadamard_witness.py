@@ -37,16 +37,15 @@ prod = (fam.matrix * fam.matrix).sum(axis=0)
 print(f"coordinatewise product sum: {prod.tolist()}  (constant 2^n, exactly)")
 
 # The subset-sum cap from orthogonality, checked exhaustively at n = 3:
-H = sylvester(3)
-fam3 = H.rows_family()
+fam3 = sylvester(3)
 for q in (1.0, 1.5, 2.0, 4.0):
     rq2 = max(0.5, 1.0 / q)
     bound = 2.0 ** (3 * (0.5 + rq2))
     res = subset_max_norm(fam3, q)
     print(f"  n=3, q={q:<3}: exhaustive subset max {res.value:9.4f} <= bound {bound:9.4f}")
 
-# Row orthogonality is verified exactly (integer arithmetic) at construction:
-E = H.entries.astype(np.int64)
+# Row orthogonality, checked exactly in integer arithmetic:
+E = fam3.matrix.astype(np.int64)
 assert np.array_equal(E @ E.T, 8 * np.eye(8, dtype=np.int64))
 print("\n8x8 row orthogonality: exact")
 

@@ -32,7 +32,7 @@ print(f"cancelling pair, q=1:  max {res.value:.6f} at subset {res.argmax_subset:
 
 # The quotient of the 2x2 orthogonal rows under (inf, 2, 2):
 t = ExponentTriple.of("inf", 2, 2)
-fam = sylvester(1).rows_family()
+fam = sylvester(1)
 qres = unconditionality_quotient(fam, fam, t)
 print(f"\n2x2 rows at {t}: quotient {qres.quotient:.12f} "
       f"= {qres.numerator:.6f} / {qres.denominator:.6f}")

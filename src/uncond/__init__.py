@@ -59,7 +59,6 @@ from .unconditionality import (
     unconditionality_quotient,
 )
 from .witness import (
-    HadamardMatrix,
     TailWitness,
     WitnessReport,
     divergent_tail_norm,
@@ -83,7 +82,6 @@ __all__ = [
     "ExponentTriple",
     "Family",
     "FinSeq",
-    "HadamardMatrix",
     "INF",
     "InternalInconsistencyError",
     "KG_UPPER",

@@ -683,15 +683,23 @@ def _random_mask(rng: np.random.Generator, n: int) -> int:
     return mask
 
 
+def _trial_rngs(seed, budget: int):
+    """Trial k's generator for k < budget, that of ``SeedSequence(seed).spawn(budget)[k]``.
+
+    The root spawns one child as each trial starts, continuing its count;
+    spawning every child up front would cost about 400 bytes and 12 us each.
+    """
+    root = np.random.SeedSequence(seed)
+    return (np.random.default_rng(root.spawn(1)[0]) for _ in range(budget))
+
+
 def _randomized_subset_best(X: np.ndarray, q: Exponent, budget: int, seed):
     """Random restarts plus single-flip hill climbing; returns (value, mask)."""
     n = X.shape[0]
     best_val, best_mask = 0.0, 0
     if n == 0:
         return best_val, best_mask
-    children = np.random.SeedSequence(seed).spawn(budget)
-    for child in children:
-        rng = np.random.default_rng(child)
+    for rng in _trial_rngs(seed, budget):
         mask = _random_mask(rng, n)
         # an object array keeps masks of 64 or more bits exact
         cur = _scratch_sums(X, np.array([mask], dtype=object))[0]
@@ -1024,7 +1032,7 @@ def _refine_families(A, X, t, best: _Quotient) -> _Quotient:
 def _seeded_restarts(n: int, dim: int, budget: int, seed, n_exh: int, draw, climb):
     """The best climbed draw over ``budget`` seeded restarts, shared by both family searches.
 
-    Trial k runs on the k-th child of ``SeedSequence(seed)``:
+    Trial k runs on the k-th child of ``SeedSequence(seed)`` (``_trial_rngs``):
     ``draw(rng, lattice)`` returns fresh float arrays, lattice entries at
     even trials and standard normal ones at odd trials, and
     ``climb(arrays, best)`` refines them into a tuple whose first field is
@@ -1040,8 +1048,8 @@ def _seeded_restarts(n: int, dim: int, budget: int, seed, n_exh: int, draw, clim
         raise ValueError(f"n * dim = {n * dim} exceeds the cap of {DRAW_MAX_ENTRIES} entries per draw")
     _require_exhaustible(n, n_exh)
     best = None
-    for trial, child in enumerate(np.random.SeedSequence(seed).spawn(budget)):
-        res = climb(draw(np.random.default_rng(child), trial % 2 == 0), best)
+    for trial, rng in enumerate(_trial_rngs(seed, budget)):
+        res = climb(draw(rng, trial % 2 == 0), best)
         if res is not None and (best is None or res[0] > best[0]):
             best = res
     if best is None:

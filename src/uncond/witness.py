@@ -7,7 +7,8 @@ Two generators:
   prescribed constant C.  The certificate lives in log2 space: the product
   vector is constantly 2^n on 2^n coordinates, so the numerator is exactly
   2^(n(1+1/r)), while every subset sum of the rows is bounded by
-  2^(n(1/2+1/q'')) with q'' = min(2, q).
+  2^(n(1/2+1/q'')) with q'' = min(2, q).  The rows are the ``Family``
+  ``sylvester(n)``, materialized only up to n = MATERIALIZE_MAX_LOG.
 
 * ``tail_witness`` exhibits, for r < q, the power sequence x(n) = n^(-1/r)
   whose basis expansion is unconditionally Cauchy in lq (summable tail) while
@@ -32,9 +33,7 @@ from scipy.special import zeta
 from .seqspace import EPS_CMP, Exponent, ExponentLike, ExponentTriple
 from .unconditionality import DEFAULT_N_EXH, Family, unconditionality_quotient
 
-#: Largest doubling step for explicit +-1 matrices (size 4096).
-SYLVESTER_MAX_LOG = 12
-#: Families are materialized only while the matrix has at most 2^20 entries.
+#: Families are materialized only while they hold at most 2^20 float64 entries (8 MB).
 MATERIALIZE_MAX_LOG = 10
 #: Cap on the certificate step count.  Beyond MATERIALIZE_MAX_LOG the
 #: certificate is pure log2 arithmetic, so the cap only keeps 2^n a finite float.
@@ -46,102 +45,23 @@ TAIL_MAX_TERMS = 10_000_000
 _HARMONIC_CHUNK = 1 << 16
 
 
-@dataclass(frozen=True, eq=False)
-class HadamardMatrix:
-    """A 2^n x 2^n matrix of +-1 entries with mutually orthogonal rows.
-
-    The constructor and ``unpack`` take outside input, so they check it.
-    Shape and exact +-1 entries are checked on the values given, before the
-    int8 cast.  Every partial sum of the Gram product is then an integer of
-    magnitude at most 2^n, so the float32 Gram matrix is exact up to 2^n = 2^24,
-    far beyond any matrix that fits in memory.  Its diagonal is 2^n, and the
-    rows are orthogonal exactly when it has 2^n nonzero entries.
-
-    ``sylvester`` alone skips these checks, through ``_trusted``: its
-    doubling rule gives orthogonal +-1 rows by construction, and at n = 10
-    the checks would take over 90% of the call.
-    """
-
-    log_size: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        size = 1 << self.log_size
-        arr = np.asarray(self.entries)
-        if arr.shape != (size, size):
-            raise ValueError(f"expected a {size}x{size} matrix")
-        if not np.all((arr == 1) | (arr == -1)):
-            raise ValueError("entries must be exactly +1 or -1")
-        arr = arr.astype(np.int8)
-        f = arr.astype(np.float32)
-        if np.count_nonzero(f @ f.T) != size:
-            raise ValueError("rows are not mutually orthogonal")
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
-
-    @property
-    def size(self) -> int:
-        return 1 << self.log_size
-
-    @classmethod
-    def _trusted(cls, log_size: int, entries: np.ndarray) -> "HadamardMatrix":
-        """The matrix of int8 +-1 ``entries`` known to be Hadamard, taken as they are, unchecked."""
-        entries.setflags(write=False)
-        H = object.__new__(cls)
-        object.__setattr__(H, "log_size", log_size)
-        object.__setattr__(H, "entries", entries)
-        return H
-
-    def rows_family(self) -> Family:
-        """The rows as a family: a read-only float64 copy of the entries."""
-        return Family(self.entries)
-
-    def to_json_rows(self) -> list:
-        return [[int(v) for v in row] for row in self.entries]
-
-    def packed(self) -> bytes:
-        """Row-major, one bit per entry; the bit is 1 where the entry is -1."""
-        return np.packbits(self.entries.reshape(-1) == -1).tobytes()
-
-    @classmethod
-    def unpack(cls, log_size: int, data: bytes) -> "HadamardMatrix":
-        """The matrix ``packed`` wrote, from exactly ceil(4^log_size / 8) bytes.
-
-        The padding bits that fill the last byte must be clear, as ``packed``
-        leaves them.
-        """
-        size = 1 << log_size
-        expected = (size * size + 7) // 8
-        if len(data) != expected:
-            raise ValueError(f"packed data must be {expected} bytes for log_size {log_size}, got {len(data)}")
-        padding = 8 * expected - size * size
-        if data[-1] & ((1 << padding) - 1):
-            raise ValueError(f"packed data sets padding bits of its last byte: {data[-1]:#04x}")
-        bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=size * size)
-        entries = np.where(bits.reshape(size, size) == 1, -1, 1).astype(np.int8)
-        return cls(log_size, entries)
-
-    def __repr__(self):
-        return f"HadamardMatrix(log_size={self.log_size})"
-
-
-def sylvester(n: int) -> HadamardMatrix:
-    """The n-th doubling of [[1]]: H(2m) = [[H, H], [H, -H]], size 2^n.
+def sylvester(n: int) -> Family:
+    """The 2^n rows of the n-th doubling of [[1]], H(2m) = [[H, H], [H, -H]], as a ``Family``.
 
     If the rows h_i of H are orthogonal +-1 vectors, so are the rows
     (h_i, h_i) and (h_i, -h_i) of the doubled matrix: two rows of one half
     meet in 2<h_i, h_j> = 0, and rows of opposite halves in
-    <h_i, h_j> - <h_i, h_j> = 0.  So the result is Hadamard by induction and
-    is built unchecked (``HadamardMatrix._trusted``); its entries are int8 and
-    read-only.
+    <h_i, h_j> - <h_i, h_j> = 0.  So the rows are orthogonal by induction.
+    The matrix is doubled in int8 and converted once by ``Family``; n is
+    capped at MATERIALIZE_MAX_LOG.
     """
-    if not 0 <= n <= SYLVESTER_MAX_LOG:
-        raise ValueError(f"n must be in [0, {SYLVESTER_MAX_LOG}] (size cap 2^{SYLVESTER_MAX_LOG})")
+    if not 0 <= n <= MATERIALIZE_MAX_LOG:
+        raise ValueError(f"n must be in [0, {MATERIALIZE_MAX_LOG}] (size cap 2^{MATERIALIZE_MAX_LOG})")
     block = np.array([[1, 1], [1, -1]], dtype=np.int8)
     H = np.array([[1]], dtype=np.int8)
     for _ in range(n):
         H = np.kron(block, H)
-    return HadamardMatrix._trusted(n, H)
+    return Family(H)
 
 
 @dataclass(frozen=True)
@@ -231,9 +151,9 @@ def hadamard_witness(
 
     Picks the minimal n >= 1 with n(1+1/r) > log2(C) + n(1/p + 1/2 + 1/q'')
     (``witness_size``), all comparisons in log2 space with margin EPS_CMP.
-    The family is the set of rows of ``sylvester(n)`` used both as
-    multipliers and as summands; it is materialized (and, when 2^n is within
-    the exhaustive cap, its exact quotient computed) only at desk scale.
+    The family is ``sylvester(n)``, its rows used both as multipliers and
+    as summands; it is materialized (and, when 2^n is within the exhaustive
+    cap, its exact quotient computed) only up to n = MATERIALIZE_MAX_LOG.
     Its product vector sum_k h_k * h_k is constantly 2^n because every entry
     is +-1, as ``sylvester``'s doubling rule guarantees.
     """
@@ -245,7 +165,7 @@ def hadamard_witness(
     family = None
     exq = None
     if n <= MATERIALIZE_MAX_LOG:
-        family = sylvester(n).rows_family()
+        family = sylvester(n)
         if (1 << n) <= n_exh:
             exq = unconditionality_quotient(family, family, t, n_exh=n_exh).quotient
     return WitnessReport(

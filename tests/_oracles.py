@@ -222,6 +222,16 @@ def direct_quotient(A: np.ndarray, X: np.ndarray, p, q, r) -> tuple[float, float
     return direct_norm(total, r), a_max * naive_subset_max(X, q)[0]
 
 
+def sylvester_entries(n: int) -> np.ndarray:
+    """The 2^n x 2^n Sylvester matrix from its closed form H[i, j] = (-1)^popcount(i & j), without doubling."""
+    idx = np.arange(1 << n)
+    both = idx[:, None] & idx[None, :]
+    ones = np.zeros_like(both)
+    for b in range(n):
+        ones += (both >> b) & 1
+    return np.where(ones % 2 == 1, -1, 1)
+
+
 def harmonic_sum(N: int) -> float:
     """sum_{n<=N} 1/n, added left to right one term at a time."""
     s = 0.0

@@ -46,11 +46,10 @@ def test_criterion_01_hadamard_witness_exactness():
 
     exponents = {"1": 1.0, "2": 2.0, "3": 3.0, "inf": None}
     for n in range(1, 11):
-        H = sylvester(n)
-        E = H.entries.astype(np.int64)
+        fam = sylvester(n)
+        E = fam.matrix.astype(np.int64)
         # numerator structure: the product vector is constantly 2^n (integers)
         ok = ok and bool(np.all((E * E).sum(axis=0) == 1 << n))
-        fam = H.rows_family()
         for tok, val in exponents.items():
             p = INF if val is None else Exponent(val)
             rp = p.reciprocal
@@ -79,7 +78,7 @@ def test_criterion_02_claim_bound():
     ok = True
     worst = 0.0
     for n in range(1, 5):
-        fam = sylvester(n).rows_family()
+        fam = sylvester(n)
         for q in (1.0, 1.5, 2.0, 3.0, 4.0):
             rq2 = max(0.5, 1.0 / q)
             bound = 2.0 ** (n * (0.5 + rq2))

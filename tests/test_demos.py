@@ -1,10 +1,12 @@
-"""The demos and the public name list stay in step with the package.
+"""The demos, the README quick start and the public name list stay in step with the package.
 
-Each script under ``demos/`` runs in a fresh interpreter on the package
-source, so deleting a public name a demo uses fails here.
+Each script under ``demos/`` and the README's python block run in a fresh
+interpreter on the package source, so deleting a public name one of them
+uses fails here.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,18 +23,30 @@ def test_demos_exist():
     assert DEMOS
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
-def test_demo_runs_cleanly(demo, tmp_path):
+def _run_cleanly(args, cwd):
+    """Run python ``args`` in a fresh interpreter on the package source; it must exit 0 with no stderr."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     res = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
-        cwd=tmp_path,
+        cwd=cwd,
         env=dict(os.environ, PYTHONPATH=path),
     )
     assert res.returncode == 0, res.stderr
     assert res.stderr == ""
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
+def test_demo_runs_cleanly(demo, tmp_path):
+    _run_cleanly([str(demo)], tmp_path)
+
+
+def test_readme_quick_start_runs_cleanly(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.M | re.S)
+    assert len(blocks) == 1
+    _run_cleanly(["-c", blocks[0]], tmp_path)
 
 
 def test_public_names_resolve_once():

@@ -176,7 +176,7 @@ class TestGrothendieckRatio:
     def test_four_by_four_sylvester_via_oracle(self):
         from uncond.witness import sylvester
 
-        fam = sylvester(2).rows_family()
+        fam = sylvester(2)
         want_den, _ = naive_sign_max(fam.matrix, 1)
         assert want_den == pytest.approx(8.0)
         rep = grothendieck_ratio(fam)

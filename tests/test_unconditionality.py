@@ -2,6 +2,7 @@ import logging
 import math
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -80,7 +81,7 @@ class TestSubsetMaxNorm:
         assert res.argmax_subset == 0b01
 
     def test_hadamard_rows(self):
-        res = subset_max_norm(sylvester(1).rows_family(), 2)
+        res = subset_max_norm(sylvester(1), 2)
         assert res.value == pytest.approx(2.0, rel=1e-15)
         assert res.argmax_subset == 0b11
 
@@ -671,7 +672,7 @@ class TestRouteLog:
 
 class TestQuotient:
     def test_hadamard_pair(self):
-        fam = sylvester(1).rows_family()
+        fam = sylvester(1)
         res = unconditionality_quotient(fam, fam, ExponentTriple.of("inf", 2, 2))
         assert res.numerator == pytest.approx(2.0 ** 1.5, rel=1e-15)
         assert res.denominator == pytest.approx(2.0, rel=1e-15)
@@ -748,14 +749,14 @@ class TestQuotient:
 
 class TestMain1BoundCheck:
     def test_hadamard_pair(self):
-        fam = sylvester(1).rows_family()
+        fam = sylvester(1)
         assert main1_bound_check(fam, fam, 2, 1.8)
 
     @pytest.mark.parametrize("K", [float("nan"), np.nan, np.float64("nan")])
     def test_nan_constant_is_rejected_before_any_work(self, K, monkeypatch):
         # False would read as "the 2K inequality failed"
         monkeypatch.setattr(U, "_quotient_parts", lambda *a, **k: pytest.fail("evaluated"))
-        fam = sylvester(1).rows_family()
+        fam = sylvester(1)
         with pytest.raises(ValueError, match="^K cannot be NaN$"):
             main1_bound_check(fam, fam, 2, K)
         # rejected before the families are read
@@ -858,6 +859,71 @@ class TestSearchArguments:
         with pytest.raises(ValueError) as sign_err:
             grothendieck_search(n, dim, budget, 0, n_exh=n_exh)
         assert str(quotient_err.value) == str(sign_err.value)
+
+
+class _Stop(Exception):
+    pass
+
+
+class TestTrialSeeds:
+    """Trial k's generator is spawn(budget)[k]'s, made only when trial k starts."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**40, [1, 2]], ids=str)
+    def test_first_trials_match_spawn(self, seed):
+        rngs = list(U._trial_rngs(seed, 64))
+        children = np.random.SeedSequence(seed).spawn(64)
+        assert len(rngs) == 64
+        for rng, child in zip(rngs, children):
+            assert rng.bit_generator.state == np.random.default_rng(child).bit_generator.state
+
+    def test_unseeded_trials_share_one_root(self):
+        rngs = list(U._trial_rngs(None, 64))
+        seqs = [rng.bit_generator.seed_seq for rng in rngs]
+        assert len({ss.entropy for ss in seqs}) == 1
+        children = np.random.SeedSequence(seqs[0].entropy).spawn(64)
+        for rng, child in zip(rngs, children):
+            assert rng.bit_generator.state == np.random.default_rng(child).bit_generator.state
+
+    @staticmethod
+    def _peak_bytes_until_stop(run):
+        """Peak traced allocation of ``run()``, which must raise _Stop."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(_Stop):
+                run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_restarts_with_a_large_budget_cost_nothing_up_front(self):
+        calls = []
+
+        def climb(arrays, best):
+            calls.append(arrays)
+            if len(calls) == 3:
+                raise _Stop
+            return (float(len(calls)),)
+
+        def run():
+            U._seeded_restarts(2, 2, 10**5, 0, 24, lambda rng, lattice: rng.standard_normal((2, 2)), climb)
+
+        assert self._peak_bytes_until_stop(run) < 1 << 20
+
+    def test_randomized_subset_with_a_large_budget_costs_nothing_up_front(self, monkeypatch):
+        masks = []
+
+        def mask(rng, n):
+            masks.append(n)
+            if len(masks) == 3:
+                raise _Stop
+            return 1
+
+        monkeypatch.setattr(U, "_random_mask", mask)
+
+        def run():
+            subset_max_norm(Family(np.eye(3)), 2, mode="randomized", budget=10**5, seed=0)
+
+        assert self._peak_bytes_until_stop(run) < 1 << 20
 
 
 class TestQuotientSearch:

@@ -10,7 +10,6 @@ from uncond.unconditionality import subset_max_norm
 from uncond.witness import (
     _HARMONIC_CHUNK,
     WITNESS_MAX_LOG,
-    HadamardMatrix,
     _harmonic,
     hadamard_witness,
     second_clause_gap,
@@ -21,7 +20,7 @@ from uncond.witness import (
     tail_witness,
 )
 
-from _oracles import harmonic_crossing, harmonic_sum, minimal_witness_n
+from _oracles import harmonic_crossing, harmonic_sum, minimal_witness_n, sylvester_entries
 
 SQRT2 = math.sqrt(2.0)
 
@@ -29,27 +28,27 @@ SQRT2 = math.sqrt(2.0)
 class TestSylvester:
     def test_base_case(self):
         H = sylvester(0)
-        assert H.entries.tolist() == [[1]]
+        assert H.matrix.tolist() == [[1]]
 
     def test_one_doubling(self):
         H = sylvester(1)
-        assert H.entries.tolist() == [[1, 1], [1, -1]]
+        assert H.matrix.tolist() == [[1, 1], [1, -1]]
 
     def test_column_sums_concentrate(self):
         H = sylvester(2)
-        col_sums = H.entries.astype(int).sum(axis=0)
+        col_sums = H.matrix.astype(int).sum(axis=0)
         assert col_sums.tolist() == [4, 0, 0, 0]
 
     def test_first_row_and_column_all_ones(self):
         for n in range(0, 7):
-            H = sylvester(n).entries
+            H = sylvester(n).matrix
             assert np.all(H[0] == 1)
             assert np.all(H[:, 0] == 1)
 
     def test_exact_orthogonality_and_entries(self):
         for n in range(0, 11):
             H = sylvester(n)
-            E = H.entries.astype(np.int64)
+            E = H.matrix.astype(np.int64)
             gram = E @ E.T
             assert np.array_equal(gram, (1 << n) * np.eye(1 << n, dtype=np.int64))
             assert set(np.unique(E)) <= {-1, 1}
@@ -58,79 +57,20 @@ class TestSylvester:
             assert total[0] == 1 << n and np.all(total[1:] == 0)
 
     def test_size_cap(self):
-        with pytest.raises(ValueError):
-            sylvester(13)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"\[0, 10\]"):
+            sylvester(11)
+        with pytest.raises(ValueError, match=r"\[0, 10\]"):
             sylvester(-1)
 
-    def test_constructor_rejects_non_orthogonal(self):
-        with pytest.raises(ValueError, match="orthogonal"):
-            HadamardMatrix(1, np.array([[1, 1], [1, 1]], dtype=np.int8))
-        with pytest.raises(ValueError, match="entries"):
-            HadamardMatrix(0, np.array([[2]], dtype=np.int8))
-
-    def test_constructor_rejects_one_flipped_entry_at_log_size_10(self):
-        # the float32 Gram check sees a single flipped sign in a 1024 x 1024 matrix
-        E = sylvester(10).entries.copy()
-        HadamardMatrix(10, E)
-        E[700, 513] = -E[700, 513]
-        with pytest.raises(ValueError, match="orthogonal"):
-            HadamardMatrix(10, E)
-
-    @pytest.mark.parametrize("value", [257, 1.5, 1.0000001])
-    def test_constructor_checks_the_values_given(self, value):
-        # an int8 cast would turn each of these into 1
-        with pytest.raises(ValueError, match="entries must be exactly"):
-            HadamardMatrix(0, np.array([[value]]))
-
-    def test_constructor_stores_int8(self):
-        H = HadamardMatrix(1, np.array([[1.0, 1.0], [1.0, -1.0]]))
-        assert H.entries.dtype == np.int8
-        assert H.entries.tolist() == [[1, 1], [1, -1]]
-
-    def test_checked_constructor_accepts_every_doubling(self):
-        for n in range(0, 11):
-            H = HadamardMatrix(n, sylvester(n).entries)
-            assert np.array_equal(H.entries, sylvester(n).entries)
-
-    @pytest.mark.parametrize("n", [0, 1, 4, 10])
-    def test_entries_are_read_only_int8(self, n):
-        E = sylvester(n).entries
-        assert E.dtype == np.int8 and E.shape == (1 << n, 1 << n)
-        assert not E.flags.writeable
-        with pytest.raises(ValueError):
-            E[0, 0] = -1
-
-    @pytest.mark.parametrize("n", [0, 3, 10])
+    @pytest.mark.parametrize("n", range(11))
     def test_rows_family_is_a_read_only_float64_copy(self, n):
-        H = sylvester(n)
-        M = H.rows_family().matrix
-        assert M.dtype == np.float64 and not M.flags.writeable
-        assert np.array_equal(M, H.entries)
-
-    def test_unpack_rejects_one_flipped_sign(self):
-        E = sylvester(5).entries.copy()
-        E[17, 9] = -E[17, 9]
-        data = np.packbits(E.reshape(-1) == -1).tobytes()
-        with pytest.raises(ValueError, match="orthogonal"):
-            HadamardMatrix.unpack(5, data)
-
-    def test_packed_round_trip(self):
-        for n in (0, 1, 3, 5):
-            H = sylvester(n)
-            again = HadamardMatrix.unpack(n, H.packed())
-            assert np.array_equal(H.entries, again.entries)
-
-    @pytest.mark.parametrize("log_size, data, detail", [
-        (0, b"", "must be 1 bytes for log_size 0, got 0"),
-        (3, sylvester(3).packed() + b"garbage", "must be 8 bytes for log_size 3, got 15"),
-        (3, sylvester(3).packed()[:-1], "must be 8 bytes for log_size 3, got 7"),
-        (0, b"\x7f", "sets padding bits of its last byte: 0x7f"),
-        (1, bytes([sylvester(1).packed()[0] | 0x0F]), "sets padding bits of its last byte: 0x1f"),
-    ], ids=["empty", "trailing", "one-short", "padding-of-one-entry", "padding-of-four-entries"])
-    def test_unpack_requires_the_exact_length(self, log_size, data, detail):
-        with pytest.raises(ValueError, match=detail):
-            HadamardMatrix.unpack(log_size, data)
+        # checked against the closed form (-1)^popcount(i & j), built without doubling
+        M = sylvester(n).matrix
+        assert M.dtype == np.float64 and M.shape == (1 << n, 1 << n)
+        assert not M.flags.writeable
+        with pytest.raises(ValueError):
+            M[0, 0] = -1
+        assert np.array_equal(M, sylvester_entries(n))
 
 
 class TestHadamardWitness:
@@ -232,14 +172,14 @@ class TestHadamardWitness:
     def test_product_vector_is_constant(self):
         # independent integer check of the constructed family's product
         for n in (1, 2, 3, 4):
-            H = sylvester(n).entries.astype(np.int64)
+            H = sylvester(n).matrix.astype(np.int64)
             prod = (H * H).sum(axis=0)
             assert np.all(prod == 1 << n)
 
     def test_claim_bound_on_subset_max(self):
         # subset sums of the rows stay under 2^(n(1/2+1/q'')); equality 2^n for q >= 2
         for n in (1, 2, 3):
-            fam = sylvester(n).rows_family()
+            fam = sylvester(n)
             for q in (1.0, 1.5, 2.0, 3.0, 4.0):
                 rq2 = max(0.5, 1.0 / q)
                 bound = 2.0 ** (n * (0.5 + rq2))
