@@ -214,17 +214,18 @@ def row_norms(mat: np.ndarray, p: ExponentLike) -> np.ndarray:
     if a.shape[1] == 0:
         return np.zeros(a.shape[0])
     if p.is_infinite:
-        return a.max(axis=1)
+        return np.maximum.reduce(a, axis=1)
     if p.value == 1.0:
-        return a.sum(axis=1)
-    m = a.max(axis=1)
-    # an all-zero row is divided by 1 instead of its max, and its norm is m * 0 = 0
-    scaled = a / np.where(m > 0.0, m, 1.0)[:, None]
+        return np.add.reduce(a, axis=1)
+    m = np.maximum.reduce(a, axis=1)
+    # a is this call's own copy, so it is scaled and raised in place; an
+    # all-zero row is divided by 1 instead of its max, and its norm is m * 0 = 0
+    np.divide(a, np.where(m > 0.0, m, 1.0)[:, None], out=a)
     if p.value == 2.0:
-        s = (scaled * scaled).sum(axis=1)
+        np.multiply(a, a, out=a)
     else:
-        s = np.power(scaled, p.value).sum(axis=1)
-    return m * np.power(s, 1.0 / p.value)
+        np.power(a, p.value, out=a)
+    return m * np.power(np.add.reduce(a, axis=1), 1.0 / p.value)
 
 
 def norm(v, p: ExponentLike) -> float:

@@ -15,11 +15,14 @@ which takes a whole stack of families at once); narrow ones (n >= 2d,
 at least 2^15 positions) run a branch and bound and fall back to the walk
 when its frontier outgrows a fixed byte budget; q = 2 with d >= 2n and at
 least 2^12 positions walks an n x n Gram factor; everything else walks the
-rows in reflected-Gray-code order, in blocks of about 1 MiB of sums
-(``_exhaustive_best``).  The walks and the branch and bound rank positions
-by keys and recompute from scratch every position whose key may be the
-largest.  One relative slack (``_slack``) is their only rounding rule; the
-Gram walk also lowers its floor by a proven factorization bound.  All four
+rows in reflected-Gray-code order, in blocks of the positions of about
+1 MiB of binary64 sums (``_exhaustive_best``).  The walks and the branch and
+bound rank positions by keys and recompute from scratch, in binary64, every
+position whose key may be the largest.  The walks rank in binary32 up to
+q = _BINARY32_MAX_Q and at q = inf, and in binary64 above; the branch and
+bound ranks in binary64.  One relative slack (``_slack``),
+taken at the keys' unit roundoff, is their only rounding rule; the Gram
+walk also lowers its floor by a proven factorization bound.  All four
 report the same (value, mask), bit for bit: the norm of the first position
 in Gray order attaining the largest scratch norm, its sum added in index
 order.  The enumeration is serial; the ``threads`` argument of
@@ -79,16 +82,19 @@ KG_UPPER = 1.8
 #: Cap on n * dim for the families a seeded search draws (8 MB per float64 array).
 DRAW_MAX_ENTRIES = 1 << 20
 
-# Enumeration blocks hold about _BLOCK_BYTES of float64 sums (at least one
-# position, at most 2^_BLOCK_MAX_LOG), so their size depends on the ambient
-# length alone and memory stays bounded for every n.
+# Enumeration blocks hold the positions of about _BLOCK_BYTES of binary64 sums
+# (at least one position, at most 2^_BLOCK_MAX_LOG), so their size depends on
+# the ambient length alone and memory stays bounded for every n.
 _BLOCK_BYTES = 1 << 20
 _BLOCK_MAX_LOG = 15
 #: Enumerations with at most this many terms (positions * n * d) recompute
 #: every position from scratch, which costs less than setting up a walk.
 _SCRATCH_ALL_TERMS = 2048
-#: Largest q whose power sums rank walked rows; above it rows rank by norm.
+#: Largest q whose power sums rank rows; above it rows rank by norm.
 _POWER_MAX_Q = 64.0
+#: Largest q whose walk ranks in binary32 (``_slack`` derives the cutoff from
+#: underflow); above it the walk ranks in binary64.
+_BINARY32_MAX_Q = 16.0
 #: q = 2 walks rank an n x n factor of the Gram matrix when d is at least
 #: _GRAM_MIN_RATIO * n and there are at least _GRAM_MIN_POSITIONS positions;
 #: below either, setting up the factor (about 0.1 ms) costs more than it saves.
@@ -115,6 +121,8 @@ _REFINE_STEPS = (0.5, 0.1)
 _SIGN_FLIP_SWEEPS = 8
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).smallest_subnormal)
+#: The unit roundoff of binary32, the precision of the walk's power-sum keys.
+_U32 = float(np.finfo(np.float32).eps) / 2.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,20 +283,27 @@ def _first_best(X, q, signs, positions, chunk, best):
 
 
 def _block_rows(d: int, total: int) -> int:
-    """Positions per block: the largest power of two whose sums fit _BLOCK_BYTES, at least 1."""
+    """Positions per block: the largest power of two whose binary64 sums fit _BLOCK_BYTES, at least 1.
+
+    A binary32 walk keeps these positions in half the bytes, so its add and
+    key passes stay in cache: on n = 16 Gram walks this ran about twice as
+    fast as blocks of twice the positions (2-core Xeon, one BLAS thread).
+    """
     log = (_BLOCK_BYTES // (8 * d)).bit_length() - 1
     return min(total, 1 << min(max(log, 0), _BLOCK_MAX_LOG))
 
 
 @functools.lru_cache(maxsize=None)
 def _gray_bits(k: int) -> np.ndarray:
-    """Bit i of gray(j) at row i, column j, for j < 2^k (read-only float64).
+    """Bit i of gray(j) at row i, column j, for j < 2^k (read-only binary32).
 
-    Cached per k <= _BLOCK_MAX_LOG: at most 16 tables, about 8 MB in all.
+    Cached per k <= _BLOCK_MAX_LOG: at most 16 tables, about 4 MB in all.
+    Bits are exact in binary32; a binary64 walk promotes the table it
+    multiplies.
     """
     j = np.arange(1 << k)
     j ^= j >> 1
-    bits = np.empty((k, 1 << k))
+    bits = np.empty((k, 1 << k), dtype=np.float32)
     for i in range(k):
         bits[i] = j >> i & 1
     bits.setflags(write=False)
@@ -298,8 +313,8 @@ def _gray_bits(k: int) -> np.ndarray:
 def _low_walk(Xs: np.ndarray, k: int, signs: bool) -> np.ndarray:
     """Sums over rows 0..k-1 of Xs at Gray positions 0..2^k-1, one column per position.
 
-    For signs, bit = 1 means -1: the sum is the all-plus sum minus twice the
-    subset sum.
+    The sums have the dtype of Xs.  For signs, bit = 1 means -1: the sum is
+    the all-plus sum minus twice the subset sum.
     """
     low = Xs[:k].T @ _gray_bits(k)
     if signs:
@@ -308,50 +323,87 @@ def _low_walk(Xs: np.ndarray, k: int, signs: bool) -> np.ndarray:
     return low
 
 
-def _slack(q: Exponent, n: int, d: int) -> float:
-    """The relative rounding slack of every candidate floor, for n rows of length d.
+def _slack(q: Exponent, n: int, d: int, u: float = _EPS / 2.0) -> float:
+    """The relative rounding slack of every candidate floor, for n rows of length d and keys of roundoff u.
 
     The walk, the Gram walk and the branch and bound keep every position (or
     partial sum) whose key is at least ``top * (1 - slack)``, for ``top`` the
     largest key computed so far; ``lemma_lab``'s flip screen lowers its q = 1
     dual-table bounds by the same factor.  Keys (``_ranking``) are
-    ||v||_q^e up to rounding, e = q for power sums and 1 otherwise.  With
-    A_j = sum_k |x_kj|, u = eps / 2 and gamma_m = m u / (1 - m u):
+    ||v||_q^e up to rounding, e = q for power sums and 1 otherwise.  The walk
+    computes its keys in binary32 (u = 2^-24) up to q = _BINARY32_MAX_Q and
+    at q = inf, and in binary64 (u = 2^-53, the default) above; the branch and
+    bound, the screen and every scratch norm are binary64, whose rounding
+    either u bounds.  With A_j = sum_k |x_kj| and gamma_m = m u / (1 - m u):
 
     * Sum error.  Every float sum behind a key adds rows times +-1 or 2: a
       walk sum, a box bound |s + c| + w with its prefix and suffix sums, a
       seed or leaf sum, a dual-table bound, and the scratch sum
       ``_first_best`` ranks.  Each has at most n + 4 terms (about 3n in the
       sign walk, whose low sums are doubled), so in any order it is within
-      gamma_m A_j of its exact value in coordinate j, and each norm or key
-      adds the rounding of its own d-term sum.
+      gamma_m A_j of its exact value in coordinate j.  A binary32 walk first
+      rounds each scaled row to binary32, which moves coordinate j of every
+      sum by at most u A_j more: one term more.
+    * Key error.  Each norm or key adds the rounding of its own d-term sum.
+      A binary32 power key adds that of ``np.power``, a few ulps per term;
+      the margin below covers 16.  ``np.power`` also rounds the exponent, a
+      Python float, to q' = fl(q) with |q' - q| <= u q, so the key is an lq'
+      power sum; ||v||_q' / ||v||_q lies within d^(+-|1/q - 1/q'|), so the
+      key is ||v||_q^q' within a factor d^(+-u), and two keys compare within
+      d^(2u) <= 1 + 2 u d of their lq norms.
     * Relative form.  Each A_j is at most twice the largest |coordinate j|
       of a subset sum (once for signs), so ||A||_q <= 2 d^(1/q) M for M the
       largest subset (or sign) norm; the screen uses ||A||_1 <= d M.  Chain
       the computed top key, the scratch norms of its position and of the
       first position F attaining the scratch maximum, and the computed key of
       F (or of the box of an ancestor of F, which the exact box bounds from
-      above): keys move by a factor of at most about
-      1 + e (4n + 4d + 24) eps d^(1/q).  The slack,
-      8 e (2n + d + 2) eps d^(1/q), is well above that, so F and each of its
-      branch-and-bound ancestors keeps a key at or above the floor.
-    * Underflow.  The walked family is scaled (``_below_one``) so that M is
-      at least 2^-(bit_length(n) + 2); keys near the top are then above
+      above): sums and key sums move keys by a factor of at most about
+      1 + 2e (4n + 4d + 28) u d^(1/q).  The slack,
+      16 e (2n + d + 2) u d^(1/q), exceeds that by 2e (12n + 4d - 12) u d^(1/q),
+      which is more than (64 + 3d) u wherever a binary32 key is computed
+      (2^n n d > _SCRATCH_ALL_TERMS): room for 16-ulp powers (64 u on two
+      keys), the rounded exponent (2 u d) and underflow (below).  So F and
+      each of its branch-and-bound ancestors keeps a key at or above the floor.
+    * Underflow.  The walked family is scaled (``_below_one``) so that its
+      largest entry, and so M (a one-row subset reaches it), is at least
+      2^-(bit_length(n) + 1).  Binary64 keys near the top are then above
       2^-600, and the few ulps of 0 lost in the subnormal range are far
-      below the slack.  The screen works on the unscaled family at q = 1,
-      where every operation is an addition, an absolute value or a product
-      by +-1 or 2, none of which rounds in the subnormal range.
+      below the slack.  Below 2^-126, binary32 rounds absolutely: the cast
+      loses at most 2^-150 per entry (a sum of subnormals is exact), which
+      is below d 2^-139 relative to M, and a key term may be off by up to
+      2^-126 whatever its operation, so a key by d 2^-126.  A walk has
+      n <= 31, so M >= 2^-6, and at q <= _BINARY32_MAX_Q = 16 the keys near
+      the top are above 2^-97: a key loses at most d 2^-29 = d u / 32 of
+      its value, inside the room above.  At q = 17 it could lose 2 d u,
+      which the room no longer covers; hence the cutoff.  Max keys (q = inf)
+      only take absolute values.  The screen works on the unscaled family at
+      q = 1, where every operation is an addition, an absolute value or a
+      product by +-1 or 2, none of which rounds in the subnormal range.
+    * Floor.  ``top * (1 - slack)`` is formed in binary64 and rounded down to
+      the keys' format before any key is compared with it (``_round_down``):
+      numpy casts a Python float to the nearest binary32 value, which can
+      raise the floor by half an ulp.
     """
     e = 1.0 if q.is_infinite or q.value > _POWER_MAX_Q else q.value
-    return 4.0 * e * (2.0 * (2 * n + d + 2) * _EPS * d ** q.reciprocal)
+    return 4.0 * e * (4.0 * (2 * n + d + 2) * u * d ** q.reciprocal)
 
 
-def _ranking(q: Exponent, d: int):
-    """A key monotone in the lq norm of each position (column) of a block of d rows.
+def _round_down(x: float, dtype) -> float:
+    """The largest value of ``dtype`` at most x, as a Python float (x itself for binary64)."""
+    y = dtype(x)
+    if float(y) > x:
+        y = np.nextafter(y, -np.inf)
+    return float(y)
+
+
+def _ranking(q: Exponent, d: int, dtype=np.float64):
+    """A key monotone in the lq norm of each position (column) of a block of d rows of ``dtype``.
 
     Keys are power sums sum |s|^q (the max |s| for q = inf) of a family
-    scaled by ``_below_one``, so no root is taken and nothing overflows.
-    Above _POWER_MAX_Q power sums could underflow, and norms are the keys.
+    scaled by ``_below_one``, so no root is taken and nothing overflows; they
+    are computed in the block's dtype, binary32 only up to _BINARY32_MAX_Q
+    (``_slack``).  Above _POWER_MAX_Q binary64 power sums could underflow,
+    and norms are the keys.
     """
     if q.is_infinite:
 
@@ -363,7 +415,7 @@ def _ranking(q: Exponent, d: int):
     p = q.value
     if p > _POWER_MAX_Q:
         return lambda buf, out: row_norms(buf.T, q)
-    ones = np.ones(d)
+    ones = np.ones(d, dtype)
     if p == 2.0:
 
         def key(buf, out):
@@ -534,13 +586,18 @@ def _exhaustive_best(X: np.ndarray, q: Exponent, signs: bool):
 
     Each block of Gray positions is the high-row sum of its first position
     plus the low table (mirrored when bit k of the block start is set, since
-    that is bit k-1 of its Gray code).  Blocks are ranked by power sums of X
-    scaled by ``_below_one``, and every position whose key is at least the
-    best so far times 1 - ``_slack`` is recomputed from scratch.  The value
-    is the norm of the returned mask's scratch sum, and the mask is the first
-    in Gray order attaining it, as in a from-scratch enumeration.  Sign
-    patterns walk only the positions with bit n-1 clear: s and -s have the
-    same norm, and the clear one comes first.
+    that is bit k-1 of its Gray code).  Blocks are ranked by keys of X
+    scaled by ``_below_one``: in binary32 up to q = _BINARY32_MAX_Q and at
+    q = inf, where the scaled rows are rounded to binary32 once and the low
+    table, the high-row sums, the blocks and the keys are all binary32, and
+    in binary64 above.  Every position whose key is at least the best
+    so far times 1 - ``_slack`` at the keys' unit roundoff is recomputed
+    from scratch, in binary64, from X, unless a later block raised the floor
+    above its key before the recompute.  The value is the norm of the
+    returned mask's scratch sum, and the mask is the first in Gray order
+    attaining it, as in a from-scratch enumeration.  Sign patterns walk only
+    the positions with bit n-1 clear: s and -s have the same norm, and the
+    clear one comes first.
 
     For q = 2 with d >= _GRAM_MIN_RATIO * n and at least _GRAM_MIN_POSITIONS
     positions, the walk ranks an n x n factor W of the Gram matrix instead
@@ -550,13 +607,14 @@ def _exhaustive_best(X: np.ndarray, q: Exponent, signs: bool):
     slack, the one for the d wide rows, covers the rounding of the walk on W.
 
     With n >= _BNB_MIN_RATIO * d and at least _BNB_MIN_POSITIONS positions,
-    ``_bnb_candidates`` runs first, pruning at the same slack: its leaves
-    include the first position attaining the scratch maximum, so ranking
-    them with ``_first_best`` in Gray order gives the walk's (value, mask).
-    If its frontier outgrows _FRONTIER_BYTES, the walk runs instead.  Each
-    call logs its route at debug level, with the positions, the frontier
-    peak and the number of candidates recomputed.  A walk of more than
-    2^WALK_MAX_LOG positions raises ValueError before it starts.
+    ``_bnb_candidates`` runs first, in binary64 and pruning at the binary64
+    slack: its leaves include the first position attaining the scratch
+    maximum, so ranking them with ``_first_best`` in Gray order gives the
+    walk's (value, mask).  If its frontier outgrows _FRONTIER_BYTES, the walk
+    runs instead.  Each call logs its route at debug level, with the key
+    precision of a walk, the positions, the frontier peak and the number of
+    candidates recomputed.  A walk of more than 2^WALK_MAX_LOG positions
+    raises ValueError before it starts.
     """
     n, d = X.shape
     if not X.any():
@@ -569,10 +627,9 @@ def _exhaustive_best(X: np.ndarray, q: Exponent, signs: bool):
     # scratch sums are evaluated in chunks of about _BLOCK_BYTES of terms
     chunk = max(1, _BLOCK_BYTES // (8 * n * d))
     Xs = _below_one(X)[0]
-    key, shrink = _ranking(q, d), 1.0 - _slack(q, n, d)
     route, peak = "walk", 0
     if _BNB_MIN_RATIO * d <= n <= _BNB_MAX_N and total >= _BNB_MIN_POSITIONS:
-        ranks, peak = _bnb_candidates(Xs, q, signs, key)
+        ranks, peak = _bnb_candidates(Xs, q, signs, _ranking(q, d))
         if ranks is not None:
             _log_route("branch and bound", total, peak, ranks.size)
             return _first_best(X, q, signs, [ranks], chunk, (-1.0, 0))
@@ -588,40 +645,48 @@ def _exhaustive_best(X: np.ndarray, q: Exponent, signs: bool):
         W, eta = _gram_factor(Xs)
         walked, shift = _below_one(W)
         eta = math.ldexp(eta, -2 * shift)
+    # the one choice of key precision: binary32 wherever _slack's underflow bound holds
+    if q.is_infinite or q.value <= _BINARY32_MAX_Q:
+        dtype, u, route = np.float32, _U32, route + " (binary32 keys)"
+    else:
+        dtype, u, route = np.float64, _EPS / 2.0, route + " (binary64 keys)"
+    walked = walked.astype(dtype, copy=False)
     width = walked.shape[1]
+    key, shrink = _ranking(q, width, dtype), 1.0 - _slack(q, n, d, u)
     rows = _block_rows(width, total)
     k = rows.bit_length() - 1
     low = _low_walk(walked, k, signs)
     mirrored = low[:, ::-1]
     high_rows, high_bits = walked[k:], np.arange(k, n)
-    base = np.empty(width)
-    buf = np.empty((width, rows))
-    keys = np.empty(rows)
+    # the coefficient of each high row, indexed by its bit of the Gray code
+    coef = np.array([1.0, -1.0] if signs else [0.0, 1.0], dtype)
+    base = np.empty(width, dtype)
+    buf = np.empty((width, rows), dtype)
+    keys = np.empty(rows, dtype)
 
     best_key = floor = -1.0
     best = (-1.0, 0)
-    pending: list[np.ndarray] = []
+    # per block with candidates: their Gray ranks, their keys and the floor they passed
+    pending: list[tuple[np.ndarray, np.ndarray, float]] = []
     pending_rows = recomputed = 0
     for lo in range(0, total, rows):
         on = (lo ^ (lo >> 1)) >> high_bits & 1
-        np.dot(1.0 - 2.0 * on if signs else on.astype(np.float64), high_rows, out=base)
+        np.dot(coef[on], high_rows, out=base)
         np.add(mirrored if (lo >> k) & 1 else low, base[:, None], out=buf)
         ranked = key(buf, keys)
         top = float(ranked.max())
-        if top < floor:
-            continue
-        if top > best_key:
-            best_key, floor = top, top * shrink - 2.0 * eta
-        hits = np.flatnonzero(ranked >= floor)
-        hits += lo
-        pending.append(hits)
-        pending_rows += hits.size
-        recomputed += hits.size
-        if pending_rows >= chunk:
-            best = _first_best(X, q, signs, pending, chunk, best)
+        if top >= floor:
+            if top > best_key:
+                best_key, floor = top, _round_down(top * shrink - 2.0 * eta, dtype)
+            hits = np.flatnonzero(ranked >= floor)
+            pending.append((hits + lo, ranked[hits], floor))
+            pending_rows += hits.size
+        if pending and (pending_rows >= chunk or lo + rows == total):
+            # candidates whose keys a floor raised after their block now excludes are dropped
+            ranks = [hits if at == floor else hits[vals >= floor] for hits, vals, at in pending]
+            recomputed += sum(map(len, ranks))
+            best = _first_best(X, q, signs, ranks, chunk, best)
             pending, pending_rows = [], 0
-    if pending:
-        best = _first_best(X, q, signs, pending, chunk, best)
     _log_route(route, total, peak, recomputed)
     return best
 

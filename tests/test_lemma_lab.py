@@ -274,6 +274,19 @@ class TestFlipScreen:
                     assert floors[i, j] <= smax
                     assert smax - floors[i, j] <= 2.0 * slack * smax
 
+    def test_floors_stay_at_the_binary64_slack(self, monkeypatch):
+        # the screen is binary64: its floors are the scores times 1 - slack
+        # with eps = 2^-52 written out, whatever precision the walk ranks in
+        rng = np.random.default_rng(131)
+        shapes = [(6, 3), (9, 5), (11, 10), (12, 2)]
+        floors = [lemma_lab._flip_floors(rng.standard_normal(shape)) for shape in shapes]
+        monkeypatch.setattr(lemma_lab, "_slack", lambda q, n, d: 0.0)
+        rng = np.random.default_rng(131)
+        for (n, d), got in zip(shapes, floors):
+            scores = lemma_lab._flip_floors(rng.standard_normal((n, d)))
+            slack = 4.0 * (2.0 * (2 * n + d + 2) * 2.0**-52 * d)
+            assert np.array_equal(got, scores * (1.0 - slack))
+
     def test_floors_at_the_largest_screened_table(self):
         # d = 10 is the widest table whose bounds fit one block
         X = np.random.default_rng(89).standard_normal((11, 10))

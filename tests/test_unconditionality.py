@@ -624,15 +624,18 @@ class TestRouteLog:
         ties[:3] = np.eye(3)
         cases = (
             (rng.standard_normal((4, 2)), False, "scratch", 16),
-            (rng.standard_normal((12, 8)), False, "walk", 4096),
-            (rng.standard_normal((12, 24)), False, "Gram walk", 4096),
+            (rng.standard_normal((12, 8)), False, "walk (binary32 keys)", 4096),
+            (rng.standard_normal((12, 8)), False, "walk (binary64 keys)", 4096),
+            (rng.standard_normal((12, 24)), False, "Gram walk (binary32 keys)", 4096),
             (rng.standard_normal((16, 4)), True, "branch and bound", 32768),
-            (ties, True, "branch-and-bound fallback", 131072),
+            (ties, True, "branch-and-bound fallback (binary32 keys)", 131072),
         )
         for X, signs, route, positions in cases:
             caplog.clear()
+            # keys are binary64 only above _BINARY32_MAX_Q
+            q = 17 if "binary64" in route else 2
             with caplog.at_level(logging.DEBUG, logger=U.logger.name):
-                U._exhaustive_best(X, U.Exponent.of(2), signs)
+                U._exhaustive_best(X, U.Exponent.of(q), signs)
             [record] = caplog.records
             name, seen, peak, recomputed = self.LINE.fullmatch(record.getMessage()).groups()
             assert (name, int(seen)) == (route, positions)
@@ -641,8 +644,9 @@ class TestRouteLog:
 
     def test_pinned_frontiers_and_candidates(self, caplog):
         # frontier peaks and candidate counts of three narrow families and one
-        # wide one, pinned at the walk's slack: a looser floor keeps more nodes,
-        # a tighter one can lose the first maximum
+        # wide one, pinned at the binary64 slack of the branch and bound and the
+        # binary32 slack of the Gram walk: a looser floor keeps more nodes, a
+        # tighter one can lose the first maximum
         rng = np.random.default_rng(109)
         cases = (
             (rng.standard_normal((17, 4)), 2, False),
@@ -661,13 +665,122 @@ class TestRouteLog:
             "exact route branch and bound: 131072 positions, frontier peak 26, 1 candidates recomputed",
             "exact route branch and bound: 131072 positions, frontier peak 239, 10 candidates recomputed",
             "exact route branch and bound: 32768 positions, frontier peak 26, 1 candidates recomputed",
-            "exact route Gram walk: 8192 positions, frontier peak 0, 1 candidates recomputed",
+            "exact route Gram walk (binary32 keys): 8192 positions, frontier peak 0, 1 candidates recomputed",
         ]
 
     def test_off_by_default(self, caplog):
         U._exhaustive_best(np.random.default_rng(89).standard_normal((16, 4)), U.Exponent.of(2), False)
         assert not U.logger.isEnabledFor(logging.DEBUG)
         assert caplog.records == []
+
+
+class TestBinary32Keys:
+    """Walks rank positions by binary32 keys and recompute every candidate in binary64."""
+
+    @staticmethod
+    def _routes(mp):
+        # records each walk's route name, so each test knows which walk ran
+        routes = []
+        mp.setattr(U, "_log_route", lambda route, *counts: routes.append(route))
+        return routes
+
+    @staticmethod
+    def _candidates(mp):
+        # records the mask of every candidate _first_best recomputes
+        seen = set()
+        first_best = U._first_best
+
+        def recording(*args):
+            # args[3] holds the Gray ranks of the candidates
+            seen.update(int(p ^ (p >> 1)) for part in args[3] for p in part)
+            return first_best(*args)
+
+        mp.setattr(U, "_first_best", recording)
+        return seen
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        gram=st.booleans(),
+        q=st.sampled_from([1, 1.5, 3, 16, 17, 40, 100, "inf"]),
+        kind=st.sampled_from(["normal", "lattice", "decimal", "2^600", "2^-600", "mixed"]),
+        n=st.integers(9, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_walks_match_sequential_scratch(self, gram, q, kind, n, seed):
+        # both walks, q on both sides of _BINARY32_MAX_Q = 16 and of
+        # _POWER_MAX_Q = 64, q = inf, and families whose scaled entries span
+        # binary32's whole exponent range; multiples of 0.1 make near ties
+        # that binary32 keys order wrongly
+        rng = np.random.default_rng(seed)
+        d = n + int(rng.integers(1, 2 * n)) if gram else int(rng.integers(1, 2 * n))
+        if kind in ("lattice", "decimal"):
+            X = rng.integers(-1, 2, size=(n, d)).astype(float)
+            X[0, 0] = 1.0
+            if kind == "decimal":
+                X *= rng.integers(1, 4, size=(n, d)) * 0.1
+        elif kind == "mixed":
+            X = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-30.0, 0.0, size=(n, d))
+        else:
+            X = np.ldexp(rng.standard_normal((n, d)), {"normal": 0, "2^600": 600, "2^-600": -600}[kind])
+        q = 2 if gram else q
+        if gram:
+            want_route = "Gram walk (binary32 keys)"
+        elif q == "inf" or q <= U._BINARY32_MAX_Q:
+            want_route = "walk (binary32 keys)"
+        else:
+            want_route = "walk (binary64 keys)"
+        with pytest.MonkeyPatch.context() as mp:
+            if gram:
+                mp.setattr(U, "_GRAM_MIN_RATIO", 0)
+                mp.setattr(U, "_GRAM_MIN_POSITIONS", 0)
+            routes = self._routes(mp)
+            for signs in (False, True):
+                got = U._exhaustive_best(X, U.Exponent.of(q), signs)
+                assert got == sequential_scratch_max(X, q, signs)
+        assert routes == [want_route, want_route]
+
+    @pytest.mark.parametrize(
+        "q, d, route",
+        [(1, 20, "walk (binary32 keys)"), (3, 20, "walk (binary32 keys)"), (2, 120, "Gram walk (binary32 keys)")],
+    )
+    def test_near_tie_below_binary32_resolution_is_recomputed(self, q, d, route, monkeypatch):
+        # the last row is -1e-9 times the best subset sum S of the others, so
+        # adding it to that subset lowers the key by about 1e-9 of it: below
+        # binary32's resolution, so only the binary64 recompute tells the two
+        # apart, and the later one in Gray order must still be a candidate
+        routes = self._routes(monkeypatch)
+        seen = self._candidates(monkeypatch)
+        X = np.random.default_rng(137).standard_normal((13, d))
+        mask = sequential_scratch_max(X[:12], q)[1]
+        X[12] = -1e-9 * scratch_sum(X[:12], mask)
+        got = U._exhaustive_best(X, U.Exponent.of(q), False)
+        assert routes == [route]
+        assert {mask, mask | 1 << 12} <= seen
+        assert got == sequential_scratch_max(X, q) and got[1] == mask
+
+    @pytest.mark.parametrize(
+        "shape, q, signs",
+        [((16, 64), 3, False), ((18, 20), 1, False), ((18, 18), 1, True)],
+    )
+    def test_few_candidates_on_normal_families(self, shape, q, signs, caplog):
+        # the binary32 slack is about 1e-3; a floor that loose must still leave
+        # only the near-maximal positions to recompute, or the walk gains nothing
+        X = np.random.default_rng(139).standard_normal(shape)
+        with caplog.at_level(logging.DEBUG, logger=U.logger.name):
+            U._exhaustive_best(X, U.Exponent.of(q), signs)
+        [record] = caplog.records
+        name, _, _, recomputed = TestRouteLog.LINE.fullmatch(record.getMessage()).groups()
+        assert name == "walk (binary32 keys)"
+        assert 1 <= int(recomputed) <= 4
+
+    @pytest.mark.parametrize("q", [1, 1.5, 2, 3, 16, 17, 100, "inf"])
+    def test_default_slack_is_binary64(self, q):
+        # the branch and bound and the flip screen prune at this slack: eps = 2^-52, written out
+        e = U.Exponent.of(q)
+        power = 1.0 if q == "inf" or q > U._POWER_MAX_Q else float(q)
+        for n, d in ((16, 4), (18, 3), (11, 10)):
+            assert U._slack(e, n, d) == 4.0 * power * (2.0 * (2 * n + d + 2) * 2.0**-52 * d**e.reciprocal)
+            assert U._slack(e, n, d, U._U32) == U._slack(e, n, d) * 2.0**29
 
 
 class TestQuotient:
