@@ -194,17 +194,16 @@ def _lattice_len(rng: tuple[float, float], step: float) -> float:
     return (hi - lo + EPS_CMP) // step + 1.0
 
 
-def _lattice(rng: tuple[float, float], step: float) -> list[Exponent]:
+def _lattice(rng: tuple[float, float], step: float, count: float) -> list[Exponent]:
+    """The points lo + k * step of ``rng`` = (lo, hi) up to hi + EPS_CMP, clipped at hi.
+
+    They never decrease in k, so k runs past ``count``, ``_lattice_len``'s, by
+    two and by the steps in the few ulps of hi that rounding moves a point.
+    """
     lo, hi = float(rng[0]), float(rng[1])
-    vals = []
-    k = 0
-    while True:
-        v = lo + k * step
-        if v > hi + EPS_CMP:
-            break
-        vals.append(Exponent(min(v, hi)))
-        k += 1
-    return vals
+    ks = int(count) + 2 + int(4.0 * math.ulp(hi + EPS_CMP) / step)
+    points = (lo + k * step for k in range(ks))
+    return [Exponent(min(v, hi)) for v in points if v <= hi + EPS_CMP]
 
 
 def region_grid(
@@ -239,8 +238,8 @@ def region_grid(
         extra = 1 if include_infinite else 0
         if (lens[0] + extra) * (lens[1] + extra) > GRID_MAX_POINTS:
             raise ValueError(f"grid exceeds the cap of {GRID_MAX_POINTS} points; use a larger step")
-        ps = _lattice(p_range, step) + [INF] * extra
-        qs = _lattice(q_range, step) + [INF] * extra
+        ps = _lattice(p_range, step, lens[0]) + [INF] * extra
+        qs = _lattice(q_range, step, lens[1]) + [INF] * extra
     rows, codes = _classify_lattice(ps, qs, r)
     if logger.isEnabledFor(logging.DEBUG):
         counts = np.bincount(codes.ravel(), minlength=len(_DECISIONS)).tolist()
@@ -351,12 +350,6 @@ def cross_validate(
     else:
         res = quotient_lower_bound_search(t, n, dim, budget, seed, n_exh=n_exh)
         best_quotient = res.quotient
-        checks.append(
-            WitnessCheck(
-                "search",
-                float(budget),
-                True,
-                {"best_quotient": res.quotient, "certified": res.certified},
-            )
-        )
+        detail = {"best_quotient": res.quotient, "certified": res.certified}
+        checks.append(WitnessCheck("search", float(budget), True, detail))
     return CrossValidation(cls, tuple(checks), best_quotient)

@@ -13,17 +13,11 @@ Covered here:
   vectors, each (pair, dimension) cell one draw of all its vectors and one
   ``row_norms`` call per exponent;
 * empirical lower bounds for the sign-pattern constant K in
-  sum ||x_k||_2 <= K max_{s in {-1,1}^n} ||sum s_k x_k||_1,
-  reported against a configurable upper envelope.  The search runs on the
-  restart loop and the coordinate ascent of ``unconditionality``, supplying
-  a +-1 or normal draw and a climb by single-entry sign flips, one flip per
-  batch of the ascent; a flip leaves the numerator unchanged, so only the
-  sign max is recomputed.  Flips are screened on the dual table P = S X^T,
-  built once per climb and after each kept flip: one pass bounds the sign
-  max after every single-entry flip from below, at the enumeration's
-  rounding slack, and a flip that provably neither lowers the sign max
-  below the one held nor lifts the ratio above the envelope is skipped,
-  since it would be scored, reverted and not logged.
+  sum ||x_k||_2 <= K max_{s in {-1,1}^n} ||sum s_k x_k||_1, reported
+  against the fixed envelope KG_UPPER: a larger ratio is logged at CRITICAL.
+  The search (``grothendieck_search``) runs on the restart loop and the
+  coordinate ascent of ``unconditionality`` with a climb by single-entry
+  sign flips, screened on a dual table (``_flip_floors``).
 """
 
 from __future__ import annotations
@@ -46,6 +40,7 @@ from .unconditionality import (
     _coordinate_ascent,
     _exhaustive_best,
     _require_exhaustible,
+    _require_summable,
     _seeded_restarts,
     _slack,
     sign_max_norm,
@@ -111,12 +106,14 @@ def _as_complex(z) -> np.ndarray:
 
 
 def complex_subset_max(z, *, n_exh: int = DEFAULT_N_EXH) -> tuple[float, int]:
-    """Exact max_F |sum_F z_k| by subset enumeration; returns (value, bitmask)."""
+    """Exact max_F |sum_F z_k| by subset enumeration as (value, bitmask); overflow raises as in ``subset_max_norm``."""
     arr = _as_complex(z)
     _require_exhaustible(arr.size, n_exh)
     # |sum_F z_k| is the l2 norm of the (Re, Im) pair, so the complex subset
     # max is the planar subset max with its stable modulus.
-    return _exhaustive_best(np.column_stack([arr.real, arr.imag]), Exponent(2.0), signs=False)
+    planar = np.column_stack([arr.real, arr.imag])
+    _require_summable(planar)
+    return _exhaustive_best(planar, Exponent(2.0), signs=False)
 
 
 def halfplane_subset_max(z) -> float:
@@ -168,41 +165,34 @@ def complex_subset_ratio(z, *, n_exh: int = DEFAULT_N_EXH) -> RatioReport:
     )
 
 
-def _sign_ratio(numer: float, smax: float, kg_upper: float, n: int) -> float:
-    """numer / smax, logged at CRITICAL when it exceeds the envelope ``kg_upper``."""
+def _sign_ratio(numer: float, smax: float, n: int) -> float:
+    """numer / smax, logged at CRITICAL when it exceeds the envelope KG_UPPER."""
     ratio = numer / smax
-    if ratio > kg_upper + EPS_NUM:
+    if ratio > KG_UPPER + EPS_NUM:
         logger.critical(
             "sign-pattern ratio %.12g exceeds the configured upper bound %.3g "
             "on a %d-vector family; this contradicts the inequality envelope",
             ratio,
-            kg_upper,
+            KG_UPPER,
             n,
         )
     return ratio
 
 
-def grothendieck_ratio(
-    fam,
-    *,
-    kg_upper: float = KG_UPPER,
-    n_exh: int = DEFAULT_N_EXH,
-) -> RatioReport:
+def grothendieck_ratio(fam, *, n_exh: int = DEFAULT_N_EXH) -> RatioReport:
     """sum_k ||x_k||_2 divided by the exact sign-pattern max of ||sum s_k x_k||_1.
 
     Every returned ratio is a valid lower bound for the constant of the sign
-    inequality; a ratio above ``kg_upper`` would be a critical finding and is
-    logged as such.  A NaN ``kg_upper`` raises ValueError.
+    inequality, reported against the envelope KG_UPPER; a ratio above it
+    would be a critical finding and is logged as such.
     """
-    if math.isnan(kg_upper):
-        raise ValueError("kg_upper cannot be NaN")
     fam = Family.of(fam)
     smax = sign_max_norm(fam, 1, n_exh=n_exh)
     if smax.value <= 0.0:
         raise ValueError("degenerate family: all vectors are zero")
     numer = float(row_norms(fam.matrix, 2).sum())
-    ratio = _sign_ratio(numer, smax.value, kg_upper, fam.size)
-    return RatioReport(ratio, kg_upper, kg_upper - ratio, fam, True)
+    ratio = _sign_ratio(numer, smax.value, fam.size)
+    return RatioReport(ratio, KG_UPPER, KG_UPPER - ratio, fam, True)
 
 
 @functools.lru_cache(maxsize=None)
@@ -243,7 +233,6 @@ def grothendieck_search(
     budget: int,
     seed: Optional[int] = None,
     *,
-    kg_upper: float = KG_UPPER,
     n_exh: int = DEFAULT_N_EXH,
 ) -> RatioReport:
     """Best sign-pattern ratio over seeded random families with sign-flip refinement.
@@ -253,21 +242,17 @@ def grothendieck_search(
     sign max of the denominator.  Flips are screened on the dual table
     (``_flip_floors``, built once per climb and after each kept flip): a flip
     whose sign max provably stays at or above the one held, with a ratio
-    provably at most ``kg_upper`` + EPS_NUM, would be scored, reverted and
+    provably at most KG_UPPER + EPS_NUM, would be scored, reverted and
     not logged, so it is skipped.  The screen runs when dim < n, where the
     dual table has fewer rows than there are sign patterns, and its bounds
     fit one _BLOCK_BYTES block (dim <= 10); otherwise every floor is -inf
     and every flip is scored.  Whether it runs is decided once per search.
     The running best is nondecreasing over the budget, and the whole run is
     deterministic per seed.  Every ratio equals ``grothendieck_ratio`` of the
-    same entries, and one above ``kg_upper`` is logged the same way.
+    same entries, and one above KG_UPPER is logged the same way.
     """
-    if math.isnan(kg_upper):
-        raise ValueError("kg_upper cannot be NaN")
     l1 = Exponent(1.0)
-    limit = kg_upper + EPS_NUM
-    # the screen's bounds fill a 2^(dim-1) x n x dim array; unscreened, every
-    # floor is -inf, so every flip is scored
+    limit = KG_UPPER + EPS_NUM
     screened = 0 < dim < n and 8 * n * dim << (dim - 1) <= _BLOCK_BYTES
     floors_of = _flip_floors if screened else lambda X: np.broadcast_to(-np.inf, X.shape)
 
@@ -289,7 +274,7 @@ def grothendieck_search(
             X[i, cols[0]] += deltas[0]
             smax = _exhaustive_best(X, l1, signs=True)[0]
             X[i, cols[0]] -= deltas[0]
-            ratio = -np.inf if smax <= 0.0 else _sign_ratio(numer, smax, kg_upper, n)
+            ratio = -np.inf if smax <= 0.0 else _sign_ratio(numer, smax, n)
 
             def pick(k):
                 # the ascent kept the flip and has applied it
@@ -306,11 +291,11 @@ def grothendieck_search(
                     if not (floor >= held and numer / floor <= limit):
                         yield X, i, (j,), (-2.0 * X[i, j],)
 
-        start = (_sign_ratio(numer, held, kg_upper, n), X)
+        start = (_sign_ratio(numer, held, n), X)
         return _coordinate_ascent(start, flips, evaluate, _SIGN_FLIP_SWEEPS, "sign-flip climb")
 
     ratio, X = _seeded_restarts(n, dim, budget, seed, n_exh, draw, climb)
-    return RatioReport(ratio, kg_upper, kg_upper - ratio, Family(X), True)
+    return RatioReport(ratio, KG_UPPER, KG_UPPER - ratio, Family(X), True)
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,8 @@ import numpy as np
 EPS_CMP = 1e-12
 #: Numeric tolerance for floating-point norm inequalities.
 EPS_NUM = 1e-9
+#: The smallest positive binary64 value.
+_TINY = float(np.finfo(np.float64).smallest_subnormal)
 
 ExponentLike = Union["Exponent", float, int, str]
 
@@ -218,9 +220,9 @@ def row_norms(mat: np.ndarray, p: ExponentLike) -> np.ndarray:
     if p.value == 1.0:
         return np.add.reduce(a, axis=1)
     m = np.maximum.reduce(a, axis=1)
-    # a is this call's own copy, so it is scaled and raised in place; an
-    # all-zero row is divided by 1 instead of its max, and its norm is m * 0 = 0
-    np.divide(a, np.where(m > 0.0, m, 1.0)[:, None], out=a)
+    # a is this call's own copy, so it is scaled and raised in place; a zero row is divided
+    # by the smallest subnormal, at most any nonzero max, and its norm is m * 0 = 0
+    np.divide(a, np.maximum(m, _TINY)[:, None], out=a)
     if p.value == 2.0:
         np.multiply(a, a, out=a)
     else:

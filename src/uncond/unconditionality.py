@@ -8,21 +8,13 @@ whose supremum over all finite families is the smallest constant making the
 action unconditional.  Every quotient computed here is therefore a certified
 lower bound for that constant.
 
-An exact maximum takes one of four routes, picked per call from n, d, q and
-the number of positions (2^n subsets, or 2^(n-1) sign patterns): tiny
-enumerations recompute every position from scratch (``_scratch_maxima``,
-which takes a whole stack of families at once); narrow ones (n >= 2d,
-at least 2^15 positions) run a branch and bound and fall back to the walk
-when its frontier outgrows a fixed byte budget; q = 2 with d >= 2n and at
-least 2^12 positions walks an n x n Gram factor; everything else walks the
-rows in reflected-Gray-code order, in blocks of the positions of about
-1 MiB of binary64 sums (``_exhaustive_best``).  The walks and the branch and
-bound rank positions by keys and recompute from scratch, in binary64, every
-position whose key may be the largest.  The walks rank in binary32 up to
-q = _BINARY32_MAX_Q and at q = inf, and in binary64 above; the branch and
-bound ranks in binary64.  One relative slack (``_slack``),
-taken at the keys' unit roundoff, is their only rounding rule; the Gram
-walk also lowers its floor by a proven factorization bound.  All four
+An exact maximum (``_exhaustive_best``) takes one of four routes, picked
+per call from n, d, q and the number of positions (2^n subsets, or 2^(n-1)
+sign patterns): every position from scratch (``_scratch_maxima``), a
+branch and bound, a walk of an n x n Gram factor at q = 2, or a walk of the
+rows in reflected-Gray-code order.  The last three rank positions by keys
+and recompute from scratch, in binary64, every position whose key may be
+the largest, with one relative rounding slack (``_slack``).  All four
 report the same (value, mask), bit for bit: the norm of the first position
 in Gray order attaining the largest scratch norm, its sum added in index
 order.  The enumeration is serial; the ``threads`` argument of
@@ -36,12 +28,9 @@ searches for large quotients here and for large sign-pattern ratios in
 ``lemma_lab`` share one restart loop (``_seeded_restarts``: argument checks,
 seeded draws, skipped degenerate draws, strict improvement) and one
 first-improvement coordinate ascent on matrix entries
-(``_coordinate_ascent``); each supplies only its draw and its climb.  The
-ascent scores moves in batches: the quotient search scores each row's moves
-as one stack, keeps the first strictly improving one and scores the rest of
-the row again, so it climbs exactly as one move at a time would; the sign
-search scores one flip per batch.  It works on the drawn float arrays and
-recomputes only what a move changes: a move on the a-family reuses the
+(``_coordinate_ascent``, which scores moves in batches); each supplies
+only its draw and its climb.  The ascent works on the drawn float arrays
+and recomputes only what a move changes: a move on the a-family reuses the
 x-family's subset max, a move on the x-family reuses max_k ||a_k||_p, and
 the x-family maxima of a whole stack of tiny families come from one
 from-scratch pass (``_stack_subset_best``).  A result object is built for
@@ -65,6 +54,7 @@ from .seqspace import (
     ExponentLike,
     ExponentTriple,
     FinSeq,
+    _TINY,
     _finite_array,
     row_norms,
 )
@@ -120,7 +110,8 @@ _REFINE_SWEEPS = 2
 _REFINE_STEPS = (0.5, 0.1)
 _SIGN_FLIP_SWEEPS = 8
 _EPS = float(np.finfo(np.float64).eps)
-_TINY = float(np.finfo(np.float64).smallest_subnormal)
+#: Half the largest binary64 value: column absolute sums up to it keep every subset sum finite.
+_SUM_MAX = float(np.finfo(np.float64).max) / 2.0
 #: The unit roundoff of binary32, the precision of the walk's power-sum keys.
 _U32 = float(np.finfo(np.float32).eps) / 2.0
 
@@ -584,16 +575,21 @@ def _bnb_candidates(Xs: np.ndarray, q: Exponent, signs: bool, key):
 def _exhaustive_best(X: np.ndarray, q: Exponent, signs: bool):
     """Exact (value, mask) of the largest subset sum, or signed sum, of the rows of X.
 
-    Each block of Gray positions is the high-row sum of its first position
+    At most _SCRATCH_ALL_TERMS terms (positions * n * d) are summed from
+    scratch (``_scratch_maxima``); otherwise the rows are walked in
+    reflected-Gray-code order, in blocks of ``_block_rows`` positions.  Each
+    block of Gray positions is the high-row sum of its first position
     plus the low table (mirrored when bit k of the block start is set, since
     that is bit k-1 of its Gray code).  Blocks are ranked by keys of X
     scaled by ``_below_one``: in binary32 up to q = _BINARY32_MAX_Q and at
     q = inf, where the scaled rows are rounded to binary32 once and the low
     table, the high-row sums, the blocks and the keys are all binary32, and
-    in binary64 above.  Every position whose key is at least the best
-    so far times 1 - ``_slack`` at the keys' unit roundoff is recomputed
-    from scratch, in binary64, from X, unless a later block raised the floor
-    above its key before the recompute.  The value is the norm of the
+    in binary64 above.  The walk holds one floor, the running maximum over
+    blocks of their largest key times 1 - ``_slack`` at the keys' unit
+    roundoff, rounded down to the keys' format (``_round_down``).  A block's
+    positions whose keys reach the floor wait for a recompute from scratch,
+    in binary64, from X; each recompute first drops the waiting positions a
+    later block raised the floor above.  The value is the norm of the
     returned mask's scratch sum, and the mask is the first in Gray order
     attaining it, as in a from-scratch enumeration.  Sign patterns walk only
     the positions with bit n-1 clear: s and -s have the same norm, and the
@@ -664,10 +660,10 @@ def _exhaustive_best(X: np.ndarray, q: Exponent, signs: bool):
     buf = np.empty((width, rows), dtype)
     keys = np.empty(rows, dtype)
 
-    best_key = floor = -1.0
+    floor = -math.inf
     best = (-1.0, 0)
-    # per block with candidates: their Gray ranks, their keys and the floor they passed
-    pending: list[tuple[np.ndarray, np.ndarray, float]] = []
+    # per block with candidates since the last recompute: their Gray ranks and their keys
+    pending: list[tuple[np.ndarray, np.ndarray]] = []
     pending_rows = recomputed = 0
     for lo in range(0, total, rows):
         on = (lo ^ (lo >> 1)) >> high_bits & 1
@@ -676,14 +672,16 @@ def _exhaustive_best(X: np.ndarray, q: Exponent, signs: bool):
         ranked = key(buf, keys)
         top = float(ranked.max())
         if top >= floor:
-            if top > best_key:
-                best_key, floor = top, _round_down(top * shrink - 2.0 * eta, dtype)
+            # a top whose unrounded floor is at most the held one cannot raise it
+            raised = top * shrink - 2.0 * eta
+            if raised > floor:
+                floor = _round_down(raised, dtype)
             hits = np.flatnonzero(ranked >= floor)
-            pending.append((hits + lo, ranked[hits], floor))
+            pending.append((hits + lo, ranked[hits]))
             pending_rows += hits.size
         if pending and (pending_rows >= chunk or lo + rows == total):
             # candidates whose keys a floor raised after their block now excludes are dropped
-            ranks = [hits if at == floor else hits[vals >= floor] for hits, vals, at in pending]
+            ranks = [hits[vals >= floor] for hits, vals in pending]
             recomputed += sum(map(len, ranks))
             best = _first_best(X, q, signs, ranks, chunk, best)
             pending, pending_rows = [], 0
@@ -734,6 +732,16 @@ def _require_exhaustible(n: int, n_exh: int, hint: str = ""):
         raise ValueError(
             f"family size {n} exceeds the exhaustive cap {n_exh} (2^{n} subsets){hint}"
         )
+
+
+def _require_summable(M: np.ndarray) -> None:
+    """Reject a family with a column absolute sum above _SUM_MAX, whose sums could overflow binary64."""
+    with np.errstate(over="ignore"):
+        if (np.add.reduce(np.abs(M), axis=0) > _SUM_MAX).any():
+            raise ValueError(
+                "family entries too large: a column's absolute sum exceeds half the "
+                "largest binary64 value, so subset sums could overflow"
+            )
 
 
 def _random_mask(rng: np.random.Generator, n: int) -> int:
@@ -802,19 +810,18 @@ def subset_max_norm(
     Exhaustive mode is exact and certified for n <= n_exh: the value is the
     norm of the reported subset's sum recomputed from scratch, and the subset
     is the first attaining it in Gray-code order.  The route is picked from
-    the shape (see the module docstring): every subset from scratch when
-    2^n n d <= 2048; a branch and bound when n >= 2d and 2^n >= 2^15, with
-    the walk as fallback; for q = 2 with d >= 2n and 2^n >= 2^12, a walk on
-    an n x n Gram factor; otherwise a Gray-code walk over all 2^n subsets.
-    Every route gives the same result.  Randomized mode runs ``budget``
+    n, d, q and the 2^n positions (see the module docstring), and every
+    route gives the same result.  Randomized mode runs ``budget``
     seeded restarts with single-flip hill climbing and returns an
-    uncertified lower bound.
+    uncertified lower bound.  A family with a column absolute sum above half
+    the largest binary64 value, whose sums could overflow, raises ValueError.
     """
     check_threads(threads)
     fam = Family.of(fam)
     q = Exponent.of(q)
     if mode not in ("exhaustive", "randomized"):
         raise ValueError(f"unknown mode {mode!r}; expected 'exhaustive' or 'randomized'")
+    _require_summable(fam.matrix)
     if mode == "exhaustive":
         _require_exhaustible(fam.size, n_exh, "; use mode='randomized' with a budget")
         val, mask = _exhaustive_best(fam.matrix, q, signs=False)
@@ -836,15 +843,14 @@ def sign_max_norm(
 
     Exact over the 2^(n-1) patterns with s_{n-1} = +1, since s and -s have
     the same norm; the argmax bitmask has bit = 1 where the sign is -1, so
-    its bit n-1 is always clear.  The route is picked as for
-    ``subset_max_norm`` with 2^(n-1) positions: from scratch, branch and
-    bound (n >= 2d, 2^(n-1) >= 2^15), the Gram walk (q = 2, d >= 2n,
-    2^(n-1) >= 2^12), or the Gray-code walk; all give the same result.
+    its bit n-1 is always clear.  Routes and overflow are as in
+    ``subset_max_norm``, with 2^(n-1) positions.
     """
     check_threads(threads)
     fam = Family.of(fam)
     q = Exponent.of(q)
     _require_exhaustible(fam.size, n_exh)
+    _require_summable(fam.matrix)
     val, mask = _exhaustive_best(fam.matrix, q, signs=True)
     return SubsetMaxResult(val, mask, True, "exhaustive")
 
@@ -879,15 +885,25 @@ def unconditionality_quotient(
 
     Any constant C making the action unconditional satisfies C >= quotient,
     so exhaustive quotients are certified lower bounds.  All-zero a- or
-    x-families make the denominator vanish and are rejected as degenerate.
+    x-families make the denominator vanish and are rejected as degenerate;
+    overflowing x-families, numerators and denominators are rejected too.
     """
     avec, xvec = _paired_families(avec, xvec)
     t.require_holder_valid()
     sub = subset_max_norm(xvec, t.q, mode, budget=budget, seed=seed, n_exh=n_exh)
-    parts = _quotient_parts(avec.matrix, xvec.matrix, t, sub=(sub.value, sub.argmax_subset))
+    parts = _finite_parts(avec.matrix, xvec.matrix, t, sub=(sub.value, sub.argmax_subset))
     if parts is None:
         raise ValueError("degenerate family: denominator is zero")
     return parts.result(sub)
+
+
+def _finite_parts(A, X, t: ExponentTriple, sub=None) -> Optional[_Quotient]:
+    """``_quotient_parts`` of one family, or ValueError if its numerator or denominator is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        parts = _quotient_parts(A, X, t, sub=sub)
+    if parts is not None and not (math.isfinite(parts.numerator) and math.isfinite(parts.denominator)):
+        raise ValueError(f"quotient overflows binary64: numerator {parts.numerator!r}, denominator {parts.denominator!r}")
+    return parts
 
 
 def main1_bound_check(
@@ -904,14 +920,16 @@ def main1_bound_check(
     multiplication l2 x lq -> lq the relevant operator norm is 1, so the
     right side needs no extra factor.  Both sides come from the quotient
     evaluator at the triple (2, q, q); all-zero families satisfy the check
-    as 0 <= 0.  A NaN ``K`` raises ValueError.
+    as 0 <= 0.  A NaN ``K``, overflow as in ``unconditionality_quotient``
+    and an x-family it rejects raise ValueError.
     """
     if math.isnan(K):
         raise ValueError("K cannot be NaN")
     avec, xvec = _paired_families(avec, xvec)
     _require_exhaustible(xvec.size, n_exh)
+    _require_summable(xvec.matrix)
     q = Exponent.of(q)
-    parts = _quotient_parts(avec.matrix, xvec.matrix, ExponentTriple(Exponent(2.0), q, q))
+    parts = _finite_parts(avec.matrix, xvec.matrix, ExponentTriple(Exponent(2.0), q, q))
     if parts is None:
         return True  # a zero denominator means a zero product: 0 <= 0
     lhs = parts.numerator

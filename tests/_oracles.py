@@ -327,7 +327,7 @@ def public_quotient_search(t, n: int, dim: int, budget: int, seed):
     return best
 
 
-def public_sign_search(n: int, dim: int, budget: int, seed, kg_upper: float = 1.8):
+def public_sign_search(n: int, dim: int, budget: int, seed):
     """The seeded sign-pattern search with a public ``grothendieck_ratio`` on every flip."""
     best = None
     for trial, child in enumerate(np.random.SeedSequence(seed).spawn(budget)):
@@ -337,7 +337,7 @@ def public_sign_search(n: int, dim: int, budget: int, seed, kg_upper: float = 1.
         else:
             X = rng.standard_normal((n, dim))
         try:
-            rep = grothendieck_ratio(Family(X), kg_upper=kg_upper)
+            rep = grothendieck_ratio(Family(X))
         except ValueError:
             continue
         for _ in range(8):
@@ -346,7 +346,7 @@ def public_sign_search(n: int, dim: int, budget: int, seed, kg_upper: float = 1.
                 for j in range(dim):
                     X[i, j] = -X[i, j]
                     try:
-                        cand = grothendieck_ratio(Family(X), kg_upper=kg_upper)
+                        cand = grothendieck_ratio(Family(X))
                     except ValueError:
                         cand = None
                     if cand is not None and cand.ratio > rep.ratio:
@@ -403,6 +403,24 @@ def main1_sides(A: np.ndarray, X: np.ndarray, q, K: float) -> tuple[float, float
     lhs = float(row_norms((A * X).sum(axis=0).reshape(1, -1), q)[0])
     a_max = float(row_norms(A, 2).max(initial=0.0))
     return lhs, 2.0 * K * a_max * sequential_scratch_max(X, q)[0]
+
+
+def lattice_loop(rng, step) -> list:
+    """The points lo + k * step for k = 0, 1, ... while at most hi + EPS_CMP, clipped at hi.
+
+    One point at a time until the first past hi + EPS_CMP, with no count
+    worked out first.
+    """
+    lo, hi = float(rng[0]), float(rng[1])
+    vals = []
+    k = 0
+    while True:
+        v = lo + k * step
+        if v > hi + EPS_CMP:
+            break
+        vals.append(Exponent(min(v, hi)))
+        k += 1
+    return vals
 
 
 def classify(t: ExponentTriple) -> Classification:

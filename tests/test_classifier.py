@@ -401,12 +401,37 @@ class TestRegionGrid:
     def test_grid_matches_the_per_point_oracle(self, p_lo, q_lo, widths, step, include_infinite, data):
         p_range, q_range = ((lo, lo + k * step) for lo, k in zip((p_lo, q_lo), widths))
         extra = [INF] if include_infinite else []
-        ps = classifier._lattice(p_range, step) + extra
-        qs = classifier._lattice(q_range, step) + extra
+        ps = _oracles.lattice_loop(p_range, step) + extra
+        qs = _oracles.lattice_loop(q_range, step) + extra
         r = data.draw(_r_near(qs))
         rows = region_grid(r, p_range, q_range, step, include_infinite=include_infinite)
         assert [c.triple for c in rows] == [ExponentTriple(p, q, r) for p in ps for q in qs]
         assert [_bits(c) for c in rows] == [_bits(_oracles.classify(c.triple)) for c in rows]
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        lo=st.one_of(
+            st.floats(1.0, 64.0),
+            st.sampled_from([1.0, 2.0, 32.0, 63.5, 64.0]),
+            NEAR_TWO.map(lambda e: e.value),
+        ),
+        step=st.one_of(
+            # 4e-15 and 1.5e-15 lie below an ulp of 32 and of 64, so rounding skips and repeats points
+            st.sampled_from([0.125, 0.5, 1.0, 1 / 3, 0.1, 3 * EPS_CMP, 1e-13, 4e-15, 1.5e-15]),
+            st.floats(1e-13, 64.0),
+        ),
+        width=st.one_of(
+            st.integers(0, 300).map(lambda k: ("steps", k)),
+            st.floats(0.0, 63.0).map(lambda w: ("span", w)),
+        ),
+        nudge=st.sampled_from([0.0, EPS_CMP, -EPS_CMP, 0.5 * EPS_CMP, 1e-15, -1e-15]),
+    )
+    def test_lattice_matches_the_loop_oracle(self, lo, step, width, nudge):
+        kind, w = width
+        hi = min(64.0, lo + (w * step if kind == "steps" else w) + nudge)
+        count = classifier._lattice_len((lo, hi), step)
+        assume(lo <= hi and count <= 4096)
+        assert classifier._lattice((lo, hi), step, count) == _oracles.lattice_loop((lo, hi), step)
 
     def test_debug_line_counts_each_clause(self, caplog):
         with caplog.at_level(logging.DEBUG, logger=classifier.logger.name):

@@ -348,6 +348,19 @@ class TestQuotientCommand:
         assert res.returncode == 3
         assert "degenerate" in json.loads(res.stderr)["detail"]
 
+    def test_overflowing_family_domain_error(self, tmp_path):
+        # column 0 sums to 2.4e308: subset sums would overflow binary64
+        fam = np.random.default_rng(3).standard_normal((16, 8))
+        fam[:, 0] = 1.5e307
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(fam.tolist()))
+        res = run_cli("quotient", "--p", "2", "--q", "2", "--r", "2", "--avec", str(path))
+        assert res.returncode == 3
+        assert json.loads(res.stderr)["detail"] == (
+            "family entries too large: a column's absolute sum exceeds half the "
+            "largest binary64 value, so subset sums could overflow"
+        )
+
     def test_missing_file_domain_error(self):
         res = run_cli("quotient", "--p", "2", "--q", "2", "--r", "1",
                       "--avec", "/nonexistent/fam.json")

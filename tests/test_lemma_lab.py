@@ -186,11 +186,12 @@ class TestGrothendieckRatio:
         with pytest.raises(ValueError, match="degenerate"):
             grothendieck_ratio(Family(np.zeros((2, 2))))
 
-    def test_critical_log_on_violation(self, caplog):
+    def test_critical_log_on_violation(self, caplog, monkeypatch):
         # force a tiny envelope so the logging path is exercised
+        monkeypatch.setattr(lemma_lab, "KG_UPPER", 1.0)
         with caplog.at_level(logging.CRITICAL, logger="uncond.lemma_lab"):
-            rep = grothendieck_ratio(Family.of([[1, 1], [1, -1]]), kg_upper=1.0)
-        assert rep.slack < 0
+            rep = grothendieck_ratio(Family.of([[1, 1], [1, -1]]))
+        assert rep.bound == 1.0 and rep.slack < 0
         assert any("exceeds" in r.message for r in caplog.records)
 
     def test_no_critical_log_at_default_envelope(self, caplog):
@@ -242,15 +243,21 @@ class TestGrothendieckSearch:
             assert got.witness == want.witness
             assert got.to_json() == want.to_json()
 
-    def test_tiny_envelope_logs_critical_like_the_oracle(self, caplog):
+    def test_tiny_envelope_logs_critical_like_the_oracle(self, caplog, monkeypatch):
+        monkeypatch.setattr(lemma_lab, "KG_UPPER", 0.5)
         with caplog.at_level(logging.CRITICAL, logger="uncond.lemma_lab"):
-            got = grothendieck_search(3, 2, budget=2, seed=8, kg_upper=0.5)
+            got = grothendieck_search(3, 2, budget=2, seed=8)
             logged = len(caplog.records)
-            want = public_sign_search(3, 2, budget=2, seed=8, kg_upper=0.5)
+            want = public_sign_search(3, 2, budget=2, seed=8)
         assert logged > 0
         assert all(r.levelno == logging.CRITICAL and "exceeds" in r.message for r in caplog.records)
         assert len(caplog.records) == 2 * logged
         assert got.ratio == want.ratio and got.slack < 0
+
+    def test_infinite_envelope_still_runs(self, monkeypatch):
+        monkeypatch.setattr(lemma_lab, "KG_UPPER", math.inf)
+        rep = grothendieck_search(3, 2, budget=2, seed=1)
+        assert rep.bound == math.inf and rep.ratio > 0
 
 
 class TestFlipScreen:
@@ -298,16 +305,17 @@ class TestFlipScreen:
             smax = _exhaustive_best(Y, Exponent(1.0), signs=True)[0]
             assert 0.0 <= smax - floors[i, j] <= 2.0 * slack * smax
 
-    @pytest.mark.parametrize("kg_upper", [1.2, 1.3, 1.4])
+    @pytest.mark.parametrize("envelope", [1.2, 1.3, 1.4])
     @pytest.mark.parametrize("shape", [(10, 3), (12, 2), (11, 3), (8, 4)])
-    def test_mid_envelopes_match_the_public_oracle(self, shape, kg_upper, caplog):
+    def test_mid_envelopes_match_the_public_oracle(self, shape, envelope, caplog, monkeypatch):
         # ratios near these envelopes make some flips log and others not
+        monkeypatch.setattr(lemma_lab, "KG_UPPER", envelope)
         for seed in (2, 3, 7):
             caplog.clear()
             with caplog.at_level(logging.CRITICAL, logger="uncond.lemma_lab"):
-                got = grothendieck_search(*shape, budget=2, seed=seed, kg_upper=kg_upper)
+                got = grothendieck_search(*shape, budget=2, seed=seed)
                 logged = len(caplog.records)
-                want = public_sign_search(*shape, budget=2, seed=seed, kg_upper=kg_upper)
+                want = public_sign_search(*shape, budget=2, seed=seed)
             assert len(caplog.records) == 2 * logged
             assert (got.ratio, got.slack) == (want.ratio, want.slack)
             assert got.witness == want.witness
@@ -376,31 +384,6 @@ class TestFloorBuilds:
     def test_unscreened_shapes_build_no_floors(self, monkeypatch):
         monkeypatch.setattr(lemma_lab, "_flip_floors", lambda X: pytest.fail("screened"))
         grothendieck_search(4, 5, 2, 4)
-
-
-class TestNanEnvelope:
-    """A NaN envelope is rejected before any work: it would silence the screen and the log."""
-
-    def test_ratio(self, monkeypatch):
-        monkeypatch.setattr(lemma_lab, "sign_max_norm", lambda *a, **k: pytest.fail("evaluated"))
-        with pytest.raises(ValueError, match="^kg_upper cannot be NaN$"):
-            grothendieck_ratio([[1.0, 0.0]], kg_upper=float("nan"))
-        # rejected before the family is read
-        with pytest.raises(ValueError, match="^kg_upper cannot be NaN$"):
-            grothendieck_ratio([[math.inf]], kg_upper=np.nan)
-
-    @pytest.mark.parametrize("shape", [(11, 3), (4, 5)])
-    def test_search(self, shape, monkeypatch):
-        monkeypatch.setattr(lemma_lab, "_exhaustive_best", lambda *a, **k: pytest.fail("evaluated"))
-        with pytest.raises(ValueError, match="^kg_upper cannot be NaN$"):
-            grothendieck_search(*shape, budget=2, seed=0, kg_upper=float("nan"))
-        # rejected before the budget is checked
-        with pytest.raises(ValueError, match="^kg_upper cannot be NaN$"):
-            grothendieck_search(*shape, budget=0, seed=0, kg_upper=np.float64("nan"))
-
-    def test_infinite_envelope_still_runs(self):
-        rep = grothendieck_search(3, 2, budget=2, seed=1, kg_upper=math.inf)
-        assert rep.bound == math.inf and rep.ratio > 0
 
 
 class TestSandwichSweep:

@@ -123,6 +123,15 @@ class TestNorm:
         assert norm([0.0, 0.0], 3) == 0.0
         assert norm([], "inf") == 0.0
 
+    def test_zero_and_subnormal_rows(self):
+        # a zero row is scaled by the smallest subnormal, at most any nonzero max
+        tiny = float(np.finfo(np.float64).smallest_subnormal)
+        rows = np.array([[0.0, 0.0, -0.0], [tiny, 0.0, 0.0], [0.0, -tiny, 0.0], [3.0, 0.0, 4.0]])
+        for p in (1.5, 2.0, 3.0, 7.0):
+            got = row_norms(rows, p)
+            assert got[0] == 0.0 and got[1] == got[2] == tiny
+            assert got[3] == pytest.approx(direct_norm(rows[3], p), rel=1e-15)
+
     def test_matches_direct_evaluation(self):
         rng = np.random.default_rng(11)
         for _ in range(300):

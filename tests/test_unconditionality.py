@@ -936,6 +936,91 @@ class TestMain1BoundCheck:
         ]
 
 
+class TestOverflowingFamilies:
+    """Families whose subset or signed sums could overflow binary64 are rejected up front."""
+
+    QUARTER = float(np.finfo(np.float64).max) / 4.0
+    FAMILY_ERROR = (
+        "^family entries too large: a column's absolute sum exceeds half the "
+        "largest binary64 value, so subset sums could overflow$"
+    )
+
+    @staticmethod
+    def _shapes():
+        # one family per route at q = 2 or 17, as in TestRouteLog
+        rng = np.random.default_rng(151)
+        ties = np.zeros((18, 3))
+        ties[:3] = np.eye(3)
+        return (
+            (rng.standard_normal((5, 2)), 2, False, "scratch"),
+            (rng.standard_normal((12, 8)), 2, False, "walk (binary32 keys)"),
+            (rng.standard_normal((12, 8)), 17, False, "walk (binary64 keys)"),
+            (rng.standard_normal((12, 24)), 2, False, "Gram walk (binary32 keys)"),
+            (rng.standard_normal((16, 4)), 2, False, "branch and bound"),
+            (rng.standard_normal((16, 8)), 2, True, "branch and bound"),
+            (ties, 2, True, "branch-and-bound fallback (binary32 keys)"),
+        )
+
+    def test_every_route_rejects_before_enumerating(self, monkeypatch, caplog):
+        for X, q, signs, route in self._shapes():
+            # unchanged, the family takes the route it is named for
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger=U.logger.name):
+                (sign_max_norm if signs else subset_max_norm)(Family(X), q)
+            assert TestRouteLog.LINE.fullmatch(caplog.records[-1].getMessage())[1] == route
+        monkeypatch.setattr(U, "_exhaustive_best", lambda *a, **k: pytest.fail("enumerated"))
+        for X, q, _, _ in self._shapes():
+            big = X.copy()
+            # column 0 sums to n/4 of the largest float, above half of it for n >= 3
+            big[:, 0] = self.QUARTER
+            for call in (
+                lambda: subset_max_norm(Family(big), q),
+                lambda: subset_max_norm(Family(big), q, "randomized", budget=2, seed=0),
+                lambda: sign_max_norm(Family(big), q),
+                lambda: unconditionality_quotient(Family(X), Family(big), ExponentTriple.of(2, q, 2)),
+                lambda: main1_bound_check(Family(X), Family(big), q, 1.8),
+            ):
+                with pytest.raises(ValueError, match=self.FAMILY_ERROR):
+                    call()
+
+    def test_a_family_below_the_bound_is_kept(self):
+        # column 0 sums to about 0.45 of the largest float: every sum stays finite
+        X = np.random.default_rng(157).standard_normal((12, 1))
+        X[3, 0] = 1.8 * self.QUARTER
+        for signs, fn in ((False, subset_max_norm), (True, sign_max_norm)):
+            got = fn(Family(X), 2)
+            assert (got.value, got.argmax_subset) == sequential_scratch_max(X, 2, signs)
+            assert math.isfinite(got.value) and got.value > 0.0
+
+    def test_complex_and_sign_ratio_entry_points_reject(self, monkeypatch):
+        from uncond import lemma_lab
+
+        monkeypatch.setattr(lemma_lab, "_exhaustive_best", lambda *a, **k: pytest.fail("enumerated"))
+        z = np.full(16, 1.0 + 0.5j)
+        for column in (z.real, z.imag):
+            column[:] = self.QUARTER
+            with pytest.raises(ValueError, match=self.FAMILY_ERROR):
+                complex_subset_max(z)
+            column[:] = 1.0
+        with pytest.raises(ValueError, match=self.FAMILY_ERROR):
+            lemma_lab.grothendieck_ratio(np.full((16, 8), self.QUARTER))
+
+    def test_overflowing_quotient_parts_raise(self):
+        big = 1e200
+        # the numerator ||a x||_1 overflows, and so does the denominator
+        with pytest.raises(ValueError, match=r"^quotient overflows binary64: numerator inf, denominator inf$"):
+            unconditionality_quotient([[big, 0.0]], [[big, 0.0]], ExponentTriple.of(2, 2, 1))
+        # at r = 2 the overflowing product norm is nan
+        with pytest.raises(ValueError, match=r"^quotient overflows binary64: numerator nan, denominator inf$"):
+            unconditionality_quotient([[big, 0.0]], [[big, 0.0]], ExponentTriple.of(2, 2, 2))
+        # the numerator is 0 but max ||a_k||_2 times the subset max overflows
+        with pytest.raises(ValueError, match=r"^quotient overflows binary64: numerator 0\.0, denominator inf$"):
+            unconditionality_quotient([[big, 0.0]], [[0.0, big]], ExponentTriple.of(2, 2, 2))
+        for A, X in (([[big, 0.0]], [[big, 0.0]]), ([[big, 0.0]], [[0.0, big]])):
+            with pytest.raises(ValueError, match="^quotient overflows binary64: "):
+                main1_bound_check(A, X, 2, 1.8)
+
+
 class TestQuotientOracle:
     """unconditionality_quotient against a quotient recomputed from scratch."""
 
