@@ -101,18 +101,20 @@ def real_subset_ratio(x: Sequence[float]) -> RatioReport:
     return RatioReport(ratio, REAL_SUBSET_BOUND, REAL_SUBSET_BOUND - ratio, arr, True)
 
 
-def _as_complex(z) -> np.ndarray:
-    return _finite_array(z, np.complex128).reshape(-1)
+def _planar(z) -> tuple[np.ndarray, np.ndarray]:
+    """z as a flat complex array and its (Re, Im) columns; overflow raises as in ``subset_max_norm``."""
+    arr = _finite_array(z, np.complex128).reshape(-1)
+    planar = np.column_stack([arr.real, arr.imag])
+    _require_summable(planar)
+    return arr, planar
 
 
 def complex_subset_max(z, *, n_exh: int = DEFAULT_N_EXH) -> tuple[float, int]:
     """Exact max_F |sum_F z_k| by subset enumeration as (value, bitmask); overflow raises as in ``subset_max_norm``."""
-    arr = _as_complex(z)
+    arr, planar = _planar(z)
     _require_exhaustible(arr.size, n_exh)
     # |sum_F z_k| is the l2 norm of the (Re, Im) pair, so the complex subset
     # max is the planar subset max with its stable modulus.
-    planar = np.column_stack([arr.real, arr.imag])
-    _require_summable(planar)
     return _exhaustive_best(planar, Exponent(2.0), signs=False)
 
 
@@ -121,9 +123,9 @@ def halfplane_subset_max(z) -> float:
 
     The optimal subset is always of the form {k : Re(e^{-i theta} z_k) > 0};
     sweeping theta across the 2n membership-change angles and summing each
-    arc costs O(n^2).
+    arc costs O(n^2).  Overflow raises as in ``subset_max_norm``.
     """
-    arr = _as_complex(z)
+    arr = _planar(z)[0]
     nz = arr[arr != 0]
     if nz.size == 0:
         return 0.0
@@ -147,8 +149,9 @@ def complex_subset_ratio(z, *, n_exh: int = DEFAULT_N_EXH) -> RatioReport:
 
     Up to ``n_exh`` entries the max is enumerated and the ratio certified;
     above that the arc scan finds it, and the ratio is not certified.
+    Overflow raises on both routes as in ``subset_max_norm``.
     """
-    arr = _as_complex(z)
+    arr = _planar(z)[0]
     total = float(np.abs(arr).sum())
     if total <= 0.0:
         raise ValueError("degenerate input: all entries are zero")

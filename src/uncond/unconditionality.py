@@ -744,6 +744,15 @@ def _require_summable(M: np.ndarray) -> None:
             )
 
 
+def _finite_max(best, *args) -> tuple[float, int]:
+    """``best(*args)``, a (value, mask) pair, with numpy's overflow warnings off; ValueError if the value is not finite."""
+    with np.errstate(over="ignore"):
+        val, mask = best(*args)
+    if not math.isfinite(val):
+        raise ValueError(f"the maximum norm overflows binary64: {val!r}")
+    return val, mask
+
+
 def _random_mask(rng: np.random.Generator, n: int) -> int:
     """A uniform n-bit mask, drawn low bits first in chunks of at most 63 bits.
 
@@ -814,7 +823,8 @@ def subset_max_norm(
     route gives the same result.  Randomized mode runs ``budget``
     seeded restarts with single-flip hill climbing and returns an
     uncertified lower bound.  A family with a column absolute sum above half
-    the largest binary64 value, whose sums could overflow, raises ValueError.
+    the largest binary64 value, whose sums could overflow, raises ValueError,
+    and so does a maximum norm that overflows.
     """
     check_threads(threads)
     fam = Family.of(fam)
@@ -824,11 +834,11 @@ def subset_max_norm(
     _require_summable(fam.matrix)
     if mode == "exhaustive":
         _require_exhaustible(fam.size, n_exh, "; use mode='randomized' with a budget")
-        val, mask = _exhaustive_best(fam.matrix, q, signs=False)
+        val, mask = _finite_max(_exhaustive_best, fam.matrix, q, False)
         return SubsetMaxResult(val, mask, True, "exhaustive")
     if budget is None or budget < 1:
         raise ValueError("empty budget")
-    val, mask = _randomized_subset_best(fam.matrix, q, budget, seed)
+    val, mask = _finite_max(_randomized_subset_best, fam.matrix, q, budget, seed)
     return SubsetMaxResult(val, mask, False, "randomized", seed)
 
 
@@ -851,7 +861,7 @@ def sign_max_norm(
     q = Exponent.of(q)
     _require_exhaustible(fam.size, n_exh)
     _require_summable(fam.matrix)
-    val, mask = _exhaustive_best(fam.matrix, q, signs=True)
+    val, mask = _finite_max(_exhaustive_best, fam.matrix, q, True)
     return SubsetMaxResult(val, mask, True, "exhaustive")
 
 

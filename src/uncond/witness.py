@@ -19,16 +19,24 @@ The partial lr norms of that sequence are harmonic sums to the power 1/r.
 (``_harmonic``), which adds 1/k in fixed-size chunks, each one cumulative sum
 seeded with the running total: the same left-to-right float sum as a loop
 over k, with memory bounded by the chunk size.
+
+The lq norm of the tail beyond N is zeta(q/r, N+1)^(1/q), with zeta the
+Hurwitz zeta function.  ``_hurwitz_zeta`` is a plain-Python port of the
+Cephes Euler-Maclaurin routine behind ``scipy.special.zeta``, with Cephes's
+order of operations, so it returns the same floats without importing scipy.
+Where zeta(q/r, N+1) underflows, below the smallest normal float, the bound
+is (N+1)^(-1/r) ((N+1)^s zeta(s, N+1))^(1/q) with s = q/r: the same routine
+sums the scaled terms ((N+1+n)/(N+1))^(-s) directly.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.special import zeta
 
 from .seqspace import EPS_CMP, Exponent, ExponentLike, ExponentTriple
 from .unconditionality import DEFAULT_N_EXH, Family, unconditionality_quotient
@@ -43,6 +51,14 @@ WITNESS_MAX_LOG = 1023
 TAIL_MAX_TERMS = 10_000_000
 #: Terms per chunk of a harmonic sum: 2^16 float64 values, 0.5 MB.
 _HARMONIC_CHUNK = 1 << 16
+#: Cephes's stopping tolerance for the Hurwitz zeta sums, 2^-53.
+_MACHEP = 2.0**-53
+#: Cephes's Euler-Maclaurin denominators, (2k)! / B_2k for k = 1..12.
+_ZETA_A = (
+    12.0, -720.0, 30240.0, -1209600.0, 47900160.0, -1.8924375803183791606e9,
+    7.47242496e10, -2.950130727918164224e12, 1.1646782814350067249e14,
+    -4.5979787224074726105e15, 1.8152105401943546773e17, -7.1661652561756670113e18,
+)
 
 
 def sylvester(n: int) -> Family:
@@ -225,8 +241,54 @@ def divergent_tail_norm(r: ExponentLike, N: int) -> float:
     return _harmonic(N)[1] ** (1.0 / r.value)
 
 
+def _hurwitz_zeta(s: float, a: float, scaled: bool = False) -> float:
+    """zeta(s, a) = sum_{n>=0} (a+n)^(-s) for s > 1 and a >= 1, or a^s zeta(s, a) if ``scaled``.
+
+    The Cephes routine: above a = 1e8 the asymptotic form
+    (1/(s-1) + 1/(2a)) a^(1-s); otherwise at least nine direct terms, more
+    while a term's base is at most 9, then the integral, the half term and
+    up to twelve Bernoulli corrections, stopping once a term is below
+    _MACHEP of the sum.  Unscaled it equals ``scipy.special.zeta(s, a)`` bit
+    for bit.  Scaled, each (a+n)^(-s) is ((a+n)/a)^(-s), which keeps the sum
+    near 1 where the unscaled one underflows.  A zero sum counts as not
+    converged, as C's NaN comparison does.
+    """
+    if a > 1e8:
+        return (1.0 / (s - 1.0) + 1.0 / (2.0 * a)) * (a if scaled else a ** (1.0 - s))
+    a0 = a if scaled else 1.0
+    total = (a / a0) ** -s
+    i, b = 0, 0.0
+    while i < 9 or a <= 9.0:
+        i += 1
+        a += 1.0
+        b = (a / a0) ** -s
+        total += b
+        if total and abs(b / total) < _MACHEP:
+            return total
+    w = a
+    total += b * w / (s - 1.0)
+    total -= 0.5 * b
+    a, k = 1.0, 0.0
+    for c in _ZETA_A:
+        a *= s + k
+        b /= w
+        t = a * b / c
+        total = total + t
+        if total and abs(t / total) < _MACHEP:
+            return total
+        k += 1.0
+        a *= s + k
+        b /= w
+        k += 1.0
+    return total
+
+
 def tail_q_bound(q: ExponentLike, r: ExponentLike, N: int) -> float:
-    """||(x(n))_{n>N}||_q for x(n) = n^(-1/r); finite exactly because q > r."""
+    """||(x(n))_{n>N}||_q for x(n) = n^(-1/r); finite exactly because q > r.
+
+    That is zeta(s, N+1)^(1/q) with s = q/r, or, where zeta underflows
+    below the smallest normal float, (N+1)^(-1/r) ((N+1)^s zeta(s, N+1))^(1/q).
+    """
     q = Exponent.of(q)
     r = Exponent.of(r)
     if r.is_infinite or not r < q:
@@ -235,7 +297,10 @@ def tail_q_bound(q: ExponentLike, r: ExponentLike, N: int) -> float:
     if q.is_infinite:
         return float(N + 1) ** (-r.reciprocal)
     s = q.value / r.value
-    return float(zeta(s, N + 1)) ** (1.0 / q.value)
+    z = _hurwitz_zeta(s, float(N + 1))
+    if z >= sys.float_info.min:
+        return z ** (1.0 / q.value)
+    return float(N + 1) ** (-r.reciprocal) * _hurwitz_zeta(s, float(N + 1), scaled=True) ** (1.0 / q.value)
 
 
 def tail_witness(q: ExponentLike, r: ExponentLike, B: float) -> TailWitness:

@@ -286,6 +286,18 @@ class TestWitnessCommands:
         assert (out["N"], out["partial_r_norm"]) == (1, 1.0)
         assert out["partial_r_norm"] >= out["B"]
 
+    @pytest.mark.parametrize("q", ["800", "1e300"])
+    def test_tail_bound_whose_zeta_underflows(self, q, capsys):
+        # zeta(q, 5) underflows; these printed 0.0 and NaN before the scaled sum
+        assert main(["witness-tail", "--q", q, "--r", "1", "--B", "2"]) == 0
+        out = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
+        assert (out["N"], out["tail_q_bound"]) == (4, 0.2)
+
+    def test_import_loads_no_scipy(self):
+        code = "import sys, uncond, uncond.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert (res.returncode, res.stdout) == (0, "[]\n")
+
 
 class TestGridCommand:
     def test_header_and_row_count(self):

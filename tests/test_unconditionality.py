@@ -992,6 +992,22 @@ class TestOverflowingFamilies:
             assert (got.value, got.argmax_subset) == sequential_scratch_max(X, 2, signs)
             assert math.isfinite(got.value) and got.value > 0.0
 
+    def test_an_overflowing_maximum_raises(self):
+        # column sums 0.45 of the largest float are admitted, but at q = 1 and 2 the
+        # full subset's norm overflows; a numpy overflow warning would fail the suite
+        X = np.full((16, 8), 1.8 * self.QUARTER / 16)
+        for q in (1, 2):
+            for call in (
+                lambda: subset_max_norm(Family(X), q),
+                lambda: subset_max_norm(Family(X), q, "randomized", budget=2, seed=0),
+                lambda: sign_max_norm(Family(X), q),
+                lambda: unconditionality_quotient(Family(X), Family(X), ExponentTriple.of(2, q, 2)),
+            ):
+                with pytest.raises(ValueError, match=r"^the maximum norm overflows binary64: inf$"):
+                    call()
+        got = subset_max_norm(Family(X), "inf")
+        assert (got.value, got.argmax_subset) == sequential_scratch_max(X, "inf", False)
+
     def test_complex_and_sign_ratio_entry_points_reject(self, monkeypatch):
         from uncond import lemma_lab
 
@@ -999,9 +1015,19 @@ class TestOverflowingFamilies:
         z = np.full(16, 1.0 + 0.5j)
         for column in (z.real, z.imag):
             column[:] = self.QUARTER
-            with pytest.raises(ValueError, match=self.FAMILY_ERROR):
-                complex_subset_max(z)
+            for call in (
+                lambda: complex_subset_max(z),
+                lambda: lemma_lab.complex_subset_ratio(z),
+                lambda: lemma_lab.complex_subset_ratio(z, n_exh=8),
+                lambda: lemma_lab.halfplane_subset_max(z),
+            ):
+                with pytest.raises(ValueError, match=self.FAMILY_ERROR):
+                    call()
             column[:] = 1.0
+        # 30 moduli of 1e307 sum past the largest float; this gave ratio nan above the cap
+        for n_exh in (8, 30):
+            with pytest.raises(ValueError, match=self.FAMILY_ERROR):
+                lemma_lab.complex_subset_ratio(np.full(30, 1e307), n_exh=n_exh)
         with pytest.raises(ValueError, match=self.FAMILY_ERROR):
             lemma_lab.grothendieck_ratio(np.full((16, 8), self.QUARTER))
 
