@@ -7,7 +7,6 @@ lp sequence spaces, constructs certified counterexample witnesses (orthogonal
 numerically probes the elementary inequalities the machinery rests on.
 """
 
-from .action import holder_bound_check, multiply
 from .classifier import (
     Classification,
     Clause,
@@ -40,10 +39,7 @@ from .seqspace import (
     INF,
     Exponent,
     ExponentTriple,
-    FinSeq,
-    dual_exponent,
     norm,
-    norm_sandwich_check,
     row_norms,
 )
 from .unconditionality import (
@@ -81,7 +77,6 @@ __all__ = [
     "Exponent",
     "ExponentTriple",
     "Family",
-    "FinSeq",
     "INF",
     "InternalInconsistencyError",
     "KG_UPPER",
@@ -100,17 +95,13 @@ __all__ = [
     "complex_subset_ratio",
     "cross_validate",
     "divergent_tail_norm",
-    "dual_exponent",
     "grid_to_csv",
     "grothendieck_ratio",
     "grothendieck_search",
     "halfplane_subset_max",
     "hadamard_witness",
-    "holder_bound_check",
     "main1_bound_check",
-    "multiply",
     "norm",
-    "norm_sandwich_check",
     "quotient_lower_bound_search",
     "real_subset_ratio",
     "region_grid",

@@ -1,4 +1,4 @@
-"""Finitely supported sequences and their lp norms for exponents in [1, inf].
+"""Exponents in [1, inf] and the lp norms of finitely supported sequences.
 
 A vector here is a dense float64 array identified with the sequence supported
 on coordinates 0..len-1.  Exponents keep infinity as a distinct variant so
@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -102,9 +102,9 @@ INF = Exponent(None)
 def _finite_array(values, dtype=np.float64) -> np.ndarray:
     """``values`` as a fresh array of ``dtype``; ValueError if an entry is NaN or infinite.
 
-    The one finite-entry check for sequences, families, norms and the lemma
-    inputs; for a complex dtype both parts are checked.  Complex input for a
-    real dtype is rejected, not cast, which would drop its imaginary parts.
+    The one finite-entry check for families, norms and the lemma inputs; for
+    a complex dtype both parts are checked.  Complex input for a real dtype
+    is rejected, not cast, which would drop its imaginary parts.
     """
     arr = np.asarray(values)
     if np.iscomplexobj(arr) and not np.issubdtype(dtype, np.complexfloating):
@@ -113,60 +113,6 @@ def _finite_array(values, dtype=np.float64) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError("entries must be finite numbers")
     return arr
-
-
-def dual_exponent(p: ExponentLike) -> Exponent:
-    """The exponent p* with 1/p + 1/p* = 1.  dual(1)=inf, dual(inf)=1."""
-    p = Exponent.of(p)
-    if p.is_infinite:
-        return Exponent(1.0)
-    if p.value == 1.0:
-        return INF
-    return Exponent(1.0 / (1.0 - 1.0 / p.value))
-
-
-@dataclass(frozen=True, eq=False)
-class FinSeq:
-    """A finitely supported scalar sequence: dense entries with an ambient length.
-
-    Entries must all be finite; NaN and infinities are rejected at construction.
-    The wrapped array is a read-only copy.
-    """
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        arr = _finite_array(self.entries).reshape(-1)
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
-
-    @staticmethod
-    def of(values: Iterable[float]) -> "FinSeq":
-        return FinSeq(list(values))
-
-    @property
-    def ambient_len(self) -> int:
-        return int(self.entries.size)
-
-    def __len__(self):
-        return self.ambient_len
-
-    def __getitem__(self, k):
-        return self.entries[k]
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __eq__(self, other):
-        if not isinstance(other, FinSeq):
-            return NotImplemented
-        return np.array_equal(self.entries, other.entries)
-
-    def to_json(self) -> list:
-        return [float(v) for v in self.entries]
-
-    def __repr__(self):
-        return f"FinSeq({self.entries.tolist()!r})"
 
 
 class ExponentTriple(NamedTuple):
@@ -235,28 +181,4 @@ def norm(v, p: ExponentLike) -> float:
 
     Non-finite entries are rejected with ValueError.
     """
-    arr = v.entries if isinstance(v, FinSeq) else _finite_array(v).reshape(-1)
-    return float(row_norms(arr.reshape(1, -1), p)[0])
-
-
-def norm_sandwich_check(v, p: ExponentLike, q: ExponentLike) -> tuple[bool, bool]:
-    """Check ||v||_q <= ||v||_p <= n^(1/p-1/q) ||v||_q for 1 <= p <= q < inf.
-
-    Returns (lower_ok, upper_ok), each allowing relative slack EPS_NUM.
-    Rejects p > q, infinite q and non-finite entries.
-    """
-    p = Exponent.of(p)
-    q = Exponent.of(q)
-    if q.is_infinite:
-        raise ValueError("requires q < inf")
-    if p.is_infinite or p.value > q.value:
-        raise ValueError("requires p <= q")
-    arr = v.entries if isinstance(v, FinSeq) else _finite_array(v).reshape(-1)
-    n = arr.size
-    if n < 1:
-        raise ValueError("requires a nonempty vector")
-    np_ = norm(arr, p)
-    nq = norm(arr, q)
-    lower_ok = nq <= np_ * (1.0 + EPS_NUM)
-    upper_ok = np_ <= float(n) ** (p.reciprocal - q.reciprocal) * nq * (1.0 + EPS_NUM)
-    return lower_ok, upper_ok
+    return float(row_norms(_finite_array(v).reshape(1, -1), p)[0])

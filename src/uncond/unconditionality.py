@@ -53,7 +53,6 @@ from .seqspace import (
     Exponent,
     ExponentLike,
     ExponentTriple,
-    FinSeq,
     _TINY,
     _finite_array,
     row_norms,
@@ -131,14 +130,12 @@ class Family:
 
     @staticmethod
     def of(vectors) -> "Family":
-        """Build a family from an iterable of vectors (FinSeq or array-like rows)."""
+        """Build a family from a Family, a 2-d array, or an iterable of equal-length rows."""
         if isinstance(vectors, Family):
             return vectors
         if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
             return Family(vectors)
-        rows = []
-        for v in vectors:
-            rows.append(v.entries if isinstance(v, FinSeq) else np.asarray(v))
+        rows = [np.asarray(v) for v in vectors]
         if not rows:
             return Family(np.zeros((0, 0)))
         lengths = {r.size for r in rows}
@@ -157,8 +154,9 @@ class Family:
     def __len__(self):
         return self.size
 
-    def __getitem__(self, k: int) -> FinSeq:
-        return FinSeq(self.matrix[k])
+    def __getitem__(self, k: int) -> np.ndarray:
+        """Row k as a read-only float64 view."""
+        return self.matrix[k]
 
     def __eq__(self, other):
         if not isinstance(other, Family):

@@ -5,16 +5,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uncond.seqspace import (
     EPS_NUM,
     INF,
     Exponent,
     ExponentTriple,
-    FinSeq,
-    dual_exponent,
     norm,
-    norm_sandwich_check,
     row_norms,
 )
 
@@ -22,6 +21,22 @@ from uncond.lemma_lab import complex_subset_ratio, real_subset_ratio
 from uncond.unconditionality import Family
 
 from _oracles import direct_norm
+
+_EXPONENTS = st.one_of(st.just(INF), st.floats(1.0, 64.0).map(Exponent))
+
+
+@st.composite
+def _holder_triples(draw):
+    """Triples with 1/r <= 1/p + 1/q; the share 1 puts 1/r on the boundary."""
+    p, q = draw(_EXPONENTS), draw(_EXPONENTS)
+    share = draw(st.one_of(st.just(1.0), st.just(0.0), st.floats(0.0, 1.0)))
+    rr = share * min(1.0, p.reciprocal + q.reciprocal)
+    return ExponentTriple(p, q, INF if rr == 0.0 else Exponent(1.0 / rr))
+
+
+def _vector_pairs(n):
+    entries = st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)
+    return st.tuples(entries, entries)
 
 
 class TestExponent:
@@ -69,47 +84,6 @@ class TestExponent:
         assert Exponent.of(2).token() == "2.0"
         assert INF.to_json() == "inf"
         assert Exponent.of(1.5).to_json() == 1.5
-
-
-class TestDualExponent:
-    def test_fixed_points_and_boundaries(self):
-        assert dual_exponent(2) == Exponent(2.0)
-        assert dual_exponent(1).is_infinite
-        assert dual_exponent("inf") == Exponent(1.0)
-
-    def test_four_thirds(self):
-        # solve 1/4 + 1/p* = 1
-        assert abs(dual_exponent(4).value - 4.0 / 3.0) < 1e-15
-
-    def test_involution(self):
-        assert dual_exponent(dual_exponent("inf")).is_infinite
-        assert dual_exponent(dual_exponent(1)).value == 1.0
-        for p in (1.5, 2.0, 3.0, 7.5, 64.0):
-            back = dual_exponent(dual_exponent(p))
-            assert abs(back.value - p) < 1e-12
-
-
-class TestFinSeq:
-    def test_basics(self):
-        v = FinSeq.of([1, 2, 3])
-        assert v.ambient_len == 3
-        assert len(v) == 3
-        assert v[1] == 2.0
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            FinSeq.of([1.0, float("nan")])
-        with pytest.raises(ValueError):
-            FinSeq.of([float("inf")])
-
-    def test_read_only(self):
-        v = FinSeq.of([1.0, 2.0])
-        with pytest.raises(ValueError):
-            v.entries[0] = 5.0
-
-    def test_json_round_trip(self):
-        v = FinSeq.of([1.5, -2.0, 0.0])
-        assert FinSeq.of(v.to_json()) == v
 
 
 class TestNorm:
@@ -174,40 +148,6 @@ class TestNorm:
             assert np.array_equal(block, single)
 
 
-class TestSandwich:
-    def test_tight_upper(self):
-        # constant vector: ||v||_p = n^(1/p - 1/q) ||v||_q exactly
-        lower_ok, upper_ok = norm_sandwich_check([1.0, 1.0], 1, 2)
-        assert lower_ok and upper_ok
-        assert norm([1.0, 1.0], 1) == pytest.approx(
-            2 ** (1 - 0.5) * norm([1.0, 1.0], 2), rel=1e-15
-        )
-
-    def test_single_support(self):
-        for p, q in ((1, 2), (2, 4), (1.5, 3)):
-            assert norm_sandwich_check([1.0, 0.0], p, q) == (True, True)
-
-    def test_alternating(self):
-        assert norm_sandwich_check([1, -1, 1, -1], 2, 4) == (True, True)
-
-    def test_rejects_bad_pairs(self):
-        with pytest.raises(ValueError):
-            norm_sandwich_check([1.0], 3, 2)
-        with pytest.raises(ValueError):
-            norm_sandwich_check([1.0], 2, "inf")
-        with pytest.raises(ValueError):
-            norm_sandwich_check([], 1, 2)
-
-    def test_random_sweep(self):
-        rng = np.random.default_rng(8)
-        for _ in range(400):
-            n = int(rng.integers(1, 20))
-            v = rng.standard_normal(n)
-            p = float(rng.uniform(1, 6))
-            q = p + float(rng.uniform(0, 6))
-            assert norm_sandwich_check(v, p, q) == (True, True)
-
-
 class TestExponentTriple:
     def test_holder_validity(self):
         assert ExponentTriple.of(2, 2, 1).holder_valid
@@ -220,6 +160,27 @@ class TestExponentTriple:
         # 1/r = 1/p + 1/q exactly
         assert ExponentTriple.of(2, 2, 1).holder_valid
         assert ExponentTriple.of(4, 4, 2).holder_valid
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        t=st.one_of(
+            st.sampled_from([(2, 2, 1), (4, 4, 2), ("inf", 1, 1), ("inf", "inf", "inf")]).map(
+                lambda t: ExponentTriple.of(*t)
+            ),
+            _holder_triples(),
+        ),
+        ax=st.integers(1, 10).flatmap(_vector_pairs),
+    )
+    def test_holder_inequality(self, t, ax):
+        # ||ax||_r <= ||a||_p ||x||_q is what holder_valid promises
+        assert t.holder_valid
+        a, x = (np.array(v) for v in ax)
+        assert norm(a * x, t.r) <= norm(a, t.p) * norm(x, t.q) * (1 + EPS_NUM)
+
+    def test_holder_is_tight_on_the_boundary(self):
+        ones = np.ones(5)
+        for t in (ExponentTriple.of(2, 2, 1), ExponentTriple.of(4, 4, 2)):
+            assert norm(ones * ones, t.r) == pytest.approx(norm(ones, t.p) * norm(ones, t.q), rel=1e-15)
 
     def test_record_semantics(self):
         t = ExponentTriple.of(2, "inf", 1.5)
@@ -245,15 +206,8 @@ class TestNonFiniteEntries:
             with pytest.raises(ValueError, match="^entries must be finite numbers$"):
                 norm(v, p)
 
-    @pytest.mark.parametrize("v", BAD)
-    def test_sandwich_check_rejects(self, v):
-        # unchecked, both comparisons come out False for [inf, 1.0]
-        with pytest.raises(ValueError, match="^entries must be finite numbers$"):
-            norm_sandwich_check(v, 1, 2)
-
     def test_one_message_for_every_input(self):
         for call in (
-            lambda: FinSeq.of([1.0, math.nan]),
             lambda: Family.of([[1.0, math.inf]]),
             lambda: Family(np.array([[math.nan]])),
             lambda: real_subset_ratio([1.0, -math.inf]),
@@ -272,13 +226,10 @@ class TestComplexEntries:
         lambda: Family(np.array([[1 + 5j, 2]])),
         lambda: Family.of([np.array([1 + 5j, 2.0])]),
         lambda: Family.of([[1 + 5j, 2.0]]),
-        lambda: FinSeq(np.array([1j, 2])),
-        lambda: FinSeq.of([1j, 2]),
         lambda: norm(np.array([3 + 4j]), 2),
         lambda: norm([3 + 4j], 2),
-        lambda: norm_sandwich_check(np.array([1 + 1j, 2.0]), 1, 2),
         lambda: real_subset_ratio(np.array([1 + 1j, -1.0])),
-    ], ids=range(9))
+    ], ids=(0, 1, 2, 5, 6, 8))
     def test_real_inputs_reject_complex(self, call):
         # cast to float64, these kept only the real part, with a ComplexWarning
         with warnings.catch_warnings():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from uncond import cli
 from uncond import unconditionality as U
 from uncond.lemma_lab import complex_subset_max, grothendieck_search
-from uncond.seqspace import EPS_NUM, ExponentTriple, FinSeq
+from uncond.seqspace import EPS_NUM, ExponentTriple
 from uncond.unconditionality import (
     Family,
     main1_bound_check,
@@ -51,7 +51,9 @@ class TestFamily:
         fam = Family.of([[1, 0], [0, 1]])
         assert fam.size == 2
         assert fam.ambient_len == 2
-        assert fam[0] == FinSeq.of([1, 0])
+        assert fam[0].tolist() == [1.0, 0.0] and fam[0].dtype == np.float64
+        with pytest.raises(ValueError):
+            fam[0][0] = 5.0
         assert len(fam) == 2
 
     def test_empty(self):
