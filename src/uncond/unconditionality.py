@@ -40,6 +40,7 @@ climb.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import logging
 import math
@@ -76,6 +77,12 @@ DRAW_MAX_ENTRIES = 1 << 20
 # the ambient length alone and memory stays bounded for every n.
 _BLOCK_BYTES = 1 << 20
 _BLOCK_MAX_LOG = 15
+#: numpy's default ufunc buffer, in elements.  numpy runs a broadcast add whose
+#: rows are shorter than its buffer through the buffer, at about three times
+#: the cost, so a walk of several blocks of fewer positions sets the buffer to
+#: one block row.  numpy takes only multiples of _MIN_BUFSIZE.
+_UFUNC_BUFSIZE = 8192
+_MIN_BUFSIZE = 16
 #: Enumerations with at most this many terms (positions * n * d) recompute
 #: every position from scratch, which costs less than setting up a walk.
 _SCRATCH_ALL_TERMS = 2048
@@ -275,8 +282,9 @@ def _block_rows(d: int, total: int) -> int:
     """Positions per block: the largest power of two whose binary64 sums fit _BLOCK_BYTES, at least 1.
 
     A binary32 walk keeps these positions in half the bytes, so its add and
-    key passes stay in cache: on n = 16 Gram walks this ran about twice as
-    fast as blocks of twice the positions (2-core Xeon, one BLAS thread).
+    key passes stay in cache: on n = 16 Gram walks this ran about 1.3 times
+    as fast as blocks of twice the positions (1.2 against 1.6 ms, median,
+    2-core Xeon, one BLAS thread).
     """
     log = (_BLOCK_BYTES // (8 * d)).bit_length() - 1
     return min(total, 1 << min(max(log, 0), _BLOCK_MAX_LOG))
@@ -577,8 +585,13 @@ def _exhaustive_best(X: np.ndarray, q: Exponent, signs: bool):
     scratch (``_scratch_maxima``); otherwise the rows are walked in
     reflected-Gray-code order, in blocks of ``_block_rows`` positions.  Each
     block of Gray positions is the high-row sum of its first position
-    plus the low table (mirrored when bit k of the block start is set, since
-    that is bit k-1 of its Gray code).  Blocks are ranked by keys of X
+    plus the low table.  When bit k of the block start is set (bit k-1 of
+    its Gray code) the block runs through the table backwards: it is ranked
+    on the table as stored, and its hits are reversed into Gray order.  A
+    walk of several blocks of fewer than _UFUNC_BUFSIZE (and at least
+    _MIN_BUFSIZE) positions sets numpy's ufunc buffer to one block row once, inside
+    ``np.errstate``, which restores the caller's on exit; so each block's
+    broadcast add runs unbuffered.  Blocks are ranked by keys of X
     scaled by ``_below_one``: in binary32 up to q = _BINARY32_MAX_Q and at
     q = inf, where the scaled rows are rounded to binary32 once and the low
     table, the high-row sums, the blocks and the keys are all binary32, and
@@ -649,8 +662,6 @@ def _exhaustive_best(X: np.ndarray, q: Exponent, signs: bool):
     key, shrink = _ranking(q, width, dtype), 1.0 - _slack(q, n, d, u)
     rows = _block_rows(width, total)
     k = rows.bit_length() - 1
-    low = _low_walk(walked, k, signs)
-    mirrored = low[:, ::-1]
     high_rows, high_bits = walked[k:], np.arange(k, n)
     # the coefficient of each high row, indexed by its bit of the Gray code
     coef = np.array([1.0, -1.0] if signs else [0.0, 1.0], dtype)
@@ -663,26 +674,37 @@ def _exhaustive_best(X: np.ndarray, q: Exponent, signs: bool):
     # per block with candidates since the last recompute: their Gray ranks and their keys
     pending: list[tuple[np.ndarray, np.ndarray]] = []
     pending_rows = recomputed = 0
-    for lo in range(0, total, rows):
-        on = (lo ^ (lo >> 1)) >> high_bits & 1
-        np.dot(coef[on], high_rows, out=base)
-        np.add(mirrored if (lo >> k) & 1 else low, base[:, None], out=buf)
-        ranked = key(buf, keys)
-        top = float(ranked.max())
-        if top >= floor:
-            # a top whose unrounded floor is at most the held one cannot raise it
-            raised = top * shrink - 2.0 * eta
-            if raised > floor:
-                floor = _round_down(raised, dtype)
-            hits = np.flatnonzero(ranked >= floor)
-            pending.append((hits + lo, ranked[hits]))
-            pending_rows += hits.size
-        if pending and (pending_rows >= chunk or lo + rows == total):
-            # candidates whose keys a floor raised after their block now excludes are dropped
-            ranks = [hits[vals >= floor] for hits, vals in pending]
-            recomputed += sum(map(len, ranks))
-            best = _first_best(X, q, signs, ranks, chunk, best)
-            pending, pending_rows = [], 0
+    # errstate restores the caller's buffer size on exit; a one-block walk does not pay for the scope
+    row_buffer = total > rows and _MIN_BUFSIZE <= rows < _UFUNC_BUFSIZE
+    with np.errstate() if row_buffer else contextlib.nullcontext():
+        if row_buffer:
+            np.setbufsize(rows)
+        low = _low_walk(walked, k, signs)
+        for lo in range(0, total, rows):
+            on = (lo ^ (lo >> 1)) >> high_bits & 1
+            np.dot(coef[on], high_rows, out=base)
+            np.add(low, base[:, None], out=buf)
+            ranked = key(buf, keys)
+            top = float(ranked.max())
+            if top >= floor:
+                # a top whose unrounded floor is at most the held one cannot raise it
+                raised = top * shrink - 2.0 * eta
+                if raised > floor:
+                    floor = _round_down(raised, dtype)
+                hits = np.flatnonzero(ranked >= floor)
+                if (lo >> k) & 1:
+                    # column c of an odd block is Gray rank lo + rows - 1 - c: keep ranks ascending
+                    hits = hits[::-1]
+                    pending.append((lo + rows - 1 - hits, ranked[hits]))
+                else:
+                    pending.append((hits + lo, ranked[hits]))
+                pending_rows += hits.size
+            if pending and (pending_rows >= chunk or lo + rows == total):
+                # candidates whose keys a floor raised after their block now excludes are dropped
+                ranks = [hits[vals >= floor] for hits, vals in pending]
+                recomputed += sum(map(len, ranks))
+                best = _first_best(X, q, signs, ranks, chunk, best)
+                pending, pending_rows = [], 0
     _log_route(route, total, peak, recomputed)
     return best
 

@@ -247,7 +247,8 @@ class TestKernel:
 
     def test_many_blocks_match_naive_on_lattice(self):
         # d = 256 makes blocks of 2^9 positions: the subset walk spans 32
-        # blocks, the sign walk 16, half of them mirrored.  A zero row makes
+        # blocks, the sign walk 16, half of them odd (their Gray positions run
+        # through the low table backwards).  A zero row makes
         # every subset tie with a partner, so the first-in-Gray-order rule
         # decides the mask.
         rng = np.random.default_rng(41)
@@ -340,6 +341,75 @@ class TestKernel:
         for fn in (subset_max_norm, sign_max_norm):
             with pytest.raises(ValueError, match="threads"):
                 fn(fam, 2, threads=0)
+
+    def test_blocks_below_the_smallest_ufunc_buffer(self):
+        # d > 8192 makes blocks of 8 positions, which numpy refuses as a buffer
+        # size, so these walks keep the caller's buffer
+        X = np.random.default_rng(151).standard_normal((5, 8200))
+        assert U._block_rows(8200, 1 << 5) == 8 < U._MIN_BUFSIZE
+        for signs, fn in ((False, subset_max_norm), (True, sign_max_norm)):
+            got = fn(Family(X), 1)
+            assert (got.value, got.argmax_subset) == sequential_scratch_max(X, 1, signs)
+
+    def test_rows_shorter_than_the_family(self):
+        # d = 1000 makes blocks of 128 positions, so every scratch recompute runs
+        # with a ufunc buffer shorter than the rows it sums
+        X = np.random.default_rng(157).standard_normal((12, 1000))
+        assert U._block_rows(1000, 1 << 12) == 128
+        for q in (1, 3):
+            for signs, fn in ((False, subset_max_norm), (True, sign_max_norm)):
+                got = fn(Family(X), q)
+                assert (got.value, got.argmax_subset) == sequential_scratch_max(X, q, signs)
+
+    @staticmethod
+    def _buffer_sizes(mp):
+        # records numpy's ufunc buffer size at each scratch recompute of a walk
+        seen = []
+        first_best = U._first_best
+
+        def recording(*args):
+            seen.append(np.getbufsize())
+            return first_best(*args)
+
+        mp.setattr(U, "_first_best", recording)
+        return seen
+
+    def test_walk_restores_the_callers_numpy_state(self, monkeypatch):
+        # a walk of several blocks sets the ufunc buffer to one block row and
+        # restores the caller's buffer size and error handling, also on error
+        X = np.random.default_rng(163).standard_normal((14, 20))
+        q = U.Exponent.of(1)
+        rows = U._block_rows(20, 1 << 14)
+        seen = self._buffer_sizes(monkeypatch)
+        before = (np.getbufsize(), np.geterr())
+        want = U._exhaustive_best(X, q, False)
+        assert seen and set(seen) == {rows} and (np.getbufsize(), np.geterr()) == before
+        with np.errstate(over="raise", under="warn"):
+            np.setbufsize(4096)
+            mine = (np.getbufsize(), np.geterr())
+            assert U._exhaustive_best(X, q, False) == want
+            assert (np.getbufsize(), np.geterr()) == mine
+
+        def failing(*args):
+            raise _Stop
+
+        monkeypatch.setattr(U, "_first_best", failing)
+        for setup in ((), (4096,)):
+            with np.errstate(divide="raise"):
+                if setup:
+                    np.setbufsize(*setup)
+                mine = (np.getbufsize(), np.geterr())
+                with pytest.raises(_Stop):
+                    U._exhaustive_best(X, q, False)
+                assert (np.getbufsize(), np.geterr()) == mine
+        assert (np.getbufsize(), np.geterr()) == before
+
+    def test_one_block_walk_keeps_the_callers_buffer(self, monkeypatch):
+        seen = self._buffer_sizes(monkeypatch)
+        X = np.random.default_rng(167).standard_normal((10, 20))
+        assert U._block_rows(20, 1 << 10) == 1 << 10
+        U._exhaustive_best(X, U.Exponent.of(1), False)
+        assert seen == [np.getbufsize()]
 
 
 class TestGramRoute:
@@ -645,29 +715,43 @@ class TestRouteLog:
             assert 1 <= int(recomputed) <= positions
 
     def test_pinned_frontiers_and_candidates(self, caplog):
-        # frontier peaks and candidate counts of three narrow families and one
-        # wide one, pinned at the binary64 slack of the branch and bound and the
-        # binary32 slack of the Gram walk: a looser floor keeps more nodes, a
-        # tighter one can lose the first maximum
+        # frontier peaks and candidate counts of three narrow families and three
+        # wide ones, pinned at the binary64 slack of the branch and bound and the
+        # binary32 slacks of the walks: a looser floor keeps more nodes, a
+        # tighter one can lose the first maximum.  The last two walk four
+        # blocks of 2^12 positions; in the lattice one a zero row ties each
+        # subset with a partner in its block, and the first maximum lies in
+        # block 1, whose Gray positions run through the low table backwards.
         rng = np.random.default_rng(109)
+        ties = np.random.default_rng(3).integers(-1, 2, size=(14, 20)).astype(float)
+        ties[3] = 0.0
         cases = (
             (rng.standard_normal((17, 4)), 2, False),
             (rng.integers(-3, 4, size=(18, 3)) * 0.1, 1, True),
             (rng.integers(-3, 4, size=(16, 6)) * 0.1, 3, True),
             (rng.integers(-3, 4, size=(13, 40)) * 0.1, 2, False),
+            (rng.standard_normal((14, 20)), 1, False),
+            (ties, 1, False),
         )
         lines = []
         for X, q, signs in cases:
             caplog.clear()
             with caplog.at_level(logging.DEBUG, logger=U.logger.name):
-                U._exhaustive_best(X, U.Exponent.of(q), signs)
+                got = U._exhaustive_best(X, U.Exponent.of(q), signs)
             [record] = caplog.records
             lines.append(record.getMessage())
+        assert got == sequential_scratch_max(ties, 1)
+        rank = got[1]
+        for step in (1, 2, 4, 8):
+            rank ^= rank >> step
+        assert U._block_rows(20, 1 << 14) == 1 << 12 and rank >> 12 == 1
         assert lines == [
             "exact route branch and bound: 131072 positions, frontier peak 26, 1 candidates recomputed",
             "exact route branch and bound: 131072 positions, frontier peak 239, 10 candidates recomputed",
             "exact route branch and bound: 32768 positions, frontier peak 26, 1 candidates recomputed",
             "exact route Gram walk (binary32 keys): 8192 positions, frontier peak 0, 1 candidates recomputed",
+            "exact route walk (binary32 keys): 16384 positions, frontier peak 0, 1 candidates recomputed",
+            "exact route walk (binary32 keys): 16384 positions, frontier peak 0, 2 candidates recomputed",
         ]
 
     def test_off_by_default(self, caplog):
