@@ -43,7 +43,6 @@ from .seqspace import (
     row_norms,
 )
 from .unconditionality import (
-    DEFAULT_N_EXH,
     KG_UPPER,
     Family,
     QuotientResult,
@@ -71,7 +70,6 @@ __all__ = [
     "Classification",
     "Clause",
     "CrossValidation",
-    "DEFAULT_N_EXH",
     "EPS_CMP",
     "EPS_NUM",
     "Exponent",

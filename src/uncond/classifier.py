@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import InternalInconsistencyError
 from .seqspace import EPS_CMP, INF, Exponent, ExponentLike, ExponentTriple
-from .unconditionality import DEFAULT_N_EXH, check_threads, quotient_lower_bound_search
+from .unconditionality import check_threads, quotient_lower_bound_search
 from .witness import hadamard_witness, tail_witness, witness_size
 
 logger = logging.getLogger(__name__)
@@ -303,7 +303,6 @@ def cross_validate(
     *,
     n: int = 4,
     dim: int = 4,
-    n_exh: int = DEFAULT_N_EXH,
 ) -> CrossValidation:
     """Tie the verdict for ``t`` to concrete computations.
 
@@ -326,7 +325,7 @@ def cross_validate(
                 # a witness beyond desk scale is a domain limit, not a contradiction
                 witness_size(t, C)
                 try:
-                    rep = hadamard_witness(t, C, n_exh=n_exh)
+                    rep = hadamard_witness(t, C)
                 except ValueError as exc:
                     raise InternalInconsistencyError(
                         f"strict clause fired for {t} but the witness failed at C={C}: {exc}"
@@ -348,7 +347,7 @@ def cross_validate(
                     ) from exc
                 checks.append(WitnessCheck("tail", B, True, tw._asdict()))
     else:
-        res = quotient_lower_bound_search(t, n, dim, budget, seed, n_exh=n_exh)
+        res = quotient_lower_bound_search(t, n, dim, budget, seed)
         best_quotient = res.quotient
         detail = {"best_quotient": res.quotient, "certified": res.certified}
         checks.append(WitnessCheck("search", float(budget), True, detail))

@@ -13,7 +13,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -28,8 +27,6 @@ from .lemma_lab import (
 )
 from .seqspace import Exponent, ExponentTriple
 from .unconditionality import (
-    DEFAULT_N_EXH,
-    WALK_MAX_LOG,
     Family,
     check_threads,
     quotient_lower_bound_search,
@@ -42,9 +39,6 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_INTERNAL = 4
 
-#: Largest exhaustive cap UNCOND_NEXH may set: the walk's reach, since 2^30
-#: subsets already take hours.
-MAX_N_EXH = WALK_MAX_LOG
 #: Largest ``lemmas --dim``: each real draw is one vector of up to this many entries.
 LEMMAS_MAX_DIM = 1 << 20
 #: Largest ``lemmas --budget``: each unit is one Python-level real draw, and
@@ -75,19 +69,6 @@ def _exponent(token: str) -> Exponent:
 
 def _emit_error(kind: str, detail: str):
     sys.stderr.write(json.dumps({"error": kind, "detail": detail}) + "\n")
-
-
-def _n_exh() -> int:
-    raw = os.environ.get("UNCOND_NEXH")
-    if raw is None:
-        return DEFAULT_N_EXH
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise _UsageError(f"UNCOND_NEXH must be an integer, got {raw!r}") from exc
-    if not 1 <= value <= MAX_N_EXH:
-        raise _UsageError(f"UNCOND_NEXH must be between 1 and {MAX_N_EXH}, got {value}")
-    return value
 
 
 @functools.cache
@@ -206,7 +187,7 @@ def _run_grid(args):
 
 
 def _run_witness_hadamard(args):
-    rep = hadamard_witness(_triple(args), args.C, n_exh=_n_exh())
+    rep = hadamard_witness(_triple(args), args.C)
     payload = rep.to_json()
     pretty = (
         f"n={rep.n}: family of {rep.family_size} orthogonal +-1 rows; "
@@ -244,7 +225,6 @@ def _run_quotient(args):
         "exhaustive" if args.mode == "exhaustive" else "randomized",
         budget=args.budget,
         seed=args.seed,
-        n_exh=_n_exh(),
     )
     pretty = (
         f"quotient {res.quotient:.12g} = {res.numerator:.12g} / {res.denominator:.12g} "
@@ -254,9 +234,7 @@ def _run_quotient(args):
 
 
 def _run_search(args):
-    res = quotient_lower_bound_search(
-        _triple(args), args.n, args.dim, args.budget, args.seed, n_exh=_n_exh()
-    )
+    res = quotient_lower_bound_search(_triple(args), args.n, args.dim, args.budget, args.seed)
     pretty = f"best quotient {res.quotient:.12g} over {args.budget} seeded restarts"
     return res.to_json(), pretty
 
@@ -276,7 +254,6 @@ def _run_lemmas(args):
             f"{LEMMAS_MAX_ENTRIES} entries; lower one of them"
         )
     rng = np.random.default_rng(args.seed)
-    n_exh = _n_exh()
 
     worst_real = 0.0
     for _ in range(args.budget):
@@ -291,10 +268,10 @@ def _run_lemmas(args):
     for _ in range(c_trials):
         size = int(rng.integers(1, min(14, args.dim) + 1))
         z = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-        worst_complex = max(worst_complex, complex_subset_ratio(z, n_exh=n_exh).ratio)
+        worst_complex = max(worst_complex, complex_subset_ratio(z).ratio)
 
     roots = np.exp(2j * math.pi * np.arange(64) / 64.0)
-    roots_report = complex_subset_ratio(roots, n_exh=n_exh)
+    roots_report = complex_subset_ratio(roots)
 
     pair_witness = real_subset_ratio([1.0, -1.0])
     sweep = sandwich_sweep(
@@ -318,7 +295,7 @@ def _run_lemmas(args):
 
 
 def _run_grothendieck(args):
-    rep = grothendieck_search(args.n, args.dim, args.budget, args.seed, n_exh=_n_exh())
+    rep = grothendieck_search(args.n, args.dim, args.budget, args.seed)
     pretty = (
         f"best sign-pattern ratio {rep.ratio:.12g} "
         f"(upper envelope {rep.bound:g}, slack {rep.slack:.6g})"

@@ -7,8 +7,8 @@ Covered here:
   negative split, no enumeration needed);
 * its complex version with constant 4, sharp constant pi, measured by one
   ratio (``complex_subset_ratio``): the subset max is enumerated exactly up
-  to the exhaustive cap, and found by the half-plane arc scan, in O(n^2)
-  and uncertified, above it;
+  to WALK_MAX_LOG entries, a walk the exact kernel always reaches, and found
+  by the half-plane arc scan, in O(n^2) and uncertified, above that;
 * the lp-lq sandwich  ||v||_q <= ||v||_p <= n^(1/p-1/q) ||v||_q  over random
   vectors, each (pair, dimension) cell one draw of all its vectors and one
   ``row_norms`` call per exponent;
@@ -30,16 +30,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import unconditionality
 from .seqspace import EPS_NUM, Exponent, ExponentLike, _finite_array, row_norms
 from .unconditionality import (
-    DEFAULT_N_EXH,
     KG_UPPER,
     Family,
     _BLOCK_BYTES,
-    _SIGN_FLIP_SWEEPS,
     _coordinate_ascent,
     _exhaustive_best,
-    _require_exhaustible,
     _require_summable,
     _seeded_restarts,
     _slack,
@@ -48,11 +46,13 @@ from .unconditionality import (
 
 logger = logging.getLogger(__name__)
 
-#: Sharp constant for the complex subset-sum inequality, to 1e-12.
-SHARP_COMPLEX_BOUND = 3.141592653589793
+#: Sharp constant for the complex subset-sum inequality: pi, rounded to binary64.
+SHARP_COMPLEX_BOUND = math.pi
 
 REAL_SUBSET_BOUND = 2.0
 COMPLEX_SUBSET_BOUND = 4.0
+#: Sweep cap of the sign-flip climb in ``grothendieck_search``.
+_SIGN_FLIP_SWEEPS = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,10 +109,9 @@ def _planar(z) -> tuple[np.ndarray, np.ndarray]:
     return arr, planar
 
 
-def complex_subset_max(z, *, n_exh: int = DEFAULT_N_EXH) -> tuple[float, int]:
-    """Exact max_F |sum_F z_k| by subset enumeration as (value, bitmask); overflow raises as in ``subset_max_norm``."""
-    arr, planar = _planar(z)
-    _require_exhaustible(arr.size, n_exh)
+def complex_subset_max(z) -> tuple[float, int]:
+    """Exact max_F |sum_F z_k| by subset enumeration as (value, bitmask); reach and overflow raise as in ``subset_max_norm``."""
+    planar = _planar(z)[1]
     # |sum_F z_k| is the l2 norm of the (Re, Im) pair, so the complex subset
     # max is the planar subset max with its stable modulus.
     return _exhaustive_best(planar, Exponent(2.0), signs=False)
@@ -144,19 +143,20 @@ def halfplane_subset_max(z) -> float:
     return best
 
 
-def complex_subset_ratio(z, *, n_exh: int = DEFAULT_N_EXH) -> RatioReport:
+def complex_subset_ratio(z) -> RatioReport:
     """sum |z_k| divided by max_F |sum_F z_k|, for any number of entries.
 
-    Up to ``n_exh`` entries the max is enumerated and the ratio certified;
-    above that the arc scan finds it, and the ratio is not certified.
-    Overflow raises on both routes as in ``subset_max_norm``.
+    Up to ``unconditionality.WALK_MAX_LOG`` entries (read at call time),
+    whose 2^n subsets a walk always reaches, the max is enumerated and the
+    ratio certified; above that the arc scan finds it, and the ratio is not
+    certified.  Overflow raises on both routes as in ``subset_max_norm``.
     """
     arr = _planar(z)[0]
     total = float(np.abs(arr).sum())
     if total <= 0.0:
         raise ValueError("degenerate input: all entries are zero")
-    certified = arr.size <= n_exh
-    denom = complex_subset_max(arr, n_exh=n_exh)[0] if certified else halfplane_subset_max(arr)
+    certified = arr.size <= unconditionality.WALK_MAX_LOG
+    denom = complex_subset_max(arr)[0] if certified else halfplane_subset_max(arr)
     ratio = total / denom
     return RatioReport(
         ratio,
@@ -182,7 +182,7 @@ def _sign_ratio(numer: float, smax: float, n: int) -> float:
     return ratio
 
 
-def grothendieck_ratio(fam, *, n_exh: int = DEFAULT_N_EXH) -> RatioReport:
+def grothendieck_ratio(fam) -> RatioReport:
     """sum_k ||x_k||_2 divided by the exact sign-pattern max of ||sum s_k x_k||_1.
 
     Every returned ratio is a valid lower bound for the constant of the sign
@@ -190,7 +190,7 @@ def grothendieck_ratio(fam, *, n_exh: int = DEFAULT_N_EXH) -> RatioReport:
     would be a critical finding and is logged as such.
     """
     fam = Family.of(fam)
-    smax = sign_max_norm(fam, 1, n_exh=n_exh)
+    smax = sign_max_norm(fam, 1)
     if smax.value <= 0.0:
         raise ValueError("degenerate family: all vectors are zero")
     numer = float(row_norms(fam.matrix, 2).sum())
@@ -235,8 +235,6 @@ def grothendieck_search(
     dim: int,
     budget: int,
     seed: Optional[int] = None,
-    *,
-    n_exh: int = DEFAULT_N_EXH,
 ) -> RatioReport:
     """Best sign-pattern ratio over seeded random families with sign-flip refinement.
 
@@ -297,7 +295,7 @@ def grothendieck_search(
         start = (_sign_ratio(numer, held, n), X)
         return _coordinate_ascent(start, flips, evaluate, _SIGN_FLIP_SWEEPS, "sign-flip climb")
 
-    ratio, X = _seeded_restarts(n, dim, budget, seed, n_exh, draw, climb)
+    ratio, X = _seeded_restarts(n, dim, budget, seed, draw, climb)
     return RatioReport(ratio, KG_UPPER, KG_UPPER - ratio, Family(X), True)
 
 

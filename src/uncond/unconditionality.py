@@ -17,8 +17,13 @@ and recompute from scratch, in binary64, every position whose key may be
 the largest, with one relative rounding slack (``_slack``).  All four
 report the same (value, mask), bit for bit: the norm of the first position
 in Gray order attaining the largest scratch norm, its sum added in index
-order.  The enumeration is serial; the ``threads`` argument of
-``subset_max_norm`` and ``sign_max_norm`` is accepted and changes nothing.
+order.  The kernel alone bounds what an exact maximum may cost: a maximum
+that the branch and bound cannot settle and that needs a walk of more than
+2^WALK_MAX_LOG positions raises ValueError before the walk starts.  The
+seeded searches, which run thousands of maxima per call, draw families of
+at most SEARCH_MAX_N vectors.  The enumeration is serial; the ``threads``
+argument of ``subset_max_norm`` and ``sign_max_norm`` is accepted and
+changes nothing.
 
 Every quotient, public or inside a search, is evaluated by one routine
 (``_quotient_parts``), which scores a stack of families at once; the public
@@ -61,9 +66,6 @@ from .seqspace import (
 
 logger = logging.getLogger(__name__)
 
-#: Default cap on family size for exhaustive 2^n enumeration.
-DEFAULT_N_EXH = 24
-
 #: Conservative upper envelope for the constant of the sign-pattern
 #: inequality; chosen above every published bound, so a genuine violation of
 #: a check run at this level is a critical finding, not noise.
@@ -71,6 +73,8 @@ KG_UPPER = 1.8
 
 #: Cap on n * dim for the families a seeded search draws (8 MB per float64 array).
 DRAW_MAX_ENTRIES = 1 << 20
+#: Largest family a seeded search draws: it runs thousands of exact maxima per call.
+SEARCH_MAX_N = 24
 
 # Enumeration blocks hold the positions of about _BLOCK_BYTES of binary64 sums
 # (at least one position, at most 2^_BLOCK_MAX_LOG), so their size depends on
@@ -106,15 +110,15 @@ _BNB_MIN_POSITIONS = 1 << 15
 _BNB_MAX_N = 62
 #: Cap on the bytes one branch-and-bound level allocates; past it the walk runs.
 _FRONTIER_BYTES = 4 * _BLOCK_BYTES
-#: The walk's reach, as log2 of its positions: a walk of 2^30 already takes
-#: hours, so ``_exhaustive_best`` refuses a longer one with ValueError.
+#: The walk's reach, as log2 of its positions: a walk of 2^30 took 14 s
+#: (n = 30, d = 20, q = 1, one Xeon core, numpy 2.4), so ``_exhaustive_best``
+#: refuses a longer one with ValueError.
 WALK_MAX_LOG = 30
 #: Ascent steps from each zonotope-vertex seed of the branch-and-bound incumbent.
 _SEED_STEPS = 3
 #: Sweep caps of the coordinate ascents, and the quotient refinement's step scales.
 _REFINE_SWEEPS = 2
 _REFINE_STEPS = (0.5, 0.1)
-_SIGN_FLIP_SWEEPS = 8
 _EPS = float(np.finfo(np.float64).eps)
 #: Half the largest binary64 value: column absolute sums up to it keep every subset sum finite.
 _SUM_MAX = float(np.finfo(np.float64).max) / 2.0
@@ -642,8 +646,9 @@ def _exhaustive_best(X: np.ndarray, q: Exponent, signs: bool):
             return _first_best(X, q, signs, [ranks], chunk, (-1.0, 0))
         route = "branch-and-bound fallback"
     if total > 1 << WALK_MAX_LOG:
+        # positions as a power of two: a decimal 2^n for n past ~14300 exceeds Python's int-to-str limit
         raise ValueError(
-            f"an exact maximum over {total} positions needs a walk past the reach of "
+            f"an exact maximum over 2^{total.bit_length() - 1} positions needs a walk past the reach of "
             f"2^{WALK_MAX_LOG} positions (branch-and-bound frontier peak {peak})"
         )
     walked, eta = Xs, 0.0
@@ -747,13 +752,6 @@ def check_threads(threads: int) -> None:
         raise ValueError(f"threads must be >= 1, got {threads}")
 
 
-def _require_exhaustible(n: int, n_exh: int, hint: str = ""):
-    if n > n_exh:
-        raise ValueError(
-            f"family size {n} exceeds the exhaustive cap {n_exh} (2^{n} subsets){hint}"
-        )
-
-
 def _require_summable(M: np.ndarray) -> None:
     """Reject a family with a column absolute sum above _SUM_MAX, whose sums could overflow binary64."""
     with np.errstate(over="ignore"):
@@ -831,20 +829,20 @@ def subset_max_norm(
     *,
     budget: Optional[int] = None,
     seed: Optional[int] = None,
-    n_exh: int = DEFAULT_N_EXH,
     threads: int = 1,
 ) -> SubsetMaxResult:
     """max over subsets F of ||sum_{k in F} x_k||_q.
 
-    Exhaustive mode is exact and certified for n <= n_exh: the value is the
-    norm of the reported subset's sum recomputed from scratch, and the subset
-    is the first attaining it in Gray-code order.  The route is picked from
-    n, d, q and the 2^n positions (see the module docstring), and every
-    route gives the same result.  Randomized mode runs ``budget``
-    seeded restarts with single-flip hill climbing and returns an
-    uncertified lower bound.  A family with a column absolute sum above half
-    the largest binary64 value, whose sums could overflow, raises ValueError,
-    and so does a maximum norm that overflows.
+    Exhaustive mode is exact and certified: the value is the norm of the
+    reported subset's sum recomputed from scratch, and the subset is the
+    first attaining it in Gray-code order.  The route is picked from n, d, q
+    and the 2^n positions (see the module docstring), and every route gives
+    the same result.  A maximum that only a walk of more than
+    2^WALK_MAX_LOG positions would reach raises ValueError at once.
+    Randomized mode runs ``budget`` seeded restarts with single-flip hill
+    climbing and returns an uncertified lower bound.  A family with a column
+    absolute sum above half the largest binary64 value, whose sums could
+    overflow, raises ValueError, and so does a maximum norm that overflows.
     """
     check_threads(threads)
     fam = Family.of(fam)
@@ -853,7 +851,6 @@ def subset_max_norm(
         raise ValueError(f"unknown mode {mode!r}; expected 'exhaustive' or 'randomized'")
     _require_summable(fam.matrix)
     if mode == "exhaustive":
-        _require_exhaustible(fam.size, n_exh, "; use mode='randomized' with a budget")
         val, mask = _finite_max(_exhaustive_best, fam.matrix, q, False)
         return SubsetMaxResult(val, mask, True, "exhaustive")
     if budget is None or budget < 1:
@@ -866,7 +863,6 @@ def sign_max_norm(
     fam,
     q: ExponentLike,
     *,
-    n_exh: int = DEFAULT_N_EXH,
     threads: int = 1,
 ) -> SubsetMaxResult:
     """max over sign patterns s in {-1,1}^n of ||sum_k s_k x_k||_q.
@@ -879,7 +875,6 @@ def sign_max_norm(
     check_threads(threads)
     fam = Family.of(fam)
     q = Exponent.of(q)
-    _require_exhaustible(fam.size, n_exh)
     _require_summable(fam.matrix)
     val, mask = _finite_max(_exhaustive_best, fam.matrix, q, True)
     return SubsetMaxResult(val, mask, True, "exhaustive")
@@ -909,7 +904,6 @@ def unconditionality_quotient(
     *,
     budget: Optional[int] = None,
     seed: Optional[int] = None,
-    n_exh: int = DEFAULT_N_EXH,
 ) -> QuotientResult:
     """The quotient ||sum a_k x_k||_r / (max_k ||a_k||_p * subset_max(x, q)).
 
@@ -920,7 +914,7 @@ def unconditionality_quotient(
     """
     avec, xvec = _paired_families(avec, xvec)
     t.require_holder_valid()
-    sub = subset_max_norm(xvec, t.q, mode, budget=budget, seed=seed, n_exh=n_exh)
+    sub = subset_max_norm(xvec, t.q, mode, budget=budget, seed=seed)
     parts = _finite_parts(avec.matrix, xvec.matrix, t, sub=(sub.value, sub.argmax_subset))
     if parts is None:
         raise ValueError("degenerate family: denominator is zero")
@@ -941,8 +935,6 @@ def main1_bound_check(
     xvec,
     q: ExponentLike,
     K: float,
-    *,
-    n_exh: int = DEFAULT_N_EXH,
 ) -> bool:
     """Check ||sum a_k x_k||_q <= 2 K max_k ||a_k||_2 * subset_max(x, q).
 
@@ -956,7 +948,6 @@ def main1_bound_check(
     if math.isnan(K):
         raise ValueError("K cannot be NaN")
     avec, xvec = _paired_families(avec, xvec)
-    _require_exhaustible(xvec.size, n_exh)
     _require_summable(xvec.matrix)
     q = Exponent.of(q)
     parts = _finite_parts(avec.matrix, xvec.matrix, ExponentTriple(Exponent(2.0), q, q))
@@ -1142,7 +1133,7 @@ def _refine_families(A, X, t, best: _Quotient) -> _Quotient:
     return _coordinate_ascent(best, moves, evaluate, _REFINE_SWEEPS, "refinement")
 
 
-def _seeded_restarts(n: int, dim: int, budget: int, seed, n_exh: int, draw, climb):
+def _seeded_restarts(n: int, dim: int, budget: int, seed, draw, climb):
     """The best climbed draw over ``budget`` seeded restarts, shared by both family searches.
 
     Trial k runs on the k-th child of ``SeedSequence(seed)`` (``_trial_rngs``):
@@ -1151,7 +1142,7 @@ def _seeded_restarts(n: int, dim: int, budget: int, seed, n_exh: int, draw, clim
     ``climb(arrays, best)`` refines them into a tuple whose first field is
     the score, or returns None for a degenerate draw, which is skipped.  Only
     a strictly higher score replaces the best.  n * dim > DRAW_MAX_ENTRIES
-    raises ValueError before anything is drawn.
+    and n > SEARCH_MAX_N raise ValueError before anything is drawn.
     """
     if budget < 1:
         raise ValueError("empty budget")
@@ -1159,7 +1150,8 @@ def _seeded_restarts(n: int, dim: int, budget: int, seed, n_exh: int, draw, clim
         raise ValueError("n and dim must be >= 1")
     if n * dim > DRAW_MAX_ENTRIES:
         raise ValueError(f"n * dim = {n * dim} exceeds the cap of {DRAW_MAX_ENTRIES} entries per draw")
-    _require_exhaustible(n, n_exh)
+    if n > SEARCH_MAX_N:
+        raise ValueError(f"family size {n} exceeds the exhaustive cap {SEARCH_MAX_N} (2^{n} subsets)")
     best = None
     for trial, rng in enumerate(_trial_rngs(seed, budget)):
         res = climb(draw(rng, trial % 2 == 0), best)
@@ -1176,8 +1168,6 @@ def quotient_lower_bound_search(
     dim: int,
     budget: int,
     seed: Optional[int] = None,
-    *,
-    n_exh: int = DEFAULT_N_EXH,
 ) -> QuotientResult:
     """Best exhaustive quotient over ``budget`` seeded random families.
 
@@ -1201,5 +1191,5 @@ def quotient_lower_bound_search(
             res = _refine_families(*AX, t, res)
         return res
 
-    best = _seeded_restarts(n, dim, budget, seed, n_exh, draw, climb)
+    best = _seeded_restarts(n, dim, budget, seed, draw, climb)
     return best.result(SubsetMaxResult(*best.sub, True, "exhaustive"))

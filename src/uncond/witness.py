@@ -38,8 +38,9 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from . import unconditionality
 from .seqspace import EPS_CMP, Exponent, ExponentLike, ExponentTriple
-from .unconditionality import DEFAULT_N_EXH, Family, unconditionality_quotient
+from .unconditionality import Family, unconditionality_quotient
 
 #: Families are materialized only while they hold at most 2^20 float64 entries (8 MB).
 MATERIALIZE_MAX_LOG = 10
@@ -157,19 +158,16 @@ def witness_size(t: ExponentTriple, C: float) -> int:
     raise ValueError("C too large for desk scale")
 
 
-def hadamard_witness(
-    t: ExponentTriple,
-    C: float,
-    *,
-    n_exh: int = DEFAULT_N_EXH,
-) -> WitnessReport:
+def hadamard_witness(t: ExponentTriple, C: float) -> WitnessReport:
     """Construct the orthogonal +-1 family defeating the constant C.
 
     Picks the minimal n >= 1 with n(1+1/r) > log2(C) + n(1/p + 1/2 + 1/q'')
     (``witness_size``), all comparisons in log2 space with margin EPS_CMP.
     The family is ``sylvester(n)``, its rows used both as multipliers and
-    as summands; it is materialized (and, when 2^n is within the exhaustive
-    cap, its exact quotient computed) only up to n = MATERIALIZE_MAX_LOG.
+    as summands; it is materialized only up to n = MATERIALIZE_MAX_LOG, and
+    its exact quotient is computed only while its 2^n rows number at most
+    ``unconditionality.WALK_MAX_LOG`` (read at call time), so that every
+    route of the exact kernel reaches it: n <= 4.
     Its product vector sum_k h_k * h_k is constantly 2^n because every entry
     is +-1, as ``sylvester``'s doubling rule guarantees.
     """
@@ -182,8 +180,8 @@ def hadamard_witness(
     exq = None
     if n <= MATERIALIZE_MAX_LOG:
         family = sylvester(n)
-        if (1 << n) <= n_exh:
-            exq = unconditionality_quotient(family, family, t, n_exh=n_exh).quotient
+        if (1 << n) <= unconditionality.WALK_MAX_LOG:
+            exq = unconditionality_quotient(family, family, t).quotient
     return WitnessReport(
         triple=t,
         C=float(C),

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from uncond import unconditionality
 from uncond.cli import LEMMAS_MAX_BUDGET, LEMMAS_MAX_DIM, main
 
 CLI = [sys.executable, "-m", "uncond.cli"]
@@ -397,16 +398,16 @@ class TestQuotientCommand:
 
 
 class TestEnvCap:
-    def test_nexh_env_controls_exhaustive_cap(self, tmp_path):
-        fam = [[1, 0], [0, 1]]
+    def test_quotient_past_24_rows_is_certified(self, tmp_path):
+        # a narrow family is settled by the branch and bound, and UNCOND_NEXH is ignored
         path = tmp_path / "fam.json"
-        path.write_text(json.dumps(fam))
+        path.write_text(json.dumps(np.random.default_rng(26).standard_normal((26, 2)).tolist()))
         args = ("quotient", "--p", "2", "--q", "2", "--r", "2", "--avec", str(path))
-        ok = run_cli(*args, env_extra={"UNCOND_NEXH": "2"})
-        assert ok.returncode == 0
-        blocked = run_cli(*args, env_extra={"UNCOND_NEXH": "1"})
-        assert blocked.returncode == 3
-        assert "exhaustive cap 1" in json.loads(blocked.stderr)["detail"]
+        a = run_cli(*args)
+        b = run_cli(*args, env_extra={"UNCOND_NEXH": "1"})
+        assert a.returncode == b.returncode == 0, a.stderr
+        assert '"certified":true' in a.stdout
+        assert a.stdout == b.stdout
 
     def test_search_beyond_the_cap_names_no_mode(self):
         res = run_cli("search", "--p", "3", "--q", "3", "--r", "3", "--n", "25",
@@ -416,8 +417,8 @@ class TestEnvCap:
         assert detail == "family size 25 exceeds the exhaustive cap 24 (2^25 subsets)"
 
     def test_lemmas_scan_complex_draws_beyond_the_cap(self, monkeypatch, capsys):
-        # the complex draws have up to 6 entries; past a cap of 1 they are scanned
-        monkeypatch.setenv("UNCOND_NEXH", "1")
+        # the complex draws have up to 6 entries; past a walk reach of 1 they are scanned
+        monkeypatch.setattr(unconditionality, "WALK_MAX_LOG", 1)
         assert main(["lemmas", "--budget", "30", "--dim", "6", "--seed", "9"]) == 0
         out = json.loads(capsys.readouterr().out)
         pinned = json.loads(LEMMAS_STDOUT)
@@ -427,33 +428,13 @@ class TestEnvCap:
         del out["complex_random_max_ratio"], pinned["complex_random_max_ratio"]
         assert out == pinned
 
-    def test_nexh_gates_witness_exhaustive_check(self):
-        with_check = run_cli("witness-hadamard", "--p", "inf", "--q", "2", "--r", "2",
-                             "--C", "1", env_extra={"UNCOND_NEXH": "2"})
-        assert "exhaustive_quotient" in json.loads(with_check.stdout)
-        without = run_cli("witness-hadamard", "--p", "inf", "--q", "2", "--r", "2",
-                          "--C", "1", env_extra={"UNCOND_NEXH": "1"})
-        assert "exhaustive_quotient" not in json.loads(without.stdout)
-
-
-    @pytest.mark.parametrize("raw", ["0", "31"])
-    def test_nexh_out_of_range_is_usage_error(self, raw, tmp_path, monkeypatch, capsys):
-        # rejected before any enumeration runs at the bad cap
-        path = tmp_path / "fam.json"
-        path.write_text(json.dumps([[1, 0], [0, 1]]))
-        monkeypatch.setenv("UNCOND_NEXH", raw)
-        assert main(["quotient", "--p", "2", "--q", "2", "--r", "2", "--avec", str(path)]) == 2
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "usage"
-        assert "between 1 and 30" in err["detail"]
-
-    def test_nexh_at_bounds_accepted(self, tmp_path, monkeypatch, capsys):
-        path = tmp_path / "fam.json"
-        path.write_text(json.dumps([[1, 0]]))
-        for raw in ("1", "30"):
-            monkeypatch.setenv("UNCOND_NEXH", raw)
-            assert main(["quotient", "--p", "2", "--q", "2", "--r", "2", "--avec", str(path)]) == 0
-        capsys.readouterr()
+    def test_walk_reach_gates_witness_exhaustive_check(self, monkeypatch, capsys):
+        # the witness has 2 rows: its quotient is attached iff 2 <= WALK_MAX_LOG
+        argv = ["witness-hadamard", "--p", "inf", "--q", "2", "--r", "2", "--C", "1"]
+        for reach, attached in ((2, True), (1, False)):
+            monkeypatch.setattr(unconditionality, "WALK_MAX_LOG", reach)
+            assert main(argv) == 0
+            assert ("exhaustive_quotient" in json.loads(capsys.readouterr().out)) == attached
 
 
 class TestDeterminism:

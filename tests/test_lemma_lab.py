@@ -78,29 +78,41 @@ class TestComplexSubsetRatio:
     def test_single_entry(self):
         assert complex_subset_ratio([1.0 + 0j]).ratio == 1.0
 
-    def test_degenerate_and_cap(self):
+    def test_degenerate_and_cap(self, monkeypatch):
         with pytest.raises(ValueError, match="degenerate"):
             complex_subset_ratio([0j, 0j])
-        # above the cap the arc scan stands in for enumeration, uncertified
+        # above the walk's reach the arc scan stands in for enumeration, uncertified
         z = roots_of_unity(8)
-        rep = complex_subset_ratio(z, n_exh=4)
+        monkeypatch.setattr(unconditionality, "WALK_MAX_LOG", 4)
+        rep = complex_subset_ratio(z)
         assert rep.ratio == float(np.abs(z).sum()) / halfplane_subset_max(z)
         assert not rep.certified
 
-    def test_scan_above_the_cap_enumeration_within_it(self):
+    def test_scan_above_the_cap_enumeration_within_it(self, monkeypatch):
         rng = np.random.default_rng(6)
         for _ in range(60):
             n = int(rng.integers(1, 11))
             z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             total = float(np.abs(z).sum())
-            for n_exh in (n - 1, n, n + 1):
-                rep = complex_subset_ratio(z, n_exh=n_exh)
-                if n > n_exh:
+            for reach in (n - 1, n, n + 1):
+                monkeypatch.setattr(unconditionality, "WALK_MAX_LOG", reach)
+                rep = complex_subset_ratio(z)
+                if n > reach:
                     assert rep.ratio == total / halfplane_subset_max(z)
                     assert not rep.certified
                 else:
-                    assert rep.ratio == total / complex_subset_max(z, n_exh=n_exh)[0]
+                    assert rep.ratio == total / complex_subset_max(z)[0]
                     assert rep.certified
+
+    def test_certified_up_to_the_walks_reach(self):
+        # up to 30 entries are enumerated and certified; 31 take the arc scan
+        rng = np.random.default_rng(7)
+        z = rng.standard_normal(31) + 1j * rng.standard_normal(31)
+        for n in (25, 30, 31):
+            rep = complex_subset_ratio(z[:n])
+            assert rep.certified == (n <= unconditionality.WALK_MAX_LOG == 30)
+            # the optimal subset is a half-plane's, so the scan finds the same maximum
+            assert rep.ratio == pytest.approx(float(np.abs(z[:n]).sum()) / halfplane_subset_max(z[:n]), rel=1e-12)
 
     def test_enumeration_matches_naive(self):
         rng = np.random.default_rng(2)

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uncond import cli
 from uncond import unconditionality as U
 from uncond.lemma_lab import complex_subset_max, grothendieck_search
 from uncond.seqspace import EPS_NUM, ExponentTriple
@@ -108,31 +107,43 @@ class TestSubsetMaxNorm:
             assert got.argmax_subset == want_mask
             assert got.value == pytest.approx(want_val, rel=1e-12)
 
-    def test_exhaustive_cap(self):
-        fam = Family(np.ones((5, 2)))
-        with pytest.raises(ValueError, match="randomized"):
-            subset_max_norm(fam, 2, n_exh=4)
-        # explicit cap override admits it again
-        assert subset_max_norm(fam, 2, n_exh=5).value == pytest.approx(5 * SQRT2)
+    def test_exhaustive_cap(self, monkeypatch):
+        # the walk's reach is the one cap; the randomized mode still runs past it
+        fam = Family(np.ones((5, 40)))  # 2^5 * 5 * 40 terms: past the scratch route, so it walks
+        monkeypatch.setattr(U, "WALK_MAX_LOG", 4)
+        with pytest.raises(ValueError, match="past the reach"):
+            subset_max_norm(fam, 2)
+        assert subset_max_norm(fam, 2, "randomized", budget=1, seed=0).value == pytest.approx(5 * math.sqrt(40))
+        monkeypatch.setattr(U, "WALK_MAX_LOG", 5)
+        assert subset_max_norm(fam, 2).value == pytest.approx(5 * math.sqrt(40))
 
-    def test_cap_messages(self):
-        # only subset_max_norm has a mode, so only it suggests the randomized one
-        fam = Family(np.ones((5, 2)))
-        plain = "family size 5 exceeds the exhaustive cap 4 (2^5 subsets)"
-        with pytest.raises(ValueError) as err:
-            subset_max_norm(fam, 2, n_exh=4)
-        assert str(err.value) == plain + "; use mode='randomized' with a budget"
-        t = ExponentTriple.of(2, 2, 2)
-        for call in (
-            lambda: sign_max_norm(fam, 2, n_exh=4),
-            lambda: main1_bound_check(fam, fam, 2, 1.8, n_exh=4),
-            lambda: complex_subset_max(np.ones(5), n_exh=4),
-            lambda: quotient_lower_bound_search(t, 5, 2, 3, 0, n_exh=4),
-            lambda: grothendieck_search(5, 2, 3, 0, n_exh=4),
+    def test_cap_messages(self, monkeypatch):
+        # every exact entry point raises the kernel's reach error, and names no mode
+        monkeypatch.setattr(U, "WALK_MAX_LOG", 4)
+        reach = (
+            "an exact maximum over 2^{} positions needs a walk past the reach of "
+            "2^4 positions (branch-and-bound frontier peak 0)"
+        )
+        fam, signed = Family(np.ones((5, 40))), Family(np.ones((6, 40)))
+        for call, log in (
+            (lambda: subset_max_norm(fam, 2), 5),
+            (lambda: sign_max_norm(signed, 2), 5),
+            (lambda: main1_bound_check(fam, fam, 2, 1.8), 5),
+            (lambda: unconditionality_quotient(fam, fam, ExponentTriple.of(2, 2, 2)), 5),
+            (lambda: complex_subset_max(np.ones(8)), 8),
         ):
             with pytest.raises(ValueError) as err:
                 call()
-            assert str(err.value) == plain
+            assert str(err.value) == reach.format(log)
+        # the searches keep their own bound on the families they draw
+        t = ExponentTriple.of(2, 2, 2)
+        for call in (
+            lambda: quotient_lower_bound_search(t, U.SEARCH_MAX_N + 1, 2, 3, 0),
+            lambda: grothendieck_search(U.SEARCH_MAX_N + 1, 2, 3, 0),
+        ):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == "family size 25 exceeds the exhaustive cap 24 (2^25 subsets)"
 
     def test_only_the_two_mode_names(self):
         fam = Family.of([[1.0]])
@@ -237,9 +248,12 @@ class TestSignMaxNorm:
             recomputed = float(row_norms((signs[:, None] * X).sum(axis=0).reshape(1, -1), q)[0])
             assert recomputed == pytest.approx(got.value, rel=1e-12)
 
-    def test_cap(self):
-        with pytest.raises(ValueError):
-            sign_max_norm(Family(np.ones((5, 1))), 1, n_exh=4)
+    def test_cap(self, monkeypatch):
+        # 2^4 patterns of 5 rows are within a reach of 2^4, 2^5 of 6 rows are not
+        monkeypatch.setattr(U, "WALK_MAX_LOG", 4)
+        assert sign_max_norm(Family(np.ones((5, 40))), 1).value == 200.0
+        with pytest.raises(ValueError, match=r"over 2\^5 positions"):
+            sign_max_norm(Family(np.ones((6, 40))), 1)
 
 
 class TestKernel:
@@ -656,20 +670,38 @@ class TestWalkReach:
         fam = Family(np.random.default_rng(60).standard_normal((60, 4)))
         start = time.perf_counter()
         with pytest.raises(ValueError) as err:
-            subset_max_norm(fam, 3, n_exh=62)
+            subset_max_norm(fam, 3)
         assert time.perf_counter() - start < 1.0
         match = re.fullmatch(
-            r"an exact maximum over (\d+) positions needs a walk past the reach of "
+            r"an exact maximum over 2\^(\d+) positions needs a walk past the reach of "
             r"2\^30 positions \(branch-and-bound frontier peak (\d+)\)",
             str(err.value),
         )
-        assert match and int(match[1]) == 1 << 60 and int(match[2]) > 0
+        assert match and int(match[1]) == 60 and int(match[2]) > 0
 
     def test_wide_family_past_the_reach_raises_before_the_walk(self, monkeypatch):
         monkeypatch.setattr(U, "_low_walk", None)  # a walk would fail on this, not on the cap
         fam = Family(np.random.default_rng(31).standard_normal((32, 32)))
-        with pytest.raises(ValueError, match=r"over 2147483648 positions .* frontier peak 0\)"):
-            sign_max_norm(fam, 2, n_exh=40)
+        with pytest.raises(ValueError, match=r"over 2\^31 positions .* frontier peak 0\)"):
+            sign_max_norm(fam, 2)
+
+    def test_huge_family_names_its_positions_as_a_power_of_two(self):
+        # a decimal 2^20000 would exceed Python's int-to-str digit limit
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"^an exact maximum over 2\^20000 positions needs a walk"):
+            subset_max_norm(Family(np.ones((20000, 1))), 2)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_forty_rows_are_exact(self, seed):
+        # a narrow family past the searches' SEARCH_MAX_N vectors is settled by the branch and bound
+        X = np.random.default_rng(seed).standard_normal((40, 3))
+        for q, oracle in ((1, dual_l1_max), ("inf", column_inf_max)):
+            for signs, fn in ((False, subset_max_norm), (True, sign_max_norm)):
+                want = oracle(X, signs)
+                got = fn(Family(X), q)
+                assert got.value == pytest.approx(float(want), rel=1e-12)
+                assert exact_norm(X, got.argmax_subset, q, signs) == want
 
     def test_a_walk_of_exactly_the_reach_runs(self, monkeypatch):
         # 2^n n d > 2048 at d = 40, so these take the walk, not the scratch route
@@ -680,11 +712,8 @@ class TestWalkReach:
             (subset_max_norm(X[:4], 3), naive_subset_max(X[:4], 3)),
         ):
             assert got.argmax_subset == mask and got.value == pytest.approx(value, rel=1e-12)
-        with pytest.raises(ValueError, match="over 32 positions"):
+        with pytest.raises(ValueError, match=r"over 2\^5 positions"):
             subset_max_norm(X, 3)
-
-    def test_cli_cap_is_the_walks_reach(self):
-        assert cli.MAX_N_EXH == U.WALK_MAX_LOG == 30
 
 
 class TestRouteLog:
@@ -1099,21 +1128,22 @@ class TestOverflowingFamilies:
 
         monkeypatch.setattr(lemma_lab, "_exhaustive_best", lambda *a, **k: pytest.fail("enumerated"))
         z = np.full(16, 1.0 + 0.5j)
-        for column in (z.real, z.imag):
-            column[:] = self.QUARTER
-            for call in (
-                lambda: complex_subset_max(z),
-                lambda: lemma_lab.complex_subset_ratio(z),
-                lambda: lemma_lab.complex_subset_ratio(z, n_exh=8),
-                lambda: lemma_lab.halfplane_subset_max(z),
-            ):
-                with pytest.raises(ValueError, match=self.FAMILY_ERROR):
-                    call()
-            column[:] = 1.0
-        # 30 moduli of 1e307 sum past the largest float; this gave ratio nan above the cap
-        for n_exh in (8, 30):
+        # a reach of 8 sends 16 entries to the arc scan, one of 30 to enumeration
+        for reach in (8, 30):
+            monkeypatch.setattr(U, "WALK_MAX_LOG", reach)
+            for column in (z.real, z.imag):
+                column[:] = self.QUARTER
+                for call in (
+                    lambda: complex_subset_max(z),
+                    lambda: lemma_lab.complex_subset_ratio(z),
+                    lambda: lemma_lab.halfplane_subset_max(z),
+                ):
+                    with pytest.raises(ValueError, match=self.FAMILY_ERROR):
+                        call()
+                column[:] = 1.0
+            # 30 moduli of 1e307 sum past the largest float; this gave ratio nan on the arc scan
             with pytest.raises(ValueError, match=self.FAMILY_ERROR):
-                lemma_lab.complex_subset_ratio(np.full(30, 1e307), n_exh=n_exh)
+                lemma_lab.complex_subset_ratio(np.full(30, 1e307))
         with pytest.raises(ValueError, match=self.FAMILY_ERROR):
             lemma_lab.grothendieck_ratio(np.full((16, 8), self.QUARTER))
 
@@ -1159,15 +1189,16 @@ class TestQuotientOracle:
 
 
 class TestSearchArguments:
-    @pytest.mark.parametrize("n, dim, budget, n_exh", [
+    @pytest.mark.parametrize("n, dim, budget, search_max_n", [
         (2, 2, 0, 24), (0, 2, 3, 24), (2, 0, 3, 24), (5, 2, 3, 4),
         (2, U.DRAW_MAX_ENTRIES // 2 + 1, 3, 24), (3, 10**9, 1, 24),
     ])
-    def test_both_searches_raise_the_same_error(self, n, dim, budget, n_exh):
+    def test_both_searches_raise_the_same_error(self, n, dim, budget, search_max_n, monkeypatch):
+        monkeypatch.setattr(U, "SEARCH_MAX_N", search_max_n)
         with pytest.raises(ValueError) as quotient_err:
-            quotient_lower_bound_search(ExponentTriple.of(2, 2, 2), n, dim, budget, 0, n_exh=n_exh)
+            quotient_lower_bound_search(ExponentTriple.of(2, 2, 2), n, dim, budget, 0)
         with pytest.raises(ValueError) as sign_err:
-            grothendieck_search(n, dim, budget, 0, n_exh=n_exh)
+            grothendieck_search(n, dim, budget, 0)
         assert str(quotient_err.value) == str(sign_err.value)
 
 
@@ -1215,7 +1246,7 @@ class TestTrialSeeds:
             return (float(len(calls)),)
 
         def run():
-            U._seeded_restarts(2, 2, 10**5, 0, 24, lambda rng, lattice: rng.standard_normal((2, 2)), climb)
+            U._seeded_restarts(2, 2, 10**5, 0, lambda rng, lattice: rng.standard_normal((2, 2)), climb)
 
         assert self._peak_bytes_until_stop(run) < 1 << 20
 
