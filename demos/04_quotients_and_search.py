@@ -3,7 +3,8 @@
 
 A quotient is a certified lower bound on the constant any unconditional
 action must admit.  Exhaustive subset maxima walk all 2^n subsets in
-Gray-code order (one vector update per step); the randomized search probes
+Gray-code order (one vector update per step), and sign maxima are subset
+maxima of the same walk; the randomized search probes
 family space for large quotients, rediscovering the orthogonal-row extremals
 where the theory says the constant is infinite and staying bounded where it
 says it is finite.
@@ -15,6 +16,7 @@ from uncond import (
     ExponentTriple,
     Family,
     quotient_lower_bound_search,
+    sign_max_norm,
     subset_max_norm,
     sylvester,
     unconditionality_quotient,
@@ -45,14 +47,19 @@ for p, q, r in (("inf", 2, 2), (2, 2, 2), (3, 3, 3)):
     best = quotient_lower_bound_search(t, n=3, dim=4, budget=150, seed=42)
     print(f"search at ({p}, {q}, {r}): best quotient {best.quotient:.6f}")
 
-# Larger families: the Gray-code walk handles 2^20 subsets in a fraction of
-# a second; ``threads`` is accepted and never changes a result.
+# Larger families: 2^20 subsets, or 2^19 sign patterns, in a fraction of a
+# second.  A sign maximum is a subset maximum of the rows -2 x_k with the
+# all-plus sum always on, so one enumeration gives both.  A subset sum is
+# (T + sum_k s_k x_k) / 2, with T the all-plus sum and s_k = +1 on the
+# subset, and a signed sum is the difference of two subset sums, so
+# subset max <= sign max <= 2 * subset max.
 rng = np.random.default_rng(0)
-X = rng.standard_normal((20, 8))
-one = subset_max_norm(Family(X), 2.5, threads=1)
-four = subset_max_norm(Family(X), 2.5, threads=4)
-assert one.value == four.value and one.argmax_subset == four.argmax_subset
-print(f"\nn=20 exhaustive walk (1 vs 4 threads): identical max {one.value:.6f}")
+fam = Family(rng.standard_normal((20, 8)))
+sub = subset_max_norm(fam, 2.5)
+sig = sign_max_norm(fam, 2.5)
+assert sub.value <= sig.value <= 2.0 * sub.value
+print(f"\nn=20, q=2.5: subset max {sub.value:.6f} at {sub.argmax_subset:#07x}, "
+      f"sign max {sig.value:.6f} at {sig.argmax_subset:#07x} (ratio {sig.value / sub.value:.4f})")
 
 # The CLI equivalents:
 #   uncond quotient --p inf --q 2 --r 2 --avec family.json

@@ -8,22 +8,25 @@ whose supremum over all finite families is the smallest constant making the
 action unconditional.  Every quotient computed here is therefore a certified
 lower bound for that constant.
 
-An exact maximum (``_exhaustive_best``) takes one of four routes, picked
-per call from n, d, q and the number of positions (2^n subsets, or 2^(n-1)
-sign patterns): every position from scratch (``_scratch_maxima``), a
-branch and bound, a walk of an n x n Gram factor at q = 2, or a walk of the
-rows in reflected-Gray-code order.  The last three rank positions by keys
-and recompute from scratch, in binary64, every position whose key may be
-the largest, with one relative rounding slack (``_slack``).  All four
-report the same (value, mask), bit for bit: the norm of the first position
-in Gray order attaining the largest scratch norm, its sum added in index
-order.  The kernel alone bounds what an exact maximum may cost: a maximum
-that the branch and bound cannot settle and that needs a walk of more than
-2^WALK_MAX_LOG positions raises ValueError before the walk starts.  The
-seeded searches, which run thousands of maxima per call, draw families of
-at most SEARCH_MAX_N vectors.  The enumeration is serial; the ``threads``
-argument of ``subset_max_norm`` and ``sign_max_norm`` is accepted and
-changes nothing.
+An exact maximum (``_exhaustive_best``) enumerates subsets only: with
+s_{n-1} = +1 and bit k meaning s_k = -1, a signed sum is T + sum_{k in F}
+(-2 x_k) for the all-plus sum T, a subset sum of the rows -2 x_k with T
+always on.  It takes one of four routes, picked per call from n, d, q and
+the number of positions (2^n subsets, or 2^(n-1) sign patterns): every
+position from scratch, a branch and bound, a walk of an n x n Gram factor
+at q = 2, or a walk of the rows in reflected-Gray-code order.  The last
+three rank positions by keys and recompute from scratch, in binary64,
+every position whose key may be the largest, with one relative rounding
+slack (``_slack``).  All four report the same (value, mask), bit for bit:
+the norm of the first position in Gray order attaining the largest scratch
+norm, its sum added in index order.  The kernel alone bounds what an exact
+maximum may cost: a maximum that the branch and bound cannot settle and
+that needs a walk of more than 2^WALK_MAX_LOG positions, or of more than
+2^35 positions times walked columns, raises ValueError before the walk
+starts.  The seeded searches, which run thousands of maxima per call, draw
+families of at most SEARCH_MAX_N vectors.  The enumeration is serial; the
+``threads`` argument of ``subset_max_norm`` and ``sign_max_norm`` is
+accepted and changes nothing.
 
 Every quotient, public or inside a search, is evaluated by one routine
 (``_quotient_parts``), which scores a stack of families at once; the public
@@ -81,11 +84,10 @@ SEARCH_MAX_N = 24
 # the ambient length alone and memory stays bounded for every n.
 _BLOCK_BYTES = 1 << 20
 _BLOCK_MAX_LOG = 15
-#: numpy's default ufunc buffer, in elements.  numpy runs a broadcast add whose
-#: rows are shorter than its buffer through the buffer, at about three times
-#: the cost, so a walk of several blocks of fewer positions sets the buffer to
-#: one block row.  numpy takes only multiples of _MIN_BUFSIZE.
-_UFUNC_BUFSIZE = 8192
+#: numpy runs a broadcast add whose rows are shorter than its ufunc buffer
+#: through the buffer, at about three times the cost, so a walk of several
+#: blocks of fewer positions than ``np.getbufsize()`` sets the buffer to one
+#: block row.  numpy takes only multiples of _MIN_BUFSIZE.
 _MIN_BUFSIZE = 16
 #: Enumerations with at most this many terms (positions * n * d) recompute
 #: every position from scratch, which costs less than setting up a walk.
@@ -112,7 +114,8 @@ _BNB_MAX_N = 62
 _FRONTIER_BYTES = 4 * _BLOCK_BYTES
 #: The walk's reach, as log2 of its positions: a walk of 2^30 took 14 s
 #: (n = 30, d = 20, q = 1, one Xeon core, numpy 2.4), so ``_exhaustive_best``
-#: refuses a longer one with ValueError.
+#: refuses a longer one, and one of more than 2^35 positions times columns
+#: (2^30 positions of 32 columns).
 WALK_MAX_LOG = 30
 #: Ascent steps from each zonotope-vertex seed of the branch-and-bound incumbent.
 _SEED_STEPS = 3
@@ -237,30 +240,20 @@ def _scratch_sums(X: np.ndarray, masks: np.ndarray, signs: bool = False) -> np.n
     return terms[:, -1]
 
 
-def _scratch_maxima(X: np.ndarray, q: Exponent, signs: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(value, mask) of the first largest scratch norm in Gray order, for each family of a stack.
+def _scratch_maxima(X: np.ndarray, q: Exponent) -> tuple[np.ndarray, np.ndarray]:
+    """(value, mask) of the first largest scratch subset norm in Gray order, for each family of a stack.
 
     X is an (m, n, d) stack with n, d >= 1.  Every position of every family
     is summed at once: the sums over rows 0..k-1 at Gray positions 0..2^k-1
     are followed by the same sums in reverse order plus row k (reflected
-    Gray code), or for signs minus row k, after which the first half takes
-    +row k.  So each sum adds its rows in index order, as ``_scratch_sums``
-    does, and is the same float up to the sign of a zero.  Sign patterns
-    keep bit n-1 clear: row n-1 is added last, with sign +1.
+    Gray code).  So each sum adds its rows in index order, as
+    ``_scratch_sums`` does, and is the same float up to the sign of a zero.
     """
     m, n, d = X.shape
-    low = n - 1 if signs else n
-    sums = np.zeros((m, 1 << low, d))
-    for k in range(low):
+    sums = np.zeros((m, 1 << n, d))
+    for k in range(n):
         head, tail = sums[:, : 1 << k], sums[:, 1 << k : 2 << k]
-        row = X[:, k, None]
-        if signs:
-            np.subtract(head[:, ::-1], row, out=tail)
-            head += row
-        else:
-            np.add(head[:, ::-1], row, out=tail)
-    if signs:
-        sums += X[:, n - 1, None]
+        np.add(head[:, ::-1], X[:, k, None], out=tail)
     vals = row_norms(sums.reshape(-1, d), q).reshape(m, -1)
     k = vals.argmax(axis=1)
     return vals.max(axis=1), k ^ (k >> 1)
@@ -311,17 +304,13 @@ def _gray_bits(k: int) -> np.ndarray:
     return bits
 
 
-def _low_walk(Xs: np.ndarray, k: int, signs: bool) -> np.ndarray:
-    """Sums over rows 0..k-1 of Xs at Gray positions 0..2^k-1, one column per position.
+def _low_walk(Xs: np.ndarray, k: int) -> np.ndarray:
+    """Subset sums of rows 0..k-1 of Xs at Gray positions 0..2^k-1, one column per position, in the dtype of Xs.
 
-    The sums have the dtype of Xs.  For signs, bit = 1 means -1: the sum is
-    the all-plus sum minus twice the subset sum.
+    Every later row, the always-on row of a sign walk among them, enters
+    through each block's high-row sum.
     """
-    low = Xs[:k].T @ _gray_bits(k)
-    if signs:
-        low *= -2.0
-        low += Xs[:k].sum(axis=0)[:, None]
-    return low
+    return Xs[:k].T @ _gray_bits(k)
 
 
 def _slack(q: Exponent, n: int, d: int, u: float = _EPS / 2.0) -> float:
@@ -337,14 +326,15 @@ def _slack(q: Exponent, n: int, d: int, u: float = _EPS / 2.0) -> float:
     bound, the screen and every scratch norm are binary64, whose rounding
     either u bounds.  With A_j = sum_k |x_kj| and gamma_m = m u / (1 - m u):
 
-    * Sum error.  Every float sum behind a key adds rows times +-1 or 2: a
-      walk sum, a box bound |s + c| + w with its prefix and suffix sums, a
+    * Sum error.  Every float sum behind a key adds rows times +-1 or +-2:
+      a walk sum, a box bound |s + c| + w with its prefix and suffix sums, a
       seed or leaf sum, a dual-table bound, and the scratch sum
-      ``_first_best`` ranks.  Each has at most n + 4 terms (about 3n in the
-      sign walk, whose low sums are doubled), so in any order it is within
-      gamma_m A_j of its exact value in coordinate j.  A binary32 walk first
-      rounds each scaled row to binary32, which moves coordinate j of every
-      sum by at most u A_j more: one term more.
+      ``_first_best`` ranks.  A subset sum has at most m = n + 4 terms, so
+      in any order it is within gamma_m A_j of its exact value in coordinate
+      j.  A sign sum, and its box, adds rows -2 x_k to the all-plus sum T,
+      itself a float sum of the n rows: counting T's rounding, m = 4n + 8.
+      A binary32 walk first rounds each walked row to binary32, moving
+      coordinate j of every sum by at most 3 u A_j more, inside either count.
     * Key error.  Each norm or key adds the rounding of its own d-term sum.
       A binary32 power key adds that of ``np.power``, a few ulps per term;
       the margin below covers 16.  ``np.power`` also rounds the exponent, a
@@ -359,12 +349,17 @@ def _slack(q: Exponent, n: int, d: int, u: float = _EPS / 2.0) -> float:
       first position F attaining the scratch maximum, and the computed key of
       F (or of the box of an ancestor of F, which the exact box bounds from
       above): sums and key sums move keys by a factor of at most about
-      1 + 2e (4n + 4d + 28) u d^(1/q).  The slack,
-      16 e (2n + d + 2) u d^(1/q), exceeds that by 2e (12n + 4d - 12) u d^(1/q),
-      which is more than (64 + 3d) u wherever a binary32 key is computed
-      (2^n n d > _SCRATCH_ALL_TERMS): room for 16-ulp powers (64 u on two
-      keys), the rounded exponent (2 u d) and underflow (below).  So F and
-      each of its branch-and-bound ancestors keeps a key at or above the floor.
+      1 + 2e (4n + 4d + 28) u d^(1/q) for subsets, and, with A half as large
+      against M but two key sums of 4n + 8 terms, 1 + 2e (5n + 4d + 24) u
+      d^(1/q) for signs.  (On the Gram walk the sums are of the rows of W,
+      n <= d/2 of them: each A_j of W is at most three times the largest
+      |coordinate j| of a position, which the subset count covers.)  The
+      slack, 16 e (2n + d + 2) u d^(1/q), exceeds both by at least
+      2e (11n + 4d - 12) u d^(1/q), which is more than (64 + 3d) u wherever a
+      binary32 key is computed (positions * n * d > _SCRATCH_ALL_TERMS):
+      room for 16-ulp powers (64 u on two keys), the rounded exponent
+      (2 u d) and underflow (below).  So F and each of its branch-and-bound
+      ancestors keeps a key at or above the floor.
     * Underflow.  The walked family is scaled (``_below_one``) so that its
       largest entry, and so M (a one-row subset reaches it), is at least
       2^-(bit_length(n) + 1).  Binary64 keys near the top are then above
@@ -454,13 +449,13 @@ def _gram_factor(Xs: np.ndarray) -> tuple[np.ndarray, float]:
 
     W is the transposed R factor of the QR factorization of Xs^T, so it is
     lower triangular.  For q = 2 the squared norm of a subset sum,
-    ||1_F^T Xs||^2 = 1_F^T (Xs Xs^T) 1_F, depends on the Gram matrix alone,
-    and the same holds for every sign vector s in place of 1_F, so
+    ||1_F^T Xs||^2 = 1_F^T (Xs Xs^T) 1_F, depends on the Gram matrix alone
+    (so does a sign walk's, whose indicator also holds the always-on row), so
 
         | ||1_F^T W||^2 - ||1_F^T Xs||^2 |  =  |1_F^T E 1_F|  <=  sum_ij |E_ij|
 
-    with E = WW^T - XsXs^T exactly, since every entry of 1_F (or s) has
-    absolute value at most 1.  The bound is a posteriori: the factorization
+    with E = WW^T - XsXs^T exactly, since every entry of 1_F has absolute
+    value at most 1.  The bound is a posteriori: the factorization
     may be as inaccurate as it likes.  E is bounded through the computed Gram
     matrices.  A d-term dot product is off by at most gamma_d sum_l |a_l b_l|
     (gamma_m = m u / (1 - m u), u = eps / 2, any summation order), so
@@ -487,22 +482,22 @@ def _gram_factor(Xs: np.ndarray) -> tuple[np.ndarray, float]:
     return W, eta
 
 
-def _vertex_seeds(Xs: np.ndarray, q: Exponent, signs: bool, key) -> float:
-    """The largest key over a few zonotope vertices of the rows of Xs.
+def _vertex_seeds(Xs: np.ndarray, on: np.ndarray, q: Exponent, key) -> float:
+    """The largest key over a few zonotope vertices of the subset sums of the rows of Xs, each plus ``on``.
 
-    The vertex for a direction h is the subset {k : <h, x_k> >= 0} (for
-    signs, +1 there and -1 elsewhere): its sum maximizes <h, s> over every
-    subset (or signed) sum s.  From each of h = +-e_j, every step moves h to
-    a subgradient of the lq norm at the sum just found, which by convexity
-    never lowers the norm.  Each key is that of a float sum of an actual
-    position, as ``_slack`` requires of the incumbent it prunes against.
+    The vertex for a direction h is the subset {k : <h, x_k> >= 0}: its sum
+    plus ``on`` maximizes <h, s> over every position's sum s.  From each of
+    h = +-e_j, every step moves h to a subgradient of the lq norm at the sum
+    just found, which by convexity never lowers the norm.  Each key is that
+    of a float sum of an actual position, as ``_slack`` requires of the
+    incumbent it prunes against.
     """
     d = Xs.shape[1]
     H = np.concatenate([np.eye(d), -np.eye(d)])
     best = 0.0
     for _ in range(_SEED_STEPS):
-        P = H @ Xs.T
-        S = (np.where(P >= 0.0, 1.0, -1.0) if signs else (P >= 0.0).astype(np.float64)) @ Xs
+        S = (H @ Xs.T >= 0.0).astype(np.float64) @ Xs
+        S += on
         best = max(best, float(key(S.T.copy(), np.empty(len(S))).max()))
         # at q = 1 a zero coordinate takes +1, so the climb can leave it
         sign = np.where(S < 0.0, -1.0, 1.0)
@@ -515,57 +510,48 @@ def _vertex_seeds(Xs: np.ndarray, q: Exponent, signs: bool, key) -> float:
     return best
 
 
-def _bnb_candidates(Xs: np.ndarray, q: Exponent, signs: bool, key):
-    """Sorted Gray ranks of every position that may attain the scratch maximum, or None; and the frontier peak.
+def _bnb_candidates(Xs: np.ndarray, on: np.ndarray, q: Exponent, shrink: float):
+    """Sorted Gray ranks of every subset of the rows of Xs whose sum plus ``on`` may attain the scratch maximum, or None; and the frontier peak.
 
-    Xs is scaled by ``_below_one`` and ``key`` is that of ``_ranking``.  Rows
-    are branched on in order of decreasing norm, breadth first, one level per
-    row; for signs the root holds row n-1 with sign +1, as in the walk's
-    half.  A node holds the sum s of the rows fixed so far.  Every completion
-    lies coordinatewise in the box [s + sum_rest min(x, 0), s + sum_rest
-    max(x, 0)] (for signs, s -+ sum_rest |x|), and lq norms are monotone in
-    the absolute values of the coordinates, so ||V||_q bounds every
-    completion's norm, where V = |s + c| + w with c the box's centre offset
-    and w its half-width.  A node is pruned when the key of its computed V is
-    below the incumbent's key times 1 - ``_slack``, which keeps every
-    ancestor of the first position in Gray order attaining the scratch
-    maximum.  The incumbent is the best of ``_vertex_seeds``, raised by the
-    last level's best leaf, whose box is its own sum.  The leaves' masks go
-    back to Gray ranks by the prefix XOR.  None means a level would allocate
-    more than _FRONTIER_BYTES, which ties can cause.
+    Xs and ``on`` (the always-on row of a sign maximum, zero for subsets)
+    are scaled by ``_below_one``, keys are those of ``_ranking`` and
+    ``shrink`` is 1 - ``_slack`` for the whole family in binary64.  Rows
+    are branched on in order of decreasing norm, breadth first, one level
+    per row, from a root holding ``on``.  A node holds the sum s of ``on``
+    and the rows taken so far.  Every completion lies coordinatewise in the
+    box [s + sum_rest min(x, 0), s + sum_rest max(x, 0)], and lq norms are
+    monotone in the absolute values of the coordinates, so ||V||_q bounds
+    every completion's norm, where V = |s + c| + w with c the box's centre
+    offset and w its half-width.  A node is pruned when the key of its
+    computed V is below the incumbent's key times ``shrink``, which
+    keeps every ancestor of the first position in Gray order attaining the
+    scratch maximum.  The incumbent is the best of ``_vertex_seeds``, raised
+    by the last level's best leaf, whose box is its own sum.  The leaves'
+    masks go back to Gray ranks by the prefix XOR.  None means a level would
+    allocate more than _FRONTIER_BYTES, which ties can cause.
     """
     n, d = Xs.shape
     order = np.argsort(-row_norms(Xs, q), kind="stable")
-    if signs:
-        order = np.concatenate(([n - 1], order[order != n - 1]))
     R = Xs[order]
     # the box of the rows after level t is row t of (centre, half); the last is empty
+    hi = np.cumsum(np.maximum(R[::-1], 0.0), axis=0)[::-1]
+    lo = np.cumsum(np.minimum(R[::-1], 0.0), axis=0)[::-1]
     rest = np.zeros((2, n + 1, d))
-    if signs:
-        rest[1, :n] = np.cumsum(np.abs(R[::-1]), axis=0)[::-1]
-    else:
-        hi = np.cumsum(np.maximum(R[::-1], 0.0), axis=0)[::-1]
-        lo = np.cumsum(np.minimum(R[::-1], 0.0), axis=0)[::-1]
-        rest[0, :n], rest[1, :n] = (hi + lo) * 0.5, (hi - lo) * 0.5
+    rest[0, :n], rest[1, :n] = (hi + lo) * 0.5, (hi - lo) * 0.5
     centre, half = rest[0, 1:, :, None], rest[1, 1:, :, None]
 
-    best_key, shrink = _vertex_seeds(Xs, q, signs, key), 1.0 - _slack(q, n, d)
-    # for signs the root already holds row n-1, first in order, with sign +1
-    sums = R[:1].T.copy() if signs else np.zeros((d, 1))
+    key = _ranking(q, d)
+    best_key = _vertex_seeds(Xs, on, q, key)
+    sums = on[:, None].copy()
     masks = np.zeros(1, dtype=np.int64)
     peak = 1
-    for t in range(int(signs), n):
+    for t in range(n):
         m = masks.size
         if 16 * m * (2 * d + 2) > _FRONTIER_BYTES:
             return None, peak
-        row = R[t][:, None]
         kids = np.empty((d, 2 * m))
-        if signs:
-            np.add(sums, row, out=kids[:, :m])
-            np.subtract(sums, row, out=kids[:, m:])
-        else:
-            kids[:, :m] = sums
-            np.add(sums, row, out=kids[:, m:])
+        kids[:, :m] = sums
+        np.add(sums, R[t][:, None], out=kids[:, m:])
         kid_masks = np.concatenate([masks, masks | np.int64(1) << order[t]])
         bound = kids + centre[t]
         np.abs(bound, out=bound)
@@ -585,19 +571,26 @@ def _bnb_candidates(Xs: np.ndarray, q: Exponent, signs: bool, key):
 def _exhaustive_best(X: np.ndarray, q: Exponent, signs: bool):
     """Exact (value, mask) of the largest subset sum, or signed sum, of the rows of X.
 
-    At most _SCRATCH_ALL_TERMS terms (positions * n * d) are summed from
-    scratch (``_scratch_maxima``); otherwise the rows are walked in
-    reflected-Gray-code order, in blocks of ``_block_rows`` positions.  Each
-    block of Gray positions is the high-row sum of its first position
-    plus the low table.  When bit k of the block start is set (bit k-1 of
-    its Gray code) the block runs through the table backwards: it is ranked
-    on the table as stored, and its hits are reversed into Gray order.  A
-    walk of several blocks of fewer than _UFUNC_BUFSIZE (and at least
-    _MIN_BUFSIZE) positions sets numpy's ufunc buffer to one block row once, inside
-    ``np.errstate``, which restores the caller's on exit; so each block's
-    broadcast add runs unbuffered.  Blocks are ranked by keys of X
-    scaled by ``_below_one``: in binary32 up to q = _BINARY32_MAX_Q and at
-    q = inf, where the scaled rows are rounded to binary32 once and the low
+    Sign patterns keep bit n-1 clear: s and -s have the same norm, and the
+    clear one comes first.  At most _SCRATCH_ALL_TERMS terms (positions
+    times n d) are summed from scratch, every position a candidate of
+    ``_first_best``.  Otherwise X is scaled by ``_below_one`` and, for
+    signs, its first n-1 rows become -2 x_k (exactly) and row n-1 the
+    all-plus sum, on at every position; every route then enumerates subsets
+    of the free rows, and only ``_first_best`` recomputes signed sums.
+
+    The walk goes through the positions in reflected-Gray-code order, in
+    blocks of ``_block_rows`` positions.  Each block is the high-row sum of
+    its first position (the always-on row included: its bit is set at every
+    position) plus the low table (``_low_walk``).  When bit k of the block
+    start is set (bit k-1 of its Gray code) the block runs through the table
+    backwards: it is ranked on the table as stored, and its hits are
+    reversed into Gray order.  A walk of several blocks of fewer positions
+    than ``np.getbufsize()`` (and at least _MIN_BUFSIZE) sets numpy's ufunc
+    buffer to one block row once, inside ``np.errstate``, which restores the
+    caller's on exit; so each block's broadcast add runs unbuffered.
+    Blocks are ranked by keys: in binary32 up to q = _BINARY32_MAX_Q and at
+    q = inf, where the walked rows are rounded to binary32 once and the low
     table, the high-row sums, the blocks and the keys are all binary32, and
     in binary64 above.  The walk holds one floor, the running maximum over
     blocks of their largest key times 1 - ``_slack`` at the keys' unit
@@ -606,16 +599,15 @@ def _exhaustive_best(X: np.ndarray, q: Exponent, signs: bool):
     in binary64, from X; each recompute first drops the waiting positions a
     later block raised the floor above.  The value is the norm of the
     returned mask's scratch sum, and the mask is the first in Gray order
-    attaining it, as in a from-scratch enumeration.  Sign patterns walk only
-    the positions with bit n-1 clear: s and -s have the same norm, and the
-    clear one comes first.
+    attaining it, as in a from-scratch enumeration.
 
     For q = 2 with d >= _GRAM_MIN_RATIO * n and at least _GRAM_MIN_POSITIONS
-    positions, the walk ranks an n x n factor W of the Gram matrix instead
-    of the d wide rows (``_gram_factor``), rescaled by ``_below_one``: each
-    squared key is within eta of that of the same subset of the scaled rows,
-    so the floor drops by 2 eta as well.  Eta covers the factorization; the
-    slack, the one for the d wide rows, covers the rounding of the walk on W.
+    positions, the walk ranks an n x n factor W of the Gram matrix of the n
+    scaled rows instead of the d wide rows (``_gram_factor``), rescaled by
+    ``_below_one``: each squared key is within eta of that of the same
+    position of the scaled rows, so the floor drops by 2 eta as well.  Eta
+    covers the factorization; the slack, the one for the d wide rows,
+    covers the rounding of the walk on W.
 
     With n >= _BNB_MIN_RATIO * d and at least _BNB_MIN_POSITIONS positions,
     ``_bnb_candidates`` runs first, in binary64 and pruning at the binary64
@@ -624,35 +616,42 @@ def _exhaustive_best(X: np.ndarray, q: Exponent, signs: bool):
     walk's (value, mask).  If its frontier outgrows _FRONTIER_BYTES, the walk
     runs instead.  Each call logs its route at debug level, with the key
     precision of a walk, the positions, the frontier peak and the number of
-    candidates recomputed.  A walk of more than 2^WALK_MAX_LOG positions
-    raises ValueError before it starts.
+    candidates recomputed.  A walk of more than 2^WALK_MAX_LOG positions,
+    or of more than 2^35 positions times walked columns (n on the Gram walk,
+    d otherwise), raises ValueError before it starts.
     """
     n, d = X.shape
     if not X.any():
         return 0.0, 0
-    total = 1 << (n - 1 if signs else n)
-    if total * n * d <= _SCRATCH_ALL_TERMS:
-        _log_route("scratch", total, 0, total)
-        [value], [mask] = _scratch_maxima(X[None], q, signs)
-        return float(value), int(mask)
+    free = n - 1 if signs else n
+    total = 1 << free
     # scratch sums are evaluated in chunks of about _BLOCK_BYTES of terms
     chunk = max(1, _BLOCK_BYTES // (8 * n * d))
+    if total * n * d <= _SCRATCH_ALL_TERMS:
+        _log_route("scratch", total, 0, total)
+        return _first_best(X, q, signs, [np.arange(total)], chunk, (-1.0, 0))
     Xs = _below_one(X)[0]
+    if signs:
+        Xs[-1] = Xs.sum(axis=0)
+        Xs[:-1] *= -2.0
     route, peak = "walk", 0
     if _BNB_MIN_RATIO * d <= n <= _BNB_MAX_N and total >= _BNB_MIN_POSITIONS:
-        ranks, peak = _bnb_candidates(Xs, q, signs, _ranking(q, d))
+        ranks, peak = _bnb_candidates(Xs[:free], Xs[free:].sum(axis=0), q, 1.0 - _slack(q, n, d))
         if ranks is not None:
             _log_route("branch and bound", total, peak, ranks.size)
             return _first_best(X, q, signs, [ranks], chunk, (-1.0, 0))
         route = "branch-and-bound fallback"
+    gram = q.value == 2.0 and d >= _GRAM_MIN_RATIO * n and total >= _GRAM_MIN_POSITIONS
+    width = n if gram else d
+    # positions as a power of two: a decimal 2^n for n past ~14300 exceeds Python's int-to-str limit
+    needs = f"an exact maximum over 2^{free} positions needs a walk"
+    peaked = f"(branch-and-bound frontier peak {peak})"
     if total > 1 << WALK_MAX_LOG:
-        # positions as a power of two: a decimal 2^n for n past ~14300 exceeds Python's int-to-str limit
-        raise ValueError(
-            f"an exact maximum over 2^{total.bit_length() - 1} positions needs a walk past the reach of "
-            f"2^{WALK_MAX_LOG} positions (branch-and-bound frontier peak {peak})"
-        )
+        raise ValueError(f"{needs} past the reach of 2^{WALK_MAX_LOG} positions {peaked}")
+    if total * width > 1 << 35:
+        raise ValueError(f"{needs} of {width} columns, past the reach of 2^35 positions times columns {peaked}")
     walked, eta = Xs, 0.0
-    if q.value == 2.0 and d >= _GRAM_MIN_RATIO * n and total >= _GRAM_MIN_POSITIONS:
+    if gram:
         route = "Gram walk"
         W, eta = _gram_factor(Xs)
         walked, shift = _below_one(W)
@@ -663,13 +662,13 @@ def _exhaustive_best(X: np.ndarray, q: Exponent, signs: bool):
     else:
         dtype, u, route = np.float64, _EPS / 2.0, route + " (binary64 keys)"
     walked = walked.astype(dtype, copy=False)
-    width = walked.shape[1]
     key, shrink = _ranking(q, width, dtype), 1.0 - _slack(q, n, d, u)
     rows = _block_rows(width, total)
     k = rows.bit_length() - 1
     high_rows, high_bits = walked[k:], np.arange(k, n)
-    # the coefficient of each high row, indexed by its bit of the Gray code
-    coef = np.array([1.0, -1.0] if signs else [0.0, 1.0], dtype)
+    # the bits of the always-on rows, set at every position, and each high row's coefficient by its bit
+    always = (1 << n) - total
+    coef = np.array([0.0, 1.0], dtype)
     base = np.empty(width, dtype)
     buf = np.empty((width, rows), dtype)
     keys = np.empty(rows, dtype)
@@ -680,13 +679,13 @@ def _exhaustive_best(X: np.ndarray, q: Exponent, signs: bool):
     pending: list[tuple[np.ndarray, np.ndarray]] = []
     pending_rows = recomputed = 0
     # errstate restores the caller's buffer size on exit; a one-block walk does not pay for the scope
-    row_buffer = total > rows and _MIN_BUFSIZE <= rows < _UFUNC_BUFSIZE
+    row_buffer = total > rows and _MIN_BUFSIZE <= rows < np.getbufsize()
     with np.errstate() if row_buffer else contextlib.nullcontext():
         if row_buffer:
             np.setbufsize(rows)
-        low = _low_walk(walked, k, signs)
+        low = _low_walk(walked, k)
         for lo in range(0, total, rows):
-            on = (lo ^ (lo >> 1)) >> high_bits & 1
+            on = (lo ^ (lo >> 1) | always) >> high_bits & 1
             np.dot(coef[on], high_rows, out=base)
             np.add(low, base[:, None], out=buf)
             ranked = key(buf, keys)
@@ -736,7 +735,7 @@ def _stack_subset_best(X: np.ndarray, q: Exponent) -> tuple[np.ndarray, np.ndarr
     total = 1 << n
     if X.size and total * n * d <= _SCRATCH_ALL_TERMS:
         _log_route("scratch", total, 0, total)
-        return _scratch_maxima(X, q, signs=False)
+        return _scratch_maxima(X, q)
     values, masks = zip(*(_exhaustive_best(x, q, signs=False) for x in X))
     return np.array(values), np.array(masks)
 
@@ -1113,13 +1112,13 @@ def _refine_families(A, X, t, best: _Quotient) -> _Quotient:
     - move after a kept + move keeps the step of the entry before it moved.
     """
     cols = np.repeat(np.arange(A.shape[1]), 2)
-    signs = np.tile([1.0, -1.0], A.shape[1])
+    plus_minus = np.tile([1.0, -1.0], A.shape[1])
 
     def moves():
         for scale in _REFINE_STEPS:
             for M in (A, X):
                 for i in range(M.shape[0]):
-                    yield M, i, cols, signs * np.repeat(scale * np.maximum(1.0, np.abs(M[i])), 2)
+                    yield M, i, cols, plus_minus * np.repeat(scale * np.maximum(1.0, np.abs(M[i])), 2)
 
     def evaluate(M, i, cols, deltas, cur: _Quotient):
         moved = np.repeat(M[None], cols.size, axis=0)

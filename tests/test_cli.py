@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -408,6 +409,16 @@ class TestEnvCap:
         assert a.returncode == b.returncode == 0, a.stderr
         assert '"certified":true' in a.stdout
         assert a.stdout == b.stdout
+
+    def test_quotient_past_the_work_reach_exits_3_within_a_second(self, tmp_path, capsys):
+        # 2^24 subsets of 4096 columns: more position-columns than the walk takes
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps(np.random.default_rng(24).standard_normal((24, 4096)).tolist()))
+        start = time.perf_counter()
+        assert main(["quotient", "--p", "2", "--q", "3", "--r", "3", "--avec", str(path)]) == 3
+        assert time.perf_counter() - start < 1.0
+        detail = json.loads(capsys.readouterr().err)["detail"]
+        assert detail.startswith("an exact maximum over 2^24 positions needs a walk of 4096 columns")
 
     def test_search_beyond_the_cap_names_no_mode(self):
         res = run_cli("search", "--p", "3", "--q", "3", "--r", "3", "--n", "25",

@@ -418,6 +418,22 @@ class TestKernel:
                 assert (np.getbufsize(), np.geterr()) == mine
         assert (np.getbufsize(), np.geterr()) == before
 
+    def test_walk_follows_the_callers_buffer_size(self, monkeypatch):
+        # blocks of 8192 positions fill numpy's default buffer, so this walk keeps it;
+        # under a caller's buffer of 2^14 the same walk sets one block row and restores 2^14
+        X = np.random.default_rng(173).standard_normal((14, 16))
+        q = U.Exponent.of(1)
+        assert U._block_rows(16, 1 << 14) == 8192 == np.getbufsize()
+        seen = self._buffer_sizes(monkeypatch)
+        want = U._exhaustive_best(X, q, False)
+        assert want == sequential_scratch_max(X, 1) and set(seen) == {8192}
+        seen.clear()
+        with np.errstate():
+            np.setbufsize(1 << 14)
+            assert U._exhaustive_best(X, q, False) == want
+            assert np.getbufsize() == 1 << 14
+        assert seen and set(seen) == {8192} and np.getbufsize() == 8192
+
     def test_one_block_walk_keeps_the_callers_buffer(self, monkeypatch):
         seen = self._buffer_sizes(monkeypatch)
         X = np.random.default_rng(167).standard_normal((10, 20))
@@ -553,13 +569,14 @@ class TestBranchAndBound:
 
     @staticmethod
     def _counting(mp):
-        # records each run's shape and whether it finished, so each test knows the route ran
+        # records the shape of each run's free rows (n - 1 of them for signs, whose
+        # all-plus sum is always on) and whether it finished, so each test knows the route ran
         runs = []
         candidates = U._bnb_candidates
 
-        def counting(Xs, *args):
-            ranks, peak = candidates(Xs, *args)
-            runs.append((Xs.shape, ranks is not None))
+        def counting(free, *args):
+            ranks, peak = candidates(free, *args)
+            runs.append((free.shape, ranks is not None))
             return ranks, peak
 
         mp.setattr(U, "_bnb_candidates", counting)
@@ -590,7 +607,7 @@ class TestBranchAndBound:
             for signs, fn in ((False, subset_max_norm), (True, sign_max_norm)):
                 got = fn(Family(X), q)
                 assert (got.value, got.argmax_subset) == sequential_scratch_max(X, q, signs)
-        assert runs == [((n, d), True), ((n, d), True)]
+        assert runs == [((n, d), True), ((n - 1, d), True)]
 
     def test_decimal_lattice_near_ties(self, monkeypatch):
         # multiples of 0.1: equal exact sums whose float sums differ in the last
@@ -628,7 +645,7 @@ class TestBranchAndBound:
         for signs, fn in ((False, subset_max_norm), (True, sign_max_norm)):
             got = fn(Family(X), 2)
             assert (got.value, got.argmax_subset) == sequential_scratch_max(X, 2, signs)
-        assert runs == [((18, 3), True), ((18, 3), False)]
+        assert runs == [((18, 3), True), ((17, 3), False)]
 
     def test_walk_on_narrow_families_with_the_route_off(self, monkeypatch):
         # the fallback's walk, across several 2^15-position blocks, keeps its own check
@@ -692,6 +709,22 @@ class TestWalkReach:
             subset_max_norm(Family(np.ones((20000, 1))), 2)
         assert time.perf_counter() - start < 1.0
 
+    def test_wide_family_past_the_work_reach_raises_within_a_second(self, monkeypatch):
+        # 2^24 positions of 4096 columns is 2^36 position-columns; the 2^23 sign patterns,
+        # 2^35 of them, are admitted, so that walk starts (and fails on the patched table)
+        fam = Family(np.random.default_rng(24).standard_normal((24, 4096)))
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as err:
+            subset_max_norm(fam, 3)
+        assert time.perf_counter() - start < 1.0
+        assert str(err.value) == (
+            "an exact maximum over 2^24 positions needs a walk of 4096 columns, past the reach of "
+            "2^35 positions times columns (branch-and-bound frontier peak 0)"
+        )
+        monkeypatch.setattr(U, "_low_walk", None)
+        with pytest.raises(TypeError):
+            sign_max_norm(fam, 3)
+
     @pytest.mark.parametrize("seed", [0, 1])
     def test_forty_rows_are_exact(self, seed):
         # a narrow family past the searches' SEARCH_MAX_N vectors is settled by the branch and bound
@@ -714,6 +747,55 @@ class TestWalkReach:
             assert got.argmax_subset == mask and got.value == pytest.approx(value, rel=1e-12)
         with pytest.raises(ValueError, match=r"over 2\^5 positions"):
             subset_max_norm(X, 3)
+
+
+class TestSignRoutes:
+    """A sign maximum is a subset maximum of the rows -2 x_k with the all-plus sum always on:
+    on every route it is the first largest signed sum in Gray order, added in index order."""
+
+    @pytest.mark.parametrize("scale", [-900, 900])
+    def test_every_route_matches_sequential_scratch_at_extreme_scales(self, scale, monkeypatch):
+        routes = TestBinary32Keys._routes(monkeypatch)
+        ties = np.zeros((18, 3))
+        ties[:3] = np.eye(3)
+        rng = np.random.default_rng(179)
+        cases = (
+            (rng.standard_normal((6, 5)), 1.5, "scratch"),
+            (rng.standard_normal((17, 9)), 3, "walk (binary32 keys)"),
+            (rng.standard_normal((12, 5)), 17, "walk (binary64 keys)"),
+            (rng.standard_normal((13, 27)), 2, "Gram walk (binary32 keys)"),
+            (rng.standard_normal((17, 3)), "inf", "branch and bound"),
+            (ties, 2, "branch-and-bound fallback (binary32 keys)"),
+        )
+        for X, q, _ in cases:
+            X = np.ldexp(X, scale)
+            got = sign_max_norm(Family(X), q)
+            assert (got.value, got.argmax_subset) == sequential_scratch_max(X, q, True)
+        assert routes == [route for _, _, route in cases]
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 6),
+        d=st.integers(1, 5),
+        q=st.sampled_from([1, 1.5, 2, 3, 17, 100, "inf"]),
+        kind=st.sampled_from(["normal", "decimal", "zero rows", "2^900", "2^-900"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_scratch_route_matches_sequential_scratch(self, n, d, q, kind, seed):
+        # 2^(n-1) n d <= _SCRATCH_ALL_TERMS: every pattern is a candidate of _first_best
+        rng = np.random.default_rng(seed)
+        if kind in ("decimal", "zero rows"):
+            X = rng.integers(-3, 4, size=(n, d)) * 0.1
+            if kind == "zero rows":
+                X[rng.integers(0, n, size=n // 2)] = 0.0
+            X[-1, 0] = 0.1
+        else:
+            X = np.ldexp(rng.standard_normal((n, d)), {"normal": 0, "2^900": 900, "2^-900": -900}[kind])
+        with pytest.MonkeyPatch.context() as mp:
+            routes = TestBinary32Keys._routes(mp)
+            got = sign_max_norm(Family(X), q)
+        assert routes == ["scratch"]
+        assert (got.value, got.argmax_subset) == sequential_scratch_max(X, q, True)
 
 
 class TestRouteLog:
@@ -1440,10 +1522,11 @@ class TestStackedQuotient:
             stack = rng.integers(-2, 3, (3, n, dim)) * 0.1
             stack[0, rng.integers(0, n)] = 0.0
             stack[1, -1] = -stack[1, 0]
-            for signs in (False, True):
-                values, masks = U._scratch_maxima(stack, q, signs)
-                for k, X in enumerate(stack):
-                    assert (values[k], masks[k]) == sequential_scratch_max(X, q, signs)
+            values, masks = U._scratch_maxima(stack, q)
+            for k, X in enumerate(stack):
+                assert (values[k], masks[k]) == sequential_scratch_max(X, q)
+                # a single family's sign maximum takes the scratch route through _first_best
+                assert U._exhaustive_best(X, q, True) == sequential_scratch_max(X, q, True)
 
 
 class TestRefinementBatches:
