@@ -8,25 +8,26 @@ whose supremum over all finite families is the smallest constant making the
 action unconditional.  Every quotient computed here is therefore a certified
 lower bound for that constant.
 
-An exact maximum (``_exhaustive_best``) enumerates subsets only: with
+Every exact maximum, of one family or of a stack, comes from one
+dispatcher (``_exhaustive_best``), which enumerates subsets only: with
 s_{n-1} = +1 and bit k meaning s_k = -1, a signed sum is T + sum_{k in F}
 (-2 x_k) for the all-plus sum T, a subset sum of the rows -2 x_k with T
 always on.  It takes one of four routes, picked per call from n, d, q and
 the number of positions (2^n subsets, or 2^(n-1) sign patterns): every
-position from scratch, a branch and bound, a walk of an n x n Gram factor
-at q = 2, or a walk of the rows in reflected-Gray-code order.  The last
-three rank positions by keys and recompute from scratch, in binary64,
-every position whose key may be the largest, with one relative rounding
-slack (``_slack``).  All four report the same (value, mask), bit for bit:
-the norm of the first position in Gray order attaining the largest scratch
-norm, its sum added in index order.  The kernel alone bounds what an exact
-maximum may cost: a maximum that the branch and bound cannot settle and
-that needs a walk of more than 2^WALK_MAX_LOG positions, or of more than
-2^35 positions times walked columns, raises ValueError before the walk
-starts.  The seeded searches, which run thousands of maxima per call, draw
-families of at most SEARCH_MAX_N vectors.  The enumeration is serial; the
-``threads`` argument of ``subset_max_norm`` and ``sign_max_norm`` is
-accepted and changes nothing.
+position from scratch (one pass for a whole stack of tiny families), a
+branch and bound, a walk of an n x n Gram factor at q = 2, or a walk of
+the rows in reflected-Gray-code order.  The last three rank positions by
+keys and recompute from scratch, in binary64, every position whose key may
+be the largest, with one relative rounding slack (``_slack``).  All four
+report the same (value, mask), bit for bit: the norm of the first position
+in Gray order attaining the largest scratch norm, its sum added in index
+order.  The kernel alone bounds what an exact maximum may cost: a maximum
+that the branch and bound cannot settle and that needs a walk of more than
+2^WALK_MAX_LOG positions, or of more than 2^35 positions times walked
+columns, raises ValueError before the walk starts.  The seeded searches,
+which run thousands of maxima per call, draw families of at most
+SEARCH_MAX_N vectors.  The enumeration is serial, so the ``threads``
+argument of ``subset_max_norm`` and ``sign_max_norm`` changes nothing.
 
 Every quotient, public or inside a search, is evaluated by one routine
 (``_quotient_parts``), which scores a stack of families at once; the public
@@ -40,10 +41,9 @@ first-improvement coordinate ascent on matrix entries
 only its draw and its climb.  The ascent works on the drawn float arrays
 and recomputes only what a move changes: a move on the a-family reuses the
 x-family's subset max, a move on the x-family reuses max_k ||a_k||_p, and
-the x-family maxima of a whole stack of tiny families come from one
-from-scratch pass (``_stack_subset_best``).  A result object is built for
-the winner alone.  Randomized subset maxima keep their own single-flip
-climb.
+the x-family maxima of a whole stack of moved families come from one
+``_exhaustive_best`` call.  A result object is built for the winner alone.
+Randomized subset maxima keep their own single-flip climb.
 """
 
 from __future__ import annotations
@@ -229,7 +229,7 @@ class QuotientResult:
 
 
 def _scratch_sums(X: np.ndarray, masks: np.ndarray, signs: bool = False) -> np.ndarray:
-    """Each mask's subset sum (or signed sum, bit = 1 meaning -1) of the rows of X.
+    """Each int64 Gray mask's subset sum (or signed sum, bit = 1 meaning -1) of the rows of X.
 
     Every sum is recomputed from the rows, added in index order.
     """
@@ -240,21 +240,31 @@ def _scratch_sums(X: np.ndarray, masks: np.ndarray, signs: bool = False) -> np.n
     return terms[:, -1]
 
 
-def _scratch_maxima(X: np.ndarray, q: Exponent) -> tuple[np.ndarray, np.ndarray]:
-    """(value, mask) of the first largest scratch subset norm in Gray order, for each family of a stack.
+def _scratch_maxima(X: np.ndarray, q: Exponent, signs: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """(value, mask) of the first largest scratch norm in Gray order, for each family of an (m, n, d) stack.
 
-    X is an (m, n, d) stack with n, d >= 1.  Every position of every family
-    is summed at once: the sums over rows 0..k-1 at Gray positions 0..2^k-1
-    are followed by the same sums in reverse order plus row k (reflected
-    Gray code).  So each sum adds its rows in index order, as
-    ``_scratch_sums`` does, and is the same float up to the sign of a zero.
+    Every position of every family is summed at once over the free rows,
+    all n for subsets and the first n-1 for signs: the sums over rows
+    0..k-1 at Gray positions 0..2^k-1 are followed by the same sums in
+    reverse order plus row k (reflected Gray code), or minus row k for
+    signs, whose first half then adds it.  Row n-1 of a sign pattern, whose
+    sign is +1, is added to every sum last.  So each sum adds its rows in
+    index order, as ``_scratch_sums`` does, and is the same float up to the
+    sign of a zero.
     """
     m, n, d = X.shape
-    sums = np.zeros((m, 1 << n, d))
-    for k in range(n):
+    free = n - 1 if signs and n else n
+    sums = np.zeros((m, 1 << free, d))
+    for k in range(free):
         head, tail = sums[:, : 1 << k], sums[:, 1 << k : 2 << k]
-        np.add(head[:, ::-1], X[:, k, None], out=tail)
-    vals = row_norms(sums.reshape(-1, d), q).reshape(m, -1)
+        if signs:
+            np.subtract(head[:, ::-1], X[:, k, None], out=tail)
+            head += X[:, k, None]
+        else:
+            np.add(head[:, ::-1], X[:, k, None], out=tail)
+    if free < n:
+        sums += X[:, free, None]
+    vals = row_norms(sums.reshape(m << free, d), q).reshape(m, 1 << free)
     k = vals.argmax(axis=1)
     return vals.max(axis=1), k ^ (k >> 1)
 
@@ -571,10 +581,13 @@ def _bnb_candidates(Xs: np.ndarray, on: np.ndarray, q: Exponent, shrink: float):
 def _exhaustive_best(X: np.ndarray, q: Exponent, signs: bool):
     """Exact (value, mask) of the largest subset sum, or signed sum, of the rows of X.
 
-    Sign patterns keep bit n-1 clear: s and -s have the same norm, and the
-    clear one comes first.  At most _SCRATCH_ALL_TERMS terms (positions
-    times n d) are summed from scratch, every position a candidate of
-    ``_first_best``.  Otherwise X is scaled by ``_below_one`` and, for
+    X is one (n, d) family, or an (m, n, d) stack, whose (values, masks)
+    arrays hold each family's (value, mask).  Sign patterns keep bit n-1
+    clear: s and -s have the same norm, and the clear one comes first.  At
+    most _SCRATCH_ALL_TERMS terms per family (positions times n d), the
+    family or the whole stack is one ``_scratch_maxima`` pass and one route
+    line, which counts every family's positions; a larger stack enumerates
+    each family alone.  Otherwise X is scaled by ``_below_one`` and, for
     signs, its first n-1 rows become -2 x_k (exactly) and row n-1 the
     all-plus sum, on at every position; every route then enumerates subsets
     of the free rows, and only ``_first_best`` recomputes signed sums.
@@ -620,16 +633,21 @@ def _exhaustive_best(X: np.ndarray, q: Exponent, signs: bool):
     or of more than 2^35 positions times walked columns (n on the Gram walk,
     d otherwise), raises ValueError before it starts.
     """
-    n, d = X.shape
-    if not X.any():
+    n, d = X.shape[-2:]
+    if X.ndim == 2 and not X.any():
         return 0.0, 0
-    free = n - 1 if signs else n
+    free = n - 1 if signs and n else n
     total = 1 << free
+    if total * n * d <= _SCRATCH_ALL_TERMS:
+        stack = X if X.ndim == 3 else X[None]
+        _log_route("scratch", len(stack) * total, 0, len(stack) * total)
+        values, masks = _scratch_maxima(stack, q, signs)
+        return (values, masks) if X.ndim == 3 else (float(values[0]), int(masks[0]))
+    if X.ndim == 3:
+        values, masks = zip(*(_exhaustive_best(x, q, signs) for x in X))
+        return np.array(values), np.array(masks)
     # scratch sums are evaluated in chunks of about _BLOCK_BYTES of terms
     chunk = max(1, _BLOCK_BYTES // (8 * n * d))
-    if total * n * d <= _SCRATCH_ALL_TERMS:
-        _log_route("scratch", total, 0, total)
-        return _first_best(X, q, signs, [np.arange(total)], chunk, (-1.0, 0))
     Xs = _below_one(X)[0]
     if signs:
         Xs[-1] = Xs.sum(axis=0)
@@ -723,23 +741,6 @@ def _log_route(route: str, positions: int, peak: int, recomputed: int) -> None:
     )
 
 
-def _stack_subset_best(X: np.ndarray, q: Exponent) -> tuple[np.ndarray, np.ndarray]:
-    """Exact (values, masks) of the largest subset sum of each family of an (m, n, d) stack.
-
-    Each entry is what ``_exhaustive_best`` returns for that family.  When
-    2^n n d <= _SCRATCH_ALL_TERMS the whole stack takes the scratch route at
-    once (``_scratch_maxima``) and logs one route line; otherwise each family
-    is enumerated alone.
-    """
-    m, n, d = X.shape
-    total = 1 << n
-    if X.size and total * n * d <= _SCRATCH_ALL_TERMS:
-        _log_route("scratch", total, 0, total)
-        return _scratch_maxima(X, q)
-    values, masks = zip(*(_exhaustive_best(x, q, signs=False) for x in X))
-    return np.array(values), np.array(masks)
-
-
 def check_threads(threads: int) -> None:
     """Reject a worker count below 1.
 
@@ -800,24 +801,22 @@ def _randomized_subset_best(X: np.ndarray, q: Exponent, budget: int, seed):
         return best_val, best_mask
     for rng in _trial_rngs(seed, budget):
         mask = _random_mask(rng, n)
-        # an object array keeps masks of 64 or more bits exact
-        cur = _scratch_sums(X, np.array([mask], dtype=object))[0]
+        in_set = np.array([mask >> k & 1 for k in range(n)], dtype=bool)
+        # a cumsum, not a sum: members added in index order give the floats of _scratch_sums
+        cur = np.cumsum(in_set[:, None] * X, axis=0)[-1]
         cur_val = float(row_norms(cur.reshape(1, -1), q)[0])
         while True:
-            in_set = np.array([(mask >> k) & 1 for k in range(n)], dtype=bool)
-            flips = np.where(in_set[:, None], -1.0, 1.0) * X
-            cand = cur[None, :] + flips
+            cand = cur + np.where(in_set[:, None], -1.0, 1.0) * X
             vals = row_norms(cand, q)
             k = int(np.argmax(vals))
             if vals[k] <= cur_val:
                 break
-            cur = cand[k]
-            cur_val = float(vals[k])
-            mask ^= 1 << k
+            cur, cur_val = cand[k], float(vals[k])
+            in_set[k] = not in_set[k]
         # report the scratch-recomputed value so climbing drift cannot inflate it
-        exact = float(row_norms(_scratch_sums(X, np.array([mask], dtype=object)), q)[0])
+        exact = float(row_norms(np.cumsum(in_set[:, None] * X, axis=0)[-1:], q)[0])
         if exact > best_val:
-            best_val, best_mask = exact, mask
+            best_val, best_mask = exact, int.from_bytes(np.packbits(in_set, bitorder="little").tobytes(), "little")
     return best_val, best_mask
 
 
@@ -1081,10 +1080,10 @@ def _quotient_parts(A, X, t: ExponentTriple, a_max=None, sub=None):
     A and X are (m, n, d) arrays, or one of them a stack of one shared by
     every family, whose part is then given: ``a_max`` (max_k ||a_k||_p, one
     float) for A, ``sub`` (the (value, mask) of the exact subset max) for X.
-    A part not given is computed per family, ``sub`` by
-    ``_stack_subset_best``.  Two (n, d) arrays are one family, scored as a
-    stack of one: the result is its ``_Quotient``, or None when the
-    denominator is zero.  ``unconditionality_quotient``,
+    A part not given is computed per family, ``sub`` by one
+    ``_exhaustive_best`` call on the stack.  Two (n, d) arrays are one
+    family, scored as a stack of one: the result is its ``_Quotient``, or
+    None when the denominator is zero.  ``unconditionality_quotient``,
     ``main1_bound_check`` and the quotient search evaluate every quotient
     here.
     """
@@ -1096,7 +1095,7 @@ def _quotient_parts(A, X, t: ExponentTriple, a_max=None, sub=None):
     if a_max is None:
         a_max = row_norms(A.reshape(A.shape[0] * n, d), t.p).reshape(A.shape[0], n).max(axis=1, initial=0.0)
     if sub is None:
-        sub = _stack_subset_best(X, t.q)
+        sub = _exhaustive_best(X, t.q, False)
     denominator = a_max * sub[0]
     quotient = np.divide(numerator, denominator, out=np.full(numerator.shape, -np.inf), where=denominator > 0.0)
     res = _Quotients(quotient, numerator, denominator, a_max, sub)

@@ -33,6 +33,7 @@ from _oracles import (
     exact_l2_sq_max,
     exact_norm,
     gram_form_max,
+    int_mask_climb,
     main1_sides,
     naive_sign_max,
     naive_subset_max,
@@ -89,6 +90,18 @@ class TestSubsetMaxNorm:
     def test_empty_family(self):
         res = subset_max_norm(Family.of([]), 2)
         assert res.value == 0.0 and res.argmax_subset == 0
+
+    def test_empty_family_sign_maximum(self):
+        # no rows, so no row n-1 to fix: a family gives (0.0, 0), and so does each family of a stack
+        q = U.Exponent.of(2)
+        for shape in ((0, 0), (0, 3)):
+            res = sign_max_norm(Family(np.zeros(shape)), q)
+            assert (res.value, res.argmax_subset) == (0.0, 0)
+            assert U._exhaustive_best(np.zeros(shape), q, True) == (0.0, 0)
+        for d in (0, 3):
+            for signs in (False, True):
+                values, masks = U._exhaustive_best(np.zeros((4, 0, d)), q, signs)
+                assert values.tolist() == [0.0] * 4 and masks.tolist() == [0] * 4
 
     def test_matches_naive_reenumeration(self):
         rng = np.random.default_rng(42)
@@ -180,6 +193,15 @@ class TestSubsetMaxNorm:
         res = subset_max_norm(Family(np.ones((70, 2))), 2, "randomized", budget=1, seed=0)
         assert res.value == 70 * SQRT2
         assert res.argmax_subset == (1 << 70) - 1
+
+    def test_randomized_climb_matches_the_int_mask_oracle(self):
+        # the climb keeps a boolean member vector; the oracle re-reads a Python-int mask at every step
+        rng = np.random.default_rng(31)
+        for n, d, q in ((1, 3, 2), (9, 4, 1), (24, 8, 3), (64, 2, 1.5), (70, 3, "inf"), (79, 2, 40)):
+            for seed in range(3):
+                X = rng.standard_normal((n, d)) if seed else rng.integers(-2, 3, (n, d)) * 0.1
+                got = subset_max_norm(Family(X), q, "randomized", budget=4, seed=seed)
+                assert (got.value, got.argmax_subset) == int_mask_climb(X, q, 4, seed)
 
     def test_random_mask_draws_63_bits_at_a_time(self):
         for n in (1, 5, 62, 63):
@@ -782,7 +804,7 @@ class TestSignRoutes:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_scratch_route_matches_sequential_scratch(self, n, d, q, kind, seed):
-        # 2^(n-1) n d <= _SCRATCH_ALL_TERMS: every pattern is a candidate of _first_best
+        # 2^(n-1) n d <= _SCRATCH_ALL_TERMS: every pattern is summed at once by _scratch_maxima
         rng = np.random.default_rng(seed)
         if kind in ("decimal", "zero rows"):
             X = rng.integers(-3, 4, size=(n, d)) * 0.1
@@ -864,6 +886,22 @@ class TestRouteLog:
             "exact route walk (binary32 keys): 16384 positions, frontier peak 0, 1 candidates recomputed",
             "exact route walk (binary32 keys): 16384 positions, frontier peak 0, 2 candidates recomputed",
         ]
+
+    def test_a_stack_counts_the_positions_of_every_family(self, caplog):
+        # one scratch pass over 5 tiny families logs one line of 5 * 2^free positions;
+        # a stack past the scratch route logs each family's own line
+        rng = np.random.default_rng(97)
+        q = U.Exponent.of(2)
+        for stack, signs, want in (
+            (rng.standard_normal((5, 4, 2)), False, ["scratch: 80 positions, frontier peak 0, 80"]),
+            (rng.standard_normal((5, 4, 2)), True, ["scratch: 40 positions, frontier peak 0, 40"]),
+            (rng.standard_normal((2, 12, 8)), False, ["walk (binary32 keys): 4096 positions, frontier peak 0, 1"] * 2),
+        ):
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger=U.logger.name):
+                U._exhaustive_best(stack, q, signs)
+            lines = [r.getMessage() for r in caplog.records]
+            assert lines == [f"exact route {w} candidates recomputed" for w in want]
 
     def test_off_by_default(self, caplog):
         U._exhaustive_best(np.random.default_rng(89).standard_normal((16, 4)), U.Exponent.of(2), False)
@@ -1513,20 +1551,31 @@ class TestStackedQuotient:
         assert U._quotient_parts(np.zeros_like(A), X, t) is None
 
     @pytest.mark.parametrize("q", [1, 1.5, 2, 3, "inf", 100])
-    def test_scratch_route_matches_the_sequential_oracle(self, q):
-        # lattice families with zero, repeated and negated rows tie often
+    def test_scratch_route_matches_the_sequential_oracle(self, q, monkeypatch):
+        # lattice families with zero, repeated and negated rows tie often; a
+        # tiny stack or family, subsets or signs, is one _scratch_maxima pass
+        # and never reaches _first_best.  The last stack (n = 7, d = 4) is past
+        # the scratch route for subsets, so each family walks alone, and tiny
+        # for its 2^6 sign patterns.
         q = U.Exponent.of(q)
         rng = np.random.default_rng(61)
-        for _ in range(40):
-            n, dim = int(rng.integers(1, 7)), int(rng.integers(1, 5))
+        ranked = []
+        first_best = U._first_best
+        monkeypatch.setattr(U, "_first_best", lambda *args: ranked.append(args) or first_best(*args))
+        for trial in range(41):
+            n, dim = (7, 4) if trial == 40 else (int(rng.integers(1, 7)), int(rng.integers(1, 5)))
             stack = rng.integers(-2, 3, (3, n, dim)) * 0.1
             stack[0, rng.integers(0, n)] = 0.0
             stack[1, -1] = -stack[1, 0]
-            values, masks = U._scratch_maxima(stack, q)
-            for k, X in enumerate(stack):
-                assert (values[k], masks[k]) == sequential_scratch_max(X, q)
-                # a single family's sign maximum takes the scratch route through _first_best
-                assert U._exhaustive_best(X, q, True) == sequential_scratch_max(X, q, True)
+            for signs in (False, True):
+                values, masks = U._exhaustive_best(stack, q, signs)
+                for k, X in enumerate(stack):
+                    assert (values[k], masks[k]) == sequential_scratch_max(X, q, signs)
+                    assert U._exhaustive_best(X, q, signs) == sequential_scratch_max(X, q, signs)
+                tiny = (1 << (n - signs)) * n * dim <= U._SCRATCH_ALL_TERMS
+                assert tiny == ((n, dim) != (7, 4) or signs)
+                assert bool(ranked) == (not tiny)
+                ranked.clear()
 
 
 class TestRefinementBatches:
