@@ -4,10 +4,11 @@
 A quotient is a certified lower bound on the constant any unconditional
 action must admit.  Exhaustive subset maxima walk all 2^n subsets in
 Gray-code order (one vector update per step), and sign maxima are subset
-maxima of the same walk; the randomized search probes
-family space for large quotients, rediscovering the orthogonal-row extremals
-where the theory says the constant is infinite and staying bounded where it
-says it is finite.
+maxima of the same walk.  The seeded search (``quotient_lower_bound_search``:
+seeded random draws, climbed by coordinate ascent, each scored by an exact
+quotient) probes family space for large quotients, rediscovering the
+orthogonal-row extremals where the theory says the constant is infinite and
+staying bounded where it says it is finite.
 """
 
 import numpy as np

@@ -16,8 +16,8 @@ rather than NotApplicable.
 
 One kernel, ``_classify_lattice``, evaluates the table over a whole (p, q)
 lattice at fixed r as broadcast float64 arrays: ``region_grid`` is one call
-of it and ``classify`` its 1 x 1 case.  The strict clause's gap is computed
-in the operation order of ``witness.second_clause_gap``, so it is the float
+of it and ``classify`` its 1 x 1 case.  The strict clause's gap comes from
+the routine behind ``witness.second_clause_gap``, so it is the float
 ``witness_size`` tests, and it enters the margin.
 
 Strict comparisons require margin EPS_CMP and boundary equalities resolve
@@ -48,7 +48,7 @@ import numpy as np
 from .errors import InternalInconsistencyError
 from .seqspace import EPS_CMP, INF, Exponent, ExponentLike, ExponentTriple
 from .unconditionality import check_threads, quotient_lower_bound_search
-from .witness import hadamard_witness, tail_witness, witness_size
+from .witness import _strict_gap, hadamard_witness, tail_witness, witness_size
 
 logger = logging.getLogger(__name__)
 
@@ -119,9 +119,9 @@ def _classify_lattice(
     Returns the records and the (len(ps), len(qs)) array of clause codes.
     Every quantity of the decision table is one broadcast float64 array over
     a column of 1/p and a row of 1/q, built by the same IEEE operations in
-    the same order as a scalar evaluation (``second_clause_gap`` included),
-    so each point gets the floats, and hence the clause and margin, that
-    evaluating it alone gives.
+    the same order as a scalar evaluation (the gap by ``witness._strict_gap``,
+    as ``second_clause_gap`` takes it), so each point gets the floats, and
+    hence the clause and margin, that evaluating it alone gives.
 
     Each clause is one layer of a boolean stack, in the order of
     ``_LAYER_CODES``, and a point's code is that of its first layer that
@@ -131,7 +131,7 @@ def _classify_lattice(
     rq = np.array([q.reciprocal for q in qs])[None, :]
     rr = r.reciprocal
     holder = rp + rq
-    gap = 0.5 + rr - rp - np.maximum(0.5, rq)
+    gap = _strict_gap(rp, rq, rr)
     margin = np.minimum(
         np.minimum(np.abs(holder - rr), np.abs(rp - 0.5)),
         np.minimum(np.abs(rq - rr), np.abs(gap)),

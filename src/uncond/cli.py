@@ -3,7 +3,7 @@
 Machine-first output: JSON objects (or CSV for ``grid``) on stdout, one
 error object ``{"error": ..., "detail": ...}`` on stderr.  Exit codes:
 0 success, 2 usage error, 3 domain error, 4 internal inconsistency.
-Randomized commands require an explicit ``--seed`` so every invocation is
+Seeded commands require an explicit ``--seed`` so every invocation is
 reproducible; identical argv implies byte-identical stdout.
 """
 
@@ -120,9 +120,6 @@ def build_parser() -> _Parser:
     add_triple(p)
     p.add_argument("--avec", required=True, metavar="FILE", help="JSON array of rows ('-' for stdin)")
     p.add_argument("--xvec", metavar="FILE", help="JSON array of rows; defaults to --avec")
-    p.add_argument("--mode", choices=["exhaustive", "random"], default="exhaustive")
-    p.add_argument("--budget", type=int, help="restarts for random mode")
-    p.add_argument("--seed", type=int, help="seed for random mode")
     add_common(p)
 
     p = sub.add_parser("search", help="seeded random search for large quotients")
@@ -210,26 +207,11 @@ def _run_witness_tail(args):
 
 
 def _run_quotient(args):
-    if args.mode == "random":
-        if args.seed is None:
-            raise _UsageError("--seed is required for --mode random")
-        if args.budget is None:
-            raise _UsageError("--budget is required for --mode random")
     cache: dict = {}
     avec = _read_family(args.avec, cache)
     xvec = _read_family(args.xvec, cache) if args.xvec else avec
-    res = unconditionality_quotient(
-        avec,
-        xvec,
-        _triple(args),
-        "exhaustive" if args.mode == "exhaustive" else "randomized",
-        budget=args.budget,
-        seed=args.seed,
-    )
-    pretty = (
-        f"quotient {res.quotient:.12g} = {res.numerator:.12g} / {res.denominator:.12g} "
-        f"({'certified' if res.certified else 'lower bound only'})"
-    )
+    res = unconditionality_quotient(avec, xvec, _triple(args))
+    pretty = f"quotient {res.quotient:.12g} = {res.numerator:.12g} / {res.denominator:.12g} (certified)"
     return res.to_json(), pretty
 
 

@@ -43,7 +43,6 @@ and recomputes only what a move changes: a move on the a-family reuses the
 x-family's subset max, a move on the x-family reuses max_k ||a_k||_p, and
 the x-family maxima of a whole stack of moved families come from one
 ``_exhaustive_best`` call.  A result object is built for the winner alone.
-Randomized subset maxima keep their own single-flip climb.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ import functools
 import logging
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import ClassVar, NamedTuple, Optional
 
 import numpy as np
 
@@ -186,29 +185,25 @@ class Family:
 
 @dataclass(frozen=True)
 class SubsetMaxResult:
-    """Outcome of a subset (or sign-pattern) maximization.
+    """Outcome of an exact subset (or sign-pattern) maximization.
 
     ``argmax_subset`` is a bitmask over the family index; for sign patterns,
-    bit = 1 means sign -1.  ``certified`` is True only for exhaustive
-    enumeration; randomized search yields a lower bound.
+    bit = 1 means sign -1.  Every maximum is exhaustive, so ``certified``
+    and ``mode`` are constants, kept for the JSON and its readers.
     """
 
     value: float
     argmax_subset: int
-    certified: bool
-    mode: str
-    seed: Optional[int] = None
+    certified: ClassVar[bool] = True
+    mode: ClassVar[str] = "exhaustive"
 
     def to_json(self) -> dict:
-        out = {
+        return {
             "value": self.value,
             "subset_bitmask": f"{self.argmax_subset:#x}",
             "certified": self.certified,
             "mode": self.mode,
         }
-        if self.seed is not None:
-            out["seed"] = self.seed
-        return out
 
 
 @dataclass(frozen=True)
@@ -218,8 +213,8 @@ class QuotientResult:
     numerator: float
     denominator: float
     quotient: float
-    certified: bool
     subset: SubsetMaxResult
+    certified: ClassVar[bool] = True
 
     def to_json(self) -> dict:
         """The subset's JSON with its ``value`` replaced by the quotient, which comes first."""
@@ -644,8 +639,10 @@ def _exhaustive_best(X: np.ndarray, q: Exponent, signs: bool):
         values, masks = _scratch_maxima(stack, q, signs)
         return (values, masks) if X.ndim == 3 else (float(values[0]), int(masks[0]))
     if X.ndim == 3:
-        values, masks = zip(*(_exhaustive_best(x, q, signs) for x in X))
-        return np.array(values), np.array(masks)
+        values, masks = np.zeros(len(X)), np.zeros(len(X), dtype=np.int64)
+        for i, x in enumerate(X):
+            values[i], masks[i] = _exhaustive_best(x, q, signs)
+        return values, masks
     # scratch sums are evaluated in chunks of about _BLOCK_BYTES of terms
     chunk = max(1, _BLOCK_BYTES // (8 * n * d))
     Xs = _below_one(X)[0]
@@ -762,107 +759,35 @@ def _require_summable(M: np.ndarray) -> None:
             )
 
 
-def _finite_max(best, *args) -> tuple[float, int]:
-    """``best(*args)``, a (value, mask) pair, with numpy's overflow warnings off; ValueError if the value is not finite."""
-    with np.errstate(over="ignore"):
-        val, mask = best(*args)
-    if not math.isfinite(val):
-        raise ValueError(f"the maximum norm overflows binary64: {val!r}")
-    return val, mask
-
-
-def _random_mask(rng: np.random.Generator, n: int) -> int:
-    """A uniform n-bit mask, drawn low bits first in chunks of at most 63 bits.
-
-    For n <= 63 this is the single draw ``rng.integers(0, 1 << n)``; wider
-    masks do not fit numpy's int64 draws.
-    """
-    mask = 0
-    for lo in range(0, n, 63):
-        mask |= int(rng.integers(0, 1 << min(63, n - lo))) << lo
-    return mask
-
-
-def _trial_rngs(seed, budget: int):
-    """Trial k's generator for k < budget, that of ``SeedSequence(seed).spawn(budget)[k]``.
-
-    The root spawns one child as each trial starts, continuing its count;
-    spawning every child up front would cost about 400 bytes and 12 us each.
-    """
-    root = np.random.SeedSequence(seed)
-    return (np.random.default_rng(root.spawn(1)[0]) for _ in range(budget))
-
-
-def _randomized_subset_best(X: np.ndarray, q: Exponent, budget: int, seed):
-    """Random restarts plus single-flip hill climbing; returns (value, mask)."""
-    n = X.shape[0]
-    best_val, best_mask = 0.0, 0
-    if n == 0:
-        return best_val, best_mask
-    for rng in _trial_rngs(seed, budget):
-        mask = _random_mask(rng, n)
-        in_set = np.array([mask >> k & 1 for k in range(n)], dtype=bool)
-        # a cumsum, not a sum: members added in index order give the floats of _scratch_sums
-        cur = np.cumsum(in_set[:, None] * X, axis=0)[-1]
-        cur_val = float(row_norms(cur.reshape(1, -1), q)[0])
-        while True:
-            cand = cur + np.where(in_set[:, None], -1.0, 1.0) * X
-            vals = row_norms(cand, q)
-            k = int(np.argmax(vals))
-            if vals[k] <= cur_val:
-                break
-            cur, cur_val = cand[k], float(vals[k])
-            in_set[k] = not in_set[k]
-        # report the scratch-recomputed value so climbing drift cannot inflate it
-        exact = float(row_norms(np.cumsum(in_set[:, None] * X, axis=0)[-1:], q)[0])
-        if exact > best_val:
-            best_val, best_mask = exact, int.from_bytes(np.packbits(in_set, bitorder="little").tobytes(), "little")
-    return best_val, best_mask
-
-
-def subset_max_norm(
-    fam,
-    q: ExponentLike,
-    mode: str = "exhaustive",
-    *,
-    budget: Optional[int] = None,
-    seed: Optional[int] = None,
-    threads: int = 1,
-) -> SubsetMaxResult:
-    """max over subsets F of ||sum_{k in F} x_k||_q.
-
-    Exhaustive mode is exact and certified: the value is the norm of the
-    reported subset's sum recomputed from scratch, and the subset is the
-    first attaining it in Gray-code order.  The route is picked from n, d, q
-    and the 2^n positions (see the module docstring), and every route gives
-    the same result.  A maximum that only a walk of more than
-    2^WALK_MAX_LOG positions would reach raises ValueError at once.
-    Randomized mode runs ``budget`` seeded restarts with single-flip hill
-    climbing and returns an uncertified lower bound.  A family with a column
-    absolute sum above half the largest binary64 value, whose sums could
-    overflow, raises ValueError, and so does a maximum norm that overflows.
-    """
+def _exact_max(fam, q: ExponentLike, signs: bool, threads: int) -> SubsetMaxResult:
+    """The public exact subset (or sign) maximum: checked inputs, then ``_exhaustive_best`` with overflow warnings off."""
     check_threads(threads)
     fam = Family.of(fam)
     q = Exponent.of(q)
-    if mode not in ("exhaustive", "randomized"):
-        raise ValueError(f"unknown mode {mode!r}; expected 'exhaustive' or 'randomized'")
     _require_summable(fam.matrix)
-    if mode == "exhaustive":
-        val, mask = _finite_max(_exhaustive_best, fam.matrix, q, False)
-        return SubsetMaxResult(val, mask, True, "exhaustive")
-    if budget is None or budget < 1:
-        raise ValueError("empty budget")
-    val, mask = _finite_max(_randomized_subset_best, fam.matrix, q, budget, seed)
-    return SubsetMaxResult(val, mask, False, "randomized", seed)
+    with np.errstate(over="ignore"):
+        val, mask = _exhaustive_best(fam.matrix, q, signs)
+    if not math.isfinite(val):
+        raise ValueError(f"the maximum norm overflows binary64: {val!r}")
+    return SubsetMaxResult(val, mask)
 
 
-def sign_max_norm(
-    fam,
-    q: ExponentLike,
-    *,
-    threads: int = 1,
-) -> SubsetMaxResult:
+def subset_max_norm(fam, q: ExponentLike, *, threads: int = 1) -> SubsetMaxResult:
+    """max over subsets F of ||sum_{k in F} x_k||_q, exact and certified.
+
+    The value is the norm of the reported subset's sum recomputed from
+    scratch, and the subset is the first attaining it in Gray-code order.
+    The route is picked from n, d, q and the 2^n positions (see the module
+    docstring), and every route gives the same result.  A maximum that only
+    a walk past the kernel's reach would settle raises ValueError at once.
+    A family with a column absolute sum above half the largest binary64
+    value, whose sums could overflow, raises ValueError, and so does a
+    maximum norm that overflows.
+    """
+    return _exact_max(fam, q, False, threads)
+
+
+def sign_max_norm(fam, q: ExponentLike, *, threads: int = 1) -> SubsetMaxResult:
     """max over sign patterns s in {-1,1}^n of ||sum_k s_k x_k||_q.
 
     Exact over the 2^(n-1) patterns with s_{n-1} = +1, since s and -s have
@@ -870,12 +795,7 @@ def sign_max_norm(
     its bit n-1 is always clear.  Routes and overflow are as in
     ``subset_max_norm``, with 2^(n-1) positions.
     """
-    check_threads(threads)
-    fam = Family.of(fam)
-    q = Exponent.of(q)
-    _require_summable(fam.matrix)
-    val, mask = _finite_max(_exhaustive_best, fam.matrix, q, True)
-    return SubsetMaxResult(val, mask, True, "exhaustive")
+    return _exact_max(fam, q, True, threads)
 
 
 def _paired_families(avec, xvec) -> tuple[Family, Family]:
@@ -894,25 +814,19 @@ def _product_norm(A: np.ndarray, X: np.ndarray, r: Exponent) -> np.ndarray:
     return row_norms((A * X).sum(axis=1), r)
 
 
-def unconditionality_quotient(
-    avec,
-    xvec,
-    t: ExponentTriple,
-    mode: str = "exhaustive",
-    *,
-    budget: Optional[int] = None,
-    seed: Optional[int] = None,
-) -> QuotientResult:
+def unconditionality_quotient(avec, xvec, t: ExponentTriple) -> QuotientResult:
     """The quotient ||sum a_k x_k||_r / (max_k ||a_k||_p * subset_max(x, q)).
 
     Any constant C making the action unconditional satisfies C >= quotient,
-    so exhaustive quotients are certified lower bounds.  All-zero a- or
-    x-families make the denominator vanish and are rejected as degenerate;
-    overflowing x-families, numerators and denominators are rejected too.
+    and the subset max is exact, so every quotient is a certified lower
+    bound.  All-zero a- or x-families make the denominator vanish and are
+    rejected as degenerate; overflowing x-families, numerators and
+    denominators are rejected too, and so is an x-family past the exact
+    kernel's reach.
     """
     avec, xvec = _paired_families(avec, xvec)
     t.require_holder_valid()
-    sub = subset_max_norm(xvec, t.q, mode, budget=budget, seed=seed)
+    sub = subset_max_norm(xvec, t.q)
     parts = _finite_parts(avec.matrix, xvec.matrix, t, sub=(sub.value, sub.argmax_subset))
     if parts is None:
         raise ValueError("degenerate family: denominator is zero")
@@ -1041,9 +955,7 @@ class _Quotient(NamedTuple):
 
     def result(self, subset: SubsetMaxResult) -> QuotientResult:
         """The public result, with ``subset`` the maximization that gave ``sub``."""
-        return QuotientResult(
-            self.numerator, self.denominator, self.quotient, subset.certified, subset
-        )
+        return QuotientResult(self.numerator, self.denominator, self.quotient, subset)
 
 
 class _Quotients(NamedTuple):
@@ -1131,6 +1043,16 @@ def _refine_families(A, X, t, best: _Quotient) -> _Quotient:
     return _coordinate_ascent(best, moves, evaluate, _REFINE_SWEEPS, "refinement")
 
 
+def _trial_rngs(seed, budget: int):
+    """Trial k's generator for k < budget, that of ``SeedSequence(seed).spawn(budget)[k]``.
+
+    The root spawns one child as each trial starts, continuing its count;
+    spawning every child up front would cost about 400 bytes and 12 us each.
+    """
+    root = np.random.SeedSequence(seed)
+    return (np.random.default_rng(root.spawn(1)[0]) for _ in range(budget))
+
+
 def _seeded_restarts(n: int, dim: int, budget: int, seed, draw, climb):
     """The best climbed draw over ``budget`` seeded restarts, shared by both family searches.
 
@@ -1190,4 +1112,4 @@ def quotient_lower_bound_search(
         return res
 
     best = _seeded_restarts(n, dim, budget, seed, draw, climb)
-    return best.result(SubsetMaxResult(*best.sub, True, "exhaustive"))
+    return best.result(SubsetMaxResult(*best.sub))

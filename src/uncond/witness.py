@@ -124,10 +124,18 @@ class WitnessReport:
         return out
 
 
+def _strict_gap(rp, rq, rr):
+    """(1/2 + 1/r) - (1/p + 1/min(2,q)) from the reciprocals, floats or broadcast float64 arrays.
+
+    ``second_clause_gap`` and ``classifier``'s lattice kernel both take the
+    gap here, so a lattice point's gap is the float of the triple alone.
+    """
+    return 0.5 + rr - rp - np.maximum(0.5, rq)
+
+
 def second_clause_gap(t: ExponentTriple) -> float:
     """(1/2 + 1/r) - (1/p + 1/min(2,q)); the construction needs this > 0."""
-    rq2 = max(0.5, t.q.reciprocal)
-    return 0.5 + t.r.reciprocal - t.p.reciprocal - rq2
+    return float(_strict_gap(t.p.reciprocal, t.q.reciprocal, t.r.reciprocal))
 
 
 def _slopes(t: ExponentTriple) -> tuple[float, float]:

@@ -181,46 +181,6 @@ def scratch_sum(X: np.ndarray, mask: int, signs: bool = False) -> np.ndarray:
     return X[members].sum(axis=0) if members else np.zeros(X.shape[1])
 
 
-def int_mask_climb(X: np.ndarray, q, budget: int, seed):
-    """Randomized subset max: restart k draws a mask from ``SeedSequence(seed).spawn(budget)[k]`` and climbs.
-
-    The mask is a Python int, drawn low bits first in chunks of at most 63
-    bits, and re-read bit by bit at every single-flip step; each scratch sum
-    adds the members one by one in index order.  Only a strictly larger
-    scratch norm replaces the best, which starts at (0.0, 0).
-    """
-    n, d = X.shape
-
-    def members_sum(mask):
-        acc = np.zeros(d)
-        for k in range(n):
-            if mask >> k & 1:
-                acc = acc + X[k]
-        return acc
-
-    best = (0.0, 0)
-    for child in np.random.SeedSequence(seed).spawn(budget):
-        rng = np.random.default_rng(child)
-        mask = 0
-        for lo in range(0, n, 63):
-            mask |= int(rng.integers(0, 1 << min(63, n - lo))) << lo
-        cur = members_sum(mask)
-        cur_val = float(row_norms(cur[None], q)[0])
-        while True:
-            flip = np.array([-1.0 if mask >> k & 1 else 1.0 for k in range(n)])
-            cand = cur + flip[:, None] * X
-            vals = row_norms(cand, q)
-            k = int(np.argmax(vals))
-            if vals[k] <= cur_val:
-                break
-            cur, cur_val = cand[k], float(vals[k])
-            mask ^= 1 << k
-        value = float(row_norms(members_sum(mask)[None], q)[0])
-        if value > best[0]:
-            best = (value, mask)
-    return best
-
-
 def scalar_subset_max_abs(x: np.ndarray) -> float:
     """max_F |sum_F x_k| for real scalars by full enumeration (vectorized)."""
     n = x.size

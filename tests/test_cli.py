@@ -129,6 +129,13 @@ GOLDEN = {
 GOLDEN_FAMILY = [[1.0, 2.0, -0.5], [0.25, -1.0, 3.0], [2.0, 0.5, 1.0], [-1.5, 1.0, 0.75]]
 #: 18 vectors of length 4 (n >= 2d, 2^18 subsets).
 NARROW_FAMILY = np.random.default_rng(18).standard_normal((18, 4)).round(6).tolist()
+#: 14 sign rows of length 6 whose exact quotient at r = inf is 14 / 9.
+SIGN_FAMILY = [
+    [1, -1, -1, 1, -1, 1], [1, 1, -1, 1, 1, 1], [1, 1, 1, -1, 1, -1], [-1, -1, -1, 1, -1, -1],
+    [-1, -1, 1, -1, 1, 1], [1, -1, -1, -1, 1, -1], [-1, 1, 1, -1, -1, -1], [1, 1, -1, 1, 1, 1],
+    [1, -1, 1, -1, 1, -1], [-1, 1, 1, -1, -1, 1], [1, -1, -1, -1, -1, 1], [-1, -1, -1, -1, 1, 1],
+    [1, -1, 1, 1, 1, 1], [-1, 1, 1, -1, 1, -1],
+]
 #: stdin of the GOLDEN argv that do not read GOLDEN_FAMILY.
 GOLDEN_STDIN = {("quotient", "--p", "3", "--q", "3", "--r", "1.5", "--avec", "-"): NARROW_FAMILY}
 
@@ -380,22 +387,30 @@ class TestQuotientCommand:
                       "--avec", "/nonexistent/fam.json")
         assert res.returncode == 3
 
-    def test_random_mode_beyond_64_vectors(self, tmp_path):
-        path = tmp_path / "fam.json"
-        path.write_text(json.dumps([[1.0, 1.0]] * 70))
-        res = run_cli("quotient", "--p", "2", "--q", "2", "--r", "2", "--avec", str(path),
-                      "--mode", "random", "--budget", "1", "--seed", "0")
-        assert res.returncode == 0, res.stderr
-        out = json.loads(res.stdout)
-        assert out["subset_bitmask"] == hex((1 << 70) - 1)
-        assert out["certified"] is False
+    def test_sign_family_quotient_at_r_infinity(self, tmp_path, capsys):
+        # 14 sign rows of length 6: the exact quotient is 14 / 9, below the bound 2 at r = inf
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps(SIGN_FAMILY))
+        assert main(["quotient", "--p", "inf", "--q", "inf", "--r", "inf", "--avec", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            '{"quotient":1.5555555555555556,"subset_bitmask":"0x39b6","certified":true,"mode":"exhaustive"}\n'
+        )
 
-    def test_random_mode_needs_seed_and_budget(self, tmp_path):
+    def test_random_mode_needs_seed_and_budget(self, tmp_path, capsys):
+        # the randomized mode and its knobs are gone: each flag is a usage error
         path = tmp_path / "fam.json"
         path.write_text(json.dumps([[1, 0], [0, 1]]))
-        res = run_cli("quotient", "--p", "2", "--q", "2", "--r", "2",
-                      "--avec", str(path), "--mode", "random")
-        assert res.returncode == 2
+        argv = ["quotient", "--p", "2", "--q", "2", "--r", "2", "--avec", str(path)]
+        for extra in (
+            ["--mode", "random", "--budget", "1", "--seed", "0"],
+            ["--mode", "exhaustive"],
+            ["--budget", "3"],
+            ["--seed", "3"],
+        ):
+            assert main(argv + extra) == 2, extra
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert json.loads(captured.err)["error"] == "usage"
 
 
 class TestEnvCap:

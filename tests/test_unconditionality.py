@@ -33,7 +33,6 @@ from _oracles import (
     exact_l2_sq_max,
     exact_norm,
     gram_form_max,
-    int_mask_climb,
     main1_sides,
     naive_sign_max,
     naive_subset_max,
@@ -103,6 +102,14 @@ class TestSubsetMaxNorm:
                 values, masks = U._exhaustive_best(np.zeros((4, 0, d)), q, signs)
                 assert values.tolist() == [0.0] * 4 and masks.tolist() == [0] * 4
 
+    @pytest.mark.parametrize("shape", [(0, 3, 2), (0, 8, 4)], ids=["scratch", "per-family"])
+    def test_empty_stack(self, shape):
+        # 2^3 * 3 * 2 terms per family take the one-pass scratch route; (0, 8, 4) is past it, 2^7 * 8 * 4 even for signs
+        for signs in (False, True):
+            values, masks = U._exhaustive_best(np.zeros(shape), U.Exponent.of(2), signs)
+            assert values.shape == masks.shape == (0,)
+            assert values.dtype == np.float64 and masks.dtype == np.int64
+
     def test_matches_naive_reenumeration(self):
         rng = np.random.default_rng(42)
         for trial in range(60):
@@ -121,12 +128,11 @@ class TestSubsetMaxNorm:
             assert got.value == pytest.approx(want_val, rel=1e-12)
 
     def test_exhaustive_cap(self, monkeypatch):
-        # the walk's reach is the one cap; the randomized mode still runs past it
+        # the walk's reach is the one cap
         fam = Family(np.ones((5, 40)))  # 2^5 * 5 * 40 terms: past the scratch route, so it walks
         monkeypatch.setattr(U, "WALK_MAX_LOG", 4)
         with pytest.raises(ValueError, match="past the reach"):
             subset_max_norm(fam, 2)
-        assert subset_max_norm(fam, 2, "randomized", budget=1, seed=0).value == pytest.approx(5 * math.sqrt(40))
         monkeypatch.setattr(U, "WALK_MAX_LOG", 5)
         assert subset_max_norm(fam, 2).value == pytest.approx(5 * math.sqrt(40))
 
@@ -158,12 +164,6 @@ class TestSubsetMaxNorm:
                 call()
             assert str(err.value) == "family size 25 exceeds the exhaustive cap 24 (2^25 subsets)"
 
-    def test_only_the_two_mode_names(self):
-        fam = Family.of([[1.0]])
-        for mode in ("exh", "rand", "random", "Exhaustive", " randomized"):
-            with pytest.raises(ValueError, match="unknown mode"):
-                subset_max_norm(fam, 2, mode, budget=1, seed=0)
-
     def test_threads_bit_identical(self):
         rng = np.random.default_rng(3)
         X = rng.standard_normal((17, 3))  # a narrow family: the branch and bound runs
@@ -171,52 +171,6 @@ class TestSubsetMaxNorm:
         four = subset_max_norm(Family(X), 2.5, threads=4)
         assert one.value == four.value
         assert one.argmax_subset == four.argmax_subset
-
-    def test_randomized_lower_bound(self):
-        rng = np.random.default_rng(9)
-        for trial in range(25):
-            n = int(rng.integers(1, 17))
-            X = rng.standard_normal((n, 4))
-            exact = subset_max_norm(Family(X), 2)
-            rand = subset_max_norm(Family(X), 2, "randomized", budget=8, seed=trial)
-            assert rand.value <= exact.value * (1 + EPS_NUM)
-            assert not rand.certified
-            assert rand.mode == "randomized" and rand.seed == trial
-
-    def test_randomized_deterministic(self):
-        X = np.random.default_rng(1).standard_normal((10, 4))
-        a = subset_max_norm(Family(X), 2, "randomized", budget=5, seed=11)
-        b = subset_max_norm(Family(X), 2, "randomized", budget=5, seed=11)
-        assert a == b
-
-    def test_randomized_beyond_64_vectors(self):
-        res = subset_max_norm(Family(np.ones((70, 2))), 2, "randomized", budget=1, seed=0)
-        assert res.value == 70 * SQRT2
-        assert res.argmax_subset == (1 << 70) - 1
-
-    def test_randomized_climb_matches_the_int_mask_oracle(self):
-        # the climb keeps a boolean member vector; the oracle re-reads a Python-int mask at every step
-        rng = np.random.default_rng(31)
-        for n, d, q in ((1, 3, 2), (9, 4, 1), (24, 8, 3), (64, 2, 1.5), (70, 3, "inf"), (79, 2, 40)):
-            for seed in range(3):
-                X = rng.standard_normal((n, d)) if seed else rng.integers(-2, 3, (n, d)) * 0.1
-                got = subset_max_norm(Family(X), q, "randomized", budget=4, seed=seed)
-                assert (got.value, got.argmax_subset) == int_mask_climb(X, q, 4, seed)
-
-    def test_random_mask_draws_63_bits_at_a_time(self):
-        for n in (1, 5, 62, 63):
-            want = int(np.random.default_rng(3).integers(0, 1 << n))
-            assert U._random_mask(np.random.default_rng(3), n) == want
-        rng = np.random.default_rng(3)
-        low = int(rng.integers(0, 1 << 63))
-        high = int(rng.integers(0, 1 << 7))
-        assert U._random_mask(np.random.default_rng(3), 70) == low | high << 63
-
-    def test_randomized_requires_budget(self):
-        with pytest.raises(ValueError, match="empty budget"):
-            subset_max_norm(Family.of([[1.0]]), 2, "randomized")
-        with pytest.raises(ValueError, match="empty budget"):
-            subset_max_norm(Family.of([[1.0]]), 2, "randomized", budget=0)
 
     def test_json_shape(self):
         res = subset_max_norm(Family.of([[1, 0], [0, 1]]), 2)
@@ -1210,7 +1164,6 @@ class TestOverflowingFamilies:
             big[:, 0] = self.QUARTER
             for call in (
                 lambda: subset_max_norm(Family(big), q),
-                lambda: subset_max_norm(Family(big), q, "randomized", budget=2, seed=0),
                 lambda: sign_max_norm(Family(big), q),
                 lambda: unconditionality_quotient(Family(X), Family(big), ExponentTriple.of(2, q, 2)),
                 lambda: main1_bound_check(Family(X), Family(big), q, 1.8),
@@ -1234,7 +1187,6 @@ class TestOverflowingFamilies:
         for q in (1, 2):
             for call in (
                 lambda: subset_max_norm(Family(X), q),
-                lambda: subset_max_norm(Family(X), q, "randomized", budget=2, seed=0),
                 lambda: sign_max_norm(Family(X), q),
                 lambda: unconditionality_quotient(Family(X), Family(X), ExponentTriple.of(2, q, 2)),
             ):
@@ -1370,22 +1322,6 @@ class TestTrialSeeds:
 
         assert self._peak_bytes_until_stop(run) < 1 << 20
 
-    def test_randomized_subset_with_a_large_budget_costs_nothing_up_front(self, monkeypatch):
-        masks = []
-
-        def mask(rng, n):
-            masks.append(n)
-            if len(masks) == 3:
-                raise _Stop
-            return 1
-
-        monkeypatch.setattr(U, "_random_mask", mask)
-
-        def run():
-            subset_max_norm(Family(np.eye(3)), 2, mode="randomized", budget=10**5, seed=0)
-
-        assert self._peak_bytes_until_stop(run) < 1 << 20
-
 
 class TestQuotientSearch:
     def test_rediscovers_hadamard_level(self):
@@ -1413,6 +1349,71 @@ class TestQuotientSearch:
     def test_invalid_triple(self):
         with pytest.raises(ValueError, match="not valid"):
             quotient_lower_bound_search(ExponentTriple.of(3, 3, 1), 2, 2, budget=5, seed=0)
+
+
+def r_inf_allowance(n: int, d: int) -> float:
+    """The largest computed quotient at r = inf that C <= 2 admits, for n rows of length d.
+
+    In exact arithmetic every quotient at r = inf is at most 2: coordinate j
+    gives |sum_k a_kj x_kj| <= max_k ||a_k||_p sum_k |x_kj|, and
+    sum_k |x_kj| <= 2 max_F |sum_F x_kj| <= 2 S, for S the exact subset max.
+    In binary64 (u = 2^-53) the numerator is at most 1 + (n + 1) u times
+    its exact bound, and each computed ||a_k||_p at least 1 - (d + 7) u
+    times its own.  A scratch sum is within gamma_n sum_k |x_kj| <= 2 gamma_n S
+    of its subset's exact sum in coordinate j, so the reported maximum, at
+    least the computed norm of the exact maximizer's sum, is at least
+    1 - (2dn + d + 7) u times S.  The product and the division round once
+    each.  To first order the quotient exceeds 2 by a relative
+    (2dn + n + 2d + 17) u at most; 4 (n + 2)(d + 2) u covers that and the
+    second-order terms.
+    """
+    return 2.0 * (1.0 + 4 * (n + 2) * (d + 2) * (np.finfo(np.float64).eps / 2))
+
+
+class TestQuotientAtRInfinity:
+    """Every quotient at r = inf is at most 2, up to ``r_inf_allowance``."""
+
+    EXPONENTS = (1, 1.5, 2, 3, "inf")
+
+    def test_the_bound_is_sharp(self):
+        fam = Family.of([[1.0], [-1.0]])
+        for p in self.EXPONENTS:
+            for q in self.EXPONENTS:
+                assert unconditionality_quotient(fam, fam, ExponentTriple.of(p, q, "inf")).quotient == 2.0
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 6),
+        d=st.integers(1, 5),
+        p=st.sampled_from(EXPONENTS),
+        q=st.sampled_from(EXPONENTS),
+        lattice=st.booleans(),
+        shared=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_exact_quotients(self, n, d, p, q, lattice, shared, seed):
+        rng = np.random.default_rng(seed)
+        A, X = (
+            rng.integers(-1, 2, size=(2, n, d)).astype(np.float64) if lattice else rng.standard_normal((2, n, d))
+        )
+        if shared:
+            A = X
+        if not (A.any() and X.any()):
+            return  # a zero family is degenerate: its denominator vanishes
+        res = unconditionality_quotient(A, X, ExponentTriple.of(p, q, "inf"))
+        assert res.quotient <= r_inf_allowance(n, d)
+
+    @pytest.mark.parametrize("triple", [("inf", "inf", "inf"), (3, 3, "inf"), (1.5, 2, "inf"), (1, "inf", "inf")], ids=str)
+    def test_searches(self, triple):
+        t = ExponentTriple.of(*triple)
+        for seed in range(4):
+            assert quotient_lower_bound_search(t, 4, 4, 8, seed).quotient <= r_inf_allowance(4, 4)
+
+    def test_the_largest_seen_lies_within_the_allowance(self):
+        # `uncond search --p inf --q inf --r inf --n 6 --dim 6 --budget 24 --seed 3` rounds one ulp past 2
+        res = quotient_lower_bound_search(ExponentTriple.of("inf", "inf", "inf"), 6, 6, 24, 3)
+        assert res.quotient == 2.0000000000000004
+        assert res.quotient <= r_inf_allowance(6, 6)
 
 
 SEARCH_TRIPLES = [(3, 3, 3), (2, 2, 4), (4, 4, 4), (1.5, 2, "inf")]
