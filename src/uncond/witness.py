@@ -20,6 +20,21 @@ The partial lr norms of that sequence are harmonic sums to the power 1/r.
 seeded with the running total: the same left-to-right float sum as a loop
 over k, with memory bounded by the chunk size.
 
+Both witnesses are constants of their size, so each is computed once per
+process, lazily, and kept:
+
+* ``sylvester(n)`` returns one shared read-only ``Family`` per
+  n <= MATERIALIZE_MAX_LOG; all eleven together hold (4^11 - 1)/3 float64
+  entries, at most 11.2 MB.
+* The exact subset maximum of ``sylvester(n)`` at q, for the n whose
+  quotient ``hadamard_witness`` enumerates, is kept per (n, q) in an LRU of
+  _SYLVESTER_MAX_CACHE entries of a few hundred bytes each.
+* ``_harmonic`` records (n, s_n) at each completed chunk boundary, at most
+  TAIL_MAX_TERMS // _HARMONIC_CHUNK = 152 marks, and resumes a later sum
+  from the last mark it may skip.  A mark holds the float a sum from k = 1
+  carries across that boundary, so every sum is bit for bit the one from
+  k = 1.
+
 The lq norm of the tail beyond N is zeta(q/r, N+1)^(1/q), with zeta the
 Hurwitz zeta function.  ``_hurwitz_zeta`` is a plain-Python port of the
 Cephes Euler-Maclaurin routine behind ``scipy.special.zeta``, with Cephes's
@@ -31,8 +46,12 @@ sums the scaled terms ((N+1+n)/(N+1))^(-s) directly.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
+import operator
 import sys
+import threading
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -40,7 +59,7 @@ import numpy as np
 
 from . import unconditionality
 from .seqspace import EPS_CMP, Exponent, ExponentLike, ExponentTriple
-from .unconditionality import Family, unconditionality_quotient
+from .unconditionality import Family, _finite_parts, subset_max_norm
 
 #: Families are materialized only while they hold at most 2^20 float64 entries (8 MB).
 MATERIALIZE_MAX_LOG = 10
@@ -52,6 +71,12 @@ WITNESS_MAX_LOG = 1023
 TAIL_MAX_TERMS = 10_000_000
 #: Terms per chunk of a harmonic sum: 2^16 float64 values, 0.5 MB.
 _HARMONIC_CHUNK = 1 << 16
+#: (n, s_n) at n = _HARMONIC_CHUNK, 2 _HARMONIC_CHUNK, ..., each appended
+#: under _HARMONIC_LOCK once a sum completes that chunk; n <= TAIL_MAX_TERMS.
+_HARMONIC_MARKS: list[tuple[int, float]] = []
+_HARMONIC_LOCK = threading.Lock()
+#: (n, q) pairs whose Sylvester subset maximum is kept.
+_SYLVESTER_MAX_CACHE = 256
 #: Cephes's stopping tolerance for the Hurwitz zeta sums, 2^-53.
 _MACHEP = 2.0**-53
 #: Cephes's Euler-Maclaurin denominators, (2k)! / B_2k for k = 1..12.
@@ -70,15 +95,28 @@ def sylvester(n: int) -> Family:
     meet in 2<h_i, h_j> = 0, and rows of opposite halves in
     <h_i, h_j> - <h_i, h_j> = 0.  So the rows are orthogonal by induction.
     The matrix is doubled in int8 and converted once by ``Family``; n is
-    capped at MATERIALIZE_MAX_LOG.
+    capped at MATERIALIZE_MAX_LOG, checked before the cache.  Each n is built
+    once per process and every call returns that one read-only ``Family``.
     """
     if not 0 <= n <= MATERIALIZE_MAX_LOG:
         raise ValueError(f"n must be in [0, {MATERIALIZE_MAX_LOG}] (size cap 2^{MATERIALIZE_MAX_LOG})")
+    return _sylvester(operator.index(n))
+
+
+@functools.lru_cache(maxsize=MATERIALIZE_MAX_LOG + 1)
+def _sylvester(n: int) -> Family:
     block = np.array([[1, 1], [1, -1]], dtype=np.int8)
     H = np.array([[1]], dtype=np.int8)
     for _ in range(n):
         H = np.kron(block, H)
     return Family(H)
+
+
+@functools.lru_cache(maxsize=_SYLVESTER_MAX_CACHE)
+def _sylvester_max(n: int, q: Exponent) -> tuple[float, int]:
+    """(value, mask) of ``subset_max_norm(sylvester(n), q)``, kept per (n, q)."""
+    sub = subset_max_norm(sylvester(n), q)
+    return sub.value, sub.argmax_subset
 
 
 @dataclass(frozen=True)
@@ -175,7 +213,9 @@ def hadamard_witness(t: ExponentTriple, C: float) -> WitnessReport:
     as summands; it is materialized only up to n = MATERIALIZE_MAX_LOG, and
     its exact quotient is computed only while its 2^n rows number at most
     ``unconditionality.WALK_MAX_LOG`` (read at call time), so that every
-    route of the exact kernel reaches it: n <= 4.
+    route of the exact kernel reaches it: n <= 4.  That quotient is
+    ``unconditionality_quotient(sylvester(n), sylvester(n), t).quotient`` bit
+    for bit, from the subset maximum kept per (n, q).
     Its product vector sum_k h_k * h_k is constantly 2^n because every entry
     is +-1, as ``sylvester``'s doubling rule guarantees.
     """
@@ -189,7 +229,7 @@ def hadamard_witness(t: ExponentTriple, C: float) -> WitnessReport:
     if n <= MATERIALIZE_MAX_LOG:
         family = sylvester(n)
         if (1 << n) <= unconditionality.WALK_MAX_LOG:
-            exq = unconditionality_quotient(family, family, t).quotient
+            exq = _finite_parts(family.matrix, family.matrix, t, sub=_sylvester_max(n, t.q)).quotient
     return WitnessReport(
         triple=t,
         C=float(C),
@@ -213,13 +253,27 @@ def _harmonic(limit: int, target: float = math.inf) -> tuple[int, float]:
     crossing is the first index of that nondecreasing chunk at or above
     ``target``.  N is at least 1 even for a target of 0, such as a level
     B^r that underflowed; only limit = 0 gives the empty sum (0, 0.0).
+
+    The sum starts from the last mark (n, s_n) of _HARMONIC_MARKS with
+    n <= limit and s_n < target, since no N <= n crosses, and each full
+    chunk it completes past the marks adds one.  A limit above
+    TAIL_MAX_TERMS raises ValueError before any term is added.
     """
-    s, n = 0.0, 0
+    if limit > TAIL_MAX_TERMS:
+        raise ValueError(f"at most TAIL_MAX_TERMS = {TAIL_MAX_TERMS} terms are summed, got N = {limit}")
+    with _HARMONIC_LOCK:
+        k = bisect.bisect_left(_HARMONIC_MARKS, target, hi=min(len(_HARMONIC_MARKS), limit // _HARMONIC_CHUNK),
+                               key=operator.itemgetter(1))
+        n, s = _HARMONIC_MARKS[k - 1] if k else (0, 0.0)
     while n < limit and (n == 0 or s < target):
         part = np.arange(n + 1, min(limit, n + _HARMONIC_CHUNK) + 1, dtype=np.float64)
         np.divide(1.0, part, out=part)
         part[0] += s
         np.cumsum(part, out=part)
+        if part.size == _HARMONIC_CHUNK:
+            with _HARMONIC_LOCK:
+                if len(_HARMONIC_MARKS) * _HARMONIC_CHUNK == n:
+                    _HARMONIC_MARKS.append((n + _HARMONIC_CHUNK, float(part[-1])))
         k = int(np.searchsorted(part, target))
         if k < part.size:
             return n + k + 1, float(part[k])
@@ -239,7 +293,10 @@ def _require_count(N) -> None:
 
 
 def divergent_tail_norm(r: ExponentLike, N: int) -> float:
-    """||(x(1),...,x(N))||_r for x(n) = n^(-1/r): the harmonic sum to the 1/r."""
+    """||(x(1),...,x(N))||_r for x(n) = n^(-1/r): the harmonic sum to the 1/r.
+
+    N above TAIL_MAX_TERMS raises ValueError up front.
+    """
     r = Exponent.of(r)
     if r.is_infinite:
         raise ValueError("r must be finite")
@@ -315,7 +372,9 @@ def tail_witness(q: ExponentLike, r: ExponentLike, B: float) -> TailWitness:
     Returns the smallest N with sum_{n<=N} 1/n >= B^r (equivalently, partial
     lr norm >= B in harmonic-sum space), the partial norm attained there, and
     the lq norm of the remaining tail, which certifies that the full series
-    is unconditionally Cauchy in lq.
+    is unconditionally Cauchy in lq.  A level the first TAIL_MAX_TERMS terms
+    do not reach, B^r overflowing binary64 included, raises ValueError
+    ("B too large for desk scale").
     """
     q = Exponent.of(q)
     r = Exponent.of(r)
@@ -325,7 +384,10 @@ def tail_witness(q: ExponentLike, r: ExponentLike, B: float) -> TailWitness:
         raise ValueError(f"requires r < q, got r={r}, q={q}")
     if not B > 0:
         raise ValueError("B must be positive")
-    target = float(B) ** r.value
+    try:
+        target = float(B) ** r.value
+    except OverflowError:
+        raise ValueError("B too large for desk scale") from None
     N, s = _harmonic(TAIL_MAX_TERMS, target)
     if s < target:
         raise ValueError("B too large for desk scale")

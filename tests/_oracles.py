@@ -240,6 +240,26 @@ def harmonic_sum(N: int) -> float:
     return s
 
 
+def harmonic_chunked(limit: int, target: float = math.inf, chunk: int = 1 << 16) -> tuple[int, float]:
+    """(N, s_N) for the smallest N with 1 <= N <= limit and s_N >= target, else (limit, s_limit).
+
+    The chunked sum from k = 1 with nothing remembered between calls: each
+    chunk of ``chunk`` terms is one cumulative sum whose first term carries
+    the running total, so it adds left to right like ``harmonic_sum``.
+    """
+    s, n = 0.0, 0
+    while n < limit and (n == 0 or s < target):
+        part = np.arange(n + 1, min(limit, n + chunk) + 1, dtype=np.float64)
+        np.divide(1.0, part, out=part)
+        part[0] += s
+        np.cumsum(part, out=part)
+        k = int(np.searchsorted(part, target))
+        if k < part.size:
+            return n + k + 1, float(part[k])
+        n, s = n + part.size, float(part[-1])
+    return n, s
+
+
 def harmonic_crossing(target: float) -> int:
     """Smallest N with sum_{n<=N} 1/n >= target, by direct summation."""
     s = 0.0

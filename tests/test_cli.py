@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from uncond import unconditionality
+from uncond import unconditionality, witness
 from uncond.cli import LEMMAS_MAX_BUDGET, LEMMAS_MAX_DIM, main
 
 CLI = [sys.executable, "-m", "uncond.cli"]
@@ -295,6 +295,14 @@ class TestWitnessCommands:
         assert (out["N"], out["partial_r_norm"]) == (1, 1.0)
         assert out["partial_r_norm"] >= out["B"]
 
+    @pytest.mark.parametrize("B", ["1e200", "inf"])
+    def test_tail_level_whose_power_overflows(self, B, capsys):
+        # 1e200 ** 2 overflows binary64; this exited 1 with a traceback
+        assert main(["witness-tail", "--q", "3", "--r", "2", "--B", B]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "domain-error", "detail": "B too large for desk scale"}
+
     @pytest.mark.parametrize("q", ["800", "1e300"])
     def test_tail_bound_whose_zeta_underflows(self, q, capsys):
         # zeta(q, 5) underflows; these printed 0.0 and NaN before the scaled sum
@@ -461,6 +469,19 @@ class TestEnvCap:
             monkeypatch.setattr(unconditionality, "WALK_MAX_LOG", reach)
             assert main(argv) == 0
             assert ("exhaustive_quotient" in json.loads(capsys.readouterr().out)) == attached
+
+    def test_walk_reach_gates_a_warm_witness_cache(self, monkeypatch, capsys):
+        # the reach is read before the kept Sylvester maximum, so a warm cache changes nothing
+        argv = ["witness-hadamard", "--p", "inf", "--q", "2", "--r", "2", "--C", "1"]
+        assert main(argv) == 0
+        warm = capsys.readouterr().out
+        assert witness._sylvester_max.cache_info().currsize >= 1
+        for reach, attached in ((2, True), (1, False), (2, True)):
+            monkeypatch.setattr(unconditionality, "WALK_MAX_LOG", reach)
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            assert ("exhaustive_quotient" in json.loads(out)) == attached
+            assert (out == warm) == attached
 
 
 class TestDeterminism:

@@ -1,14 +1,22 @@
+import functools
 import math
+import sys
+import threading
+import time
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from uncond import witness
 from uncond.seqspace import EPS_CMP, ExponentTriple
-from uncond.unconditionality import subset_max_norm
+from uncond.unconditionality import subset_max_norm, unconditionality_quotient
 from uncond.witness import (
     _HARMONIC_CHUNK,
+    MATERIALIZE_MAX_LOG,
+    TAIL_MAX_TERMS,
     WITNESS_MAX_LOG,
     _harmonic,
     hadamard_witness,
@@ -20,7 +28,7 @@ from uncond.witness import (
     tail_witness,
 )
 
-from _oracles import harmonic_crossing, harmonic_sum, minimal_witness_n, sylvester_entries
+from _oracles import harmonic_chunked, harmonic_crossing, harmonic_sum, minimal_witness_n, sylvester_entries
 
 SQRT2 = math.sqrt(2.0)
 
@@ -61,6 +69,27 @@ class TestSylvester:
             sylvester(11)
         with pytest.raises(ValueError, match=r"\[0, 10\]"):
             sylvester(-1)
+
+    def test_one_shared_family_per_n(self):
+        fams = [sylvester(n) for n in range(MATERIALIZE_MAX_LOG + 1)]
+        for n, fam in enumerate(fams):
+            assert sylvester(n) is fam
+            assert sylvester(np.int64(n)) is fam
+            assert not fam.matrix.flags.writeable
+        # the memory bound of the module docstring: (4^11 - 1)/3 float64 entries in all
+        assert sum(f.matrix.nbytes for f in fams) == 8 * (4**11 - 1) // 3 <= 11.2e6
+        assert witness._sylvester.cache_info().currsize <= MATERIALIZE_MAX_LOG + 1
+
+    def test_a_bad_n_raises_with_the_cache_warm(self):
+        for n in range(MATERIALIZE_MAX_LOG + 1):
+            sylvester(n)
+        for bad in (-1, MATERIALIZE_MAX_LOG + 1, 1 << 20):
+            with pytest.raises(ValueError, match=r"\[0, 10\]"):
+                sylvester(bad)
+        # 2.0 hashes like the cached 2, yet is no count of doublings
+        for bad in (2.0, 2.5):
+            with pytest.raises(TypeError):
+                sylvester(bad)
 
     @pytest.mark.parametrize("n", range(11))
     def test_rows_family_is_a_read_only_float64_copy(self, n):
@@ -258,6 +287,132 @@ class TestHarmonicSum:
         assert _harmonic(100, s + 1e-9) == (100, s)
 
 
+@functools.cache
+def warm_marks():
+    """Every mark a sum of TAIL_MAX_TERMS terms leaves, from an empty list; callers copy it."""
+    with mock.patch.object(witness, "_HARMONIC_MARKS", []) as marks:
+        _harmonic(TAIL_MAX_TERMS)
+        return marks
+
+
+class TestHarmonicMarks:
+    """``_harmonic`` resumes from its chunk-boundary marks and returns the bits of the sum from k = 1."""
+
+    C = _HARMONIC_CHUNK
+    LIMITS = [0, 1, C - 1, C, C + 1, 2 * C, TAIL_MAX_TERMS]
+    #: 0, 1, inf and the exact sums at the first three chunk edges
+    TARGETS = [0.0, 1.0, math.inf, *(harmonic_chunked(k * _HARMONIC_CHUNK)[1] for k in (1, 2, 3))]
+
+    @pytest.mark.parametrize("target", TARGETS, ids=["0", "1", "inf", "s_C", "s_2C", "s_3C"])
+    @pytest.mark.parametrize("limit", LIMITS)
+    def test_cold_and_warm_equal_the_sum_from_one(self, limit, target):
+        want = harmonic_chunked(limit, target)
+        with mock.patch.object(witness, "_HARMONIC_MARKS", []):
+            assert _harmonic(limit, target) == want  # cold
+            assert _harmonic(limit, target) == want  # warmed by the call above
+        with mock.patch.object(witness, "_HARMONIC_MARKS", list(warm_marks())):
+            assert _harmonic(limit, target) == want
+
+    def test_marks_are_the_chunk_boundaries_of_the_sum_from_one(self):
+        marks = warm_marks()
+        # the memory bound of the module docstring
+        assert len(marks) == TAIL_MAX_TERMS // self.C == 152
+        assert [n for n, _ in marks] == [self.C * (i + 1) for i in range(len(marks))]
+        assert all(a[1] < b[1] for a, b in zip(marks, marks[1:]))
+        assert marks[0] == (self.C, harmonic_sum(self.C))
+        for i in (1, 2, 75, len(marks) - 1):
+            n = marks[i][0]
+            assert marks[i] == (n, harmonic_chunked(n)[1])
+
+    def test_a_limit_past_the_cap_raises_before_summing(self):
+        with mock.patch.object(witness, "_HARMONIC_MARKS", []) as marks:
+            with pytest.raises(ValueError, match="TAIL_MAX_TERMS"):
+                _harmonic(TAIL_MAX_TERMS + 1)
+            with pytest.raises(ValueError, match="TAIL_MAX_TERMS"):
+                divergent_tail_norm(1, 10**12)
+            assert marks == []
+        assert divergent_tail_norm(1, TAIL_MAX_TERMS) == harmonic_chunked(TAIL_MAX_TERMS)[1]
+
+    def test_only_a_full_chunk_leaves_a_mark(self):
+        with mock.patch.object(witness, "_HARMONIC_MARKS", []) as marks:
+            _harmonic(self.C - 1)
+            assert marks == []
+            _harmonic(self.C + 5, harmonic_sum(3))  # crosses inside a chunk it still sums in full
+            assert marks == warm_marks()[:1]
+            _harmonic(2 * self.C + 5)
+            assert marks == warm_marks()[:2]
+
+    def test_threads_racing_from_cold_leave_the_marks_of_one_sum(self):
+        # more threads than cores, switching often, and a list that yields inside len():
+        # a check-then-append left unlocked doubles a mark
+        class YieldingList(list):
+            def __len__(self):
+                size = super().__len__()
+                time.sleep(1e-4)
+                return size
+
+        limits = [k * self.C + k for k in (9, 3, 7, 5, 9, 1)]
+        out = [None] * len(limits)
+
+        start = threading.Barrier(len(limits), timeout=60)
+
+        def run(i):
+            start.wait()
+            out[i] = _harmonic(limits[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with mock.patch.object(witness, "_HARMONIC_MARKS", YieldingList()) as marks:
+                threads = [threading.Thread(target=run, args=(i,)) for i in range(len(limits))]
+                for th in threads:
+                    th.start()
+                for th in threads:
+                    th.join(timeout=60)
+                assert not any(th.is_alive() for th in threads)
+                assert marks == warm_marks()[:9]
+        finally:
+            sys.setswitchinterval(interval)
+        assert out == [harmonic_chunked(n) for n in limits]
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        kept=st.integers(0, 6),
+        limit=st.integers(0, 6 * _HARMONIC_CHUNK + 3),
+        target=st.one_of(st.floats(-1.0, 15.0), st.sampled_from(["boundary", "inf"])),
+        boundary=st.integers(1, 6),
+    )
+    def test_any_prefix_of_marks_gives_the_sum_from_one(self, kept, limit, target, boundary):
+        if target == "boundary":
+            target = warm_marks()[boundary - 1][1]
+        elif target == "inf":
+            target = math.inf
+        with mock.patch.object(witness, "_HARMONIC_MARKS", list(warm_marks()[:kept])) as marks:
+            assert _harmonic(limit, target) == harmonic_chunked(limit, target)
+            assert marks == warm_marks()[: len(marks)]
+
+
+class TestSylvesterQuotientCache:
+    #: Strict-clause triples; C = 2^((n - 1/2) gap) gives the witness n.
+    TRIPLES = [("inf", 2, 2), ("inf", 2, 3), ("inf", 1, 1), (3, 2, 2), (4, 3, 2), (6, 1.5, 1.2), (4, 4, 3), (8, 3, 2.5)]
+
+    @pytest.mark.parametrize("triple", TRIPLES)
+    def test_equals_the_public_quotient_cold_and_warm(self, triple):
+        t = ExponentTriple.of(*triple)
+        gap = second_clause_gap(t)
+        witness._sylvester_max.cache_clear()
+        for n in range(1, 5):
+            C = 2.0 ** ((n - 0.5) * gap)
+            want = unconditionality_quotient(sylvester(n), sylvester(n), t).quotient
+            for _ in range(2):  # cold, then warm
+                rep = hadamard_witness(t, C)
+                assert rep.n == n
+                assert rep.exhaustive_quotient.hex() == want.hex()
+
+    def test_the_cache_is_bounded(self):
+        assert witness._sylvester_max.cache_info().maxsize == witness._SYLVESTER_MAX_CACHE == 256
+
+
 class TestTailWitness:
     def test_seeded_targets_match_the_loop(self):
         rng = np.random.default_rng(61)
@@ -322,6 +477,12 @@ class TestTailWitness:
     def test_desk_scale_cap(self):
         with pytest.raises(ValueError, match="desk scale"):
             tail_witness(2, 1, 25.0)  # harmonic sum 25 needs ~10^10 terms
+
+    @pytest.mark.parametrize("B", [1e200, 1e155, float("inf"), 10**400])
+    def test_an_overflowing_level_is_past_desk_scale(self, B):
+        # 1e200 ** 2 raised OverflowError
+        with pytest.raises(ValueError, match="desk scale"):
+            tail_witness(3, 2, B)
 
     def test_partial_norm_monotone_and_unbounded(self):
         prev_norm = 0.0
