@@ -146,13 +146,14 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _read_family(path: str, stdin_cache: dict) -> Family:
-    if path == "-":
-        if "data" not in stdin_cache:
-            stdin_cache["data"] = json.load(sys.stdin)
-        return Family.of(stdin_cache["data"])
-    with open(path, "r", encoding="utf-8") as fh:
-        return Family.of(json.load(fh))
+def _read_family(path: str) -> Family:
+    try:
+        if path == "-":
+            return Family.of(json.load(sys.stdin))
+        with open(path, "r", encoding="utf-8") as fh:
+            return Family.of(json.load(fh))
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _triple(args) -> ExponentTriple:
@@ -207,9 +208,9 @@ def _run_witness_tail(args):
 
 
 def _run_quotient(args):
-    cache: dict = {}
-    avec = _read_family(args.avec, cache)
-    xvec = _read_family(args.xvec, cache) if args.xvec else avec
+    avec = _read_family(args.avec)
+    # the same path names the same family: stdin, in particular, is read once
+    xvec = avec if args.xvec in (None, args.avec) else _read_family(args.xvec)
     res = unconditionality_quotient(avec, xvec, _triple(args))
     pretty = f"quotient {res.quotient:.12g} = {res.numerator:.12g} / {res.denominator:.12g} (certified)"
     return res.to_json(), pretty
@@ -241,7 +242,7 @@ def _run_lemmas(args):
     for _ in range(args.budget):
         size = int(rng.integers(1, args.dim + 1))
         v = rng.standard_normal(size)
-        if not np.any(v):
+        if not np.count_nonzero(v):
             continue
         worst_real = max(worst_real, real_subset_ratio(v).ratio)
 
@@ -317,7 +318,7 @@ def main(argv=None) -> int:
     except InternalInconsistencyError as exc:
         _emit_error("internal-inconsistency", str(exc))
         return EXIT_INTERNAL
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         _emit_error("domain-error", str(exc))
         return EXIT_DOMAIN
     text = _render(payload, pretty_text, args.pretty)

@@ -70,10 +70,9 @@ class RatioReport:
         w = self.witness
         if isinstance(w, Family):
             return w.to_json()
-        arr = np.asarray(w)
-        if np.iscomplexobj(arr):
-            return [[float(z.real), float(z.imag)] for z in arr]
-        return [float(v) for v in arr]
+        if np.iscomplexobj(w):
+            return [[float(z.real), float(z.imag)] for z in w]
+        return [float(v) for v in w]
 
     def to_json(self) -> dict:
         return {
@@ -89,20 +88,21 @@ def real_subset_ratio(x: Sequence[float]) -> RatioReport:
     """sum |x_k| divided by the exact subset max |sum_F x_k|.
 
     The subset max is max(sum of positives, -sum of negatives): one of the
-    two sign classes always attains it, so no enumeration is involved.
+    two sign classes always attains it.  x is checked as a ``Family`` column.
     """
     arr = _finite_array(x).reshape(-1)
+    total = float(_require_summable(arr))
     pos = float(arr[arr > 0].sum())
     neg = float(-arr[arr < 0].sum())
     denom = max(pos, neg)
     if denom <= 0.0:
         raise ValueError("degenerate input: all entries are zero")
-    ratio = float(np.abs(arr).sum()) / denom
+    ratio = total / denom
     return RatioReport(ratio, REAL_SUBSET_BOUND, REAL_SUBSET_BOUND - ratio, arr, True)
 
 
 def _planar(z) -> tuple[np.ndarray, np.ndarray]:
-    """z as a flat complex array and its (Re, Im) columns; overflow raises as in ``subset_max_norm``."""
+    """z as a flat complex array and its (Re, Im) columns, checked as a family's columns."""
     arr = _finite_array(z, np.complex128).reshape(-1)
     planar = np.column_stack([arr.real, arr.imag])
     _require_summable(planar)
@@ -110,11 +110,10 @@ def _planar(z) -> tuple[np.ndarray, np.ndarray]:
 
 
 def complex_subset_max(z) -> tuple[float, int]:
-    """Exact max_F |sum_F z_k| by subset enumeration as (value, bitmask); reach and overflow raise as in ``subset_max_norm``."""
-    planar = _planar(z)[1]
+    """Exact max_F |sum_F z_k| by subset enumeration as (value, bitmask); reach raises as in ``subset_max_norm``."""
     # |sum_F z_k| is the l2 norm of the (Re, Im) pair, so the complex subset
     # max is the planar subset max with its stable modulus.
-    return _exhaustive_best(planar, Exponent(2.0), signs=False)
+    return _exhaustive_best(_planar(z)[1], Exponent(2.0), signs=False)
 
 
 def halfplane_subset_max(z) -> float:
@@ -122,9 +121,12 @@ def halfplane_subset_max(z) -> float:
 
     The optimal subset is always of the form {k : Re(e^{-i theta} z_k) > 0};
     sweeping theta across the 2n membership-change angles and summing each
-    arc costs O(n^2).  Overflow raises as in ``subset_max_norm``.
+    arc costs O(n^2).
     """
-    arr = _planar(z)[0]
+    return _halfplane_max(_planar(z)[0])
+
+
+def _halfplane_max(arr: np.ndarray) -> float:
     nz = arr[arr != 0]
     if nz.size == 0:
         return 0.0
@@ -149,14 +151,14 @@ def complex_subset_ratio(z) -> RatioReport:
     Up to ``unconditionality.WALK_MAX_LOG`` entries (read at call time),
     whose 2^n subsets a walk always reaches, the max is enumerated and the
     ratio certified; above that the arc scan finds it, and the ratio is not
-    certified.  Overflow raises on both routes as in ``subset_max_norm``.
+    certified.  The entries are checked once, as in ``complex_subset_max``.
     """
-    arr = _planar(z)[0]
+    arr, planar = _planar(z)
     total = float(np.abs(arr).sum())
     if total <= 0.0:
         raise ValueError("degenerate input: all entries are zero")
     certified = arr.size <= unconditionality.WALK_MAX_LOG
-    denom = complex_subset_max(arr)[0] if certified else halfplane_subset_max(arr)
+    denom = _exhaustive_best(planar, Exponent(2.0), signs=False)[0] if certified else _halfplane_max(arr)
     ratio = total / denom
     return RatioReport(
         ratio,

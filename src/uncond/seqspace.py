@@ -103,13 +103,16 @@ def _finite_array(values, dtype=np.float64) -> np.ndarray:
     """``values`` as a fresh array of ``dtype``; ValueError if an entry is NaN or infinite.
 
     The one finite-entry check for families, norms and the lemma inputs; for
-    a complex dtype both parts are checked.  Complex input for a real dtype
-    is rejected, not cast, which would drop its imaginary parts.
+    a complex dtype both parts are checked.  Complex input for a real dtype is
+    rejected, not cast, as are non-numeric entries and integers past binary64.
     """
-    arr = np.asarray(values)
-    if np.iscomplexobj(arr) and not np.issubdtype(dtype, np.complexfloating):
-        raise ValueError("entries must be real numbers")
-    arr = np.array(arr, dtype=dtype)
+    try:
+        arr = np.asarray(values)
+        if np.iscomplexobj(arr) and not np.issubdtype(dtype, np.complexfloating):
+            raise ValueError("entries must be real numbers")
+        arr = np.array(arr, dtype=dtype)
+    except (TypeError, OverflowError):
+        raise ValueError("entries must be finite numbers") from None
     if not np.isfinite(arr).all():
         raise ValueError("entries must be finite numbers")
     return arr

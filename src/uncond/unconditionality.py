@@ -128,33 +128,42 @@ _SUM_MAX = float(np.finfo(np.float64).max) / 2.0
 _U32 = float(np.finfo(np.float32).eps) / 2.0
 
 
+def _require_summable(M: np.ndarray) -> np.ndarray:
+    """The absolute sums of the columns of M (of a 1-d M, its sum); ValueError if one exceeds _SUM_MAX."""
+    with np.errstate(over="ignore"):
+        sums = np.add.reduce(np.abs(M), axis=0)
+    if np.count_nonzero(sums > _SUM_MAX):
+        raise ValueError(
+            "family entries too large: a column's absolute sum exceeds half the "
+            "largest binary64 value, so subset sums could overflow"
+        )
+    return sums
+
+
 @dataclass(frozen=True, eq=False)
 class Family:
-    """An ordered family of n vectors sharing one ambient length (rows of ``matrix``)."""
+    """An ordered family of n vectors sharing one ambient length (rows of ``matrix``).
+
+    Checked once, when made: ``matrix`` is read-only 2-d float64 ((0, 0) for an empty sequence)
+    of finite reals, each column's absolute sum at most _SUM_MAX, so every subset and signed sum is finite.
+    """
 
     matrix: np.ndarray
 
     def __post_init__(self):
         arr = _finite_array(self.matrix)
+        if arr.shape == (0,):
+            arr = arr.reshape(0, 0)
         if arr.ndim != 2:
             raise ValueError("family matrix must be 2-d (one row per vector)")
+        _require_summable(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
 
     @staticmethod
     def of(vectors) -> "Family":
-        """Build a family from a Family, a 2-d array, or an iterable of equal-length rows."""
-        if isinstance(vectors, Family):
-            return vectors
-        if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
-            return Family(vectors)
-        rows = [np.asarray(v) for v in vectors]
-        if not rows:
-            return Family(np.zeros((0, 0)))
-        lengths = {r.size for r in rows}
-        if len(lengths) != 1:
-            raise ValueError("family vectors must share one ambient length")
-        return Family(np.stack(rows))
+        """``vectors`` itself if it is a Family, else ``Family(vectors)``."""
+        return vectors if isinstance(vectors, Family) else Family(vectors)
 
     @property
     def size(self) -> int:
@@ -749,24 +758,11 @@ def check_threads(threads: int) -> None:
         raise ValueError(f"threads must be >= 1, got {threads}")
 
 
-def _require_summable(M: np.ndarray) -> None:
-    """Reject a family with a column absolute sum above _SUM_MAX, whose sums could overflow binary64."""
-    with np.errstate(over="ignore"):
-        if (np.add.reduce(np.abs(M), axis=0) > _SUM_MAX).any():
-            raise ValueError(
-                "family entries too large: a column's absolute sum exceeds half the "
-                "largest binary64 value, so subset sums could overflow"
-            )
-
-
 def _exact_max(fam, q: ExponentLike, signs: bool, threads: int) -> SubsetMaxResult:
     """The public exact subset (or sign) maximum: checked inputs, then ``_exhaustive_best`` with overflow warnings off."""
     check_threads(threads)
-    fam = Family.of(fam)
-    q = Exponent.of(q)
-    _require_summable(fam.matrix)
     with np.errstate(over="ignore"):
-        val, mask = _exhaustive_best(fam.matrix, q, signs)
+        val, mask = _exhaustive_best(Family.of(fam).matrix, Exponent.of(q), signs)
     if not math.isfinite(val):
         raise ValueError(f"the maximum norm overflows binary64: {val!r}")
     return SubsetMaxResult(val, mask)
@@ -779,10 +775,8 @@ def subset_max_norm(fam, q: ExponentLike, *, threads: int = 1) -> SubsetMaxResul
     scratch, and the subset is the first attaining it in Gray-code order.
     The route is picked from n, d, q and the 2^n positions (see the module
     docstring), and every route gives the same result.  A maximum that only
-    a walk past the kernel's reach would settle raises ValueError at once.
-    A family with a column absolute sum above half the largest binary64
-    value, whose sums could overflow, raises ValueError, and so does a
-    maximum norm that overflows.
+    a walk past the kernel's reach would settle raises ValueError at once,
+    and so does a maximum norm that overflows.
     """
     return _exact_max(fam, q, False, threads)
 
@@ -800,8 +794,7 @@ def sign_max_norm(fam, q: ExponentLike, *, threads: int = 1) -> SubsetMaxResult:
 
 def _paired_families(avec, xvec) -> tuple[Family, Family]:
     """The a- and x-families, checked to have one size and one ambient length."""
-    avec = Family.of(avec)
-    xvec = Family.of(xvec)
+    avec, xvec = Family.of(avec), Family.of(xvec)
     if avec.size != xvec.size:
         raise ValueError("a-family and x-family must have the same size")
     if avec.size and avec.ambient_len != xvec.ambient_len:
@@ -820,9 +813,8 @@ def unconditionality_quotient(avec, xvec, t: ExponentTriple) -> QuotientResult:
     Any constant C making the action unconditional satisfies C >= quotient,
     and the subset max is exact, so every quotient is a certified lower
     bound.  All-zero a- or x-families make the denominator vanish and are
-    rejected as degenerate; overflowing x-families, numerators and
-    denominators are rejected too, and so is an x-family past the exact
-    kernel's reach.
+    rejected as degenerate; overflowing numerators and denominators are
+    rejected too, and so is an x-family past the exact kernel's reach.
     """
     avec, xvec = _paired_families(avec, xvec)
     t.require_holder_valid()
@@ -854,13 +846,12 @@ def main1_bound_check(
     multiplication l2 x lq -> lq the relevant operator norm is 1, so the
     right side needs no extra factor.  Both sides come from the quotient
     evaluator at the triple (2, q, q); all-zero families satisfy the check
-    as 0 <= 0.  A NaN ``K``, overflow as in ``unconditionality_quotient``
-    and an x-family it rejects raise ValueError.
+    as 0 <= 0.  A NaN ``K`` and overflow as in ``unconditionality_quotient``
+    raise ValueError.
     """
     if math.isnan(K):
         raise ValueError("K cannot be NaN")
     avec, xvec = _paired_families(avec, xvec)
-    _require_summable(xvec.matrix)
     q = Exponent.of(q)
     parts = _finite_parts(avec.matrix, xvec.matrix, ExponentTriple(Exponent(2.0), q, q))
     if parts is None:

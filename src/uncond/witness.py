@@ -357,6 +357,8 @@ def tail_q_bound(q: ExponentLike, r: ExponentLike, N: int) -> float:
     if r.is_infinite or not r < q:
         raise ValueError("requires r < q")
     _require_count(N)
+    if N + 1 > sys.float_info.max:
+        raise ValueError(f"N too large: N + 1, of {(N + 1).bit_length()} bits, exceeds the largest binary64 value")
     if q.is_infinite:
         return float(N + 1) ** (-r.reciprocal)
     s = q.value / r.value

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import io
 import json
@@ -7,8 +8,11 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uncond import unconditionality, witness
+from uncond.seqspace import ExponentTriple
 from uncond.cli import LEMMAS_MAX_BUDGET, LEMMAS_MAX_DIM, main
 
 CLI = [sys.executable, "-m", "uncond.cli"]
@@ -369,6 +373,21 @@ class TestQuotientCommand:
         assert res.returncode == 0
         assert json.loads(res.stdout)["quotient"] == pytest.approx(2 ** 0.5, rel=1e-12)
 
+    def test_xvec_paths(self, tmp_path, monkeypatch, capsys):
+        # stdin named twice is read once; two files give two families
+        A, X = [[1.0, 2.0], [0.5, -1.0]], [[1.0, 1.0], [1.0, -1.0]]
+        argv = ["quotient", "--p", "2", "--q", "2", "--r", "1"]
+        for avec, xvec, want in (("-", "-", (A, A)), ("a", None, (A, A)), ("a", "a", (A, A)), ("a", "x", (A, X)), ("-", "x", (A, X))):
+            (tmp_path / "a").write_text(json.dumps(A))
+            (tmp_path / "x").write_text(json.dumps(X))
+            monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(A)))
+            paths = ["--avec", avec if avec == "-" else str(tmp_path / avec)]
+            if xvec:
+                paths += ["--xvec", xvec if xvec == "-" else str(tmp_path / xvec)]
+            assert main(argv + paths) == 0
+            got = json.loads(capsys.readouterr().out)["quotient"]
+            assert got == unconditionality.unconditionality_quotient(*want, ExponentTriple.of(2, 2, 1)).quotient
+
     def test_degenerate_family_domain_error(self, tmp_path):
         path = tmp_path / "zeros.json"
         path.write_text(json.dumps([[0, 0], [0, 0]]))
@@ -419,6 +438,71 @@ class TestQuotientCommand:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert json.loads(captured.err)["error"] == "usage"
+
+
+def _json_values():
+    """Bounded JSON values: every scalar kind, ints up to 10^400, nested lists and objects, and matrices."""
+    scalars = (
+        st.none()
+        | st.booleans()
+        | st.integers(-(10**400), 10**400)
+        | st.integers(-3, 3)
+        | st.floats()
+        | st.text(max_size=4)
+    )
+    values = st.recursive(
+        scalars,
+        lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=3), kids, max_size=3),
+        max_leaves=12,
+    )
+    numbers = st.integers(-3, 3) | st.floats(-1e3, 1e3) | st.floats()
+    matrices = st.integers(0, 4).flatmap(lambda d: st.lists(st.lists(numbers, min_size=d, max_size=d), max_size=4))
+    return values | matrices
+
+
+def _quotient_from_stdin(text: str):
+    """Exit code, stdout and stderr of in-process ``uncond quotient --avec -`` reading ``text``."""
+    out, err = io.StringIO(), io.StringIO()
+    stdin, sys.stdin = sys.stdin, io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["quotient", "--p", "2", "--q", "2", "--r", "2", "--avec", "-"])
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestMalformedFamilies:
+    """Whatever JSON a family file holds, ``quotient`` exits 0, or 3 with one domain-error object."""
+
+    @staticmethod
+    def _assert_domain_error(code, out, err):
+        assert code == 3 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "domain-error"
+
+    # each exited 1 with a traceback: a TypeError or an OverflowError escaped
+    @pytest.mark.parametrize("payload", ["5", "null", "[[{}]]", "[[" + "1" + "0" * 400 + "]]"])
+    def test_malformed_stdin(self, payload):
+        res = run_cli("quotient", "--p", "2", "--q", "2", "--r", "2", "--avec", "-", stdin_data=payload)
+        self._assert_domain_error(res.returncode, res.stdout, res.stderr)
+
+    def test_deeply_nested_file(self, tmp_path):
+        # json.load's RecursionError escaped with exit 1
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        res = run_cli("quotient", "--p", "2", "--q", "2", "--r", "2", "--avec", str(path))
+        self._assert_domain_error(res.returncode, res.stdout, res.stderr)
+        assert json.loads(res.stderr)["detail"] == f"{path}: JSON nested too deeply"
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_json_values())
+    def test_any_json_value(self, value):
+        code, out, err = _quotient_from_stdin(json.dumps(value))
+        if code == 0:
+            assert err == "" and "quotient" in json.loads(out)
+        else:
+            self._assert_domain_error(code, out, err)
 
 
 class TestEnvCap:

@@ -46,6 +46,14 @@ class TestRealSubsetRatio:
         with pytest.raises(ValueError, match="degenerate"):
             real_subset_ratio([0.0, 0.0])
 
+    def test_the_summability_rule_applies_to_the_entries(self):
+        # sum |x_k| overflowed to inf, and the ratio came out nan with certified=True
+        big = float(np.finfo(np.float64).max) / 3.0
+        for x in ([1e308, 1e308], [1e308, -1e308], [big, big]):
+            with pytest.raises(ValueError, match="^family entries too large"):
+                real_subset_ratio(x)
+        assert real_subset_ratio([0.6 * big, -0.6 * big]).ratio == 2.0
+
     def test_report_fields(self):
         rep = real_subset_ratio([1, -1])
         assert rep.bound == 2.0
@@ -103,6 +111,22 @@ class TestComplexSubsetRatio:
                 else:
                     assert rep.ratio == total / complex_subset_max(z)[0]
                     assert rep.certified
+
+    def test_the_entries_are_checked_once(self, monkeypatch):
+        # one conversion and summability check per ratio, on both routes
+        calls = []
+
+        def counted(z):
+            calls.append(len(z))
+            return planar(z)
+
+        planar = lemma_lab._planar
+        monkeypatch.setattr(lemma_lab, "_planar", counted)
+        z = roots_of_unity(6)
+        for reach in (5, 6):
+            monkeypatch.setattr(unconditionality, "WALK_MAX_LOG", reach)
+            complex_subset_ratio(z)
+        assert calls == [6, 6]
 
     def test_certified_up_to_the_walks_reach(self):
         # up to 30 entries are enumerated and certified; 31 take the arc scan

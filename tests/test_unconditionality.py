@@ -67,6 +67,46 @@ class TestFamily:
         with pytest.raises(ValueError):
             Family.of([[1.0, float("nan")]])
 
+    @pytest.mark.parametrize("bad, message", [
+        (5, "family matrix must be 2-d"),
+        (None, "entries must be finite numbers"),
+        ({}, "entries must be finite numbers"),
+        ([[{}]], "entries must be finite numbers"),
+        ([[10**400]], "entries must be finite numbers"),
+        ([[1.0, 0.0], [1.0]], "inhomogeneous"),
+        ([[[1.0]]], "family matrix must be 2-d"),
+    ])
+    def test_malformed_input_is_a_value_error(self, bad, message):
+        # numpy's TypeError and OverflowError, and its ragged-row error, all reach the caller as ValueError
+        with pytest.raises(ValueError, match=message):
+            Family.of(bad)
+
+    def test_an_empty_sequence_is_the_empty_family(self):
+        for empty in ([], (), np.zeros(0)):
+            assert Family.of(empty).matrix.shape == (0, 0)
+        assert Family.of([[]]).matrix.shape == (1, 0)
+
+    def test_of_keeps_a_family_and_builds_anything_else(self):
+        fam = Family(np.eye(2))
+        assert Family.of(fam) is fam
+        for rows in ([[1, 0], [0, 1]], ((1, 0), (0, 1)), [np.array([1, 0]), np.array([0, 1])], np.eye(2, dtype=int)):
+            assert Family.of(rows) == fam
+
+    def test_both_families_of_a_quotient_are_checked(self):
+        # each a-family column sums to 2/3 of the largest float; the quotient used to be 1.0
+        third = float(np.finfo(np.float64).max) / 3.0
+        A, X = [[third], [third]], [[1e-300], [1e-300]]
+        for call in (
+            lambda: unconditionality_quotient(A, X, ExponentTriple.of(2, 2, 2)),
+            lambda: main1_bound_check(A, X, 2, 1.8),
+            lambda: Family.of(A),
+        ):
+            with pytest.raises(ValueError, match=TestOverflowingFamilies.FAMILY_ERROR):
+                call()
+        # at 0.4 of the largest float the column is kept, and the quotient is the exact 1.0
+        fifth = [[0.6 * third], [0.6 * third]]
+        assert unconditionality_quotient(fifth, X, ExponentTriple.of(2, 2, 2)).quotient == 1.0
+
 
 class TestSubsetMaxNorm:
     def test_orthonormal_pair(self):

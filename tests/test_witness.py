@@ -541,3 +541,12 @@ class TestTailCounts:
             tail_q_bound(1, 2, -1)
         with pytest.raises(ValueError, match="r must be finite"):
             divergent_tail_norm("inf", -1)
+
+    @pytest.mark.parametrize("q", [2, "inf"])
+    def test_rejects_a_count_past_binary64(self, q):
+        # float(N + 1) raised OverflowError
+        with pytest.raises(ValueError, match=r"^N too large: N \+ 1, of 1329 bits, exceeds the largest binary64 value$"):
+            tail_q_bound(q, 1, 10**400)
+        with pytest.raises(ValueError, match="of 1025 bits"):
+            tail_q_bound(q, 1, 2**1024 - 1)
+        assert 0.0 < tail_q_bound(q, 1, 2**1023) < 1e-150

@@ -9,8 +9,9 @@ imported side by side, as ``uncond_base`` and ``uncond_head``, and each
 workload is built once per side from the working tree's
 ``bench/workloads.py`` (plus the ``witness`` workload below), with the same
 seed.  Round k runs the two sides' k-th rounds op by op, alternating which
-side goes first, so a slow stretch of the host hits both alike; each output
-is checked by the workload's own check, outside the timing.
+side goes first, so a slow stretch of the host hits both alike.  A round's
+outputs are kept until its timed loop ends, and only then hashed and checked
+by the workload's own checks, so that work never runs between two timed ops.
 
 It prints, per op class and per workload, the median of the paired ratios
 base time / head time (above 1: the head is faster) with a bootstrap 95%
@@ -177,6 +178,7 @@ def run_workload(name, classes, sides, seed, rounds):
         if [o.name for o in ops[0]] != [o.name for o in ops[1]]:
             raise SystemExit(f"ab: {name} round {k}: the two sides built different ops")
         total = [0.0, 0.0]
+        outs = [[], []]
         for i, pair in enumerate(zip(*ops)):
             for side in ((0, 1) if (k + i) % 2 == 0 else (1, 0)):
                 op = pair[side]
@@ -188,14 +190,17 @@ def run_workload(name, classes, sides, seed, rounds):
                 dt = time.perf_counter() - t0
                 total[side] += dt
                 times.setdefault(op.name, [[], []])[side].append(dt)
+                outs[side].append(out)
+        # hashing a large output between timed ops would evict the caches of the next op
+        for side in (0, 1):
+            round_s[side].append(total[side])
+            for op, out in zip(ops[side], outs[side]):
                 hashes[side]["cold" if k == 0 else "warm"].update(json.dumps([op.name, canon(out)]).encode())
                 if not isinstance(out, Exception):
                     try:
                         op.check(out)
                     except CheckError as exc:
                         failures.append(f"{('base', 'head')[side]} {op.name}: {exc}")
-        for side in (0, 1):
-            round_s[side].append(total[side])
     rng = np.random.default_rng(0)
     per_op = {op: median_interval(np.divide(*t), rng) for op, t in times.items()}
     whole = median_interval(np.divide(*round_s), rng)
