@@ -104,10 +104,14 @@ def _finite_array(values, dtype=np.float64) -> np.ndarray:
 
     The one finite-entry check for families, norms and the lemma inputs; for
     a complex dtype both parts are checked.  Complex input for a real dtype is
-    rejected, not cast, as are non-numeric entries and integers past binary64.
+    rejected, not cast, as are non-numeric entries (numeric strings included)
+    and integers past binary64.
     """
     try:
         arr = np.asarray(values)
+        # numpy would parse numeric strings: fail them as it fails other non-numbers
+        if arr.dtype.kind in "US" or arr.dtype.kind == "O" and any(isinstance(v, (str, bytes)) for v in arr.flat):
+            raise TypeError
         if np.iscomplexobj(arr) and not np.issubdtype(dtype, np.complexfloating):
             raise ValueError("entries must be real numbers")
         arr = np.array(arr, dtype=dtype)

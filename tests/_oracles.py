@@ -289,11 +289,13 @@ def _public_quotient_or_none(A: np.ndarray, X: np.ndarray, t):
         return None
 
 
-def public_refine(A: np.ndarray, X: np.ndarray, t, best, sweeps=2, steps=(0.5, 0.1)):
+def public_refine(A: np.ndarray, X: np.ndarray, t, best, sweeps=3, steps=(0.5, 0.1)):
     """Moves of +-scale * max(1, |entry|) on A, then X, each scored by a fresh public quotient.
 
-    Every evaluation builds new families and re-enumerates X.  A move is
-    kept only if strictly better; returns (A, X, best QuotientResult).
+    Every evaluation builds new families and re-enumerates X.  The moves of
+    one row at one scale, entry by entry and + before -, are all scored from
+    the same entries; the first of the best of them is kept only if strictly
+    better than the held quotient.  Returns (A, X, best QuotientResult).
     """
     A = A.copy()
     X = X.copy()
@@ -303,18 +305,20 @@ def public_refine(A: np.ndarray, X: np.ndarray, t, best, sweeps=2, steps=(0.5, 0
         for scale in steps:
             for M in (A, X):
                 for i in range(n):
+                    top = None
                     for j in range(dim):
                         span = max(1.0, abs(M[i, j]))
                         orig = M[i, j]
                         for delta in (scale * span, -scale * span):
                             M[i, j] = orig + delta
                             res = _public_quotient_or_none(A, X, t)
-                            if res is not None and res.quotient > best.quotient:
-                                best = res
-                                orig = M[i, j]
-                                improved = True
-                            else:
-                                M[i, j] = orig
+                            M[i, j] = orig
+                            if res is not None and (top is None or res.quotient > top[0].quotient):
+                                top = (res, j, delta)
+                    if top is not None and top[0].quotient > best.quotient:
+                        best, j, delta = top
+                        M[i, j] += delta
+                        improved = True
         if not improved:
             break
     return A, X, best

@@ -42,12 +42,12 @@ def sha256_json(obj):
 #: seed in (0, 1)] (the error text for a NotApplicable triple), pinned so that
 #: no field, value or key order drifts.
 CROSS_VALIDATE_JSON = {
-    (3.0, 2.0, "inf"): "8b69f20b9b1d3eb5d882d52d50d829757eeeb010175b935fa837feeca2d44abf",
-    (2.0, 2.0, 4.0): "778b52b2e968c2a4cdeb90458cc440581fbdcbdac7f099743af217eb2835eee3",
+    (3.0, 2.0, "inf"): "d08f207fb4abb15e6bf7fc54535b48857b866e515ee08812aa89353f1d320242",
+    (2.0, 2.0, 4.0): "5eb72e91d6892762f33611a10157dec97275aaebbf25ee72554252cb3eeea633",
     (2.0, 4.0, 3.0): "8034e3005c28ce55c2f94b5f5806105d82b560bf4c6888ae50bd219b5bb5ce2a",
     ("inf", 4.0, 2.0): "20f5d808510d81cb869cd1a4398126f2cafa82e6fc92629e98e8c70b78544b9a",
     ("inf", 2.0, 2.0): "22fa252422ddb770e0999341b94693c92ba3a55f6c9ce7daaf81826a677371a7",
-    (3.0, 3.0, 3.0): "188241b0e31de02258f5862011697a27f8ec8a1c487c51ef8b5e4cabfb20e3b6",
+    (3.0, 3.0, 3.0): "7762382f3fc841e6e2a34dcf854d7d92660e92bcbf460d144f3ef0fba3286e1c",
     (4.0, 4.0, 1.0): "2f97d1615ce8892625ff2cccff44d679cd9c7f9cf3b0ea4a27480fa876908fbb",
     (4.0, 2.0, 3.0): "46da086622c7d00314498db7e7ac0b4acc566024d4e3b132c574178db95d88b6",
 }

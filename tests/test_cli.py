@@ -101,15 +101,15 @@ GOLDEN = {
         0, "b8ead8d66c95449dc51a680ff24f1d2f0ca28874dd52587fbe5a3cff2972c388"
     ),
     ("search", "--p", "3", "--q", "3", "--r", "3", "--n", "3", "--dim", "4", "--budget", "20", "--seed", "0"): (
-        0, "0026fd7dd20fbfc379a5ad2adc813248f093b2ddb7a177b35dbdedc3e6b8a68e"
+        0, "21f415cb5f11c5ba898bb966fb3b4b3ecfce88705e2cb8a2b83962600c6083d7"
     ),
     # a q = 2 search whose refinement scores every x-family move from scratch
     ("search", "--p", "1.5", "--q", "2", "--r", "inf", "--n", "4", "--dim", "4", "--budget", "12", "--seed", "7"): (
-        0, "04c704baf4a8c4f1f77b51bc674aead824bf06aaa338351a12d430ca0c1402af"
+        0, "b235a58515a2c0ae83d4064b866ff3fcd177918f168212177bb8e955a6378172"
     ),
     # 2^7 * 7 * 4 terms is past the from-scratch route, so x-family moves walk one family at a time
     ("search", "--p", "3", "--q", "3", "--r", "3", "--n", "7", "--dim", "4", "--budget", "4", "--seed", "5"): (
-        0, "c4997921815f63a3a578e45beb2262cc1cf71a2001058bc81c4066b97de2355a"
+        0, "e593cbf12e5275786db6a39429ae10adadadb22bf9962e195cd9045145a38483"
     ),
     # reads NARROW_FAMILY, whose exact subset max runs the branch and bound
     ("quotient", "--p", "3", "--q", "3", "--r", "1.5", "--avec", "-"): (
@@ -486,6 +486,18 @@ class TestMalformedFamilies:
     def test_malformed_stdin(self, payload):
         res = run_cli("quotient", "--p", "2", "--q", "2", "--r", "2", "--avec", "-", stdin_data=payload)
         self._assert_domain_error(res.returncode, res.stdout, res.stderr)
+
+    # numeric strings were parsed (exit 0) and "x" failed with numpy's own message
+    @pytest.mark.parametrize("payload", ['[["1.5"]]', '[["x"]]', '[[1, "2"]]'])
+    def test_string_entries(self, payload):
+        code, out, err = _quotient_from_stdin(payload)
+        self._assert_domain_error(code, out, err)
+        assert json.loads(err)["detail"] == "entries must be finite numbers"
+
+    def test_integer_past_int64_is_a_number(self):
+        code, out, err = _quotient_from_stdin(json.dumps([[2**70]]))
+        assert code == 0 and err == ""
+        assert json.loads(out)["quotient"] == 1.0
 
     def test_deeply_nested_file(self, tmp_path):
         # json.load's RecursionError escaped with exit 1

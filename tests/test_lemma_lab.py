@@ -393,7 +393,7 @@ class TestFlipScreen:
 class TestFloorBuilds:
     """The screen is built once per climb and then only when the ascent reports a kept flip."""
 
-    CLIMB_LINE = re.compile(r"^sign-flip climb: (\d+) sweeps, .*, (\d+) kept, ")
+    CLIMB_LINE = re.compile(r"^sign-flip climb: (\d+) sweeps, \d+ batches, \d+ moves scored, (\d+) kept$")
 
     @pytest.mark.parametrize("args", [(11, 3, 2, 5), (10, 3, 4, 0), (12, 2, 2, 3), (8, 4, 3, 7)])
     def test_one_build_per_climb_and_per_kept_flip(self, args, monkeypatch, caplog):

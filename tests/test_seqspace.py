@@ -221,6 +221,19 @@ class TestNonFiniteEntries:
         assert row_norms(np.array([[math.inf, 1.0]]), "inf")[0] == math.inf
 
 
+class TestStringEntries:
+    @pytest.mark.parametrize("v", [[["1.5"]], [["x"]], [[1, "2"]], [[b"1"]], np.array([[2**70, "1.5"]], dtype=object)],
+                             ids=("numeric", "text", "mixed", "bytes", "object"))
+    def test_every_input_rejects_strings(self, v):
+        for call in (lambda: Family.of(v), lambda: norm(np.ravel(v), 2), lambda: complex_subset_ratio(np.ravel(v))):
+            with pytest.raises(ValueError, match="^entries must be finite numbers$"):
+                call()
+
+    def test_numbers_of_every_kind_pass(self):
+        assert Family.of([[True, 2**70, np.uint8(3), 0.5]]).matrix.tolist() == [[1.0, 2.0**70, 3.0, 0.5]]
+        assert complex_subset_ratio(np.array([1 + 1j, 2], dtype=object)).witness.tolist() == [1 + 1j, 2 + 0j]
+
+
 class TestComplexEntries:
     @pytest.mark.parametrize("call", [
         lambda: Family(np.array([[1 + 5j, 2]])),

@@ -3,10 +3,11 @@ import math
 import re
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from uncond import unconditionality as U
@@ -1645,21 +1646,88 @@ class TestRefinementBatches:
         with caplog.at_level(logging.DEBUG, logger=U.logger.name):
             U._refine_families(A.copy(), X.copy(), t, U._quotient_parts(A, X, t))
         [line] = [r.getMessage() for r in caplog.records if r.getMessage().startswith("refinement")]
-        assert line == (
-            "refinement: 2 sweeps, 74 batches, 404 moves scored, 192 tried in order, 51 kept, 30 reverse moves scored"
-        )
-        # "tried in order" counts what the one-move-at-a-time oracle evaluates
+        assert line == "refinement: 3 sweeps, 36 batches, 288 moves scored, 33 kept"
+        # one batch per row visit: 3 sweeps x 2 scales x 2 families x 3 rows, and
+        # every move scored is one the public oracle evaluates
+        sweeps, batches, scored = (int(w) for w in re.findall(r"\d+", line)[:3])
+        assert batches == sweeps * 4 * A.shape[0]
         evaluations = []
         real = _oracles._public_quotient_or_none
         monkeypatch.setattr(_oracles, "_public_quotient_or_none", lambda *a: evaluations.append(1) or real(*a))
         public_refine(A, X, t, unconditionality_quotient(Family(A), Family(X), t))
-        assert len(evaluations) == 192
+        assert len(evaluations) == scored
 
     def test_no_line_by_default(self, caplog):
         t = ExponentTriple.of(3, 3, 3)
         A = X = np.eye(2)
         U._refine_families(A.copy(), X.copy(), t, U._quotient_parts(A, X, t))
         assert caplog.records == []
+
+
+class TestClimbProperties:
+    """Each kept move is the first best of its batch, the held quotient never falls, and the climb is the oracle's."""
+
+    @staticmethod
+    def _recorded_refine(A, X, t, start):
+        """``_refine_families`` on copies of A and X, with each batch's held score, scores and kept move."""
+        batches = []
+        ascent = U._coordinate_ascent
+
+        def recording(best, moves, evaluate, sweeps, name):
+            def scored(M, i, cols, deltas, cur):
+                scores, pick = evaluate(M, i, cols, deltas, cur)
+                batch = {"held": cur[0], "scores": list(scores), "kept": None}
+                batches.append(batch)
+
+                def kept(k):
+                    batch["kept"] = k
+                    return pick(k)
+
+                return scores, kept
+
+            return ascent(best, moves, scored, sweeps, name)
+
+        got_A, got_X = A.copy(), X.copy()
+        with mock.patch.object(U, "_coordinate_ascent", recording):
+            got = U._refine_families(got_A, got_X, t, start)
+        return got_A, got_X, got, batches
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 5),
+        dim=st.integers(1, 4),
+        lattice=st.booleans(),
+        triple=st.sampled_from(SEARCH_TRIPLES),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_kept_moves_are_first_maxima_and_match_the_oracle(self, n, dim, lattice, triple, seed):
+        t = ExponentTriple.of(*triple)
+        rng = np.random.default_rng(seed)
+        if lattice:
+            A, X = (rng.integers(-1, 2, (n, dim)).astype(float) for _ in range(2))
+        else:
+            A, X = rng.standard_normal((n, dim)), rng.standard_normal((n, dim))
+        start = U._quotient_parts(A, X, t)
+        assume(start is not None)
+        got_A, got_X, got, batches = self._recorded_refine(A, X, t, start)
+        assert len(batches) % (4 * n) == 0
+        held = start.quotient
+        for batch in batches:
+            # every batch is scored from the entries the last kept move left
+            assert batch["held"] == held
+            scores, k = batch["scores"], batch["kept"]
+            top = max(scores)
+            if k is None:
+                assert not top > held
+            else:
+                assert scores[k] == top > held
+                assert all(s < top for s in scores[:k])
+                held = top
+        assert got.quotient == held >= start.quotient
+        want_A, want_X, want = public_refine(A, X, t, unconditionality_quotient(Family(A), Family(X), t))
+        assert (got.quotient, got.numerator, got.denominator) == _parts(want)[:3]
+        assert got.sub == (want.subset.value, want.subset.argmax_subset)
+        assert np.array_equal(got_A, want_A) and np.array_equal(got_X, want_X)
 
 
 class TestPairedShapes:

@@ -15,11 +15,14 @@ by the workload's own checks, so that work never runs between two timed ops.
 
 It prints, per op class and per workload, the median of the paired ratios
 base time / head time (above 1: the head is faster) with a bootstrap 95%
-interval, and one SHA-256 per side over every output, floats as
-``float.hex``, arrays by dtype, shape and bytes.  Round 0 runs with every
-cache of the process cold, so its outputs are hashed apart from those of the
-later, warm rounds.  The last stdout line is one JSON object with all of
-it.  The exit status is 1 if a hash differs or a check fails, else 0.
+interval, and SHA-256 hashes per side over the outputs, floats as
+``float.hex``, arrays by dtype, shape and bytes: one over every output of
+the workload, and one per op class (``same`` or ``DIFFER`` on its line), so
+a change meant for one class can show that the others keep their outputs.
+Round 0 runs with every cache of the process cold, so its outputs are hashed
+apart from those of the later, warm rounds.  The last stdout line is one
+JSON object with all of it, the class hashes under each workload's
+``classes``.  The exit status is 1 if a hash differs or a check fails, else 0.
 
 The ``witness`` workload covers the witness layer's outputs: Hadamard
 witnesses of n = 1..12 on strict-clause triples, power tails and harmonic
@@ -163,12 +166,21 @@ def median_interval(ratios, rng) -> tuple[float, float, float]:
     return float(np.median(r)), float(lo), float(hi)
 
 
+def _new_hashes():
+    return {"cold": hashlib.sha256(), "warm": hashlib.sha256()}
+
+
+def _hexdigests(hashes) -> dict:
+    return {when: h.hexdigest() for when, h in hashes.items()}
+
+
 def run_workload(name, classes, sides, seed, rounds):
     """Time both sides' rounds in alternation; per-op and per-round ratios, hashes and check failures."""
     built = [classes[name](U, seed) for U in sides]
     times = {}  # op class -> [[base times], [head times]]
     round_s = [[], []]
-    hashes = [{"cold": hashlib.sha256(), "warm": hashlib.sha256()} for _ in sides]
+    hashes = [_new_hashes() for _ in sides]
+    class_hashes = [{}, {}]  # op class -> its own cold and warm hashes, per side
     failures = []
     # the workloads' own objects stay out of the timed garbage collections, as in bench/run.py
     gc.collect()
@@ -194,8 +206,11 @@ def run_workload(name, classes, sides, seed, rounds):
         # hashing a large output between timed ops would evict the caches of the next op
         for side in (0, 1):
             round_s[side].append(total[side])
+            when = "cold" if k == 0 else "warm"
             for op, out in zip(ops[side], outs[side]):
-                hashes[side]["cold" if k == 0 else "warm"].update(json.dumps([op.name, canon(out)]).encode())
+                line = json.dumps([op.name, canon(out)]).encode()
+                hashes[side][when].update(line)
+                class_hashes[side].setdefault(op.name, _new_hashes())[when].update(line)
                 if not isinstance(out, Exception):
                     try:
                         op.check(out)
@@ -204,7 +219,11 @@ def run_workload(name, classes, sides, seed, rounds):
     rng = np.random.default_rng(0)
     per_op = {op: median_interval(np.divide(*t), rng) for op, t in times.items()}
     whole = median_interval(np.divide(*round_s), rng)
-    digests = [{when: h.hexdigest() for when, h in side.items()} for side in hashes]
+    digests = [_hexdigests(side) for side in hashes]
+    per_class = {}
+    for op in class_hashes[0]:
+        base, head = (_hexdigests(side[op]) for side in class_hashes)
+        per_class[op] = {"hash_base": base, "hash_head": head, "identical": base == head}
     return {
         "round_ratio": whole,
         "round_ms": [float(np.median(s)) * 1e3 for s in round_s],
@@ -213,6 +232,7 @@ def run_workload(name, classes, sides, seed, rounds):
         "hash_base": digests[0],
         "hash_head": digests[1],
         "identical": digests[0] == digests[1],
+        "classes": per_class,
         "check_failures": failures,
     }
 
@@ -223,7 +243,8 @@ def report(name, res) -> None:
           f"base/head {med:.3f} [{lo:.3f}, {hi:.3f}]")
     for op, r in res["ops"].items():
         m, a, b = r["ratio"]
-        print(f"  {op:<40} {r['base_ms']:9.3f} -> {r['head_ms']:9.3f} ms  base/head {m:.3f} [{a:.3f}, {b:.3f}]")
+        same = "same" if res["classes"][op]["identical"] else "DIFFER"
+        print(f"  {op:<40} {r['base_ms']:9.3f} -> {r['head_ms']:9.3f} ms  base/head {m:.3f} [{a:.3f}, {b:.3f}]  {same}")
     for when in ("cold", "warm"):
         same = "same" if res["hash_base"][when] == res["hash_head"][when] else "DIFFER"
         print(f"  outputs {when}: base {res['hash_base'][when][:16]}  head {res['hash_head'][when][:16]}  {same}")
