@@ -25,11 +25,9 @@ from .lemma_lab import (
     SHARP_COMPLEX_BOUND,
     RatioReport,
     SandwichSweepReport,
-    complex_subset_max,
     complex_subset_ratio,
     grothendieck_ratio,
     grothendieck_search,
-    halfplane_subset_max,
     real_subset_ratio,
     sandwich_sweep,
 )
@@ -89,14 +87,12 @@ __all__ = [
     "WitnessCheck",
     "WitnessReport",
     "classify",
-    "complex_subset_max",
     "complex_subset_ratio",
     "cross_validate",
     "divergent_tail_norm",
     "grid_to_csv",
     "grothendieck_ratio",
     "grothendieck_search",
-    "halfplane_subset_max",
     "hadamard_witness",
     "main1_bound_check",
     "norm",

@@ -28,6 +28,7 @@ from .lemma_lab import (
 from .seqspace import Exponent, ExponentTriple
 from .unconditionality import (
     Family,
+    _checked_seed,
     check_threads,
     quotient_lower_bound_search,
     unconditionality_quotient,
@@ -236,7 +237,7 @@ def _run_lemmas(args):
             f"--budget {args.budget} times --dim {args.dim} exceeds the cap of "
             f"{LEMMAS_MAX_ENTRIES} entries; lower one of them"
         )
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(_checked_seed(args.seed))
 
     worst_real = 0.0
     for _ in range(args.budget):

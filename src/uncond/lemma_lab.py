@@ -6,9 +6,10 @@ Covered here:
   (constant 2 is sharp; the max is computed exactly from the positive /
   negative split, no enumeration needed);
 * its complex version with constant 4, sharp constant pi, measured by one
-  ratio (``complex_subset_ratio``): the subset max is enumerated exactly up
-  to WALK_MAX_LOG entries, a walk the exact kernel always reaches, and found
-  by the half-plane arc scan, in O(n^2) and uncertified, above that;
+  ratio (``complex_subset_ratio``): the subset max over the nonzero entries
+  is the exact kernel's wherever the kernel settles it, and certified; where
+  the kernel refuses it, the half-plane arc scan finds it in O(n^2),
+  uncertified;
 * the lp-lq sandwich  ||v||_q <= ||v||_p <= n^(1/p-1/q) ||v||_q  over random
   vectors, each (pair, dimension) cell one draw of all its vectors and one
   ``row_norms`` call per exponent;
@@ -30,12 +31,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import unconditionality
 from .seqspace import EPS_NUM, Exponent, ExponentLike, _finite_array, row_norms
 from .unconditionality import (
     KG_UPPER,
     Family,
+    ReachError,
     _BLOCK_BYTES,
+    _checked_seed,
     _coordinate_ascent,
     _exhaustive_best,
     _require_summable,
@@ -109,27 +111,13 @@ def _planar(z) -> tuple[np.ndarray, np.ndarray]:
     return arr, planar
 
 
-def complex_subset_max(z) -> tuple[float, int]:
-    """Exact max_F |sum_F z_k| by subset enumeration as (value, bitmask); reach raises as in ``subset_max_norm``."""
-    # |sum_F z_k| is the l2 norm of the (Re, Im) pair, so the complex subset
-    # max is the planar subset max with its stable modulus.
-    return _exhaustive_best(_planar(z)[1], Exponent(2.0), signs=False)
-
-
-def halfplane_subset_max(z) -> float:
-    """max_F |sum_F z_k| via the half-plane scan.
+def _halfplane_max(nz: np.ndarray) -> float:
+    """max_F |sum_F z_k| over the nonzero complex entries nz, at least one, by the half-plane arc scan.
 
     The optimal subset is always of the form {k : Re(e^{-i theta} z_k) > 0};
     sweeping theta across the 2n membership-change angles and summing each
     arc costs O(n^2).
     """
-    return _halfplane_max(_planar(z)[0])
-
-
-def _halfplane_max(arr: np.ndarray) -> float:
-    nz = arr[arr != 0]
-    if nz.size == 0:
-        return 0.0
     ang = np.angle(nz)
     events = np.concatenate([ang - 0.5 * math.pi, ang + 0.5 * math.pi])
     events = np.unique(np.mod(events, 2.0 * math.pi))
@@ -148,17 +136,23 @@ def _halfplane_max(arr: np.ndarray) -> float:
 def complex_subset_ratio(z) -> RatioReport:
     """sum |z_k| divided by max_F |sum_F z_k|, for any number of entries.
 
-    Up to ``unconditionality.WALK_MAX_LOG`` entries (read at call time),
-    whose 2^n subsets a walk always reaches, the max is enumerated and the
-    ratio certified; above that the arc scan finds it, and the ratio is not
-    certified.  The entries are checked once, as in ``complex_subset_max``.
+    The max is asked of the exact kernel (``_exhaustive_best``) over the
+    nonzero entries' (Re, Im) rows: |sum_F z_k| is the l2 norm of that pair,
+    and zero entries change no subset sum.  Wherever the kernel settles it,
+    that is the denominator and the ratio is certified.  Only where the
+    kernel refuses it, past its reach, does the arc scan (``_halfplane_max``)
+    find the max, and the ratio is not certified.  The entries are checked
+    once, as a family's columns.
     """
     arr, planar = _planar(z)
     total = float(np.abs(arr).sum())
     if total <= 0.0:
         raise ValueError("degenerate input: all entries are zero")
-    certified = arr.size <= unconditionality.WALK_MAX_LOG
-    denom = _exhaustive_best(planar, Exponent(2.0), signs=False)[0] if certified else _halfplane_max(arr)
+    nonzero = arr != 0
+    try:
+        denom, certified = _exhaustive_best(planar[nonzero], Exponent(2.0), signs=False)[0], True
+    except ReachError:
+        denom, certified = _halfplane_max(arr[nonzero]), False
     ratio = total / denom
     return RatioReport(
         ratio,
@@ -341,11 +335,12 @@ def sandwich_sweep(
     For each pair and dimension, draws ``trials`` standard-normal vectors as
     the rows of one array, takes both norms of every row with one
     ``row_norms`` call each, and records the violation count (which must
-    stay zero) and the tightest slack observed on each side.
+    stay zero) and the tightest slack observed on each side.  A seed other
+    than None or an integer >= 0 raises ValueError before anything is drawn.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_checked_seed(seed))
     records = []
     for pv, qv in p_q_pairs:
         p = Exponent.of(pv)

@@ -24,9 +24,10 @@ in Gray order attaining the largest scratch norm, its sum added in index
 order.  The kernel alone bounds what an exact maximum may cost: a maximum
 that the branch and bound cannot settle and that needs a walk of more than
 2^WALK_MAX_LOG positions, or of more than 2^35 positions times walked
-columns, raises ValueError before the walk starts.  The seeded searches,
-which run thousands of maxima per call, draw families of at most
-SEARCH_MAX_N vectors.  The enumeration is serial, so the ``threads``
+columns, raises ReachError, a ValueError, before the walk starts.  Callers
+that fall back on a refusal ask the kernel and catch that error; none of
+them reads the reach.  The seeded searches, which run thousands of maxima
+per call, draw families of at most SEARCH_MAX_N vectors.  The enumeration is serial, so the ``threads``
 argument of ``subset_max_norm`` and ``sign_max_norm`` changes nothing.
 
 Every quotient, public or inside a search, is evaluated by one routine
@@ -128,6 +129,10 @@ _EPS = float(np.finfo(np.float64).eps)
 _SUM_MAX = float(np.finfo(np.float64).max) / 2.0
 #: The unit roundoff of binary32, the precision of the walk's power-sum keys.
 _U32 = float(np.finfo(np.float32).eps) / 2.0
+
+
+class ReachError(ValueError):
+    """An exact maximum that the branch and bound cannot settle needs a walk past the kernel's reach."""
 
 
 def _require_summable(M: np.ndarray) -> np.ndarray:
@@ -637,7 +642,9 @@ def _exhaustive_best(X: np.ndarray, q: Exponent, signs: bool):
     precision of a walk, the positions, the frontier peak and the number of
     candidates recomputed.  A walk of more than 2^WALK_MAX_LOG positions,
     or of more than 2^35 positions times walked columns (n on the Gram walk,
-    d otherwise), raises ValueError before it starts.
+    d otherwise), raises ReachError, a ValueError, before it starts; callers
+    that fall back to another method or report no exact maximum catch that
+    alone.
     """
     n, d = X.shape[-2:]
     if X.ndim == 2 and not X.any():
@@ -673,9 +680,9 @@ def _exhaustive_best(X: np.ndarray, q: Exponent, signs: bool):
     needs = f"an exact maximum over 2^{free} positions needs a walk"
     peaked = f"(branch-and-bound frontier peak {peak})"
     if total > 1 << WALK_MAX_LOG:
-        raise ValueError(f"{needs} past the reach of 2^{WALK_MAX_LOG} positions {peaked}")
+        raise ReachError(f"{needs} past the reach of 2^{WALK_MAX_LOG} positions {peaked}")
     if total * width > 1 << 35:
-        raise ValueError(f"{needs} of {width} columns, past the reach of 2^35 positions times columns {peaked}")
+        raise ReachError(f"{needs} of {width} columns, past the reach of 2^35 positions times columns {peaked}")
     walked, eta = Xs, 0.0
     if gram:
         route = "Gram walk"
@@ -1017,6 +1024,13 @@ def _refine_families(A, X, t, best: _Quotient) -> _Quotient:
     return _coordinate_ascent(best, moves, evaluate, _REFINE_SWEEPS, "refinement")
 
 
+def _checked_seed(seed):
+    """The seed, if it is None or an integer >= 0; else ValueError naming it, which numpy's errors do not."""
+    if seed is not None and not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return seed
+
+
 def _trial_rngs(seed, budget: int):
     """Trial k's generator for k < budget, that of ``SeedSequence(seed).spawn(budget)[k]``.
 
@@ -1035,8 +1049,9 @@ def _seeded_restarts(n: int, dim: int, budget: int, seed, draw, climb):
     even trials and standard normal ones at odd trials, and
     ``climb(arrays, best)`` refines them into a tuple whose first field is
     the score, or returns None for a degenerate draw, which is skipped.  Only
-    a strictly higher score replaces the best.  n * dim > DRAW_MAX_ENTRIES
-    and n > SEARCH_MAX_N raise ValueError before anything is drawn.
+    a strictly higher score replaces the best.  n * dim > DRAW_MAX_ENTRIES,
+    n > SEARCH_MAX_N and a seed other than None or an integer >= 0 raise
+    ValueError before anything is drawn.
     """
     if budget < 1:
         raise ValueError("empty budget")
@@ -1047,7 +1062,7 @@ def _seeded_restarts(n: int, dim: int, budget: int, seed, draw, climb):
     if n > SEARCH_MAX_N:
         raise ValueError(f"family size {n} exceeds the exhaustive cap {SEARCH_MAX_N} (2^{n} subsets)")
     best = None
-    for trial, rng in enumerate(_trial_rngs(seed, budget)):
+    for trial, rng in enumerate(_trial_rngs(_checked_seed(seed), budget)):
         res = climb(draw(rng, trial % 2 == 0), best)
         if res is not None and (best is None or res[0] > best[0]):
             best = res

@@ -26,9 +26,9 @@ process, lazily, and kept:
 * ``sylvester(n)`` returns one shared read-only ``Family`` per
   n <= MATERIALIZE_MAX_LOG; all eleven together hold (4^11 - 1)/3 float64
   entries, at most 11.2 MB.
-* The exact subset maximum of ``sylvester(n)`` at q, for the n whose
-  quotient ``hadamard_witness`` enumerates, is kept per (n, q) in an LRU of
-  _SYLVESTER_MAX_CACHE entries of a few hundred bytes each.
+* The exact kernel's answer for the subset maximum of ``sylvester(n)`` at
+  q, its (value, mask) or None where it refuses, is kept per (n, q) in an
+  LRU of _SYLVESTER_MAX_CACHE entries of a few hundred bytes each.
 * ``_harmonic`` records (n, s_n) at each completed chunk boundary, at most
   TAIL_MAX_TERMS // _HARMONIC_CHUNK = 152 marks, and resumes a later sum
   from the last mark it may skip.  A mark holds the float a sum from k = 1
@@ -57,9 +57,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import unconditionality
 from .seqspace import EPS_CMP, Exponent, ExponentLike, ExponentTriple
-from .unconditionality import Family, _finite_parts, subset_max_norm
+from .unconditionality import Family, ReachError, _exhaustive_best, _finite_parts
 
 #: Families are materialized only while they hold at most 2^20 float64 entries (8 MB).
 MATERIALIZE_MAX_LOG = 10
@@ -113,10 +112,17 @@ def _sylvester(n: int) -> Family:
 
 
 @functools.lru_cache(maxsize=_SYLVESTER_MAX_CACHE)
-def _sylvester_max(n: int, q: Exponent) -> tuple[float, int]:
-    """(value, mask) of ``subset_max_norm(sylvester(n), q)``, kept per (n, q)."""
-    sub = subset_max_norm(sylvester(n), q)
-    return sub.value, sub.argmax_subset
+def _sylvester_max(n: int, q: Exponent) -> Optional[tuple[float, int]]:
+    """The exact kernel's (value, mask) of the subset max of ``sylvester(n)`` at q, or None where it refuses.
+
+    Kept per (n, q), refusals too.  The 2^n rows of 2^n columns are past the
+    branch and bound's ratio, so at the default reach a walk settles n <= 4
+    and the kernel refuses n >= 5 up front.
+    """
+    try:
+        return _exhaustive_best(sylvester(n).matrix, q, False)
+    except ReachError:
+        return None
 
 
 @dataclass(frozen=True)
@@ -125,7 +131,7 @@ class WitnessReport:
 
     All certified quantities are carried in log2 space so the construction
     works far beyond float overflow; ``exhaustive_quotient`` is attached only
-    when 2^n is small enough to enumerate.
+    where the exact kernel settles the subset maximum of the 2^n rows.
     """
 
     triple: ExponentTriple
@@ -211,11 +217,11 @@ def hadamard_witness(t: ExponentTriple, C: float) -> WitnessReport:
     (``witness_size``), all comparisons in log2 space with margin EPS_CMP.
     The family is ``sylvester(n)``, its rows used both as multipliers and
     as summands; it is materialized only up to n = MATERIALIZE_MAX_LOG, and
-    its exact quotient is computed only while its 2^n rows number at most
-    ``unconditionality.WALK_MAX_LOG`` (read at call time), so that every
-    route of the exact kernel reaches it: n <= 4.  That quotient is
+    its exact quotient is attached exactly where the exact kernel settles
+    its subset maximum (``_sylvester_max``, kept per (n, q)): n <= 4 at the
+    default reach.  That quotient is
     ``unconditionality_quotient(sylvester(n), sylvester(n), t).quotient`` bit
-    for bit, from the subset maximum kept per (n, q).
+    for bit.
     Its product vector sum_k h_k * h_k is constantly 2^n because every entry
     is +-1, as ``sylvester``'s doubling rule guarantees.
     """
@@ -224,12 +230,9 @@ def hadamard_witness(t: ExponentTriple, C: float) -> WitnessReport:
 
     log2_num = n * num_slope
     log2_den = n * den_slope
-    family = None
-    exq = None
-    if n <= MATERIALIZE_MAX_LOG:
-        family = sylvester(n)
-        if (1 << n) <= unconditionality.WALK_MAX_LOG:
-            exq = _finite_parts(family.matrix, family.matrix, t, sub=_sylvester_max(n, t.q)).quotient
+    family = sylvester(n) if n <= MATERIALIZE_MAX_LOG else None
+    sub = None if family is None else _sylvester_max(n, t.q)
+    exq = None if sub is None else _finite_parts(family.matrix, family.matrix, t, sub=sub).quotient
     return WitnessReport(
         triple=t,
         C=float(C),

@@ -261,9 +261,14 @@ class TestSizeCaps:
          "--budget 65536 times --dim 1048576 exceeds the cap of 16777216 entries; lower one of them"),
         (["lemmas", "--budget", "17", "--dim", str(LEMMAS_MAX_DIM), "--seed", "0"],
          "--budget 17 times --dim 1048576 exceeds the cap of 16777216 entries; lower one of them"),
+        (["search", "--p", "3", "--q", "3", "--r", "3", "--n", "3", "--dim", "2", "--budget", "1", "--seed", "-1"],
+         "seed must be a non-negative integer, got -1"),
+        (["grothendieck", "--n", "3", "--dim", "2", "--budget", "1", "--seed", "-1"],
+         "seed must be a non-negative integer, got -1"),
+        (["lemmas", "--budget", "3", "--dim", "2", "--seed", "-1"], "seed must be a non-negative integer, got -1"),
     ], ids=["grid", "stalled-grid", "search", "grothendieck", "nan-step", "inf-step", "lemmas",
             "lemmas-dim-0", "lemmas-budget", "lemmas-negative-budget", "lemmas-budget-first",
-            "lemmas-both-caps", "lemmas-entries"])
+            "lemmas-both-caps", "lemmas-entries", "search-seed", "grothendieck-seed", "lemmas-seed"])
     def test_domain_error_before_anything_is_built(self, argv, detail, capsys):
         assert main(argv) == 3
         captured = capsys.readouterr()
@@ -547,7 +552,8 @@ class TestEnvCap:
         assert detail == "family size 25 exceeds the exhaustive cap 24 (2^25 subsets)"
 
     def test_lemmas_scan_complex_draws_beyond_the_cap(self, monkeypatch, capsys):
-        # the complex draws have up to 6 entries; past a walk reach of 1 they are scanned
+        # the complex draws have up to 6 entries, which the kernel sums from scratch at any
+        # reach, and it refuses the 64th roots at every reach: a reach of 1 leaves the output pinned
         monkeypatch.setattr(unconditionality, "WALK_MAX_LOG", 1)
         assert main(["lemmas", "--budget", "30", "--dim", "6", "--seed", "9"]) == 0
         out = json.loads(capsys.readouterr().out)
@@ -558,26 +564,42 @@ class TestEnvCap:
         del out["complex_random_max_ratio"], pinned["complex_random_max_ratio"]
         assert out == pinned
 
+    #: C = 3 at (inf, 2, 2) needs the 16 rows of n = 4, which only a walk of 2^16 positions settles.
+    WITNESS_N4 = ["witness-hadamard", "--p", "inf", "--q", "2", "--r", "2", "--C", "3"]
+
     def test_walk_reach_gates_witness_exhaustive_check(self, monkeypatch, capsys):
-        # the witness has 2 rows: its quotient is attached iff 2 <= WALK_MAX_LOG
-        argv = ["witness-hadamard", "--p", "inf", "--q", "2", "--r", "2", "--C", "1"]
-        for reach, attached in ((2, True), (1, False)):
-            monkeypatch.setattr(unconditionality, "WALK_MAX_LOG", reach)
-            assert main(argv) == 0
-            assert ("exhaustive_quotient" in json.loads(capsys.readouterr().out)) == attached
+        # the quotient is attached exactly where the kernel settles the Sylvester maximum
+        try:
+            for reach, attached in ((16, True), (15, False)):
+                witness._sylvester_max.cache_clear()
+                monkeypatch.setattr(unconditionality, "WALK_MAX_LOG", reach)
+                assert main(self.WITNESS_N4) == 0
+                out = json.loads(capsys.readouterr().out)
+                assert out["n"] == 4
+                assert ("exhaustive_quotient" in out) == attached
+        finally:
+            witness._sylvester_max.cache_clear()
 
     def test_walk_reach_gates_a_warm_witness_cache(self, monkeypatch, capsys):
-        # the reach is read before the kept Sylvester maximum, so a warm cache changes nothing
-        argv = ["witness-hadamard", "--p", "inf", "--q", "2", "--r", "2", "--C", "1"]
-        assert main(argv) == 0
-        warm = capsys.readouterr().out
-        assert witness._sylvester_max.cache_info().currsize >= 1
-        for reach, attached in ((2, True), (1, False), (2, True)):
-            monkeypatch.setattr(unconditionality, "WALK_MAX_LOG", reach)
-            assert main(argv) == 0
-            out = capsys.readouterr().out
-            assert ("exhaustive_quotient" in json.loads(out)) == attached
-            assert (out == warm) == attached
+        # the kernel's answer is kept per (n, q): a settled maximum stays attached at a lowered
+        # reach, and a refusal stays until the cache is cleared
+        try:
+            witness._sylvester_max.cache_clear()
+            assert main(self.WITNESS_N4) == 0
+            warm = capsys.readouterr().out
+            assert "exhaustive_quotient" in json.loads(warm)
+            monkeypatch.setattr(unconditionality, "WALK_MAX_LOG", 15)
+            assert main(self.WITNESS_N4) == 0
+            assert capsys.readouterr().out == warm
+            witness._sylvester_max.cache_clear()
+            for reach in (15, 30):
+                monkeypatch.setattr(unconditionality, "WALK_MAX_LOG", reach)
+                assert main(self.WITNESS_N4) == 0
+                out = capsys.readouterr().out
+                assert "exhaustive_quotient" not in json.loads(out)
+                assert out != warm
+        finally:
+            witness._sylvester_max.cache_clear()
 
 
 class TestDeterminism:

@@ -10,16 +10,14 @@ import pytest
 from uncond import lemma_lab, unconditionality
 from uncond.lemma_lab import (
     SHARP_COMPLEX_BOUND,
-    complex_subset_max,
     complex_subset_ratio,
     grothendieck_ratio,
     grothendieck_search,
-    halfplane_subset_max,
     real_subset_ratio,
     sandwich_sweep,
 )
 from uncond.seqspace import Exponent
-from uncond.unconditionality import KG_UPPER, Family, _exhaustive_best
+from uncond.unconditionality import KG_UPPER, Family, ReachError, _exhaustive_best
 
 from _oracles import (
     complex_subset_max_naive,
@@ -93,23 +91,24 @@ class TestComplexSubsetRatio:
         z = roots_of_unity(8)
         monkeypatch.setattr(unconditionality, "WALK_MAX_LOG", 4)
         rep = complex_subset_ratio(z)
-        assert rep.ratio == float(np.abs(z).sum()) / halfplane_subset_max(z)
+        assert rep.ratio == float(np.abs(z).sum()) / lemma_lab._halfplane_max(z)
         assert not rep.certified
 
     def test_scan_above_the_cap_enumeration_within_it(self, monkeypatch):
+        # 8-10 entries take a walk (fewer are summed from scratch at any reach), so a lowered reach refuses them
         rng = np.random.default_rng(6)
         for _ in range(60):
-            n = int(rng.integers(1, 11))
+            n = int(rng.integers(8, 11))
             z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             total = float(np.abs(z).sum())
             for reach in (n - 1, n, n + 1):
                 monkeypatch.setattr(unconditionality, "WALK_MAX_LOG", reach)
                 rep = complex_subset_ratio(z)
                 if n > reach:
-                    assert rep.ratio == total / halfplane_subset_max(z)
+                    assert rep.ratio == total / lemma_lab._halfplane_max(z)
                     assert not rep.certified
                 else:
-                    assert rep.ratio == total / complex_subset_max(z)[0]
+                    assert rep.ratio == total / _exhaustive_best(lemma_lab._planar(z)[1], Exponent(2.0), False)[0]
                     assert rep.certified
 
     def test_the_entries_are_checked_once(self, monkeypatch):
@@ -122,28 +121,28 @@ class TestComplexSubsetRatio:
 
         planar = lemma_lab._planar
         monkeypatch.setattr(lemma_lab, "_planar", counted)
-        z = roots_of_unity(6)
-        for reach in (5, 6):
+        z = roots_of_unity(8)
+        for reach in (7, 8):
             monkeypatch.setattr(unconditionality, "WALK_MAX_LOG", reach)
             complex_subset_ratio(z)
-        assert calls == [6, 6]
+        assert calls == [8, 8]
 
     def test_certified_up_to_the_walks_reach(self):
-        # up to 30 entries are enumerated and certified; 31 take the arc scan
+        # the branch and bound settles normal entries up to its 62 rows; the kernel refuses 63 up front
         rng = np.random.default_rng(7)
-        z = rng.standard_normal(31) + 1j * rng.standard_normal(31)
-        for n in (25, 30, 31):
+        z = rng.standard_normal(63) + 1j * rng.standard_normal(63)
+        for n in (25, 30, 31, 62, 63):
             rep = complex_subset_ratio(z[:n])
-            assert rep.certified == (n <= unconditionality.WALK_MAX_LOG == 30)
+            assert rep.certified == (n <= 62)
             # the optimal subset is a half-plane's, so the scan finds the same maximum
-            assert rep.ratio == pytest.approx(float(np.abs(z[:n]).sum()) / halfplane_subset_max(z[:n]), rel=1e-12)
+            assert rep.ratio == pytest.approx(float(np.abs(z[:n]).sum()) / lemma_lab._halfplane_max(z[:n]), rel=1e-12)
 
     def test_enumeration_matches_naive(self):
         rng = np.random.default_rng(2)
         for _ in range(40):
             n = int(rng.integers(1, 10))
             z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            got, _ = complex_subset_max(z)
+            got, _ = _exhaustive_best(lemma_lab._planar(z)[1], Exponent(2.0), False)
             assert got == pytest.approx(complex_subset_max_naive(z), rel=1e-12)
 
     def test_never_exceeds_four(self):
@@ -161,12 +160,66 @@ class TestComplexSubsetRatio:
             assert complex_subset_ratio(z).ratio <= SHARP_COMPLEX_BOUND + 1e-9
 
 
+class TestKernelDecidesCertification:
+    """complex_subset_ratio is certified exactly where the kernel settles the max over the nonzero entries."""
+
+    @staticmethod
+    def kernel_value(planar):
+        try:
+            return _exhaustive_best(planar, Exponent(2.0), False)[0]
+        except ReachError:
+            return None
+
+    @staticmethod
+    def families(rng, count):
+        # normal, {-1, 0, 1}-lattice, and normal with 1-4 or half its entries zero, 31-62 entries each
+        for i in range(count):
+            n = int(rng.integers(31, 63))
+            kind = i % 4
+            if kind == 1:
+                z = rng.integers(-1, 2, n) + 1j * rng.integers(-1, 2, n)
+            else:
+                z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            if kind >= 2:
+                zeros = int(rng.integers(1, 5)) if kind == 2 else n // 2
+                z[rng.choice(n, size=zeros, replace=False)] = 0.0
+            yield kind, z
+
+    def test_certified_exactly_where_the_kernel_settles(self):
+        rng = np.random.default_rng(30)
+        settled = compared = 0
+        for kind, z in self.families(rng, 40):
+            arr, planar = lemma_lab._planar(z)
+            want = self.kernel_value(planar[arr != 0])
+            rep = complex_subset_ratio(z)
+            assert rep.certified == (want is not None)
+            if want is None:
+                continue
+            settled += 1
+            assert rep.ratio == float(np.abs(arr).sum()) / want
+            # zero rows add exact zeros to every subset sum: the kernel's value is the same float
+            full = self.kernel_value(planar) if kind in (1, 2) else None
+            if full is not None:
+                compared += 1
+                assert full.hex() == want.hex()
+        assert settled >= 36 and compared >= 10
+
+    def test_refused_inputs_take_the_scan(self):
+        rng = np.random.default_rng(31)
+        inputs = [roots_of_unity(62), roots_of_unity(64)]
+        inputs += [rng.standard_normal(n) + 1j * rng.standard_normal(n) for n in (63, 64, 80)]
+        for z in inputs:
+            rep = complex_subset_ratio(z)
+            assert not rep.certified
+            assert rep.ratio == float(np.abs(z).sum()) / lemma_lab._halfplane_max(z)
+
+
 class TestHalfplaneScan:
     def test_matches_enumeration_on_roots(self):
         for n in (1, 2, 3, 4, 6, 8, 12, 16):
             z = roots_of_unity(n)
-            scan = halfplane_subset_max(z)
-            exact, _ = complex_subset_max(z)
+            scan = lemma_lab._halfplane_max(z)
+            exact, _ = _exhaustive_best(lemma_lab._planar(z)[1], Exponent(2.0), False)
             assert scan == pytest.approx(exact, rel=1e-12)
 
     def test_matches_enumeration_on_random(self):
@@ -174,19 +227,19 @@ class TestHalfplaneScan:
         for _ in range(80):
             n = int(rng.integers(1, 14))
             z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            exact, _ = complex_subset_max(z)
-            assert halfplane_subset_max(z) == pytest.approx(exact, rel=1e-12)
+            exact, _ = _exhaustive_best(lemma_lab._planar(z)[1], Exponent(2.0), False)
+            assert lemma_lab._halfplane_max(z) == pytest.approx(exact, rel=1e-12)
 
     def test_axis_pair_needs_arc_interior(self):
         # the best subset {1, i} is attained only strictly between the
         # membership-change angles, not at any entry's own angle
         z = np.array([1.0 + 0j, 1j])
-        assert halfplane_subset_max(z) == pytest.approx(SQRT2, rel=1e-15)
+        assert lemma_lab._halfplane_max(z) == pytest.approx(SQRT2, rel=1e-15)
 
     def test_sixtyfourth_roots_band(self):
         rep = complex_subset_ratio(roots_of_unity(64))
         assert 3.0 <= rep.ratio <= SHARP_COMPLEX_BOUND + 1e-9
-        assert not rep.certified  # 64 entries exceed the enumeration cap
+        assert not rep.certified  # the kernel refuses 64 entries
 
     def test_certified_when_small(self):
         rep = complex_subset_ratio(roots_of_unity(8))
@@ -249,6 +302,12 @@ class TestGrothendieckSearch:
     def test_empty_budget(self):
         with pytest.raises(ValueError, match="empty budget"):
             grothendieck_search(2, 2, budget=0, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, np.int64(-2), "3"])
+    def test_bad_seed_is_named(self, seed):
+        with pytest.raises(ValueError) as err:
+            grothendieck_search(2, 2, budget=1, seed=seed)
+        assert str(err.value) == f"seed must be a non-negative integer, got {seed!r}"
 
     def test_running_best_nondecreasing_in_budget(self):
         vals = [grothendieck_search(2, 3, budget=b, seed=11).ratio for b in (5, 20, 60)]
@@ -439,6 +498,14 @@ class TestSandwichSweep:
             sandwich_sweep((2,), ((3, 2),), trials=10, seed=0)
         with pytest.raises(ValueError):
             sandwich_sweep((2,), ((1, "inf"),), trials=10, seed=0)
+
+    def test_seed_checked(self):
+        for seed in (-1, 1.5, np.int64(-2), "3"):
+            with pytest.raises(ValueError) as err:
+                sandwich_sweep((2,), ((1, 2),), trials=10, seed=seed)
+            assert str(err.value) == f"seed must be a non-negative integer, got {seed!r}"
+        for seed in (None, 0, np.int64(5)):
+            assert sandwich_sweep((2,), ((1, 2),), trials=10, seed=seed).violations == 0
 
     @pytest.mark.parametrize("trials", [1, 3, 10, 333])
     def test_matches_the_per_vector_loop(self, trials):

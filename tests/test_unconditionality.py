@@ -10,8 +10,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from uncond import lemma_lab
 from uncond import unconditionality as U
-from uncond.lemma_lab import complex_subset_max, grothendieck_search
+from uncond.lemma_lab import grothendieck_search
 from uncond.seqspace import EPS_NUM, ExponentTriple
 from uncond.unconditionality import (
     Family,
@@ -190,9 +191,9 @@ class TestSubsetMaxNorm:
             (lambda: sign_max_norm(signed, 2), 5),
             (lambda: main1_bound_check(fam, fam, 2, 1.8), 5),
             (lambda: unconditionality_quotient(fam, fam, ExponentTriple.of(2, 2, 2)), 5),
-            (lambda: complex_subset_max(np.ones(8)), 8),
+            (lambda: U._exhaustive_best(lemma_lab._planar(np.ones(8))[1], U.Exponent.of(2), False), 8),
         ):
-            with pytest.raises(ValueError) as err:
+            with pytest.raises(U.ReachError) as err:
                 call()
             assert str(err.value) == reach.format(log)
         # the searches keep their own bound on the families they draw
@@ -1237,19 +1238,17 @@ class TestOverflowingFamilies:
         assert (got.value, got.argmax_subset) == sequential_scratch_max(X, "inf", False)
 
     def test_complex_and_sign_ratio_entry_points_reject(self, monkeypatch):
-        from uncond import lemma_lab
-
         monkeypatch.setattr(lemma_lab, "_exhaustive_best", lambda *a, **k: pytest.fail("enumerated"))
         z = np.full(16, 1.0 + 0.5j)
-        # a reach of 8 sends 16 entries to the arc scan, one of 30 to enumeration
+        # the entries are rejected before the kernel is asked, at a lowered reach and at the default one
         for reach in (8, 30):
             monkeypatch.setattr(U, "WALK_MAX_LOG", reach)
             for column in (z.real, z.imag):
                 column[:] = self.QUARTER
                 for call in (
-                    lambda: complex_subset_max(z),
+                    lambda: lemma_lab._exhaustive_best(lemma_lab._planar(z)[1], U.Exponent.of(2), False),
                     lambda: lemma_lab.complex_subset_ratio(z),
-                    lambda: lemma_lab.halfplane_subset_max(z),
+                    lambda: lemma_lab._halfplane_max(lemma_lab._planar(z)[0]),
                 ):
                     with pytest.raises(ValueError, match=self.FAMILY_ERROR):
                         call()
@@ -1373,6 +1372,16 @@ class TestQuotientSearch:
     def test_empty_budget(self):
         with pytest.raises(ValueError, match="empty budget"):
             quotient_lower_bound_search(ExponentTriple.of(2, 2, 2), 2, 2, budget=0, seed=0)
+
+    def test_bad_seed_is_named(self):
+        # numpy raised TypeError for 1.5 and "expected non-negative integer" for -1
+        t = ExponentTriple.of(2, 2, 2)
+        for seed in (-1, 1.5, np.int64(-2), "3"):
+            with pytest.raises(ValueError) as err:
+                quotient_lower_bound_search(t, 2, 2, 1, seed)
+            assert str(err.value) == f"seed must be a non-negative integer, got {seed!r}"
+        for seed in (None, 0, np.int64(5)):
+            assert quotient_lower_bound_search(t, 2, 2, 1, seed).quotient > 0.0
 
     def test_deterministic(self):
         t = ExponentTriple.of(2, 2, 2)

@@ -409,6 +409,19 @@ class TestSylvesterQuotientCache:
                 assert rep.n == n
                 assert rep.exhaustive_quotient.hex() == want.hex()
 
+    @pytest.mark.parametrize("triple", TRIPLES[:3])
+    def test_refused_past_four_steps_and_kept(self, triple):
+        # 2^n rows of 2^n columns: the kernel settles no walk past n = 4, and its refusal is kept
+        t = ExponentTriple.of(*triple)
+        gap = second_clause_gap(t)
+        for n in range(5, 11):
+            rep = hadamard_witness(t, 2.0 ** ((n - 0.5) * gap))
+            assert rep.n == n and rep.family is not None
+            assert rep.exhaustive_quotient is None
+            assert witness._sylvester_max(n, t.q) is None
+            with pytest.raises(ValueError, match="past the reach"):
+                subset_max_norm(rep.family, t.q)
+
     def test_the_cache_is_bounded(self):
         assert witness._sylvester_max.cache_info().maxsize == witness._SYLVESTER_MAX_CACHE == 256
 

@@ -27,8 +27,10 @@ JSON object with all of it, the class hashes under each workload's
 The ``witness`` workload covers the witness layer's outputs: Hadamard
 witnesses of n = 1..12 on strict-clause triples, power tails and harmonic
 partial norms around chunk edges, ``cross_validate`` at one triple per
-verdict and clause, and the stdout of ``uncond witness-hadamard`` and
-``uncond witness-tail``.
+verdict and clause, the stdout of ``uncond witness-hadamard`` and
+``uncond witness-tail``, and the lemma layer's ``complex_subset_ratio`` on
+seeded normal entries (8, 24, 31 and 62 of them, and 40 of which 20 are
+zero) and on the 62nd and 64th roots of unity.
 """
 
 from __future__ import annotations
@@ -84,6 +86,8 @@ class Witness:
         ["witness-tail", "--q", "2", "--r", "1", "--B", "12.5"],
         ["witness-tail", "--q", "inf", "--r", "1.5", "--B", "40", "--pretty"],
     ]
+    #: (name, entries, zero entries) of the seeded complex_subset_ratio inputs.
+    COMPLEX = [("n8", 8, 0), ("n24", 24, 0), ("n31", 31, 0), ("n40 half zero", 40, 20), ("n62", 62, 0)]
 
     def __init__(self, U, seed: int):
         self.U, self.seed = U, seed
@@ -109,6 +113,13 @@ class Witness:
             ops.append(Op("cross_validate", lambda t=t, s=s: U.cross_validate(t, 4, s, n=4), _no_check))
         for argv in self.CLI:
             ops.append(Op(f"cli {argv[0]}", lambda argv=argv: run_cli(U, argv), _no_check))
+        for name, n, zeros in self.COMPLEX:
+            z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            z[rng.choice(n, size=zeros, replace=False)] = 0.0
+            ops.append(Op(f"complex_subset_ratio {name}", lambda z=z: U.complex_subset_ratio(z), _no_check))
+        for m in (62, 64):
+            z = np.exp(2j * np.pi * np.arange(m) / m)
+            ops.append(Op(f"complex_subset_ratio roots{m}", lambda z=z: U.complex_subset_ratio(z), _no_check))
         return ops
 
 
