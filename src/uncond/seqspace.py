@@ -60,7 +60,7 @@ class Exponent:
             if s in ("inf", "infinity", "oo"):
                 return INF
             try:
-                return Exponent(float(s))
+                p = float(s)
             except ValueError as exc:
                 raise ValueError(f"cannot parse exponent {p!r}") from exc
         return Exponent(float(p))

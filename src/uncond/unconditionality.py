@@ -642,9 +642,9 @@ def _exhaustive_best(X: np.ndarray, q: Exponent, signs: bool):
     precision of a walk, the positions, the frontier peak and the number of
     candidates recomputed.  A walk of more than 2^WALK_MAX_LOG positions,
     or of more than 2^35 positions times walked columns (n on the Gram walk,
-    d otherwise), raises ReachError, a ValueError, before it starts; callers
-    that fall back to another method or report no exact maximum catch that
-    alone.
+    d otherwise), raises ReachError, a ValueError, before it starts, and
+    before X is scaled where the branch and bound cannot run; callers that
+    fall back to another method or report no exact maximum catch that alone.
     """
     n, d = X.shape[-2:]
     if X.ndim == 2 and not X.any():
@@ -661,6 +661,19 @@ def _exhaustive_best(X: np.ndarray, q: Exponent, signs: bool):
         for i, x in enumerate(X):
             values[i], masks[i] = _exhaustive_best(x, q, signs)
         return values, masks
+    gram = q.value == 2.0 and d >= _GRAM_MIN_RATIO * n and total >= _GRAM_MIN_POSITIONS
+    width = n if gram else d
+    # positions as a power of two: a decimal 2^n for n past ~14300 exceeds Python's int-to-str limit
+    needs = f"an exact maximum over 2^{free} positions needs a walk"
+    past = None
+    if total > 1 << WALK_MAX_LOG:
+        past = f"{needs} past the reach of 2^{WALK_MAX_LOG} positions"
+    elif total * width > 1 << 35:
+        past = f"{needs} of {width} columns, past the reach of 2^35 positions times columns"
+    bnb = _BNB_MIN_RATIO * d <= n <= _BNB_MAX_N and total >= _BNB_MIN_POSITIONS
+    if past and not bnb:
+        # nothing can settle it, so it is refused before the family is scaled
+        raise ReachError(f"{past} (branch-and-bound frontier peak 0)")
     # scratch sums are evaluated in chunks of about _BLOCK_BYTES of terms
     chunk = max(1, _BLOCK_BYTES // (8 * n * d))
     Xs = _below_one(X)[0]
@@ -668,21 +681,14 @@ def _exhaustive_best(X: np.ndarray, q: Exponent, signs: bool):
         Xs[-1] = Xs.sum(axis=0)
         Xs[:-1] *= -2.0
     route, peak = "walk", 0
-    if _BNB_MIN_RATIO * d <= n <= _BNB_MAX_N and total >= _BNB_MIN_POSITIONS:
+    if bnb:
         ranks, peak = _bnb_candidates(Xs[:free], Xs[free:].sum(axis=0), q, 1.0 - _slack(q, n, d))
         if ranks is not None:
             _log_route("branch and bound", total, peak, ranks.size)
             return _first_best(X, q, signs, [ranks], chunk, (-1.0, 0))
         route = "branch-and-bound fallback"
-    gram = q.value == 2.0 and d >= _GRAM_MIN_RATIO * n and total >= _GRAM_MIN_POSITIONS
-    width = n if gram else d
-    # positions as a power of two: a decimal 2^n for n past ~14300 exceeds Python's int-to-str limit
-    needs = f"an exact maximum over 2^{free} positions needs a walk"
-    peaked = f"(branch-and-bound frontier peak {peak})"
-    if total > 1 << WALK_MAX_LOG:
-        raise ReachError(f"{needs} past the reach of 2^{WALK_MAX_LOG} positions {peaked}")
-    if total * width > 1 << 35:
-        raise ReachError(f"{needs} of {width} columns, past the reach of 2^35 positions times columns {peaked}")
+        if past:
+            raise ReachError(f"{past} (branch-and-bound frontier peak {peak})")
     walked, eta = Xs, 0.0
     if gram:
         route = "Gram walk"

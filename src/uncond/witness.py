@@ -14,14 +14,13 @@ Two generators:
   whose basis expansion is unconditionally Cauchy in lq (summable tail) while
   its partial lr norms grow beyond any bound B.
 
-The partial lr norms of that sequence are harmonic sums to the power 1/r.
-``tail_witness`` and ``divergent_tail_norm`` take those sums from one routine
-(``_harmonic``), which adds 1/k in fixed-size chunks, each one cumulative sum
-seeded with the running total: the same left-to-right float sum as a loop
-over k, with memory bounded by the chunk size.
+The partial lr norms of that sequence are harmonic numbers H_N to the power
+1/r.  ``tail_witness`` and ``divergent_tail_norm`` take them from one routine
+(``_harmonic``): below N = 256 a table of left-to-right float sums, from
+there the Euler-Maclaurin expansion of H_N, which needs no summation at all.
 
-Both witnesses are constants of their size, so each is computed once per
-process, lazily, and kept:
+The Hadamard witnesses are constants of their size, so each is computed
+once per process, lazily, and kept:
 
 * ``sylvester(n)`` returns one shared read-only ``Family`` per
   n <= MATERIALIZE_MAX_LOG; all eleven together hold (4^11 - 1)/3 float64
@@ -29,11 +28,6 @@ process, lazily, and kept:
 * The exact kernel's answer for the subset maximum of ``sylvester(n)`` at
   q, its (value, mask) or None where it refuses, is kept per (n, q) in an
   LRU of _SYLVESTER_MAX_CACHE entries of a few hundred bytes each.
-* ``_harmonic`` records (n, s_n) at each completed chunk boundary, at most
-  TAIL_MAX_TERMS // _HARMONIC_CHUNK = 152 marks, and resumes a later sum
-  from the last mark it may skip.  A mark holds the float a sum from k = 1
-  carries across that boundary, so every sum is bit for bit the one from
-  k = 1.
 
 The lq norm of the tail beyond N is zeta(q/r, N+1)^(1/q), with zeta the
 Hurwitz zeta function.  ``_hurwitz_zeta`` is a plain-Python port of the
@@ -46,12 +40,11 @@ sums the scaled terms ((N+1+n)/(N+1))^(-s) directly.
 
 from __future__ import annotations
 
-import bisect
 import functools
+import itertools
 import math
 import operator
 import sys
-import threading
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -65,15 +58,13 @@ MATERIALIZE_MAX_LOG = 10
 #: Cap on the certificate step count.  Beyond MATERIALIZE_MAX_LOG the
 #: certificate is pure log2 arithmetic, so the cap only keeps 2^n a finite float.
 WITNESS_MAX_LOG = 1023
-#: Cap on terms summed when locating the divergent-tail crossing; it bounds
-#: the time (about 150 chunks), while _HARMONIC_CHUNK bounds the memory.
+#: The domain of the harmonic numbers H_N: N <= TAIL_MAX_TERMS.  A tail
+#: level B whose crossing lies past it is "B too large for desk scale".
 TAIL_MAX_TERMS = 10_000_000
-#: Terms per chunk of a harmonic sum: 2^16 float64 values, 0.5 MB.
-_HARMONIC_CHUNK = 1 << 16
-#: (n, s_n) at n = _HARMONIC_CHUNK, 2 _HARMONIC_CHUNK, ..., each appended
-#: under _HARMONIC_LOCK once a sum completes that chunk; n <= TAIL_MAX_TERMS.
-_HARMONIC_MARKS: list[tuple[int, float]] = []
-_HARMONIC_LOCK = threading.Lock()
+#: Euler's constant gamma, rounded to binary64.
+_EULER_GAMMA = 0.5772156649015329
+#: H_0, ..., H_255, each the left-to-right float sum 1/1 + 1/2 + ... + 1/N.
+_HARMONIC_TABLE = (0.0, *itertools.accumulate(1.0 / k for k in range(1, 256)))
 #: (n, q) pairs whose Sylvester subset maximum is kept.
 _SYLVESTER_MAX_CACHE = 256
 #: Cephes's stopping tolerance for the Hurwitz zeta sums, 2^-53.
@@ -247,41 +238,56 @@ def hadamard_witness(t: ExponentTriple, C: float) -> WitnessReport:
     )
 
 
+def _harmonic_number(N: int) -> float:
+    """H_N = 1/1 + 1/2 + ... + 1/N for 0 <= N <= TAIL_MAX_TERMS.
+
+    Below N = 256 it is the table's left-to-right float sum.  From there it
+    is ln N + gamma + 1/(2N) - 1/(12N^2) + 1/(120N^4), the Euler-Maclaurin
+    expansion H_N = ln N + gamma + 1/(2N) - sum_k B_2k / (2k N^2k) cut after
+    k = 2 (Knuth, TAOCP vol. 1, 1.2.7).  The series is enveloping: each
+    remainder has the sign of the first omitted term and is smaller, so the
+    cut costs less than 1/(252N^6), which at N = 256 is 1.4e-17, under a
+    fiftieth of an ulp of H_256 = 6.12.  The small terms are added to gamma
+    first, so the sum with ln N rounds once: H_N is within 2 ulps of the
+    exact value from N = 256 on, and the table within 3 ulps below.  So H_N
+    increases strictly with N, across the switch too, since each step 1/N
+    dwarfs those few ulps up to TAIL_MAX_TERMS.
+    """
+    if N < len(_HARMONIC_TABLE):
+        return _HARMONIC_TABLE[N]
+    x = 1.0 / N
+    return math.log(N) + (_EULER_GAMMA + x * (0.5 - x * (1.0 / 12.0 - x * x / 120.0)))
+
+
 def _harmonic(limit: int, target: float = math.inf) -> tuple[int, float]:
-    """(N, s_N) for the smallest N with 1 <= N <= limit and s_N >= target, else (limit, s_limit).
+    """(N, H_N) for the smallest N with 1 <= N <= limit and H_N >= target, else (limit, H_limit).
 
-    s_N = 1/1 + 1/2 + ... + 1/N is added left to right, so it is bit for bit
-    the float a loop over k gives: each chunk of _HARMONIC_CHUNK terms is one
-    cumulative sum whose first term carries the running total, and the
-    crossing is the first index of that nondecreasing chunk at or above
-    ``target``.  N is at least 1 even for a target of 0, such as a level
-    B^r that underflowed; only limit = 0 gives the empty sum (0, 0.0).
+    H_N is ``_harmonic_number(N)``.  N is at least 1 even for a target of 0,
+    such as a level B^r that underflowed; only limit = 0 gives the empty sum
+    (0, 0.0).  A limit above TAIL_MAX_TERMS raises ValueError before any
+    work.
 
-    The sum starts from the last mark (n, s_n) of _HARMONIC_MARKS with
-    n <= limit and s_n < target, since no N <= n crosses, and each full
-    chunk it completes past the marks adds one.  A limit above
-    TAIL_MAX_TERMS raises ValueError before any term is added.
+    The search starts at N0 = exp(target - gamma), rounded up and kept in
+    [1, limit], and steps to the first crossing.  For every N >= 1,
+    1/(2N+2) < H_N - ln N - gamma < 1/(2N), so each N >= N0 has
+    H_N > ln N + gamma >= target, and each N <= N0 - 1 has
+    ln N + 1/(2N) <= ln (N + 1) <= target - gamma, so H_N < target.  The
+    crossing is ceil(N0) or the N below it, so the search takes one step
+    down at most and three evaluations of H; rounding of exp and of H could
+    only add a step either way.  A target above H_limit, or NaN, starts and
+    stays at N = limit.
     """
     if limit > TAIL_MAX_TERMS:
-        raise ValueError(f"at most TAIL_MAX_TERMS = {TAIL_MAX_TERMS} terms are summed, got N = {limit}")
-    with _HARMONIC_LOCK:
-        k = bisect.bisect_left(_HARMONIC_MARKS, target, hi=min(len(_HARMONIC_MARKS), limit // _HARMONIC_CHUNK),
-                               key=operator.itemgetter(1))
-        n, s = _HARMONIC_MARKS[k - 1] if k else (0, 0.0)
-    while n < limit and (n == 0 or s < target):
-        part = np.arange(n + 1, min(limit, n + _HARMONIC_CHUNK) + 1, dtype=np.float64)
-        np.divide(1.0, part, out=part)
-        part[0] += s
-        np.cumsum(part, out=part)
-        if part.size == _HARMONIC_CHUNK:
-            with _HARMONIC_LOCK:
-                if len(_HARMONIC_MARKS) * _HARMONIC_CHUNK == n:
-                    _HARMONIC_MARKS.append((n + _HARMONIC_CHUNK, float(part[-1])))
-        k = int(np.searchsorted(part, target))
-        if k < part.size:
-            return n + k + 1, float(part[k])
-        n, s = n + part.size, float(part[-1])
-    return n, s
+        raise ValueError(f"H_N is computed for N <= TAIL_MAX_TERMS = {TAIL_MAX_TERMS}, got N = {limit}")
+    limit = operator.index(limit)
+    if limit < 1:
+        return 0, 0.0
+    N = max(1, min(limit, math.ceil(math.exp(min(math.log(limit), target - _EULER_GAMMA)))))
+    while N > 1 and _harmonic_number(N - 1) >= target:
+        N -= 1
+    while (s := _harmonic_number(N)) < target and N < limit:
+        N += 1
+    return N, s
 
 
 class TailWitness(NamedTuple):
@@ -296,9 +302,9 @@ def _require_count(N) -> None:
 
 
 def divergent_tail_norm(r: ExponentLike, N: int) -> float:
-    """||(x(1),...,x(N))||_r for x(n) = n^(-1/r): the harmonic sum to the 1/r.
+    """||(x(1),...,x(N))||_r for x(n) = n^(-1/r): the harmonic number H_N to the 1/r.
 
-    N above TAIL_MAX_TERMS raises ValueError up front.
+    H_N is ``_harmonic_number(N)``; N above TAIL_MAX_TERMS raises ValueError.
     """
     r = Exponent.of(r)
     if r.is_infinite:
@@ -374,11 +380,12 @@ def tail_q_bound(q: ExponentLike, r: ExponentLike, N: int) -> float:
 def tail_witness(q: ExponentLike, r: ExponentLike, B: float) -> TailWitness:
     """Locate where the partial lr norms of x(n) = n^(-1/r) pass B.
 
-    Returns the smallest N with sum_{n<=N} 1/n >= B^r (equivalently, partial
-    lr norm >= B in harmonic-sum space), the partial norm attained there, and
-    the lq norm of the remaining tail, which certifies that the full series
-    is unconditionally Cauchy in lq.  A level the first TAIL_MAX_TERMS terms
-    do not reach, B^r overflowing binary64 included, raises ValueError
+    Returns the smallest N with H_N = sum_{n<=N} 1/n >= B^r (equivalently,
+    partial lr norm >= B), found by ``_harmonic`` in a few evaluations of the
+    closed form, the partial norm H_N^(1/r) attained there, and the lq norm
+    of the remaining tail, which certifies that the full series is
+    unconditionally Cauchy in lq.  A level whose crossing lies past
+    TAIL_MAX_TERMS, B^r overflowing binary64 included, raises ValueError
     ("B too large for desk scale").
     """
     q = Exponent.of(q)

@@ -240,24 +240,13 @@ def harmonic_sum(N: int) -> float:
     return s
 
 
-def harmonic_chunked(limit: int, target: float = math.inf, chunk: int = 1 << 16) -> tuple[int, float]:
-    """(N, s_N) for the smallest N with 1 <= N <= limit and s_N >= target, else (limit, s_limit).
+def harmonic_ulps(N: int, value: float) -> float:
+    """How far ``value`` is from H_N = sum_{n<=N} 1/n, in ulps of H_N, with H_N from mpmath at 40 digits."""
+    import mpmath
 
-    The chunked sum from k = 1 with nothing remembered between calls: each
-    chunk of ``chunk`` terms is one cumulative sum whose first term carries
-    the running total, so it adds left to right like ``harmonic_sum``.
-    """
-    s, n = 0.0, 0
-    while n < limit and (n == 0 or s < target):
-        part = np.arange(n + 1, min(limit, n + chunk) + 1, dtype=np.float64)
-        np.divide(1.0, part, out=part)
-        part[0] += s
-        np.cumsum(part, out=part)
-        k = int(np.searchsorted(part, target))
-        if k < part.size:
-            return n + k + 1, float(part[k])
-        n, s = n + part.size, float(part[-1])
-    return n, s
+    with mpmath.workdps(40):
+        exact = mpmath.harmonic(N)
+        return float(abs(mpmath.mpf(value) - exact)) / math.ulp(float(exact))
 
 
 def harmonic_crossing(target: float) -> int:

@@ -48,12 +48,12 @@ LEMMAS_STDOUT = (
 WITNESS_TAIL_STDOUT = {
     ("--q", "2", "--r", "1", "--B", "12.5"): (
         '{"q":2.0,"r":1.0,"B":12.5,'
-        '"N":150661,"partial_r_norm":12.500006542426194,"tail_q_bound":0.002576314373553548}'
+        '"N":150661,"partial_r_norm":12.500006542426243,"tail_q_bound":0.002576314373553548}'
         "\n"
     ),
     ("--q", "3", "--r", "2", "--B", "3.77"): (
         '{"q":3.0,"r":2.0,"B":3.77,'
-        '"N":835415,"partial_r_norm":3.7700000198620898,"tail_q_bound":0.12982537242023187}'
+        '"N":835415,"partial_r_norm":3.7700000198621746,"tail_q_bound":0.12982537242023187}'
         "\n"
     ),
 }

@@ -56,6 +56,22 @@ class TestExponent:
         with pytest.raises(ValueError):
             Exponent.of("bogus")
 
+    @pytest.mark.parametrize("text", ["0.5", "nan", "-inf", "1e-5", "abc", " INF ", "2"])
+    def test_a_string_fails_as_its_float_does(self, text):
+        # only text that is no number at all is "cannot parse"; a number keeps Exponent's own message
+        def outcome(x):
+            try:
+                return Exponent.of(x)
+            except ValueError as exc:
+                return str(exc)
+
+        try:
+            number = float(text)
+        except ValueError:
+            assert outcome(text) == f"cannot parse exponent {text!r}"
+        else:
+            assert outcome(text) == outcome(number)
+
     def test_ordering(self):
         assert Exponent.of(1) < Exponent.of(2) < INF
         assert INF <= INF

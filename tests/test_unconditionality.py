@@ -720,6 +720,17 @@ class TestWalkReach:
         with pytest.raises(ValueError, match=r"over 2\^31 positions .* frontier peak 0\)"):
             sign_max_norm(fam, 2)
 
+    @pytest.mark.parametrize("q", [1, 3])
+    def test_a_refusal_no_branch_and_bound_can_settle_scales_nothing(self, q):
+        # 1024 x 1024 and 31 x 64 are too wide for the branch and bound and past 2^30 positions
+        families = [sylvester(10).matrix, np.random.default_rng(64).standard_normal((31, 64))]
+        refusal = r"past the reach of 2\^30 positions \(branch-and-bound frontier peak 0\)$"
+        with mock.patch.object(U, "_below_one", wraps=U._below_one) as spy:
+            for X in families:
+                with pytest.raises(U.ReachError, match=refusal):
+                    U._exhaustive_best(X, U.Exponent.of(q), False)
+            assert spy.call_count == 0
+
     def test_huge_family_names_its_positions_as_a_power_of_two(self):
         # a decimal 2^20000 would exceed Python's int-to-str digit limit
         start = time.perf_counter()

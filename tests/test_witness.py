@@ -1,8 +1,4 @@
-import functools
 import math
-import sys
-import threading
-import time
 from unittest import mock
 
 import numpy as np
@@ -14,7 +10,6 @@ from uncond import witness
 from uncond.seqspace import EPS_CMP, ExponentTriple
 from uncond.unconditionality import subset_max_norm, unconditionality_quotient
 from uncond.witness import (
-    _HARMONIC_CHUNK,
     MATERIALIZE_MAX_LOG,
     TAIL_MAX_TERMS,
     WITNESS_MAX_LOG,
@@ -28,7 +23,7 @@ from uncond.witness import (
     tail_witness,
 )
 
-from _oracles import harmonic_chunked, harmonic_crossing, harmonic_sum, minimal_witness_n, sylvester_entries
+from _oracles import harmonic_crossing, harmonic_sum, harmonic_ulps, minimal_witness_n, sylvester_entries
 
 SQRT2 = math.sqrt(2.0)
 
@@ -260,13 +255,54 @@ class TestHadamardWitness:
 
 
 class TestHarmonicSum:
-    C = _HARMONIC_CHUNK
+    """H_N: left-to-right float sums below N = 256, the Euler-Maclaurin closed form from there."""
 
-    @pytest.mark.parametrize("N", [1, 2, C - 1, C, C + 1, 2 * C + 1, 866_991])
+    #: N on both sides of the switch, around 2^16 and 2^17, at the pinned CLI crossings and at the cap.
+    SAMPLED = [
+        255, 256, 257, 1000, 65535, 65536, 65537, 131073, 150661, 835415, 866991, TAIL_MAX_TERMS - 1, TAIL_MAX_TERMS,
+    ]
+
+    @pytest.mark.parametrize("N", range(256))
     def test_equals_the_loop_sum(self, N):
+        # every N below the switch, bit for bit
+        assert _harmonic(N)[1].hex() == harmonic_sum(N).hex()
         assert _harmonic(N) == (N, harmonic_sum(N))
         assert divergent_tail_norm(1, N) == harmonic_sum(N)
         assert divergent_tail_norm(2, N) == harmonic_sum(N) ** 0.5
+
+    @pytest.mark.parametrize("N", SAMPLED)
+    def test_sampled_N_within_four_ulps_of_mpmath(self, N):
+        assert _harmonic(N)[0] == N
+        assert harmonic_ulps(N, _harmonic(N)[1]) <= 4.0
+        assert divergent_tail_norm(1, N) == _harmonic(N)[1]
+        assert divergent_tail_norm(2, N) == _harmonic(N)[1] ** 0.5
+
+    def test_drawn_N_within_four_ulps_of_mpmath(self):
+        drawn = np.exp(np.random.default_rng(31).uniform(0.0, math.log(TAIL_MAX_TERMS), size=400)).astype(int)
+        for N in [*range(1, 300), *map(int, drawn)]:
+            assert harmonic_ulps(N, _harmonic(N)[1]) <= 4.0, N
+
+    def test_increases_with_N(self):
+        for N in [*range(1, 2000), *self.SAMPLED[:-1]]:
+            assert _harmonic(N + 1)[1] > _harmonic(N)[1]
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(target=st.floats(-1.0, _harmonic(TAIL_MAX_TERMS)[1]))
+    def test_the_crossing_is_the_first_N_at_or_above_the_target(self, target):
+        with mock.patch.object(witness, "_harmonic_number", wraps=witness._harmonic_number) as spy:
+            N, s = _harmonic(TAIL_MAX_TERMS, target)
+        # H_(N-1) and H_N, and one more for a step down
+        assert spy.call_count <= 3
+        assert 1 <= N <= TAIL_MAX_TERMS
+        assert s == _harmonic(N)[1] and s >= target
+        assert N == 1 or _harmonic(N - 1)[1] < target
+
+    @pytest.mark.parametrize("N", [1, 2, 255, 256, 257, 65535, 65536, 65537, 131072, 835415, TAIL_MAX_TERMS])
+    def test_a_target_equal_to_H_N_is_crossed_at_N(self, N):
+        s = _harmonic(N)[1]
+        assert _harmonic(TAIL_MAX_TERMS, s) == (N, s)
+        if N < TAIL_MAX_TERMS:
+            assert _harmonic(TAIL_MAX_TERMS, math.nextafter(s, math.inf)) == (N + 1, _harmonic(N + 1)[1])
 
     def test_empty_sum(self):
         assert _harmonic(0) == (0, 0.0)
@@ -276,120 +312,24 @@ class TestHarmonicSum:
     def test_zero_target_is_crossed_at_the_first_term(self):
         assert _harmonic(10, 0.0) == (1, 1.0)
         assert _harmonic(10, -1.0) == (1, 1.0)
-
-    @pytest.mark.parametrize("N", [C - 1, C, C + 1, 2 * C])
-    def test_crossing_at_a_chunk_boundary(self, N):
-        # a target equal to s_N is crossed exactly at N, on either side of a chunk edge
-        assert _harmonic(10 * N, harmonic_sum(N)) == (N, harmonic_sum(N))
+        assert _harmonic(TAIL_MAX_TERMS, -math.inf) == (1, 1.0)
+        assert _harmonic(TAIL_MAX_TERMS, 1.0) == (1, 1.0)
 
     def test_limit_stops_short_of_the_target(self):
         s = harmonic_sum(100)
         assert _harmonic(100, s + 1e-9) == (100, s)
+        s = _harmonic(10**6)[1]
+        assert _harmonic(10**6, s + 1e-9) == (10**6, s)
+        assert _harmonic(TAIL_MAX_TERMS, math.inf) == _harmonic(TAIL_MAX_TERMS)
 
-
-@functools.cache
-def warm_marks():
-    """Every mark a sum of TAIL_MAX_TERMS terms leaves, from an empty list; callers copy it."""
-    with mock.patch.object(witness, "_HARMONIC_MARKS", []) as marks:
-        _harmonic(TAIL_MAX_TERMS)
-        return marks
-
-
-class TestHarmonicMarks:
-    """``_harmonic`` resumes from its chunk-boundary marks and returns the bits of the sum from k = 1."""
-
-    C = _HARMONIC_CHUNK
-    LIMITS = [0, 1, C - 1, C, C + 1, 2 * C, TAIL_MAX_TERMS]
-    #: 0, 1, inf and the exact sums at the first three chunk edges
-    TARGETS = [0.0, 1.0, math.inf, *(harmonic_chunked(k * _HARMONIC_CHUNK)[1] for k in (1, 2, 3))]
-
-    @pytest.mark.parametrize("target", TARGETS, ids=["0", "1", "inf", "s_C", "s_2C", "s_3C"])
-    @pytest.mark.parametrize("limit", LIMITS)
-    def test_cold_and_warm_equal_the_sum_from_one(self, limit, target):
-        want = harmonic_chunked(limit, target)
-        with mock.patch.object(witness, "_HARMONIC_MARKS", []):
-            assert _harmonic(limit, target) == want  # cold
-            assert _harmonic(limit, target) == want  # warmed by the call above
-        with mock.patch.object(witness, "_HARMONIC_MARKS", list(warm_marks())):
-            assert _harmonic(limit, target) == want
-
-    def test_marks_are_the_chunk_boundaries_of_the_sum_from_one(self):
-        marks = warm_marks()
-        # the memory bound of the module docstring
-        assert len(marks) == TAIL_MAX_TERMS // self.C == 152
-        assert [n for n, _ in marks] == [self.C * (i + 1) for i in range(len(marks))]
-        assert all(a[1] < b[1] for a, b in zip(marks, marks[1:]))
-        assert marks[0] == (self.C, harmonic_sum(self.C))
-        for i in (1, 2, 75, len(marks) - 1):
-            n = marks[i][0]
-            assert marks[i] == (n, harmonic_chunked(n)[1])
-
-    def test_a_limit_past_the_cap_raises_before_summing(self):
-        with mock.patch.object(witness, "_HARMONIC_MARKS", []) as marks:
+    def test_a_limit_past_the_cap_raises_before_any_work(self):
+        with mock.patch.object(witness, "_harmonic_number", wraps=witness._harmonic_number) as spy:
             with pytest.raises(ValueError, match="TAIL_MAX_TERMS"):
                 _harmonic(TAIL_MAX_TERMS + 1)
             with pytest.raises(ValueError, match="TAIL_MAX_TERMS"):
                 divergent_tail_norm(1, 10**12)
-            assert marks == []
-        assert divergent_tail_norm(1, TAIL_MAX_TERMS) == harmonic_chunked(TAIL_MAX_TERMS)[1]
-
-    def test_only_a_full_chunk_leaves_a_mark(self):
-        with mock.patch.object(witness, "_HARMONIC_MARKS", []) as marks:
-            _harmonic(self.C - 1)
-            assert marks == []
-            _harmonic(self.C + 5, harmonic_sum(3))  # crosses inside a chunk it still sums in full
-            assert marks == warm_marks()[:1]
-            _harmonic(2 * self.C + 5)
-            assert marks == warm_marks()[:2]
-
-    def test_threads_racing_from_cold_leave_the_marks_of_one_sum(self):
-        # more threads than cores, switching often, and a list that yields inside len():
-        # a check-then-append left unlocked doubles a mark
-        class YieldingList(list):
-            def __len__(self):
-                size = super().__len__()
-                time.sleep(1e-4)
-                return size
-
-        limits = [k * self.C + k for k in (9, 3, 7, 5, 9, 1)]
-        out = [None] * len(limits)
-
-        start = threading.Barrier(len(limits), timeout=60)
-
-        def run(i):
-            start.wait()
-            out[i] = _harmonic(limits[i])
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with mock.patch.object(witness, "_HARMONIC_MARKS", YieldingList()) as marks:
-                threads = [threading.Thread(target=run, args=(i,)) for i in range(len(limits))]
-                for th in threads:
-                    th.start()
-                for th in threads:
-                    th.join(timeout=60)
-                assert not any(th.is_alive() for th in threads)
-                assert marks == warm_marks()[:9]
-        finally:
-            sys.setswitchinterval(interval)
-        assert out == [harmonic_chunked(n) for n in limits]
-
-    @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(
-        kept=st.integers(0, 6),
-        limit=st.integers(0, 6 * _HARMONIC_CHUNK + 3),
-        target=st.one_of(st.floats(-1.0, 15.0), st.sampled_from(["boundary", "inf"])),
-        boundary=st.integers(1, 6),
-    )
-    def test_any_prefix_of_marks_gives_the_sum_from_one(self, kept, limit, target, boundary):
-        if target == "boundary":
-            target = warm_marks()[boundary - 1][1]
-        elif target == "inf":
-            target = math.inf
-        with mock.patch.object(witness, "_HARMONIC_MARKS", list(warm_marks()[:kept])) as marks:
-            assert _harmonic(limit, target) == harmonic_chunked(limit, target)
-            assert marks == warm_marks()[: len(marks)]
+            assert spy.call_count == 0
+        assert harmonic_ulps(TAIL_MAX_TERMS, divergent_tail_norm(1, TAIL_MAX_TERMS)) <= 4.0
 
 
 class TestSylvesterQuotientCache:
@@ -428,20 +368,23 @@ class TestSylvesterQuotientCache:
 
 class TestTailWitness:
     def test_seeded_targets_match_the_loop(self):
+        # the crossing N of the loop sum, and H_N within 4 ulps
         rng = np.random.default_rng(61)
         targets = [1.0, 4.0, 5.0, 14.3, *(14.3 - rng.uniform(0.0, 14.3, size=200))]
         for target in targets:
             tw = tail_witness(2, 1, target)
             N = harmonic_crossing(target)
             assert tw.N == N
-            assert tw.partial_r_norm == harmonic_sum(N)
+            assert tw.partial_r_norm == _harmonic(N)[1]
+            assert harmonic_ulps(N, tw.partial_r_norm) <= 4.0
 
     def test_square_root_targets_match_the_loop(self):
         for B in (0.3, 1.0, 2.0, 3.77):
             tw = tail_witness(3, 2, B)
             N = harmonic_crossing(B ** 2.0)
             assert tw.N == N
-            assert tw.partial_r_norm == harmonic_sum(N) ** 0.5
+            assert harmonic_ulps(N, _harmonic(N)[1]) <= 4.0
+            assert tw.partial_r_norm == _harmonic(N)[1] ** 0.5
 
     def test_harmonic_crossing_at_five(self):
         tw = tail_witness(2, 1, 5.0)

@@ -26,7 +26,8 @@ JSON object with all of it, the class hashes under each workload's
 
 The ``witness`` workload covers the witness layer's outputs: Hadamard
 witnesses of n = 1..12 on strict-clause triples, power tails and harmonic
-partial norms around chunk edges, ``cross_validate`` at one triple per
+partial norms on both sides of the switch from table to closed form at
+N = 256 and at TAIL_MAX_TERMS, ``cross_validate`` at one triple per
 verdict and clause, the stdout of ``uncond witness-hadamard`` and
 ``uncond witness-tail``, and the lemma layer's ``complex_subset_ratio`` on
 seeded normal entries (8, 24, 31 and 62 of them, and 40 of which 20 are
@@ -78,7 +79,9 @@ class Witness:
     #: Strict-clause triples; C = 2^((n - 1/2) gap) makes n the minimal witness size.
     TRIPLES = [("inf", 2, 2), ("inf", 2, 3), ("inf", 1, 1), (3, 2, 2), (4, 3, 2), (6, 1.5, 1.2), (4, 4, 3), (8, 3, 2.5)]
     TAILS = [(2, 1), ("inf", 1.5), (3, 2), (4, 1)]
-    COUNTS = [0, 1, 65535, 65536, 65537, 131072, 200_003, 866_991]
+    #: Term counts of the harmonic partial norms: H_N switches from table to
+    #: closed form between 255 and 256, and 10^7 is TAIL_MAX_TERMS.
+    COUNTS = [0, 1, 255, 256, 257, 200_003, 866_991, 10_000_000]
     CROSS = [(3, 2, "inf"), (2, 2, 4), (2, 4, 3), ("inf", 4, 2), ("inf", 2, 2), (3, 3, 3)]
     CLI = [
         ["witness-hadamard", "--p", "inf", "--q", "2", "--r", "3", "--C", "2"],
