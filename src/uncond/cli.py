@@ -57,8 +57,40 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        # option string -> whether it takes a value; filled before the base class adds -h
+        self.options: dict[str, bool] = {}
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.options.update(dict.fromkeys(action.option_strings, action.nargs != 0))
+        return action
+
     def error(self, message):
         raise _UsageError(message)
+
+
+def _joined(argv, options: dict[str, bool]) -> list[str]:
+    """argv with each value-taking option and the token after it joined as ``--opt=value``.
+
+    argparse reads a token that starts with '-' and is not a plain negative
+    number as an option, so ``--r -inf`` and ``--C -1e-5`` would be usage
+    errors while ``--r=-inf`` and ``--C=-1e-5`` parse.  Joined, both
+    spellings parse alike.  An option is matched exactly or, as argparse
+    does, by a prefix that only value-taking options of the tree start with.
+    """
+    def takes_value(token):
+        if token in options:
+            return options[token]
+        matches = [v for o, v in options.items() if o.startswith(token)]
+        return token.startswith("--") and bool(matches) and all(matches)
+
+    out, tokens = [], iter(argv)
+    for token in tokens:
+        value = next(tokens, None) if takes_value(token) else None
+        out.append(token if value is None else f"{token}={value}")
+    return out
 
 
 def _exponent(token: str) -> Exponent:
@@ -144,6 +176,9 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, required=True)
     add_common(p)
 
+    # every command's option strings, for ``_joined``
+    for command in sub.choices.values():
+        parser.options.update(command.options)
     return parser
 
 
@@ -310,7 +345,7 @@ def _render(payload, pretty_text: str, pretty: bool) -> str:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_joined(sys.argv[1:] if argv is None else argv, parser.options))
         check_threads(args.threads)
         payload, pretty_text = _HANDLERS[args.command](args)
     except _UsageError as exc:

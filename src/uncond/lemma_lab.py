@@ -55,6 +55,8 @@ REAL_SUBSET_BOUND = 2.0
 COMPLEX_SUBSET_BOUND = 4.0
 #: Sweep cap of the sign-flip climb in ``grothendieck_search``.
 _SIGN_FLIP_SWEEPS = 8
+#: Largest sum of |x_kj| of an integer family whose flip screen (``_flip_floors``) is exact.
+_EXACT_TABLE_SUM = float(1 << 51)
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,14 +218,32 @@ def _flip_floors(X: np.ndarray) -> np.ndarray:
     max_s <s, v> = ||v||_1.  The float sign max ``_exhaustive_best`` reports
     is at least the float score times 1 - ``_slack`` at q = 1, whose proof
     covers both (a flip leaves every |x_kj| as it was).  Entry (i, j) is that
-    bound.
+    bound, except on an exact table, where it is the score itself.
+
+    The table is exact when every entry of X is an integer and
+    sum |x_kj| <= 2^51; a flip keeps both, so every build of one climb
+    decides alike.  (The float sum of |x_kj| adds nonnegative integers: it
+    is exact up to 2^53, and a sum past 2^51 cannot round back to it.)  On
+    an exact table every entry of P, of the row sums of |P|, of
+    |P[s, i] - 2 s_j X[i, j]| and of the scores is an integer of magnitude at
+    most 3 sum |x_kj| < 2^53, and so is every partial sum behind it, so each
+    is exact in any summation order, with or without fused multiply-adds.
+    The score is then the exact sign max after the flip.  So is the float
+    sign max of ``_exhaustive_best``: whatever its route, its value is the
+    largest q = 1 norm of a scratch sum of +-rows over all sign patterns,
+    and each such sum and norm adds integers below 2^53.  The floor is thus
+    the very float the kernel would return, and a flip the screen skips is
+    one the climb would score and revert without a log line.
     """
     S = _half_signs(X.shape[1])
     P = S @ X.T
     absP = np.abs(P)
     moved = np.abs(P[:, :, None] - 2.0 * S[:, None, :] * X)
     moved += (absP.sum(axis=1)[:, None] - absP)[:, :, None]
-    return moved.max(axis=0) * (1.0 - _slack(Exponent(1.0), *X.shape))
+    scores = moved.max(axis=0)
+    if (np.rint(X) == X).all() and np.abs(X).sum() <= _EXACT_TABLE_SUM:
+        return scores
+    return scores * (1.0 - _slack(Exponent(1.0), *X.shape))
 
 
 def grothendieck_search(
@@ -240,7 +260,10 @@ def grothendieck_search(
     (``_flip_floors``, built once per climb and after each kept flip): a flip
     whose sign max provably stays at or above the one held, with a ratio
     provably at most KG_UPPER + EPS_NUM, would be scored, reverted and
-    not logged, so it is skipped.  The screen runs when dim < n, where the
+    not logged, so it is skipped.  On integer families (the lattice draws)
+    the screen's bounds are the exact sign maxima, so it skips every flip
+    that ties the held one as well; only kept flips, and flips that could
+    log, are scored there.  The screen runs when dim < n, where the
     dual table has fewer rows than there are sign patterns, and its bounds
     fit one _BLOCK_BYTES block (dim <= 10); otherwise every floor is -inf
     and every flip is scored.  Whether it runs is decided once per search.

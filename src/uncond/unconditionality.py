@@ -340,7 +340,8 @@ def _slack(q: Exponent, n: int, d: int, u: float = _EPS / 2.0) -> float:
     The walk, the Gram walk and the branch and bound keep every position (or
     partial sum) whose key is at least ``top * (1 - slack)``, for ``top`` the
     largest key computed so far; ``lemma_lab``'s flip screen lowers its q = 1
-    dual-table bounds by the same factor.  Keys (``_ranking``) are
+    dual-table bounds by the same factor, except on an exact table (integer
+    entries, sum |x_kj| <= 2^51), where no step rounds.  Keys (``_ranking``) are
     ||v||_q^e up to rounding, e = q for power sums and 1 otherwise.  The walk
     computes its keys in binary32 (u = 2^-24) up to q = _BINARY32_MAX_Q and
     at q = inf, and in binary64 (u = 2^-53, the default) above; the branch and

@@ -237,6 +237,47 @@ class TestUsageErrors:
         assert err == {"error": "usage", "detail": "the following arguments are required: --seed"}
 
 
+class TestOptionValues:
+    """A token after a value-taking option is its value, whatever its first character."""
+
+    @pytest.mark.parametrize("argv, code, detail", [
+        (["classify", "--p", "1", "--q", "1", "--r", "-inf"], 2,
+         {"error": "usage", "detail": "argument --r: exponent cannot be -inf"}),
+        (["classify", "--p", "1", "--q", "1", "--r", "-1e-5"], 2,
+         {"error": "usage", "detail": "argument --r: exponent must be >= 1, got -1e-05"}),
+        (["witness-hadamard", "--p", "inf", "--q", "2", "--r", "2", "--C", "-1e-5"], 3,
+         {"error": "domain-error", "detail": "C must be positive"}),
+        (["witness-tail", "--q", "2", "--r", "1", "--B", "-1e-5"], 3,
+         {"error": "domain-error", "detail": "B must be positive"}),
+        (["grid", "--r", "2", "--step", "-1e-5"], 3,
+         {"error": "domain-error", "detail": "step must be finite and positive, got -1e-05"}),
+        (["grid", "--r", "2", "--ste", "-1e-5"], 3,
+         {"error": "domain-error", "detail": "step must be finite and positive, got -1e-05"}),
+    ], ids=["r-minus-inf", "r-minus-small", "C-minus-small", "B-minus-small", "step", "step-prefix"])
+    def test_both_spellings_agree(self, argv, code, detail, capsys):
+        joined = argv[:-2] + [f"{argv[-2]}={argv[-1]}"]
+        for spelling in (argv, joined):
+            assert main(spelling) == code
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert json.loads(captured.err) == detail
+
+    def test_a_valid_value_prints_the_same_either_way(self, capsys):
+        assert main(["witness-hadamard", "--p", "inf", "--q", "2", "--r", "3", "--C", "2"]) == 0
+        want = capsys.readouterr().out
+        assert main(["witness-hadamard", "--p", "inf", "--q", "2", "--r", "3", "--C=2"]) == 0
+        assert capsys.readouterr().out == want
+
+    @pytest.mark.parametrize("argv, detail", [
+        (["classify", "--p", "--q", "2", "--r", "2"], "argument --p: cannot parse exponent '--q'"),
+        (["classify", "--p", "2", "--q", "2", "--r"], "argument --r: expected one argument"),
+        (["classify", "--p", "2", "--q", "2", "--r", "2", "--pretty", "-1"], "unrecognized arguments: -1"),
+    ], ids=["option-as-value", "last-token", "flag-takes-no-value"])
+    def test_usage_errors(self, argv, detail, capsys):
+        assert main(argv) == 2
+        assert json.loads(capsys.readouterr().err) == {"error": "usage", "detail": detail}
+
+
 class TestSizeCaps:
     @pytest.mark.parametrize("argv, detail", [
         (["grid", "--r", "2", "--p-max", "64", "--q-max", "64", "--step", "0.001"],

@@ -6,6 +6,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from uncond import lemma_lab, unconditionality
 from uncond.lemma_lab import (
@@ -21,6 +23,7 @@ from uncond.unconditionality import KG_UPPER, Family, ReachError, _exhaustive_be
 
 from _oracles import (
     complex_subset_max_naive,
+    dual_l1_max,
     naive_sign_max,
     public_sign_search,
     sandwich_sweep_loop,
@@ -416,6 +419,49 @@ class TestFlipScreen:
             assert got.witness == want.witness
             assert got.to_json() == want.to_json()
 
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(n=st.integers(2, 12), d=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_integer_floors_are_the_exact_sign_max_after_each_flip(self, n, d, seed):
+        # an integer table is exact: its floor is the kernel's float, which is the Fraction oracle's value
+        assume(d < n)
+        X = np.random.default_rng(seed).integers(-3, 4, size=(n, d)).astype(np.float64)
+        floors = lemma_lab._flip_floors(X)
+        for i in range(n):
+            for j in range(d):
+                Y = X.copy()
+                Y[i, j] = -Y[i, j]
+                want = dual_l1_max(Y, signs=True)
+                assert floors[i, j] == float(want) == want
+                assert floors[i, j] == _exhaustive_best(Y, Exponent(1.0), signs=True)[0]
+
+    @staticmethod
+    def _scores(X, monkeypatch):
+        with monkeypatch.context() as m:
+            m.setattr(lemma_lab, "_slack", lambda q, n, d: 0.0)
+            return lemma_lab._flip_floors(X)
+
+    @pytest.mark.parametrize("exact, X", [
+        (True, [[2.0**49, 2.0**49], [2.0**49, -(2.0**49)], [0.0, 0.0]]),
+        (False, [[2.0**49, 2.0**49], [2.0**49, -(2.0**49) - 1.0], [0.0, 0.0]]),
+        (False, [[-(2.0**53), 1.0], [0.0, 0.0], [1.0, 1.0]]),
+        (False, [[1.0, -2.0], [3.0, 0.5], [-1.0, 1.0], [2.0, 2.0]]),
+        (False, [[1.0, -2.0], [3.0, 1.0], [-1.0, 1.0], [2.0, 2.0 + 2.0**-40]]),
+    ], ids=["sum-at-2^51", "sum-past-2^51", "entry-2^53", "one-half", "one-near-integer"])
+    def test_only_exact_tables_keep_their_scores(self, exact, X, monkeypatch):
+        X = np.array(X)
+        scores = self._scores(X, monkeypatch)
+        shrink = 1.0 if exact else 1.0 - unconditionality._slack(Exponent(1.0), *X.shape)
+        assert np.array_equal(lemma_lab._flip_floors(X), scores * shrink)
+        assert unconditionality._slack(Exponent(1.0), *X.shape) > 0.0
+
+    def test_exact_floor_at_the_bound_is_the_kernels_value(self):
+        X = np.array([[2.0**49, 2.0**49], [2.0**49, -(2.0**49)], [0.0, 0.0]])
+        floors = lemma_lab._flip_floors(X)
+        for i, j in np.ndindex(X.shape):
+            Y = X.copy()
+            Y[i, j] = -Y[i, j]
+            assert floors[i, j] == _exhaustive_best(Y, Exponent(1.0), signs=True)[0] == dual_l1_max(Y, signs=True)
+
     @staticmethod
     def _count_evaluations(monkeypatch):
         calls = []
@@ -436,6 +482,30 @@ class TestFlipScreen:
         calls.clear()
         public_sign_search(11, 3, budget=2, seed=5)
         assert 0 < screened < len(calls) / 2
+
+    @pytest.mark.parametrize("shape", [(10, 3), (12, 2), (11, 3), (8, 4), (14, 4)])
+    def test_integer_climbs_score_only_kept_flips(self, shape, monkeypatch, caplog):
+        # budget 1 is trial 0, a +-1 family: past the first sign max, only kept flips reach the kernel
+        calls = self._count_evaluations(monkeypatch)
+        for seed in (0, 3, 11):
+            calls.clear()
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="uncond.unconditionality"):
+                grothendieck_search(*shape, budget=1, seed=seed)
+            climbs = [TestFloorBuilds.CLIMB_LINE.match(r.getMessage()) for r in caplog.records]
+            (kept,) = [int(m[2]) for m in climbs if m]
+            assert len(calls) == 1 + kept
+
+    @pytest.mark.parametrize("budget", [1, 2])
+    @pytest.mark.parametrize("shape", [(10, 3), (12, 2), (11, 3), (8, 4), (14, 4)])
+    def test_lattice_and_normal_draws_match_the_public_oracle(self, shape, budget):
+        # budget 1 holds the +-1 draw alone; budget 2 adds a normal draw (trial 1)
+        for seed in (1, 6):
+            got = grothendieck_search(*shape, budget=budget, seed=seed)
+            want = public_sign_search(*shape, budget=budget, seed=seed)
+            assert got.ratio == want.ratio
+            assert got.witness.matrix.tobytes() == want.witness.matrix.tobytes()
+            assert got.to_json() == want.to_json()
 
     @pytest.mark.parametrize("shape", [(4, 5), (6, 6), (12, 11)])
     def test_unscreened_shapes_score_every_flip(self, shape, monkeypatch):

@@ -31,7 +31,9 @@ N = 256 and at TAIL_MAX_TERMS, ``cross_validate`` at one triple per
 verdict and clause, the stdout of ``uncond witness-hadamard`` and
 ``uncond witness-tail``, and the lemma layer's ``complex_subset_ratio`` on
 seeded normal entries (8, 24, 31 and 62 of them, and 40 of which 20 are
-zero) and on the 62nd and 64th roots of unity.
+zero) and on the 62nd and 64th roots of unity.  It also runs seeded
+``grothendieck_search`` at shapes and budgets the ``search`` workload does
+not: n5 d2 b6, n8 d2 b4, n9 d4 b2 and n14 d4 b2.
 """
 
 from __future__ import annotations
@@ -91,6 +93,8 @@ class Witness:
     ]
     #: (name, entries, zero entries) of the seeded complex_subset_ratio inputs.
     COMPLEX = [("n8", 8, 0), ("n24", 24, 0), ("n31", 31, 0), ("n40 half zero", 40, 20), ("n62", 62, 0)]
+    #: (n, dim, budget) of the seeded grothendieck_search runs.
+    GSEARCH = [(5, 2, 6), (8, 2, 4), (9, 4, 2), (14, 4, 2)]
 
     def __init__(self, U, seed: int):
         self.U, self.seed = U, seed
@@ -123,6 +127,9 @@ class Witness:
         for m in (62, 64):
             z = np.exp(2j * np.pi * np.arange(m) / m)
             ops.append(Op(f"complex_subset_ratio roots{m}", lambda z=z: U.complex_subset_ratio(z), _no_check))
+        for n, d, b in self.GSEARCH:
+            s = int(rng.integers(1 << 31))
+            ops.append(Op(f"gsearch n{n} d{d} b{b}", lambda n=n, d=d, b=b, s=s: U.grothendieck_search(n, d, b, s), _no_check))
         return ops
 
 
