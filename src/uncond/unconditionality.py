@@ -830,15 +830,15 @@ def unconditionality_quotient(avec, xvec, t: ExponentTriple) -> QuotientResult:
     and the subset max is exact, so every quotient is a certified lower
     bound.  All-zero a- or x-families make the denominator vanish and are
     rejected as degenerate; overflowing numerators and denominators are
-    rejected too, and so is an x-family past the exact kernel's reach.
+    rejected too, an overflowing subset max among them, and so is an
+    x-family past the exact kernel's reach.
     """
     avec, xvec = _paired_families(avec, xvec)
     t.require_holder_valid()
-    sub = subset_max_norm(xvec, t.q)
-    parts = _finite_parts(avec.matrix, xvec.matrix, t, sub=(sub.value, sub.argmax_subset))
+    parts = _finite_parts(avec.matrix, xvec.matrix, t)
     if parts is None:
         raise ValueError("degenerate family: denominator is zero")
-    return parts.result(sub)
+    return parts.result()
 
 
 def _finite_parts(A, X, t: ExponentTriple, sub=None) -> Optional[_Quotient]:
@@ -941,9 +941,9 @@ class _Quotient(NamedTuple):
     a_max: float
     sub: tuple[float, int]
 
-    def result(self, subset: SubsetMaxResult) -> QuotientResult:
-        """The public result, with ``subset`` the maximization that gave ``sub``."""
-        return QuotientResult(self.numerator, self.denominator, self.quotient, subset)
+    def result(self) -> QuotientResult:
+        """The public result, its subset maximization built from ``sub``."""
+        return QuotientResult(self.numerator, self.denominator, self.quotient, SubsetMaxResult(*self.sub))
 
 
 class _Quotients(NamedTuple):
@@ -1109,4 +1109,4 @@ def quotient_lower_bound_search(
         return res
 
     best = _seeded_restarts(n, dim, budget, seed, draw, climb)
-    return best.result(SubsetMaxResult(*best.sub))
+    return best.result()

@@ -44,8 +44,8 @@ def sha256_json(obj):
 CROSS_VALIDATE_JSON = {
     (3.0, 2.0, "inf"): "d08f207fb4abb15e6bf7fc54535b48857b866e515ee08812aa89353f1d320242",
     (2.0, 2.0, 4.0): "5eb72e91d6892762f33611a10157dec97275aaebbf25ee72554252cb3eeea633",
-    (2.0, 4.0, 3.0): "8034e3005c28ce55c2f94b5f5806105d82b560bf4c6888ae50bd219b5bb5ce2a",
-    ("inf", 4.0, 2.0): "20f5d808510d81cb869cd1a4398126f2cafa82e6fc92629e98e8c70b78544b9a",
+    (2.0, 4.0, 3.0): "d54a8a4e1370fb372c8f02cb2d3f58360b859b908acfc74ca8900cf7f08228d0",
+    ("inf", 4.0, 2.0): "5aaf37d69435b0ac5b3afac7a6150c83e53207201810477eecd36c6bb6a4d857",
     ("inf", 2.0, 2.0): "22fa252422ddb770e0999341b94693c92ba3a55f6c9ce7daaf81826a677371a7",
     (3.0, 3.0, 3.0): "7762382f3fc841e6e2a34dcf854d7d92660e92bcbf460d144f3ef0fba3286e1c",
     (4.0, 4.0, 1.0): "2f97d1615ce8892625ff2cccff44d679cd9c7f9cf3b0ea4a27480fa876908fbb",

@@ -1241,10 +1241,14 @@ class TestOverflowingFamilies:
             for call in (
                 lambda: subset_max_norm(Family(X), q),
                 lambda: sign_max_norm(Family(X), q),
-                lambda: unconditionality_quotient(Family(X), Family(X), ExponentTriple.of(2, q, 2)),
             ):
                 with pytest.raises(ValueError, match=r"^the maximum norm overflows binary64: inf$"):
                     call()
+            # the quotient takes the subset max as a part, and names the parts that overflow
+            with pytest.raises(ValueError, match=r"^quotient overflows binary64: numerator nan, denominator inf$"):
+                unconditionality_quotient(Family(X), Family(X), ExponentTriple.of(2, q, 2))
+            with pytest.raises(ValueError, match=r"^quotient overflows binary64: numerator 228808981\.\d+, denominator inf$"):
+                unconditionality_quotient(Family(np.full((16, 8), 1e-300)), Family(X), ExponentTriple.of(2, q, 2))
         got = subset_max_norm(Family(X), "inf")
         assert (got.value, got.argmax_subset) == sequential_scratch_max(X, "inf", False)
 

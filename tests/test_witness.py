@@ -1,4 +1,5 @@
 import math
+import sys
 from unittest import mock
 
 import numpy as np
@@ -23,7 +24,14 @@ from uncond.witness import (
     tail_witness,
 )
 
-from _oracles import harmonic_crossing, harmonic_sum, harmonic_ulps, minimal_witness_n, sylvester_entries
+from _oracles import (
+    harmonic_crossing,
+    harmonic_sum,
+    harmonic_ulps,
+    minimal_witness_n,
+    power_tail_norm,
+    sylvester_entries,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -83,8 +91,15 @@ class TestSylvester:
                 sylvester(bad)
         # 2.0 hashes like the cached 2, yet is no count of doublings
         for bad in (2.0, 2.5):
-            with pytest.raises(TypeError):
+            with pytest.raises(ValueError, match=r"\[0, 10\]"):
                 sylvester(bad)
+
+    @pytest.mark.parametrize("bad", [2.0, "3", None])
+    def test_anything_but_a_count_in_range_is_a_value_error_naming_it(self, bad):
+        # 2.0 and "3" raised TypeError
+        with pytest.raises(ValueError) as info:
+            sylvester(bad)
+        assert str(info.value) == f"n must be an integer in [0, 10] (size cap 2^10), got {bad!r}"
 
     @pytest.mark.parametrize("n", range(11))
     def test_rows_family_is_a_read_only_float64_copy(self, n):
@@ -487,7 +502,8 @@ class TestTailCounts:
         assert str(info.value) == f"N must be an integer >= 0, got {N!r}"
 
     def test_accepts_zero_and_numpy_integers(self):
-        assert tail_q_bound("inf", 1, 0) == 1.0
+        # the norm is 1 exactly, and the bound is raised by 5 units of 2^-53
+        assert tail_q_bound("inf", 1, 0) == 1.0000000000000004
         assert divergent_tail_norm(2, 0) == 0.0
         assert tail_q_bound(2, 1, np.int64(10)) == tail_q_bound(2, 1, 10)
         assert divergent_tail_norm(2, np.int32(3)) == divergent_tail_norm(2, 3)
@@ -506,3 +522,58 @@ class TestTailCounts:
         with pytest.raises(ValueError, match="of 1025 bits"):
             tail_q_bound(q, 1, 2**1024 - 1)
         assert 0.0 < tail_q_bound(q, 1, 2**1023) < 1e-150
+
+
+class TestTailBound:
+    """``tail_q_bound`` bounds the power tail's lq norm from above, within 1e-10 relative.
+
+    The reference is ``power_tail_norm``, the tail summed in mpmath at 50
+    digits.  The bound may exceed the norm by its Euler-Maclaurin cut, at
+    most 1.2e-11, and its rounding margin, at most 2e-14 here.
+    """
+
+    TIGHT = 1e-10
+
+    def assert_tight(self, q, r, N):
+        want = power_tail_norm(q, r, N)
+        got = tail_q_bound(q, r, N)
+        assert want <= got <= want * (1 + self.TIGHT), (q, r, N, got, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        N=st.integers(min_value=0, max_value=TAIL_MAX_TERMS),
+        r=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+        # s = q/r = 1 + 2^e runs from 1 + 2^-40 to about 1e300; None is q = inf
+        e=st.one_of(st.none(), st.floats(min_value=-40.0, max_value=996.5)),
+    )
+    def test_bounds_the_norm_tightly(self, N, r, e):
+        self.assert_tight(math.inf if e is None else (1.0 + 2.0**e) * r, r, N)
+
+    @pytest.mark.parametrize("N", [0, 10, TAIL_MAX_TERMS])
+    def test_q_within_ulps_of_r(self, N):
+        # q/r = 1 + 2048.33 * 2^-51 rounds to a float whose s - 1 is 8e-5 off, relative, and T ~ a/(s - 1)
+        self.assert_tight(3.0 + 6145 * 2.0**-51, 3.0, N)
+
+    @pytest.mark.parametrize("q", [800.0, 1e4, 1e300])
+    def test_a_tail_whose_zeta_underflows(self, q):
+        # zeta(q, 5) is below the smallest normal float; the first omitted term 1/5 dominates
+        assert not 5.0**-q >= sys.float_info.min
+        self.assert_tight(q, 1.0, 4)
+        assert 0.2 < tail_q_bound(q, 1, 4) < 0.2 * (1 + 2e-14)
+
+    @pytest.mark.parametrize(
+        "q, r, N",
+        [
+            (2.0, 1.0, 150661),  # `uncond witness-tail --q 2 --r 1 --B 12.5`, which printed a value below the norm
+            (3.0, 2.0, 835415),
+            (2.0, 1.0, 83),
+            (4.0, 3.0, 4),
+            (4.0, 3.0, 83),
+            (4.0, 2.0, 4),
+            (4.0, 2.0, 83),
+            (math.inf, 1.0, 0),
+        ],
+    )
+    def test_pinned_values_bound_their_norms(self, q, r, N):
+        # the tails behind the pinned stdout of witness-tail and cross_validate
+        self.assert_tight(q, r, N)

@@ -27,11 +27,13 @@ JSON object with all of it, the class hashes under each workload's
 The ``witness`` workload covers the witness layer's outputs: Hadamard
 witnesses of n = 1..12 on strict-clause triples, power tails and harmonic
 partial norms on both sides of the switch from table to closed form at
-N = 256 and at TAIL_MAX_TERMS, ``cross_validate`` at one triple per
-verdict and clause, the stdout of ``uncond witness-hadamard`` and
-``uncond witness-tail``, and the lemma layer's ``complex_subset_ratio`` on
-seeded normal entries (8, 24, 31 and 62 of them, and 40 of which 20 are
-zero) and on the 62nd and 64th roots of unity.  It also runs seeded
+N = 256 and at TAIL_MAX_TERMS, direct ``tail_q_bound`` values at five term
+counts and six exponents from 1 + 2^-40 to 1e300, ``cross_validate`` at
+one triple per verdict and clause, the stdout of ``uncond
+witness-hadamard`` and ``uncond witness-tail``, and the lemma layer's
+``complex_subset_ratio`` on seeded normal entries (8, 24, 31 and 62 of
+them, and 40 of which 20 are zero) and on the 62nd and 64th roots of
+unity.  It also runs seeded
 ``grothendieck_search`` at shapes and budgets the ``search`` workload does
 not: n5 d2 b6, n8 d2 b4, n9 d4 b2 and n14 d4 b2.
 """
@@ -84,6 +86,10 @@ class Witness:
     #: Term counts of the harmonic partial norms: H_N switches from table to
     #: closed form between 255 and 256, and 10^7 is TAIL_MAX_TERMS.
     COUNTS = [0, 1, 255, 256, 257, 200_003, 866_991, 10_000_000]
+    #: Term counts and exponents s = q/r (at r = 1) of the direct power tail
+    #: bounds: s from just above 1 to where every term past the first underflows.
+    TAIL_COUNTS = [0, 1, 4, 255, 10_000_000]
+    TAIL_EXPONENTS = [1.0 + 2.0**-40, 4.0 / 3.0, 2.0, 16.0, 800.0, 1e300]
     CROSS = [(3, 2, "inf"), (2, 2, 4), (2, 4, 3), ("inf", 4, 2), ("inf", 2, 2), (3, 3, 3)]
     CLI = [
         ["witness-hadamard", "--p", "inf", "--q", "2", "--r", "3", "--C", "2"],
@@ -115,6 +121,8 @@ class Witness:
                 ops.append(Op("tail_witness", lambda q=q, r=r, B=B: U.tail_witness(q, r, B), _no_check))
         for N in (*self.COUNTS, int(rng.integers(1, 1_000_000))):
             ops.append(Op("divergent_tail_norm", lambda N=N: [U.divergent_tail_norm(r, N) for r in (1, 2, 3.5)], _no_check))
+        for N in self.TAIL_COUNTS:
+            ops.append(Op("tail_q_bound", lambda N=N: [U.tail_q_bound(s, 1, N) for s in self.TAIL_EXPONENTS], _no_check))
         for triple in self.CROSS:
             t, s = U.ExponentTriple.of(*triple), int(rng.integers(1 << 31))
             ops.append(Op("cross_validate", lambda t=t, s=s: U.cross_validate(t, 4, s, n=4), _no_check))
