@@ -21,6 +21,7 @@ from .classifier import (
 from .errors import InternalInconsistencyError
 from .lemma_lab import (
     COMPLEX_SUBSET_BOUND,
+    KG_UPPER,
     REAL_SUBSET_BOUND,
     SHARP_COMPLEX_BOUND,
     RatioReport,
@@ -41,11 +42,9 @@ from .seqspace import (
     row_norms,
 )
 from .unconditionality import (
-    KG_UPPER,
     Family,
     QuotientResult,
     SubsetMaxResult,
-    main1_bound_check,
     quotient_lower_bound_search,
     sign_max_norm,
     subset_max_norm,
@@ -94,7 +93,6 @@ __all__ = [
     "grothendieck_ratio",
     "grothendieck_search",
     "hadamard_witness",
-    "main1_bound_check",
     "norm",
     "quotient_lower_bound_search",
     "real_subset_ratio",

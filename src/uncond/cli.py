@@ -348,6 +348,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(_joined(sys.argv[1:] if argv is None else argv, parser.options))
         check_threads(args.threads)
         payload, pretty_text = _HANDLERS[args.command](args)
+        text = _render(payload, pretty_text, args.pretty)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            return EXIT_OK
     except _UsageError as exc:
         _emit_error("usage", str(exc))
         return EXIT_USAGE
@@ -357,12 +362,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         _emit_error("domain-error", str(exc))
         return EXIT_DOMAIN
-    text = _render(payload, pretty_text, args.pretty)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    sys.stdout.write(text)
     return EXIT_OK
 
 

@@ -15,7 +15,8 @@ Covered here:
   ``row_norms`` call per exponent;
 * empirical lower bounds for the sign-pattern constant K in
   sum ||x_k||_2 <= K max_{s in {-1,1}^n} ||sum s_k x_k||_1, reported
-  against the fixed envelope KG_UPPER: a larger ratio is logged at CRITICAL.
+  against the fixed envelope KG_UPPER, defined here: a larger ratio is
+  logged at CRITICAL.
   The search (``grothendieck_search``) runs on the restart loop and the
   coordinate ascent of ``unconditionality`` with a climb by single-entry
   sign flips, screened on a dual table (``_flip_floors``).
@@ -33,7 +34,7 @@ import numpy as np
 
 from .seqspace import EPS_NUM, Exponent, ExponentLike, _finite_array, row_norms
 from .unconditionality import (
-    KG_UPPER,
+    DRAW_MAX_ENTRIES,
     Family,
     ReachError,
     _BLOCK_BYTES,
@@ -47,6 +48,12 @@ from .unconditionality import (
 )
 
 logger = logging.getLogger(__name__)
+
+#: Conservative upper envelope for the constant K_G of the sign-pattern
+#: inequality, chosen above every published bound: a ratio above it is a
+#: critical finding, not noise.  The 2K inequality behind the Preserves
+#: clause p <= 2, q <= r reads quotient(2, q, q) <= 2 K_G < 2 KG_UPPER.
+KG_UPPER = 1.8
 
 #: Sharp constant for the complex subset-sum inequality: pi, rounded to binary64.
 SHARP_COMPLEX_BOUND = math.pi
@@ -359,17 +366,24 @@ def sandwich_sweep(
     the rows of one array, takes both norms of every row with one
     ``row_norms`` call each, and records the violation count (which must
     stay zero) and the tightest slack observed on each side.  A seed other
-    than None or an integer >= 0 raises ValueError before anything is drawn.
+    than None or an integer >= 0, trials or a dimension other than an
+    integer >= 1, trials * max(dims) > DRAW_MAX_ENTRIES and a pair outside
+    1 <= p <= q < inf raise ValueError before anything is drawn.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if not (isinstance(trials, (int, np.integer)) and trials >= 1):
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+    for dim in dims:
+        if not (isinstance(dim, (int, np.integer)) and dim >= 1):
+            raise ValueError(f"dims must be integers >= 1, got {dim!r}")
+    entries = int(trials) * max(map(int, dims), default=0)  # Python ints: no int64 wrap
+    if entries > DRAW_MAX_ENTRIES:
+        raise ValueError(f"trials * max(dims) = {entries} exceeds the cap of {DRAW_MAX_ENTRIES} entries per draw")
+    pairs = [(Exponent.of(pv), Exponent.of(qv)) for pv, qv in p_q_pairs]
+    if any(q.is_infinite or p.is_infinite or p.value > q.value for p, q in pairs):
+        raise ValueError("pairs must satisfy 1 <= p <= q < inf")
     rng = np.random.default_rng(_checked_seed(seed))
     records = []
-    for pv, qv in p_q_pairs:
-        p = Exponent.of(pv)
-        q = Exponent.of(qv)
-        if q.is_infinite or p.is_infinite or p.value > q.value:
-            raise ValueError("pairs must satisfy 1 <= p <= q < inf")
+    for p, q in pairs:
         for dim in dims:
             V = rng.standard_normal((trials, dim))
             np_ = row_norms(V, p)

@@ -33,7 +33,10 @@ argument of ``subset_max_norm`` and ``sign_max_norm`` changes nothing.
 Every quotient, public or inside a search, is evaluated by one routine
 (``_quotient_parts``), which scores a stack of families at once; the public
 functions pass a stack of one, so a search compares the very float
-``unconditionality_quotient`` returns for the same entries.  The seeded
+``unconditionality_quotient`` returns for the same entries.  The 2K
+inequality behind the Preserves clause p <= 2, q <= r needs no routine of
+its own: it is ``unconditionality_quotient`` at (2, q, q) <= 2 K_G, with
+K_G below ``lemma_lab.KG_UPPER``.  The seeded
 searches for large quotients here and for large sign-pattern ratios in
 ``lemma_lab`` share one restart loop (``_seeded_restarts``: argument checks,
 seeded draws, skipped degenerate draws, strict improvement) and one
@@ -58,7 +61,6 @@ from typing import ClassVar, NamedTuple, Optional
 import numpy as np
 
 from .seqspace import (
-    EPS_NUM,
     Exponent,
     ExponentLike,
     ExponentTriple,
@@ -68,11 +70,6 @@ from .seqspace import (
 )
 
 logger = logging.getLogger(__name__)
-
-#: Conservative upper envelope for the constant of the sign-pattern
-#: inequality; chosen above every published bound, so a genuine violation of
-#: a check run at this level is a critical finding, not noise.
-KG_UPPER = 1.8
 
 #: Cap on n * dim for the families a seeded search draws (8 MB per float64 array).
 DRAW_MAX_ENTRIES = 1 << 20
@@ -808,21 +805,6 @@ def sign_max_norm(fam, q: ExponentLike, *, threads: int = 1) -> SubsetMaxResult:
     return _exact_max(fam, q, True, threads)
 
 
-def _paired_families(avec, xvec) -> tuple[Family, Family]:
-    """The a- and x-families, checked to have one size and one ambient length."""
-    avec, xvec = Family.of(avec), Family.of(xvec)
-    if avec.size != xvec.size:
-        raise ValueError("a-family and x-family must have the same size")
-    if avec.size and avec.ambient_len != xvec.ambient_len:
-        raise ValueError("a-family and x-family must share the ambient length")
-    return avec, xvec
-
-
-def _product_norm(A: np.ndarray, X: np.ndarray, r: Exponent) -> np.ndarray:
-    """||sum_k a_k x_k||_r of each family of a stack, for the rows a_k of A[m] and x_k of X[m]."""
-    return row_norms((A * X).sum(axis=1), r)
-
-
 def unconditionality_quotient(avec, xvec, t: ExponentTriple) -> QuotientResult:
     """The quotient ||sum a_k x_k||_r / (max_k ||a_k||_p * subset_max(x, q)).
 
@@ -833,7 +815,11 @@ def unconditionality_quotient(avec, xvec, t: ExponentTriple) -> QuotientResult:
     rejected too, an overflowing subset max among them, and so is an
     x-family past the exact kernel's reach.
     """
-    avec, xvec = _paired_families(avec, xvec)
+    avec, xvec = Family.of(avec), Family.of(xvec)
+    if avec.size != xvec.size:
+        raise ValueError("a-family and x-family must have the same size")
+    if avec.size and avec.ambient_len != xvec.ambient_len:
+        raise ValueError("a-family and x-family must share the ambient length")
     t.require_holder_valid()
     parts = _finite_parts(avec.matrix, xvec.matrix, t)
     if parts is None:
@@ -848,43 +834,6 @@ def _finite_parts(A, X, t: ExponentTriple, sub=None) -> Optional[_Quotient]:
     if parts is not None and not (math.isfinite(parts.numerator) and math.isfinite(parts.denominator)):
         raise ValueError(f"quotient overflows binary64: numerator {parts.numerator!r}, denominator {parts.denominator!r}")
     return parts
-
-
-def main1_bound_check(
-    avec,
-    xvec,
-    q: ExponentLike,
-    K: float,
-) -> bool:
-    """Check ||sum a_k x_k||_q <= 2 K max_k ||a_k||_2 * subset_max(x, q).
-
-    The a-family is measured in the l2 norm; for coordinatewise
-    multiplication l2 x lq -> lq the relevant operator norm is 1, so the
-    right side needs no extra factor.  Both sides come from the quotient
-    evaluator at the triple (2, q, q); all-zero families satisfy the check
-    as 0 <= 0.  A NaN ``K`` and overflow as in ``unconditionality_quotient``
-    raise ValueError.
-    """
-    if math.isnan(K):
-        raise ValueError("K cannot be NaN")
-    avec, xvec = _paired_families(avec, xvec)
-    q = Exponent.of(q)
-    parts = _finite_parts(avec.matrix, xvec.matrix, ExponentTriple(Exponent(2.0), q, q))
-    if parts is None:
-        return True  # a zero denominator means a zero product: 0 <= 0
-    lhs = parts.numerator
-    rhs = 2.0 * K * parts.a_max * parts.sub[0]
-    ok = lhs <= rhs * (1.0 + EPS_NUM)
-    if not ok and K >= KG_UPPER:
-        logger.critical(
-            "2K inequality violated at conservative K=%.3g: lhs %.12g > rhs %.12g "
-            "on a %d-vector family; this should be impossible",
-            K,
-            lhs,
-            rhs,
-            avec.size,
-        )
-    return ok
 
 
 def _coordinate_ascent(best, moves, evaluate, sweeps: int, name: str):
@@ -983,15 +932,15 @@ def _quotient_parts(A, X, t: ExponentTriple, a_max=None, sub=None):
     A part not given is computed per family, ``sub`` by one
     ``_exhaustive_best`` call on the stack.  Two (n, d) arrays are one
     family, scored as a stack of one: the result is its ``_Quotient``, or
-    None when the denominator is zero.  ``unconditionality_quotient``,
-    ``main1_bound_check`` and the quotient search evaluate every quotient
-    here.
+    None when the denominator is zero.  ``unconditionality_quotient`` and
+    the quotient search evaluate every quotient here; the numerator is
+    ||sum_k a_k x_k||_r of each family, one ``row_norms`` call on the stack.
     """
     single = A.ndim == 2
     if single:
         A, X = A[None], X[None]
     n, d = A.shape[1:]
-    numerator = _product_norm(A, X, t.r)
+    numerator = row_norms((A * X).sum(axis=1), t.r)
     if a_max is None:
         a_max = row_norms(A.reshape(A.shape[0] * n, d), t.p).reshape(A.shape[0], n).max(axis=1, initial=0.0)
     if sub is None:

@@ -407,17 +407,6 @@ def sandwich_sweep_loop(dims, p_q_pairs, trials: int, seed) -> dict:
     return {"violations": sum(r["violations"] for r in records), "records": records}
 
 
-def main1_sides(A: np.ndarray, X: np.ndarray, q, K: float) -> tuple[float, float]:
-    """(lhs, rhs) of the 2K check: the lq norm of sum a_k x_k, and 2 K max ||a_k||_2 subset_max.
-
-    The subset max is the row-by-row scratch enumeration, and rhs is
-    multiplied left to right as written.
-    """
-    lhs = float(row_norms((A * X).sum(axis=0).reshape(1, -1), q)[0])
-    a_max = float(row_norms(A, 2).max(initial=0.0))
-    return lhs, 2.0 * K * a_max * sequential_scratch_max(X, q)[0]
-
-
 def lattice_loop(rng, step) -> list:
     """The points lo + k * step for k = 0, 1, ... while at most hi + EPS_CMP, clipped at hi.
 

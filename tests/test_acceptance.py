@@ -19,10 +19,9 @@ from uncond.lemma_lab import (
     grothendieck_search,
     real_subset_ratio,
 )
-from uncond.seqspace import INF, Exponent, ExponentTriple, norm, row_norms
+from uncond.seqspace import EPS_NUM, INF, Exponent, ExponentTriple, norm, row_norms
 from uncond.unconditionality import (
     Family,
-    main1_bound_check,
     subset_max_norm,
     unconditionality_quotient,
 )
@@ -209,6 +208,7 @@ def test_criterion_07_two_kg_inequality():
     t0 = time.perf_counter()
     rng = np.random.default_rng(7)
     qs = (1.0, 1.5, 2.0, 3.0)
+    K = 1.8
     violations = 0
     for trial in range(10_000):
         n = int(rng.integers(1, 13))
@@ -219,7 +219,11 @@ def test_criterion_07_two_kg_inequality():
         else:
             A = rng.standard_normal((n, d))
             X = rng.standard_normal((n, d))
-        if not main1_bound_check(Family(A), Family(X), qs[trial % 4], 1.8):
+        if not (A.any() and X.any()):
+            continue  # a zero denominator means a zero product: 0 <= 0
+        q = qs[trial % 4]
+        quotient = unconditionality_quotient(Family(A), Family(X), ExponentTriple.of(2, q, q)).quotient
+        if not quotient <= 2 * K * (1 + EPS_NUM):
             violations += 1
     ok = violations == 0
     elapsed = time.perf_counter() - t0

@@ -1,7 +1,9 @@
 import contextlib
+import errno
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -145,8 +147,6 @@ GOLDEN_STDIN = {("quotient", "--p", "3", "--q", "3", "--r", "1.5", "--avec", "-"
 
 
 def run_cli(*args, env_extra=None, stdin_data=None):
-    import os
-
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
@@ -398,6 +398,17 @@ class TestGridCommand:
         text = target.read_text()
         assert text.startswith("p,q,r,verdict,clause,margin")
         assert "Preserves" in text
+
+    @pytest.mark.parametrize("target, code", [("missing/x.json", errno.ENOENT), (".", errno.EISDIR)],
+                             ids=["missing-directory", "directory"])
+    def test_unwritable_out_is_a_domain_error(self, target, code, tmp_path):
+        # the file opens inside main's try: exit 3 and one error object, as for an unreadable --avec
+        path = str(tmp_path / target)
+        res = run_cli("classify", "--p", "2", "--q", "2", "--r", "2", "--out", path)
+        assert (res.returncode, res.stdout) == (3, "")
+        assert res.stderr.splitlines() == [json.dumps({
+            "error": "domain-error", "detail": f"[Errno {code}] {os.strerror(code)}: {path!r}",
+        })]
 
 
 class TestQuotientCommand:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from uncond import lemma_lab, unconditionality
 from uncond.lemma_lab import (
+    KG_UPPER,
     SHARP_COMPLEX_BOUND,
     complex_subset_ratio,
     grothendieck_ratio,
@@ -19,7 +20,7 @@ from uncond.lemma_lab import (
     sandwich_sweep,
 )
 from uncond.seqspace import Exponent
-from uncond.unconditionality import KG_UPPER, Family, ReachError, _exhaustive_best
+from uncond.unconditionality import DRAW_MAX_ENTRIES, Family, ReachError, _exhaustive_best
 
 from _oracles import (
     complex_subset_max_naive,
@@ -563,11 +564,44 @@ class TestSandwichSweep:
         assert rec.min_lower_slack >= -1e-9
         assert rec.min_upper_slack >= -1e-9
 
-    def test_bad_pairs_rejected(self):
-        with pytest.raises(ValueError):
-            sandwich_sweep((2,), ((3, 2),), trials=10, seed=0)
-        with pytest.raises(ValueError):
-            sandwich_sweep((2,), ((1, "inf"),), trials=10, seed=0)
+    def test_bad_pairs_rejected(self, monkeypatch):
+        # a bad pair after a good one is rejected before the good one's cells are drawn
+        monkeypatch.setattr(np.random, "default_rng", lambda *a: pytest.fail("drew"))
+        for pairs in (((3, 2),), ((1, "inf"),), ((1, 2), (3, 2))):
+            with pytest.raises(ValueError, match=r"^pairs must satisfy 1 <= p <= q < inf$"):
+                sandwich_sweep((2,), pairs, trials=10, seed=0)
+
+    @pytest.mark.parametrize("dim", [2.5, -1, 0, np.int64(0), "3", None])
+    def test_dims_checked_before_drawing(self, dim, monkeypatch):
+        # 2.5 and -1 used to reach numpy's own errors, and 0 was drawn and recorded
+        monkeypatch.setattr(np.random, "default_rng", lambda *a: pytest.fail("drew"))
+        with pytest.raises(ValueError) as err:
+            sandwich_sweep((2, dim), ((1, 2),), trials=10, seed=0)
+        assert str(err.value) == f"dims must be integers >= 1, got {dim!r}"
+
+    @pytest.mark.parametrize("trials", [0, 2.5, "3", None])
+    def test_trials_checked_before_drawing(self, trials, monkeypatch):
+        monkeypatch.setattr(np.random, "default_rng", lambda *a: pytest.fail("drew"))
+        with pytest.raises(ValueError) as err:
+            sandwich_sweep((2,), ((1, 2),), trials=trials, seed=0)
+        assert str(err.value) == f"trials must be an integer >= 1, got {trials!r}"
+
+    def test_draw_cap(self):
+        # the cap is on trials * max(dims), the largest array one cell draws
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.random, "default_rng", lambda *a: pytest.fail("drew"))
+            for trials, dims in ((DRAW_MAX_ENTRIES // 16 + 1, (16,)), (1000, (2, 10**6)), (10**9, (1,)),
+                                 (10, (2, 1 << 40)), (np.int64(1 << 40), (np.int64(1 << 40),))):
+                with pytest.raises(ValueError) as err:
+                    sandwich_sweep(dims, ((1, 2),), trials=trials, seed=0)
+                entries = int(trials) * max(map(int, dims))
+                assert str(err.value) == (
+                    f"trials * max(dims) = {entries} exceeds the cap of {DRAW_MAX_ENTRIES} entries per draw"
+                )
+        # the largest lemmas sweep, 21 845 trials of at most 16 entries, stays under it
+        assert 21_845 * 16 <= DRAW_MAX_ENTRIES
+        rep = sandwich_sweep((1, 1 << 10), ((1, 2),), trials=DRAW_MAX_ENTRIES >> 10, seed=0)
+        assert rep.violations == 0 and [r.dim for r in rep.records] == [1, 1024]
 
     def test_seed_checked(self):
         for seed in (-1, 1.5, np.int64(-2), "3"):

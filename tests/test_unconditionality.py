@@ -12,11 +12,10 @@ from hypothesis import strategies as st
 
 from uncond import lemma_lab
 from uncond import unconditionality as U
-from uncond.lemma_lab import grothendieck_search
+from uncond.lemma_lab import KG_UPPER, grothendieck_search
 from uncond.seqspace import EPS_NUM, ExponentTriple
 from uncond.unconditionality import (
     Family,
-    main1_bound_check,
     quotient_lower_bound_search,
     sign_max_norm,
     subset_max_norm,
@@ -35,7 +34,6 @@ from _oracles import (
     exact_l2_sq_max,
     exact_norm,
     gram_form_max,
-    main1_sides,
     naive_sign_max,
     naive_subset_max,
     public_quotient_search,
@@ -100,7 +98,6 @@ class TestFamily:
         A, X = [[third], [third]], [[1e-300], [1e-300]]
         for call in (
             lambda: unconditionality_quotient(A, X, ExponentTriple.of(2, 2, 2)),
-            lambda: main1_bound_check(A, X, 2, 1.8),
             lambda: Family.of(A),
         ):
             with pytest.raises(ValueError, match=TestOverflowingFamilies.FAMILY_ERROR):
@@ -189,7 +186,6 @@ class TestSubsetMaxNorm:
         for call, log in (
             (lambda: subset_max_norm(fam, 2), 5),
             (lambda: sign_max_norm(signed, 2), 5),
-            (lambda: main1_bound_check(fam, fam, 2, 1.8), 5),
             (lambda: unconditionality_quotient(fam, fam, ExponentTriple.of(2, 2, 2)), 5),
             (lambda: U._exhaustive_best(lemma_lab._planar(np.ones(8))[1], U.Exponent.of(2), False), 8),
         ):
@@ -1102,80 +1098,35 @@ class TestQuotient:
             assert res.quotient <= 4.0 + EPS_NUM
 
 
-class TestMain1BoundCheck:
-    def test_hadamard_pair(self):
-        fam = sylvester(1)
-        assert main1_bound_check(fam, fam, 2, 1.8)
+class TestTwoKInequality:
+    """The 2K inequality behind the Preserves clause p in [1, 2], q <= r, read off the quotient evaluator."""
 
-    @pytest.mark.parametrize("K", [float("nan"), np.nan, np.float64("nan")])
-    def test_nan_constant_is_rejected_before_any_work(self, K, monkeypatch):
-        # False would read as "the 2K inequality failed"
-        monkeypatch.setattr(U, "_quotient_parts", lambda *a, **k: pytest.fail("evaluated"))
-        fam = sylvester(1)
-        with pytest.raises(ValueError, match="^K cannot be NaN$"):
-            main1_bound_check(fam, fam, 2, K)
-        # rejected before the families are read
-        with pytest.raises(ValueError, match="^K cannot be NaN$"):
-            main1_bound_check([[1.0]], [[1.0], [2.0]], 2, K)
-
-    def test_zero_family_holds_vacuously(self):
-        zeros = Family(np.zeros((2, 2)))
-        assert main1_bound_check(zeros, zeros, 2, 1.8)
-
-    def test_random_families(self):
-        rng = np.random.default_rng(31)
-        for trial in range(500):
-            n, d = int(rng.integers(1, 9)), int(rng.integers(1, 9))
-            A = rng.standard_normal((n, d))
-            X = rng.standard_normal((n, d))
-            q = (1, 1.5, 2, 3)[trial % 4]
-            assert main1_bound_check(Family(A), Family(X), q, 1.8)
-
-    def test_violation_at_conservative_k_logs_critical(self, caplog):
-        import logging
-
-        fam = Family.of([[1, 1], [1, -1]])
-        with caplog.at_level(logging.CRITICAL, logger="uncond.unconditionality"):
-            assert main1_bound_check(fam, fam, 2, 1.8)
-            assert not caplog.records
-            # tiny K fails quietly: failing below the envelope is not a finding
-            assert not main1_bound_check(fam, fam, 2, 0.01)
-            assert not caplog.records
-
-    def test_boundary_matches_the_oracle_bit_for_bit(self):
-        # K puts lhs at rhs * (1 + EPS_NUM); the check must flip where the oracle flips
-        rng = np.random.default_rng(43)
-        for trial in range(60):
-            n, d = int(rng.integers(1, 7)), int(rng.integers(1, 5))
-            q = (1, 1.5, 2, 3, "inf")[trial % 5]
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 7),
+        d=st.integers(1, 7),
+        lattice=st.booleans(),
+        p=st.floats(1.0, 2.0),
+        q=st.one_of(st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf]), st.floats(1.0, 6.0)),
+        r_past_q=st.one_of(st.just(math.inf), st.floats(0.0, 4.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_nested_clause_quotients_stay_under_the_2_q_q_quotient(self, n, d, lattice, p, q, r_past_q, seed):
+        # ||v||_r <= ||v||_q for r >= q and max ||a_k||_p >= max ||a_k||_2 for p <= 2, so the
+        # quotient at (2, q, q) bounds every nested-clause quotient, and 2 K_G bounds it
+        rng = np.random.default_rng(seed)
+        if lattice:
+            A, X = (rng.integers(-1, 2, (n, d)).astype(float) for _ in range(2))
+        else:
             A, X = rng.standard_normal((n, d)), rng.standard_normal((n, d))
-            lhs, rhs = main1_sides(A, X, q, 1.0)
-            K = lhs / (rhs * (1.0 + EPS_NUM))
-            for _ in range(16):
-                K = np.nextafter(K, 0.0)
-            verdicts = set()
-            for _ in range(33):
-                lhs, rhs = main1_sides(A, X, q, K)
-                want = lhs <= rhs * (1.0 + EPS_NUM)
-                assert main1_bound_check(Family(A), Family(X), q, K) == want
-                verdicts.add(want)
-                K = np.nextafter(K, np.inf)
-            assert verdicts == {False, True}
-
-    @pytest.mark.parametrize("K", [1.8, 3.0])
-    def test_critical_message_at_conservative_k(self, K, caplog, monkeypatch):
-        # no honest family fails at K >= 1.8, so the product norm is inflated
-        real = U._product_norm
-        monkeypatch.setattr(U, "_product_norm", lambda A, X, r: 100.0 * real(A, X, r))
-        A = np.array([[1.0, 1.0], [1.0, -1.0], [0.5, 2.0]])
-        X = np.array([[2.0, -1.0], [1.0, 1.0], [-0.5, 0.25]])
-        lhs, rhs = main1_sides(A, X, 2, K)
-        with caplog.at_level(logging.CRITICAL, logger="uncond.unconditionality"):
-            assert not main1_bound_check(Family(A), Family(X), 2, K)
-        assert [r.getMessage() for r in caplog.records] == [
-            f"2K inequality violated at conservative K={K:.3g}: lhs {100.0 * lhs:.12g} > "
-            f"rhs {rhs:.12g} on a 3-vector family; this should be impossible"
-        ]
+        assume(A.any() and X.any())  # an all-zero family has a zero denominator
+        got = unconditionality_quotient(Family(A), Family(X), ExponentTriple.of(p, q, q + r_past_q)).quotient
+        bound = unconditionality_quotient(Family(A), Family(X), ExponentTriple.of(2, q, q)).quotient
+        if bound == 0.0:
+            assert got == 0.0
+        else:
+            assert got <= bound + 4 * math.ulp(bound)
+        assert bound <= 2 * KG_UPPER * (1 + EPS_NUM)
 
 
 class TestOverflowingFamilies:
@@ -1219,7 +1170,6 @@ class TestOverflowingFamilies:
                 lambda: subset_max_norm(Family(big), q),
                 lambda: sign_max_norm(Family(big), q),
                 lambda: unconditionality_quotient(Family(X), Family(big), ExponentTriple.of(2, q, 2)),
-                lambda: main1_bound_check(Family(X), Family(big), q, 1.8),
             ):
                 with pytest.raises(ValueError, match=self.FAMILY_ERROR):
                     call()
@@ -1285,9 +1235,6 @@ class TestOverflowingFamilies:
         # the numerator is 0 but max ||a_k||_2 times the subset max overflows
         with pytest.raises(ValueError, match=r"^quotient overflows binary64: numerator 0\.0, denominator inf$"):
             unconditionality_quotient([[big, 0.0]], [[0.0, big]], ExponentTriple.of(2, 2, 2))
-        for A, X in (([[big, 0.0]], [[big, 0.0]]), ([[big, 0.0]], [[0.0, big]])):
-            with pytest.raises(ValueError, match="^quotient overflows binary64: "):
-                main1_bound_check(A, X, 2, 1.8)
 
 
 class TestQuotientOracle:
@@ -1312,7 +1259,6 @@ class TestQuotientOracle:
     def test_empty_family(self):
         with pytest.raises(ValueError, match="degenerate"):
             unconditionality_quotient([], [], ExponentTriple.of(2, 2, 2))
-        assert main1_bound_check([], [], 2, 1.8) is True
 
 
 class TestSearchArguments:
@@ -1755,12 +1701,9 @@ class TestClimbProperties:
 
 
 class TestPairedShapes:
-    @pytest.mark.parametrize("check", [
-        lambda a, x: unconditionality_quotient(a, x, ExponentTriple.of(2, 2, 2)),
-        lambda a, x: main1_bound_check(a, x, 2, 1.8),
-    ])
-    def test_shape_mismatches_rejected(self, check):
+    def test_shape_mismatches_rejected(self):
+        t = ExponentTriple.of(2, 2, 2)
         with pytest.raises(ValueError, match="same size"):
-            check([[1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]])
+            unconditionality_quotient([[1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]], t)
         with pytest.raises(ValueError, match="share the ambient length"):
-            check([[1.0, 0.0]], [[1.0, 0.0, 0.0]])
+            unconditionality_quotient([[1.0, 0.0]], [[1.0, 0.0, 0.0]], t)

@@ -3,13 +3,13 @@
 
     python3 tools/source_size.py [DIR]
 
-DIR defaults to ``src/uncond`` next to this script's parent.  The first count
-is every line of every ``*.py`` file in DIR.  The second keeps only the lines
-that hold code: a line counts when some token other than a comment starts or
-continues on it, and it is not part of a docstring (the string that opens a
-module, class or function body, found with ``ast``).  So blank lines,
-comment-only lines and docstrings drop out, and a multi-line statement counts
-every line it spans.
+DIR defaults to ``src/uncond`` next to this script's parent.  It prints one
+line per ``*.py`` file in DIR, then one line of totals.  The first count is
+every line of the file.  The second keeps only the lines that hold code: a
+line counts when some token other than a comment starts or continues on it,
+and it is not part of a docstring (the string that opens a module, class or
+function body, found with ``ast``).  So blank lines, comment-only lines and
+docstrings drop out, and a multi-line statement counts every line it spans.
 """
 
 import ast
@@ -43,9 +43,12 @@ def code_lines(source: str) -> int:
 
 def main(argv: list[str]) -> None:
     root = pathlib.Path(argv[0]) if argv else pathlib.Path(__file__).resolve().parents[1] / "src" / "uncond"
-    sources = [path.read_text(encoding="utf-8") for path in sorted(root.glob("*.py"))]
-    total = sum(len(src.splitlines()) for src in sources)
-    code = sum(map(code_lines, sources))
+    total = code = 0
+    for path in sorted(root.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        lines, kept = len(source.splitlines()), code_lines(source)
+        print(f"{path.name}: {lines} lines, {kept} code")
+        total, code = total + lines, code + kept
     print(f"{root}: {total} lines, {code} without docstrings, comments and blank lines")
 
 
