@@ -273,15 +273,18 @@ def grothendieck_search(
     log, are scored there.  The screen runs when dim < n, where the
     dual table has fewer rows than there are sign patterns, and its bounds
     fit one _BLOCK_BYTES block (dim <= 10); otherwise every floor is -inf
-    and every flip is scored.  Whether it runs is decided once per search.
+    and every flip is scored.  Whether it runs depends on n and dim alone.
     The running best is nondecreasing over the budget, and the whole run is
     deterministic per seed.  Every ratio equals ``grothendieck_ratio`` of the
     same entries, and one above KG_UPPER is logged the same way.
     """
     l1 = Exponent(1.0)
     limit = KG_UPPER + EPS_NUM
-    screened = 0 < dim < n and 8 * n * dim << (dim - 1) <= _BLOCK_BYTES
-    floors_of = _flip_floors if screened else lambda X: np.broadcast_to(-np.inf, X.shape)
+
+    def floors_of(X):
+        # decided by the shape alone, once the restart loop has checked it
+        screened = dim < n and 8 * n * dim << (dim - 1) <= _BLOCK_BYTES
+        return _flip_floors(X) if screened else np.broadcast_to(-np.inf, X.shape)
 
     def draw(rng, lattice):
         if lattice:

@@ -154,33 +154,60 @@ class ExponentTriple(NamedTuple):
         return f"({self.p}, {self.q}, {self.r})"
 
 
+#: numpy adds a run of fewer than this many contiguous entries left to
+#: right and longer runs pairwise, while a sum along any other axis adds
+#: left to right; so a row this short has the same norm reduced either way.
+_SEQUENTIAL_SUM_MAX = 8
+
+
 def row_norms(mat: np.ndarray, p: ExponentLike) -> np.ndarray:
     """lp norm of each row of a 2-d array.
 
     Single implementation shared by the scalar ``norm`` and every enumeration
     loop, so a vector's norm is the same float no matter which code path
-    computed it.  Entries are not checked here: this is the hot kernel, and
-    its callers validate (a non-finite entry gives nan or inf).
+    computed it.  Rows of fewer than _SEQUENTIAL_SUM_MAX entries are reduced
+    column first, on a C-order transposed copy: numpy then runs one long
+    inner loop per column rather than one short loop per row, and adds each
+    row in the same order.  Longer rows are reduced on a C-order copy, so
+    numpy sums each pairwise whatever the layout of ``mat``.  Entries are not
+    checked here: this is the hot kernel, and its callers validate (a
+    non-finite entry gives nan or inf).
     """
     p = Exponent.of(p)
-    a = np.abs(np.asarray(mat, dtype=np.float64))
+    a = np.asarray(mat, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError("row_norms expects a 2-d array")
     if a.shape[1] == 0:
         return np.zeros(a.shape[0])
+    if a.shape[1] < _SEQUENTIAL_SUM_MAX:
+        a = a.T.copy()
+        return _abs_norms(np.abs(a, out=a), p, 0)
+    return _abs_norms(np.abs(a, order="C"), p, 1)
+
+
+def _abs_norms(a: np.ndarray, p: Exponent, axis: int) -> np.ndarray:
+    """The lp norms of the 1-d slices along ``axis`` of ``a``, an array of absolute values that this call overwrites.
+
+    The one norm kernel, under ``row_norms`` and the exact maxima's scratch
+    pass.  Each slice is divided by its largest entry before the power, so
+    exponents in the hundreds do not overflow; a zero slice is divided by
+    the smallest subnormal, at most any nonzero max, and its norm is
+    m * 0 = 0.
+    """
     if p.is_infinite:
-        return np.maximum.reduce(a, axis=1)
+        return np.maximum.reduce(a, axis=axis)
     if p.value == 1.0:
-        return np.add.reduce(a, axis=1)
-    m = np.maximum.reduce(a, axis=1)
-    # a is this call's own copy, so it is scaled and raised in place; a zero row is divided
-    # by the smallest subnormal, at most any nonzero max, and its norm is m * 0 = 0
-    np.divide(a, np.maximum(m, _TINY)[:, None], out=a)
+        return np.add.reduce(a, axis=axis)
+    m = np.maximum.reduce(a, axis=axis, keepdims=True)
+    np.divide(a, np.maximum(m, _TINY), out=a)
     if p.value == 2.0:
         np.multiply(a, a, out=a)
     else:
         np.power(a, p.value, out=a)
-    return m * np.power(np.add.reduce(a, axis=1), 1.0 / p.value)
+    s = np.add.reduce(a, axis=axis, keepdims=True)
+    np.power(s, 1.0 / p.value, out=s)
+    s *= m
+    return s.squeeze(axis)
 
 
 def norm(v, p: ExponentLike) -> float:

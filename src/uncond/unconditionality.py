@@ -39,10 +39,12 @@ its own: it is ``unconditionality_quotient`` at (2, q, q) <= 2 K_G, with
 K_G below ``lemma_lab.KG_UPPER``.  The seeded
 searches for large quotients here and for large sign-pattern ratios in
 ``lemma_lab`` share one restart loop (``_seeded_restarts``: argument checks,
-seeded draws, skipped degenerate draws, strict improvement) and one
-coordinate ascent on matrix entries (``_coordinate_ascent``, which scores
-each batch of moves once and keeps its best move if that improves); each
-supplies only its draw and its climb.  The ascent works on the drawn float
+seeded draws in blocks, skipped degenerate draws, strict improvement; the
+quotient search scores each block of draws in one stacked pass before it
+gates and climbs them in trial order) and one coordinate ascent on
+matrix entries (``_coordinate_ascent``, which scores each batch of moves
+once and keeps its best move if that improves); each supplies only its
+draw and its climb.  The ascent works on the drawn float
 arrays and recomputes only what a move changes: a move on the a-family
 reuses the x-family's subset max, a move on the x-family reuses
 max_k ||a_k||_p, and the x-family maxima of a whole stack of moved families
@@ -64,7 +66,9 @@ from .seqspace import (
     Exponent,
     ExponentLike,
     ExponentTriple,
+    _SEQUENTIAL_SUM_MAX,
     _TINY,
+    _abs_norms,
     _finite_array,
     row_norms,
 )
@@ -81,6 +85,10 @@ SEARCH_MAX_N = 24
 # the ambient length alone and memory stays bounded for every n.
 _BLOCK_BYTES = 1 << 20
 _BLOCK_MAX_LOG = 15
+#: Most restart trials drawn and scored as one block: at 64 families of
+#: n = d = 4 a stacked score costs about 2 us per family, a tenth of a draw,
+#: and a longer block would only draw further ahead of its climbs.
+_RESTART_BLOCK = 64
 #: numpy runs a broadcast add whose rows are shorter than its ufunc buffer
 #: through the buffer, at about three times the cost, so a walk of several
 #: blocks of fewer positions than ``np.getbufsize()`` sets the buffer to one
@@ -251,30 +259,30 @@ def _scratch_sums(X: np.ndarray, masks: np.ndarray, signs: bool = False) -> np.n
 def _scratch_maxima(X: np.ndarray, q: Exponent, signs: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """(value, mask) of the first largest scratch norm in Gray order, for each family of an (m, n, d) stack.
 
-    Every position of every family is summed at once over the free rows,
-    all n for subsets and the first n-1 for signs: the sums over rows
-    0..k-1 at Gray positions 0..2^k-1 are followed by the same sums in
-    reverse order plus row k (reflected Gray code), or minus row k for
-    signs, whose first half then adds it.  Row n-1 of a sign pattern, whose
-    sign is +1, is added to every sum last.  So each sum adds its rows in
-    index order, as ``_scratch_sums`` does, and is the same float up to the
-    sign of a zero.
+    Every position of every family is summed at once: the rows times their
+    coefficients at each position (``_gray_coefs``) are added over the rows
+    in index order, into sums laid out (family, coordinate, position), so
+    each sum is the float ``_scratch_sums`` gives, up to the sign of a zero.
+    Their norms are then taken along the coordinates, one long inner loop
+    per coordinate, where d < _SEQUENTIAL_SUM_MAX adds each sum left to
+    right as ``row_norms`` does; wider sums are transposed to rows first.  A
+    stack whose terms (positions * n * d per family) exceed _BLOCK_BYTES is
+    evaluated in chunks of families that fit.
     """
     m, n, d = X.shape
-    free = n - 1 if signs and n else n
-    sums = np.zeros((m, 1 << free, d))
-    for k in range(free):
-        head, tail = sums[:, : 1 << k], sums[:, 1 << k : 2 << k]
-        if signs:
-            np.subtract(head[:, ::-1], X[:, k, None], out=tail)
-            head += X[:, k, None]
-        else:
-            np.add(head[:, ::-1], X[:, k, None], out=tail)
-    if free < n:
-        sums += X[:, free, None]
-    vals = row_norms(sums.reshape(m << free, d), q).reshape(m, 1 << free)
+    coef = _gray_coefs(n, signs)
+    per = max(1, _BLOCK_BYTES // (8 * max(1, coef.size * d)))
+    if m > per:
+        parts = [_scratch_maxima(X[lo : lo + per], q, signs) for lo in range(0, m, per)]
+        return np.concatenate([v for v, _ in parts]), np.concatenate([k for _, k in parts])
+    sums = np.add.reduce(X[:, :, :, None] * coef[:, None, :], axis=1)
+    if 0 < d < _SEQUENTIAL_SUM_MAX:
+        vals = _abs_norms(np.abs(sums, out=sums), q, 1)
+    else:
+        positions = coef.shape[1]
+        vals = row_norms(sums.transpose(0, 2, 1).reshape(m * positions, d), q).reshape(m, positions)
     k = vals.argmax(axis=1)
-    return vals.max(axis=1), k ^ (k >> 1)
+    return np.maximum.reduce(vals, axis=1), k ^ (k >> 1)
 
 
 def _first_best(X, q, signs, positions, chunk, best):
@@ -320,6 +328,23 @@ def _gray_bits(k: int) -> np.ndarray:
         bits[i] = j >> i & 1
     bits.setflags(write=False)
     return bits
+
+
+@functools.lru_cache(maxsize=None)
+def _gray_coefs(n: int, signs: bool) -> np.ndarray:
+    """Row k's coefficient in the sum at each Gray position, row by row (read-only float64).
+
+    Subsets have 2^n positions, coefficient bit k of the Gray code; sign
+    patterns have 2^(n-1), coefficient -1 where that bit is set and +1
+    elsewhere, and +1 for row n-1 at every position.  Cached per (n, signs);
+    the scratch pass asks for n <= 12 alone.
+    """
+    free = n - 1 if signs and n else n
+    bits = _gray_bits(free)
+    coef = np.ones((n, 1 << free))
+    coef[:free] = 1.0 - 2.0 * bits if signs else bits
+    coef.setflags(write=False)
+    return coef
 
 
 def _low_walk(Xs: np.ndarray, k: int) -> np.ndarray:
@@ -913,11 +938,15 @@ class _Quotients(NamedTuple):
         """Family k's quotient, or None when its denominator is zero."""
         if self.denominator[k] <= 0.0:
             return None
-        a_max, value, mask = (v[k] if isinstance(v, np.ndarray) else v for v in (self.a_max, *self.sub))
+        a_max, (value, mask) = self.a_max, self.sub
+        if isinstance(a_max, np.ndarray):
+            a_max = a_max[k]
+        if isinstance(value, np.ndarray):
+            value, mask = value[k], mask[k]
         return _Quotient(
-            float(self.quotient[k]),
-            float(self.numerator[k]),
-            float(self.denominator[k]),
+            self.quotient.item(k),
+            self.numerator.item(k),
+            self.denominator.item(k),
             float(a_max),
             (float(value), int(mask)),
         )
@@ -940,9 +969,9 @@ def _quotient_parts(A, X, t: ExponentTriple, a_max=None, sub=None):
     if single:
         A, X = A[None], X[None]
     n, d = A.shape[1:]
-    numerator = row_norms((A * X).sum(axis=1), t.r)
+    numerator = row_norms(np.add.reduce(A * X, axis=1), t.r)
     if a_max is None:
-        a_max = row_norms(A.reshape(A.shape[0] * n, d), t.p).reshape(A.shape[0], n).max(axis=1, initial=0.0)
+        a_max = np.maximum.reduce(row_norms(A.reshape(A.shape[0] * n, d), t.p).reshape(A.shape[0], n), axis=1, initial=0.0)
     if sub is None:
         sub = _exhaustive_best(X, t.q, False)
     denominator = a_max * sub[0]
@@ -955,27 +984,33 @@ def _refine_families(A, X, t, best: _Quotient) -> _Quotient:
     """Coordinate ascent on A, then X, by moves of +-scale * max(1, |entry|).
 
     A and X are moved in place.  Each batch holds one row's moves, entry by
-    entry, + before -, and is scored as one stack of moved families: a move
-    on A reuses X's subset max, and a move on X reuses max_k ||a_k||_p.  A
-    sweep scores 2 scales x 2 families x n rows, one batch each.
+    entry, + before -, and is scored as stacks of moved families, each
+    holding at most _BLOCK_BYTES (at least one family): a move on A reuses
+    X's subset max, and a move on X reuses max_k ||a_k||_p.  A sweep scores
+    2 scales x 2 families x n rows, one batch each.
     """
     cols = np.repeat(np.arange(A.shape[1]), 2)
     plus_minus = np.tile([1.0, -1.0], A.shape[1])
+    per = max(1, _BLOCK_BYTES // (8 * A.size))
+    family = np.arange(min(per, cols.size))
 
     def moves():
         for scale in _REFINE_STEPS:
             for M in (A, X):
                 for i in range(M.shape[0]):
-                    yield M, i, cols, plus_minus * np.repeat(scale * np.maximum(1.0, np.abs(M[i])), 2)
+                    yield M, i, cols, plus_minus * (scale * np.maximum(1.0, np.abs(M[i]))).repeat(2)
 
     def evaluate(M, i, cols, deltas, cur: _Quotient):
-        moved = np.repeat(M[None], cols.size, axis=0)
-        moved[np.arange(cols.size), i, cols] += deltas
-        if M is A:
-            res = _quotient_parts(moved, X[None], t, sub=cur.sub)
-        else:
-            res = _quotient_parts(A[None], moved, t, a_max=cur.a_max)
-        return res.quotient.tolist(), res.at
+        chunks = []
+        for lo in range(0, cols.size, per):
+            c = cols[lo : lo + per]
+            moved = M[None].repeat(c.size, axis=0)
+            moved[family[: c.size], i, c] += deltas[lo : lo + per]
+            if M is A:
+                chunks.append(_quotient_parts(moved, X[None], t, sub=cur.sub))
+            else:
+                chunks.append(_quotient_parts(A[None], moved, t, a_max=cur.a_max))
+        return [s for res in chunks for s in res.quotient.tolist()], lambda k: chunks[k // per].at(k % per)
 
     return _coordinate_ascent(best, moves, evaluate, _REFINE_SWEEPS, "refinement")
 
@@ -997,18 +1032,27 @@ def _trial_rngs(seed, budget: int):
     return (np.random.default_rng(root.spawn(1)[0]) for _ in range(budget))
 
 
-def _seeded_restarts(n: int, dim: int, budget: int, seed, draw, climb):
+def _seeded_restarts(n: int, dim: int, budget: int, seed, draw, climb, start=None):
     """The best climbed draw over ``budget`` seeded restarts, shared by both family searches.
 
     Trial k runs on the k-th child of ``SeedSequence(seed)`` (``_trial_rngs``):
     ``draw(rng, lattice)`` returns fresh float arrays, lattice entries at
-    even trials and standard normal ones at odd trials, and
-    ``climb(arrays, best)`` refines them into a tuple whose first field is
-    the score, or returns None for a degenerate draw, which is skipped.  Only
-    a strictly higher score replaces the best.  n * dim > DRAW_MAX_ENTRIES,
-    n > SEARCH_MAX_N and a seed other than None or an integer >= 0 raise
-    ValueError before anything is drawn.
+    even trials and standard normal ones at odd trials.  Trials run in
+    blocks of at most _RESTART_BLOCK, holding at most _BLOCK_BYTES of draws
+    at two n x dim binary64 arrays per trial.  A block is drawn in trial
+    order; ``start(draws)``, when given, turns its draws into the climbs'
+    inputs, one per draw, in order (so a search can score the whole block in
+    one pass), and by default each input is its draw.  Then, in trial order,
+    ``climb(input, best)`` refines each into a tuple whose first field is the
+    score, or returns None for a degenerate draw, which is skipped.  Only a
+    strictly higher score replaces the best.  An n, dim or budget that is not
+    an integer, n * dim > DRAW_MAX_ENTRIES, n > SEARCH_MAX_N and a seed other
+    than None or an integer >= 0 raise ValueError before anything is drawn.
     """
+    for name, value in (("n", n), ("dim", dim), ("budget", budget)):
+        if not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    n, dim, budget = int(n), int(dim), int(budget)
     if budget < 1:
         raise ValueError("empty budget")
     if n < 1 or dim < 1:
@@ -1017,11 +1061,15 @@ def _seeded_restarts(n: int, dim: int, budget: int, seed, draw, climb):
         raise ValueError(f"n * dim = {n * dim} exceeds the cap of {DRAW_MAX_ENTRIES} entries per draw")
     if n > SEARCH_MAX_N:
         raise ValueError(f"family size {n} exceeds the exhaustive cap {SEARCH_MAX_N} (2^{n} subsets)")
+    rngs = _trial_rngs(_checked_seed(seed), budget)
+    per_block = min(_RESTART_BLOCK, max(1, _BLOCK_BYTES // (16 * n * dim)))
     best = None
-    for trial, rng in enumerate(_trial_rngs(_checked_seed(seed), budget)):
-        res = climb(draw(rng, trial % 2 == 0), best)
-        if res is not None and (best is None or res[0] > best[0]):
-            best = res
+    for first in range(0, budget, per_block):
+        draws = [draw(next(rngs), trial % 2 == 0) for trial in range(first, min(first + per_block, budget))]
+        for arrays in draws if start is None else start(draws):
+            res = climb(arrays, best)
+            if res is not None and (best is None or res[0] > best[0]):
+                best = res
     if best is None:
         raise ValueError("search drew only degenerate families; increase the budget")
     return best
@@ -1051,11 +1099,16 @@ def quotient_lower_bound_search(
             return [rng.integers(-1, 2, size=(n, dim)).astype(np.float64) for _ in range(2)]
         return [rng.standard_normal((n, dim)) for _ in range(2)]
 
-    def climb(AX, best):
-        res = _quotient_parts(*AX, t)
+    def start(draws):
+        # one stacked pass scores every draw of the block, each as a stack of one would
+        parts = _quotient_parts(np.stack([A for A, _ in draws]), np.stack([X for _, X in draws]), t)
+        return [(A, X, parts.at(k)) for k, (A, X) in enumerate(draws)]
+
+    def climb(AXres, best):
+        A, X, res = AXres
         if res is not None and (best is None or res.quotient > 0.8 * best.quotient):
-            res = _refine_families(*AX, t, res)
+            res = _refine_families(A, X, t, res)
         return res
 
-    best = _seeded_restarts(n, dim, budget, seed, draw, climb)
+    best = _seeded_restarts(n, dim, budget, seed, draw, climb, start)
     return best.result()

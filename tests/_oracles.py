@@ -15,6 +15,7 @@ from uncond.classifier import Classification, Clause, Verdict
 from uncond.errors import InternalInconsistencyError
 from uncond.lemma_lab import grothendieck_ratio
 from uncond.seqspace import EPS_CMP, EPS_NUM, Exponent, ExponentTriple, norm, row_norms
+from uncond import unconditionality as U
 from uncond.unconditionality import Family, unconditionality_quotient
 from uncond.witness import second_clause_gap
 
@@ -210,6 +211,27 @@ def direct_norm(v, p) -> float:
     return math.fsum(t ** p for t in vals) ** (1.0 / p)
 
 
+def row_major_norms(mat: np.ndarray, p) -> np.ndarray:
+    """lp norms of the rows of a 2-d array, each row reduced along axis 1 of a C-order absolute copy.
+
+    The row-major formula, which ``row_norms`` must match bit for bit
+    whatever layout it reduces: scale by the row's largest entry, power,
+    add, root.
+    """
+    p = Exponent.of(p)
+    a = np.abs(np.asarray(mat, dtype=np.float64), order="C")
+    if a.shape[1] == 0:
+        return np.zeros(a.shape[0])
+    if p.is_infinite:
+        return np.maximum.reduce(a, axis=1)
+    if p.value == 1.0:
+        return np.add.reduce(a, axis=1)
+    m = np.maximum.reduce(a, axis=1)
+    a /= np.maximum(m, np.finfo(np.float64).smallest_subnormal)[:, None]
+    a = a * a if p.value == 2.0 else np.power(a, p.value)
+    return m * np.power(np.add.reduce(a, axis=1), 1.0 / p.value)
+
+
 def direct_quotient(A: np.ndarray, X: np.ndarray, p, q, r) -> tuple[float, float]:
     """(numerator, denominator) of the unconditionality quotient, from scratch.
 
@@ -338,6 +360,31 @@ def public_quotient_search(t, n: int, dim: int, budget: int, seed):
     if best is None:
         raise ValueError("search drew only degenerate families; increase the budget")
     return best
+
+
+def per_draw_quotient_bests(t, n: int, dim: int, budget: int, seed) -> list:
+    """The seeded quotient search scoring each draw alone, as a stack of one: its best after each trial.
+
+    Entry k is the result ``quotient_lower_bound_search`` must give at
+    budget k + 1 (trial k runs on child k of ``SeedSequence(seed)`` at every
+    budget), or None where every draw so far was degenerate.  Same draws,
+    the same 0.8 refinement gate and ``_refine_families`` climb, and strict
+    improvement only; no draws are scored together.
+    """
+    best, bests = None, []
+    for trial, child in enumerate(np.random.SeedSequence(seed).spawn(budget)):
+        rng = np.random.default_rng(child)
+        if trial % 2 == 0:
+            A, X = (rng.integers(-1, 2, size=(n, dim)).astype(np.float64) for _ in range(2))
+        else:
+            A, X = (rng.standard_normal((n, dim)) for _ in range(2))
+        res = U._quotient_parts(A, X, t)
+        if res is not None and (best is None or res.quotient > 0.8 * best.quotient):
+            res = U._refine_families(A, X, t, res)
+        if res is not None and (best is None or res.quotient > best.quotient):
+            best = res
+        bests.append(None if best is None else best.result())
+    return bests
 
 
 def public_sign_search(n: int, dim: int, budget: int, seed):

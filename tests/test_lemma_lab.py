@@ -307,6 +307,23 @@ class TestGrothendieckSearch:
         with pytest.raises(ValueError, match="empty budget"):
             grothendieck_search(2, 2, budget=0, seed=0)
 
+    @pytest.mark.parametrize("n, dim, budget, name, value", [
+        (10.0, 3, 2, "n", 10.0),
+        (3, 2.5, 1, "dim", 2.5),
+        (3, 2, 1.0, "budget", 1.0),
+        (3, 2, "1", "budget", "1"),
+    ])
+    def test_non_integers_are_named(self, n, dim, budget, name, value):
+        # 10.0 gave "unsupported operand type(s) for <<", and 2.5 a numpy TypeError
+        with pytest.raises(ValueError) as err:
+            grothendieck_search(n, dim, budget, 0)
+        assert str(err.value) == f"{name} must be an integer, got {value!r}"
+
+    def test_numpy_integers_accepted(self):
+        want = grothendieck_search(5, 2, 3, 0)
+        got = grothendieck_search(np.int64(5), np.int16(2), np.uint32(3), 0)
+        assert got.ratio.hex() == want.ratio.hex() and got.witness == want.witness
+
     @pytest.mark.parametrize("seed", [-1, 1.5, np.int64(-2), "3"])
     def test_bad_seed_is_named(self, seed):
         with pytest.raises(ValueError) as err:

@@ -20,7 +20,7 @@ from uncond.seqspace import (
 from uncond.lemma_lab import complex_subset_ratio, real_subset_ratio
 from uncond.unconditionality import Family
 
-from _oracles import direct_norm
+from _oracles import direct_norm, row_major_norms
 
 _EXPONENTS = st.one_of(st.just(INF), st.floats(1.0, 64.0).map(Exponent))
 
@@ -162,6 +162,62 @@ class TestNorm:
             block = row_norms(mat, p)
             single = np.array([norm(row, p) for row in mat])
             assert np.array_equal(block, single)
+
+
+_TINY = float(np.finfo(np.float64).smallest_subnormal)
+#: Entries where rounding and scaling are at their edges: signed zeros,
+#: subnormals, the extremes of the exponent range and values that tie.
+_EDGE_ENTRIES = [0.0, -0.0, _TINY, -_TINY, 3 * _TINY, 2.0**-1060, 1e-300, -1e-300, 1e300, -1e300, 1.0, -1.0, 0.1, 3.0]
+
+
+@st.composite
+def _rows(draw, widths):
+    d = draw(st.sampled_from(widths))
+    m = draw(st.integers(1, 40))
+    entry = st.one_of(st.sampled_from(_EDGE_ENTRIES), st.floats(-1e6, 1e6, allow_nan=False), st.floats(-1e-6, 1e-6))
+    rows = np.array(draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=m, max_size=m))).reshape(m, d)
+    if m > 1 and draw(st.booleans()):
+        # exact ties: the first row, permuted and with signs flipped, in every other row
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        for k in range(1, m):
+            rows[k] = rng.permutation(rows[0]) * rng.choice([-1.0, 1.0], size=d)
+    return rows
+
+
+class TestRowNormLayouts:
+    """Short rows are reduced column first; every norm is the row-major float, bit for bit."""
+
+    EXPONENTS = [1.0, 1.5, 2.0, 3.0, 70.0, "inf"]
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(rows=_rows(list(range(1, 10))), p=st.sampled_from(EXPONENTS))
+    def test_matches_row_major_formula(self, rows, p):
+        got = row_norms(rows, p)
+        assert got.tobytes() == row_major_norms(rows, p).tobytes()
+        # the layout of the input does not matter either
+        assert row_norms(np.asfortranarray(rows), p).tobytes() == got.tobytes()
+
+    @pytest.mark.parametrize("p", EXPONENTS)
+    @pytest.mark.parametrize("d", range(1, 10))
+    def test_random_and_edge_rows(self, d, p):
+        rng = np.random.default_rng(d)
+        rows = np.concatenate([
+            rng.standard_normal((500, d)) * 10.0 ** rng.integers(-300, 300, size=(500, 1)),
+            rng.choice(_EDGE_ENTRIES, size=(500, d)),
+        ])
+        assert row_norms(rows, p).tobytes() == row_major_norms(rows, p).tobytes()
+
+    def test_numpy_sums_short_rows_left_to_right(self):
+        # the property the column-first layout rests on: below 8 entries a row's
+        # sum is the left-to-right one, and from 8 on numpy sums pairwise
+        rng = np.random.default_rng(0)
+        for d in range(1, 10):
+            a = rng.random((2000, d))
+            left_to_right = a[:, 0].copy()
+            for j in range(1, d):
+                left_to_right += a[:, j]
+            same = np.add.reduce(a, axis=1) == left_to_right
+            assert same.all() if d < 8 else not same.all(), d
 
 
 class TestExponentTriple:

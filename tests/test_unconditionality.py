@@ -36,6 +36,7 @@ from _oracles import (
     gram_form_max,
     naive_sign_max,
     naive_subset_max,
+    per_draw_quotient_bests,
     public_quotient_search,
     public_refine,
     scratch_sum,
@@ -1322,6 +1323,113 @@ class TestTrialSeeds:
             U._seeded_restarts(2, 2, 10**5, 0, lambda rng, lattice: rng.standard_normal((2, 2)), climb)
 
         assert self._peak_bytes_until_stop(run) < 1 << 20
+
+
+def _result_bits(res) -> tuple:
+    return (res.quotient.hex(), res.numerator.hex(), res.denominator.hex(), res.subset.argmax_subset)
+
+
+class TestStackedRestarts:
+    """A block of restart draws scored in one stacked pass gives the per-draw loop's result, bit for bit."""
+
+    TRIPLES = [(3, 3, 3), (2, 2, 4), ("inf", 2, 2), (1.5, 2, "inf"), (4, 4, 4)]
+    BUDGETS = (1, 2, 8, 33)
+    #: shapes of n * dim >= SLOW_ENTRIES, whose searches take a tenth of a second
+    #: or more, run on every tenth seed
+    SLOW_ENTRIES = 24
+
+    @staticmethod
+    def _check(want, t, n, dim, budget, seed):
+        if want is None:
+            with pytest.raises(ValueError, match="^search drew only degenerate families; increase the budget$"):
+                quotient_lower_bound_search(t, n, dim, budget, seed)
+        else:
+            assert _result_bits(quotient_lower_bound_search(t, n, dim, budget, seed)) == _result_bits(want)
+
+    @pytest.mark.parametrize("dim", [1, 4, 7, 8])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8])
+    def test_blocks_match_the_per_draw_loop(self, n, dim, monkeypatch):
+        for seed in range(0, 30, 10 if n * dim >= self.SLOW_ENTRIES else 1):
+            t = ExponentTriple.of(*self.TRIPLES[seed % len(self.TRIPLES)])
+            want = per_draw_quotient_bests(t, n, dim, max(self.BUDGETS), seed)
+            for budget in self.BUDGETS:
+                self._check(want[budget - 1], t, n, dim, budget, seed)
+            with monkeypatch.context() as patch:
+                # four trials per block, so budget 9 runs as blocks of 4, 4 and 1; climb
+                # batches and scratch stacks are split into chunks as well
+                patch.setattr(U, "_BLOCK_BYTES", 16 * n * dim * 4)
+                self._check(want[8], t, n, dim, 9, seed)
+
+    def test_all_degenerate_draws_raise(self):
+        # a 1 x 1 lattice draw is degenerate unless both entries are nonzero
+        t = ExponentTriple.of(2, 2, 2)
+        degenerate = [seed for seed in range(30) if per_draw_quotient_bests(t, 1, 1, 1, seed) == [None]]
+        assert degenerate
+        for seed in degenerate:
+            self._check(None, t, 1, 1, 1, seed)
+
+    def test_one_stacked_score_per_block(self, monkeypatch):
+        calls = []
+        parts = U._quotient_parts
+
+        def counted(A, X, t, a_max=None, sub=None):
+            if a_max is None and sub is None:
+                calls.append(len(A))
+            return parts(A, X, t, a_max, sub)
+
+        monkeypatch.setattr(U, "_quotient_parts", counted)
+        t = ExponentTriple.of(3, 3, 3)
+        quotient_lower_bound_search(t, 3, 4, 8, 0)
+        assert calls == [8]
+        calls.clear()
+        quotient_lower_bound_search(t, 3, 4, 2 * U._RESTART_BLOCK + 1, 0)
+        assert calls == [U._RESTART_BLOCK, U._RESTART_BLOCK, 1]
+        calls.clear()
+        # three trials' draws per block
+        monkeypatch.setattr(U, "_BLOCK_BYTES", 16 * 3 * 4 * 3)
+        quotient_lower_bound_search(t, 3, 4, 8, 0)
+        assert calls == [3, 3, 2]
+
+
+class TestIntegerSearchArguments:
+    """n, dim and budget must be integers; numpy integers are accepted."""
+
+    @pytest.mark.parametrize("n, dim, budget, name, value", [
+        (3, 4, 2.5, "budget", 2.5),
+        (3.0, 4, 2, "n", 3.0),
+        (3, "4", 2, "dim", "4"),
+        (3, 4, None, "budget", None),
+        (2, 4.0, 1, "dim", 4.0),
+    ])
+    def test_non_integers_are_named(self, n, dim, budget, name, value):
+        with pytest.raises(ValueError) as err:
+            quotient_lower_bound_search(ExponentTriple.of(2, 2, 2), n, dim, budget, 0)
+        assert str(err.value) == f"{name} must be an integer, got {value!r}"
+
+    def test_checked_before_anything_is_drawn(self, monkeypatch):
+        monkeypatch.setattr(U, "_trial_rngs", mock.Mock(side_effect=AssertionError("drew")))
+        with pytest.raises(ValueError, match="^n must be an integer"):
+            quotient_lower_bound_search(ExponentTriple.of(2, 2, 2), 2.0, 2, 1, 0)
+
+    def test_numpy_integers_accepted(self):
+        t = ExponentTriple.of(2, 2, 2)
+        want = quotient_lower_bound_search(t, 3, 4, 2, 0)
+        got = quotient_lower_bound_search(t, np.int64(3), np.int32(4), np.uint8(2), 0)
+        assert _result_bits(got) == _result_bits(want)
+
+
+class TestClimbBatchBytes:
+    def test_batch_stacks_are_bounded(self):
+        # one 1 x 512 draw: its 1024 moved copies once held 4 MB per batch, and 20 MB at peak
+        t = ExponentTriple.of(2, 2, 2)
+        tracemalloc.start()
+        try:
+            res = quotient_lower_bound_search(t, 1, 512, 1, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * U._BLOCK_BYTES
+        assert res.quotient.hex() == "0x1.6c97a77cd508cp-5"
 
 
 class TestQuotientSearch:

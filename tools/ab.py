@@ -30,12 +30,15 @@ partial norms on both sides of the switch from table to closed form at
 N = 256 and at TAIL_MAX_TERMS, direct ``tail_q_bound`` values at five term
 counts and six exponents from 1 + 2^-40 to 1e300, ``cross_validate`` at
 one triple per verdict and clause, the stdout of ``uncond
-witness-hadamard`` and ``uncond witness-tail``, and the lemma layer's
+witness-hadamard``, ``uncond witness-tail`` and a small ``uncond lemmas``
+(vectors of 1 to 12 entries), and the lemma layer's
 ``complex_subset_ratio`` on seeded normal entries (8, 24, 31 and 62 of
 them, and 40 of which 20 are zero) and on the 62nd and 64th roots of
 unity.  It also runs seeded
 ``grothendieck_search`` at shapes and budgets the ``search`` workload does
-not: n5 d2 b6, n8 d2 b4, n9 d4 b2 and n14 d4 b2.
+not: n5 d2 b6, n8 d2 b4, n9 d4 b2 and n14 d4 b2, and seeded
+``quotient_lower_bound_search`` at (3, 3, 3): n1, n2, n6 and n8 at d4, n4
+at d7 and d8 (budget 8), and n3 d4 at budget 64.
 """
 
 from __future__ import annotations
@@ -96,11 +99,17 @@ class Witness:
         ["witness-hadamard", "--p", "inf", "--q", "1", "--r", "1", "--C", "9", "--pretty"],
         ["witness-tail", "--q", "2", "--r", "1", "--B", "12.5"],
         ["witness-tail", "--q", "inf", "--r", "1.5", "--B", "40", "--pretty"],
+        # draws of 1 to 12 entries and sandwich dims 2, 5 and 16: row norms on both sides of 8 entries
+        ["lemmas", "--budget", "64", "--dim", "12", "--seed", "5"],
     ]
     #: (name, entries, zero entries) of the seeded complex_subset_ratio inputs.
     COMPLEX = [("n8", 8, 0), ("n24", 24, 0), ("n31", 31, 0), ("n40 half zero", 40, 20), ("n62", 62, 0)]
     #: (n, dim, budget) of the seeded grothendieck_search runs.
     GSEARCH = [(5, 2, 6), (8, 2, 4), (9, 4, 2), (14, 4, 2)]
+    #: (n, dim, budget) of the seeded quotient_lower_bound_search runs at (3, 3, 3):
+    #: sizes and widths the ``search`` workload does not run, d = 7 and 8 on
+    #: both sides of the column-first norms, and a budget of several blocks' worth of climbs.
+    QSEARCH = [(1, 4, 8), (2, 4, 8), (6, 4, 8), (8, 4, 8), (4, 7, 8), (4, 8, 8), (3, 4, 64)]
 
     def __init__(self, U, seed: int):
         self.U, self.seed = U, seed
@@ -138,6 +147,10 @@ class Witness:
         for n, d, b in self.GSEARCH:
             s = int(rng.integers(1 << 31))
             ops.append(Op(f"gsearch n{n} d{d} b{b}", lambda n=n, d=d, b=b, s=s: U.grothendieck_search(n, d, b, s), _no_check))
+        t = U.ExponentTriple.of(3, 3, 3)
+        for n, d, b in self.QSEARCH:
+            s = int(rng.integers(1 << 31))
+            ops.append(Op(f"qsearch n{n} d{d} b{b}", lambda n=n, d=d, b=b, s=s: U.quotient_lower_bound_search(t, n, d, b, s), _no_check))
         return ops
 
 
