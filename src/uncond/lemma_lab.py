@@ -24,7 +24,6 @@ Covered here:
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 from dataclasses import asdict, dataclass
@@ -41,6 +40,7 @@ from .unconditionality import (
     _checked_seed,
     _coordinate_ascent,
     _exhaustive_best,
+    _gray_coefs,
     _require_summable,
     _seeded_restarts,
     _slack,
@@ -203,24 +203,15 @@ def grothendieck_ratio(fam) -> RatioReport:
     return RatioReport(ratio, KG_UPPER, KG_UPPER - ratio, fam, True)
 
 
-@functools.lru_cache(maxsize=None)
-def _half_signs(d: int) -> np.ndarray:
-    """The 2^(d-1) sign vectors of length d with s_{d-1} = +1, one per row (read-only).
-
-    Row j is -1 where bit i of j is set.  The screen builds them only for
-    d <= 10, where its bounds fit one block.
-    """
-    table = 1.0 - 2.0 * (np.arange(1 << (d - 1))[:, None] >> np.arange(d) & 1)
-    table.setflags(write=False)
-    return table
-
-
 def _flip_floors(X: np.ndarray) -> np.ndarray:
     """Proven lower bounds on the q = 1 sign max of X after negating each single entry.
 
-    With P = S X^T the dual table over the sign vectors s with s_{d-1} = +1,
-    negating X[i, j] moves P[s, i] by -2 s_j X[i, j], so the dual score
-    h(s) = sum_k |P[s, k]| becomes h(s) - |P[s, i]| + |P[s, i] - 2 s_j X[i, j]|.
+    With P = S X^T the dual table over the sign vectors s with s_{d-1} = +1
+    (S, one row per vector in Gray order, is the kernel's cached sign table
+    ``_gray_coefs(d, True, float64)`` transposed; the screen asks for it
+    only at d <= 10, where its bounds fit one block), negating X[i, j] moves
+    P[s, i] by -2 s_j X[i, j], so the dual score h(s) = sum_k |P[s, k]|
+    becomes h(s) - |P[s, i]| + |P[s, i] - 2 s_j X[i, j]|.
     The best such score is the exact sign max after the flip, since
     max_s <s, v> = ||v||_1.  The float sign max ``_exhaustive_best`` reports
     is at least the float score times 1 - ``_slack`` at q = 1, whose proof
@@ -242,7 +233,7 @@ def _flip_floors(X: np.ndarray) -> np.ndarray:
     the very float the kernel would return, and a flip the screen skips is
     one the climb would score and revert without a log line.
     """
-    S = _half_signs(X.shape[1])
+    S = _gray_coefs(X.shape[1], True, np.float64).T
     P = S @ X.T
     absP = np.abs(P)
     moved = np.abs(P[:, :, None] - 2.0 * S[:, None, :] * X)

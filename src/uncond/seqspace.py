@@ -156,7 +156,7 @@ class ExponentTriple(NamedTuple):
 
 #: numpy adds a run of fewer than this many contiguous entries left to
 #: right and longer runs pairwise, while a sum along any other axis adds
-#: left to right; so a row this short has the same norm reduced either way.
+#: left to right; so a slice this short has the same norm reduced either way.
 _SEQUENTIAL_SUM_MAX = 8
 
 
@@ -165,35 +165,40 @@ def row_norms(mat: np.ndarray, p: ExponentLike) -> np.ndarray:
 
     Single implementation shared by the scalar ``norm`` and every enumeration
     loop, so a vector's norm is the same float no matter which code path
-    computed it.  Rows of fewer than _SEQUENTIAL_SUM_MAX entries are reduced
-    column first, on a C-order transposed copy: numpy then runs one long
-    inner loop per column rather than one short loop per row, and adds each
-    row in the same order.  Longer rows are reduced on a C-order copy, so
-    numpy sums each pairwise whatever the layout of ``mat``.  Entries are not
-    checked here: this is the hot kernel, and its callers validate (a
-    non-finite entry gives nan or inf).
+    computed it: each row is a column of ``mat.T`` for ``_column_norms``,
+    which adds rows of fewer than _SEQUENTIAL_SUM_MAX entries left to right
+    and longer ones pairwise, whatever the layout of ``mat``.  Entries are
+    not checked here: this is the hot kernel, and its callers
+    validate (a non-finite entry gives nan or inf).
     """
     p = Exponent.of(p)
     a = np.asarray(mat, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError("row_norms expects a 2-d array")
-    if a.shape[1] == 0:
-        return np.zeros(a.shape[0])
-    if a.shape[1] < _SEQUENTIAL_SUM_MAX:
-        a = a.T.copy()
-        return _abs_norms(np.abs(a, out=a), p, 0)
-    return _abs_norms(np.abs(a, order="C"), p, 1)
+    return _column_norms(a.T, p)
 
 
-def _abs_norms(a: np.ndarray, p: Exponent, axis: int) -> np.ndarray:
-    """The lp norms of the 1-d slices along ``axis`` of ``a``, an array of absolute values that this call overwrites.
+def _column_norms(v: np.ndarray, p: Exponent) -> np.ndarray:
+    """The lp norms of the 1-d slices of ``v`` along axis -2: an (..., d, P) array gives (..., P).
 
     The one norm kernel, under ``row_norms`` and the exact maxima's scratch
-    pass.  Each slice is divided by its largest entry before the power, so
-    exponents in the hundreds do not overflow; a zero slice is divided by
-    the smallest subnormal, at most any nonzero max, and its norm is
-    m * 0 = 0.
+    evaluator, and the one reader of the layout rule _SEQUENTIAL_SUM_MAX.
+    Slices of fewer entries are reduced along axis -2 of a C-order absolute
+    copy: numpy then runs one long inner loop per coordinate and adds each
+    slice left to right.  Longer slices are copied to C-order rows first, so
+    numpy sums each pairwise whatever the layout of ``v``.  Each slice is
+    divided by its largest entry before the power, so exponents in the
+    hundreds do not overflow; a zero slice is divided by the smallest
+    subnormal, at most any nonzero max, and its norm is m * 0 = 0, as is
+    that of an empty slice.
     """
+    if v.shape[-2] == 0:
+        return np.zeros(v.shape[:-2] + v.shape[-1:])
+    if v.shape[-2] < _SEQUENTIAL_SUM_MAX:
+        a, axis = v.copy(), -2
+        np.abs(a, out=a)
+    else:
+        a, axis = np.abs(v.swapaxes(-1, -2), order="C"), -1
     if p.is_infinite:
         return np.maximum.reduce(a, axis=axis)
     if p.value == 1.0:

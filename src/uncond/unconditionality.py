@@ -21,8 +21,14 @@ keys and recompute from scratch, in binary64, every position whose key may
 be the largest, with one relative rounding slack (``_slack``).  All four
 report the same (value, mask), bit for bit: the norm of the first position
 in Gray order attaining the largest scratch norm, its sum added in index
-order.  The kernel alone bounds what an exact maximum may cost: a maximum
-that the branch and bound cannot settle and that needs a walk of more than
+order.  Every scratch norm, on every route, comes from one evaluator
+(``_scratch_norms``: the rows times an (n, P) coefficient table, added in
+index order), and every coefficient table from one builder
+(``_mask_coefs``), whose table of all Gray positions is cached per (n,
+signs, dtype) for the scratch route, the walks' low sums and
+``lemma_lab``'s flip screen (``_gray_coefs``).  The kernel alone bounds
+what an exact maximum may cost: a maximum that the branch and bound cannot
+settle and that needs a walk of more than
 2^WALK_MAX_LOG positions, or of more than 2^35 positions times walked
 columns, raises ReachError, a ValueError, before the walk starts.  Callers
 that fall back on a refusal ask the kernel and catch that error; none of
@@ -66,9 +72,8 @@ from .seqspace import (
     Exponent,
     ExponentLike,
     ExponentTriple,
-    _SEQUENTIAL_SUM_MAX,
     _TINY,
-    _abs_norms,
+    _column_norms,
     _finite_array,
     row_norms,
 )
@@ -244,57 +249,39 @@ class QuotientResult:
         return {"quotient": self.quotient, **out}
 
 
-def _scratch_sums(X: np.ndarray, masks: np.ndarray, signs: bool = False) -> np.ndarray:
-    """Each int64 Gray mask's subset sum (or signed sum, bit = 1 meaning -1) of the rows of X.
+def _scratch_norms(X: np.ndarray, coef: np.ndarray, q: Exponent) -> np.ndarray:
+    """The lq norm of each family's sum at each column of ``coef``: (m, P) for an (m, n, d) stack and an (n, P) table.
 
-    Every sum is recomputed from the rows, added in index order.
-    """
-    bit = masks[:, None] >> np.arange(X.shape[0]) & 1
-    coef = 1.0 - 2.0 * bit if signs else bit.astype(np.float64)
-    terms = coef[:, :, None] * X
-    np.cumsum(terms, axis=1, out=terms)
-    return terms[:, -1]
-
-
-def _scratch_maxima(X: np.ndarray, q: Exponent, signs: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """(value, mask) of the first largest scratch norm in Gray order, for each family of an (m, n, d) stack.
-
-    Every position of every family is summed at once: the rows times their
-    coefficients at each position (``_gray_coefs``) are added over the rows
-    in index order, into sums laid out (family, coordinate, position), so
-    each sum is the float ``_scratch_sums`` gives, up to the sign of a zero.
-    Their norms are then taken along the coordinates, one long inner loop
-    per coordinate, where d < _SEQUENTIAL_SUM_MAX adds each sum left to
-    right as ``row_norms`` does; wider sums are transposed to rows first.  A
-    stack whose terms (positions * n * d per family) exceed _BLOCK_BYTES is
-    evaluated in chunks of families that fit.
+    The one scratch evaluator, under the scratch route and ``_first_best``:
+    the rows times their coefficients are added over the rows in index
+    order, into sums laid out (family, coordinate, position), and
+    ``_column_norms`` takes their norms along the coordinates.  A lone sum
+    of length 1 is evaluated as two, since numpy would add its n terms as
+    one contiguous run, pairwise from 8 on.  A stack whose terms (n * d * P
+    per family) exceed _BLOCK_BYTES is evaluated in chunks of families that
+    fit.
     """
     m, n, d = X.shape
-    coef = _gray_coefs(n, signs)
+    if d * coef.shape[1] == 1:
+        return _scratch_norms(X, coef.repeat(2, axis=1), q)[:, :1]
     per = max(1, _BLOCK_BYTES // (8 * max(1, coef.size * d)))
     if m > per:
-        parts = [_scratch_maxima(X[lo : lo + per], q, signs) for lo in range(0, m, per)]
-        return np.concatenate([v for v, _ in parts]), np.concatenate([k for _, k in parts])
-    sums = np.add.reduce(X[:, :, :, None] * coef[:, None, :], axis=1)
-    if 0 < d < _SEQUENTIAL_SUM_MAX:
-        vals = _abs_norms(np.abs(sums, out=sums), q, 1)
-    else:
-        positions = coef.shape[1]
-        vals = row_norms(sums.transpose(0, 2, 1).reshape(m * positions, d), q).reshape(m, positions)
-    k = vals.argmax(axis=1)
-    return np.maximum.reduce(vals, axis=1), k ^ (k >> 1)
+        return np.concatenate([_scratch_norms(X[lo : lo + per], coef, q) for lo in range(0, m, per)])
+    return _column_norms(np.add.reduce(X[:, :, :, None] * coef[:, None, :], axis=1), q)
 
 
 def _first_best(X, q, signs, positions, chunk, best):
     """Merge Gray positions, in Gray order, into ``best`` = (value, mask) by scratch norm.
 
-    Only a strictly larger value replaces ``best``, so ties keep the first.
+    Each chunk of positions is one ``_scratch_norms`` call on its masks'
+    coefficients.  Only a strictly larger value replaces ``best``, so ties
+    keep the first.
     """
     masks = np.concatenate(positions)
     masks ^= masks >> 1
     for at in range(0, masks.size, chunk):
         part = masks[at : at + chunk]
-        vals = row_norms(_scratch_sums(X, part, signs), q)
+        vals = _scratch_norms(X[None], _mask_coefs(part, X.shape[0], signs, np.float64), q)[0]
         k = int(np.argmax(vals))
         if vals[k] > best[0]:
             best = (float(vals[k]), int(part[k]))
@@ -313,36 +300,29 @@ def _block_rows(d: int, total: int) -> int:
     return min(total, 1 << min(max(log, 0), _BLOCK_MAX_LOG))
 
 
-@functools.lru_cache(maxsize=None)
-def _gray_bits(k: int) -> np.ndarray:
-    """Bit i of gray(j) at row i, column j, for j < 2^k (read-only binary32).
+def _mask_coefs(masks: np.ndarray, n: int, signs: bool, dtype) -> np.ndarray:
+    """Row k's coefficient in the sum of each int64 mask, one column per mask: an (n, masks) array of ``dtype``.
 
-    Cached per k <= _BLOCK_MAX_LOG: at most 16 tables, about 4 MB in all.
-    Bits are exact in binary32; a binary64 walk promotes the table it
-    multiplies.
+    The one builder of coefficient tables.  Subsets take bit k of the mask;
+    sign patterns take -1 where it is set and +1 elsewhere.  Every
+    coefficient is exact in binary32.
     """
-    j = np.arange(1 << k)
-    j ^= j >> 1
-    bits = np.empty((k, 1 << k), dtype=np.float32)
-    for i in range(k):
-        bits[i] = j >> i & 1
-    bits.setflags(write=False)
-    return bits
+    bits = masks >> np.arange(n)[:, None] & 1
+    return (1 - 2 * bits if signs else bits).astype(dtype)
 
 
 @functools.lru_cache(maxsize=None)
-def _gray_coefs(n: int, signs: bool) -> np.ndarray:
-    """Row k's coefficient in the sum at each Gray position, row by row (read-only float64).
+def _gray_coefs(n: int, signs: bool, dtype) -> np.ndarray:
+    """``_mask_coefs`` of every Gray position in Gray order (read-only), cached per (n, signs, dtype).
 
-    Subsets have 2^n positions, coefficient bit k of the Gray code; sign
-    patterns have 2^(n-1), coefficient -1 where that bit is set and +1
-    elsewhere, and +1 for row n-1 at every position.  Cached per (n, signs);
-    the scratch pass asks for n <= 12 alone.
+    Subsets have 2^n positions; sign patterns have 2^(n-1), so row n-1 is +1
+    throughout.  The scratch route asks for binary64 tables of n <= 12 rows,
+    the flip screen for binary64 sign tables of d <= 10, and each walk for
+    the subset table of its low rows (k <= _BLOCK_MAX_LOG) in the dtype of
+    its keys: at most 16 tables per dtype, about 4 MB in binary32.
     """
-    free = n - 1 if signs and n else n
-    bits = _gray_bits(free)
-    coef = np.ones((n, 1 << free))
-    coef[:free] = 1.0 - 2.0 * bits if signs else bits
+    j = np.arange(1 << (n - 1 if signs and n else n))
+    coef = _mask_coefs(j ^ j >> 1, n, signs, dtype)
     coef.setflags(write=False)
     return coef
 
@@ -353,7 +333,7 @@ def _low_walk(Xs: np.ndarray, k: int) -> np.ndarray:
     Every later row, the always-on row of a sign walk among them, enters
     through each block's high-row sum.
     """
-    return Xs[:k].T @ _gray_bits(k)
+    return Xs[:k].T @ _gray_coefs(k, False, Xs.dtype.type)
 
 
 def _slack(q: Exponent, n: int, d: int, u: float = _EPS / 2.0) -> float:
@@ -373,9 +353,9 @@ def _slack(q: Exponent, n: int, d: int, u: float = _EPS / 2.0) -> float:
     * Sum error.  Every float sum behind a key adds rows times +-1 or +-2:
       a walk sum, a box bound |s + c| + w with its prefix and suffix sums, a
       seed or leaf sum, a dual-table bound, and the scratch sum
-      ``_first_best`` ranks.  A subset sum has at most m = n + 4 terms, so
-      in any order it is within gamma_m A_j of its exact value in coordinate
-      j.  A sign sum, and its box, adds rows -2 x_k to the all-plus sum T,
+      ``_scratch_norms`` forms, which ``_first_best`` ranks.  A subset sum
+      has at most m = n + 4 terms, so in any order it is within gamma_m A_j
+      of its exact value in coordinate j.  A sign sum, and its box, adds rows -2 x_k to the all-plus sum T,
       itself a float sum of the n rows: counting T's rounding, m = 4n + 8.
       A binary32 walk first rounds each walked row to binary32, moving
       coordinate j of every sum by at most 3 u A_j more, inside either count.
@@ -619,12 +599,15 @@ def _exhaustive_best(X: np.ndarray, q: Exponent, signs: bool):
     arrays hold each family's (value, mask).  Sign patterns keep bit n-1
     clear: s and -s have the same norm, and the clear one comes first.  At
     most _SCRATCH_ALL_TERMS terms per family (positions times n d), the
-    family or the whole stack is one ``_scratch_maxima`` pass and one route
-    line, which counts every family's positions; a larger stack enumerates
-    each family alone.  Otherwise X is scaled by ``_below_one`` and, for
-    signs, its first n-1 rows become -2 x_k (exactly) and row n-1 the
-    all-plus sum, on at every position; every route then enumerates subsets
-    of the free rows, and only ``_first_best`` recomputes signed sums.
+    family or the whole stack is one ``_scratch_norms`` call on the cached
+    table of every Gray position (``_gray_coefs``), its first largest norm
+    per family taken, and one route line, which counts every family's
+    positions; a larger stack enumerates each family alone.  Otherwise X is
+    scaled by ``_below_one`` and, for signs, its first n-1 rows become
+    -2 x_k (exactly) and row n-1 the all-plus sum, on at every position;
+    every route then enumerates subsets of the free rows, and only
+    ``_first_best`` recomputes signed sums, of X itself, through the same
+    evaluator on its candidates' coefficients.
 
     The walk goes through the positions in reflected-Gray-code order, in
     blocks of ``_block_rows`` positions.  Each block is the high-row sum of
@@ -674,10 +657,13 @@ def _exhaustive_best(X: np.ndarray, q: Exponent, signs: bool):
         return 0.0, 0
     free = n - 1 if signs and n else n
     total = 1 << free
-    if total * n * d <= _SCRATCH_ALL_TERMS:
+    # a stack of vectors of length 0 goes family by family, each (0.0, 0), not through a table of 2^n positions
+    if total * n * max(d, 1) <= _SCRATCH_ALL_TERMS:
         stack = X if X.ndim == 3 else X[None]
         _log_route("scratch", len(stack) * total, 0, len(stack) * total)
-        values, masks = _scratch_maxima(stack, q, signs)
+        vals = _scratch_norms(stack, _gray_coefs(n, signs, np.float64), q)
+        k = vals.argmax(axis=1)
+        values, masks = np.maximum.reduce(vals, axis=1), k ^ (k >> 1)
         return (values, masks) if X.ndim == 3 else (float(values[0]), int(masks[0]))
     if X.ndim == 3:
         values, masks = np.zeros(len(X)), np.zeros(len(X), dtype=np.int64)

@@ -78,6 +78,21 @@ def sequential_scratch_max(X: np.ndarray, q, signs: bool = False):
     return best_val, best_mask
 
 
+def cumsum_scratch_norms(X: np.ndarray, masks: np.ndarray, q, signs: bool = False) -> np.ndarray:
+    """The lq norm of each int64 mask's subset sum (or signed sum, bit = 1 meaning -1) of the rows of X.
+
+    The per-candidate formula the kernel's scratch evaluator must match bit
+    for bit: one row of coefficients per mask from its bits, the terms
+    summed over the rows of X by a cumsum in index order, and each sum's
+    norm by ``row_major_norms``.
+    """
+    bit = masks[:, None] >> np.arange(X.shape[0]) & 1
+    coef = 1.0 - 2.0 * bit if signs else bit.astype(np.float64)
+    terms = coef[:, :, None] * X
+    np.cumsum(terms, axis=1, out=terms)
+    return row_major_norms(terms[:, -1], q)
+
+
 def dual_l1_max(X: np.ndarray, signs: bool = False) -> Fraction:
     """The exact largest l1 norm of a subset sum (or signed sum) of the rows of X, by duality.
 

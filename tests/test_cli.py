@@ -453,6 +453,14 @@ class TestQuotientCommand:
         assert res.returncode == 3
         assert "degenerate" in json.loads(res.stderr)["detail"]
 
+    def test_many_vectors_of_length_zero_are_degenerate(self, tmp_path):
+        # 40 empty rows: every subset sum is empty, and no table of 2^40 positions is built
+        path = tmp_path / "empty_rows.json"
+        path.write_text(json.dumps([[]] * 40))
+        res = run_cli("quotient", "--p", "2", "--q", "2", "--r", "2", "--avec", str(path))
+        assert res.returncode == 3 and res.stdout == ""
+        assert json.loads(res.stderr) == {"error": "domain-error", "detail": "degenerate family: denominator is zero"}
+
     def test_overflowing_family_domain_error(self, tmp_path):
         # column 0 sums to 2.4e308: subset sums would overflow binary64
         fam = np.random.default_rng(3).standard_normal((16, 8))

@@ -397,6 +397,14 @@ class TestFlipScreen:
                     assert floors[i, j] <= smax
                     assert smax - floors[i, j] <= 2.0 * slack * smax
 
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_the_shared_table_holds_every_half_sign_row(self, d):
+        # the screen's dual table is the kernel's Gray sign table, one row per pattern
+        S = unconditionality._gray_coefs(d, True, np.float64).T
+        rows = {tuple(row) for row in S.tolist()}
+        assert S.shape == (1 << (d - 1), d) and len(rows) == 1 << (d - 1)
+        assert set(S.ravel().tolist()) <= {-1.0, 1.0} and (S[:, -1] == 1.0).all()
+
     def test_floors_stay_at_the_binary64_slack(self, monkeypatch):
         # the screen is binary64: its floors are the scores times 1 - slack
         # with eps = 2^-52 written out, whatever precision the walk ranks in

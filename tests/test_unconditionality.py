@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from uncond import lemma_lab
 from uncond import unconditionality as U
 from uncond.lemma_lab import KG_UPPER, grothendieck_search
-from uncond.seqspace import EPS_NUM, ExponentTriple
+from uncond.seqspace import _TINY, EPS_NUM, ExponentTriple
 from uncond.unconditionality import (
     Family,
     quotient_lower_bound_search,
@@ -28,6 +28,7 @@ from uncond.seqspace import row_norms
 import _oracles
 from _oracles import (
     column_inf_max,
+    cumsum_scratch_norms,
     direct_quotient,
     dual_l1_max,
     exact_l2_sq,
@@ -141,6 +142,16 @@ class TestSubsetMaxNorm:
             for signs in (False, True):
                 values, masks = U._exhaustive_best(np.zeros((4, 0, d)), q, signs)
                 assert values.tolist() == [0.0] * 4 and masks.tolist() == [0] * 4
+
+    @pytest.mark.parametrize("n", [5, 12, 40, 62, 100])
+    def test_vectors_of_length_zero_at_any_size(self, n):
+        # every sum is the empty vector: no table of 2^n positions is built
+        q = U.Exponent.of(2)
+        for signs in (False, True):
+            values, masks = U._exhaustive_best(np.zeros((2, n, 0)), q, signs)
+            assert values.tolist() == [0.0, 0.0] and masks.tolist() == [0, 0]
+        with pytest.raises(ValueError, match="^degenerate family: denominator is zero$"):
+            unconditionality_quotient(np.zeros((n, 0)), np.zeros((n, 0)), ExponentTriple.of(2, 2, 2))
 
     @pytest.mark.parametrize("shape", [(0, 3, 2), (0, 8, 4)], ids=["scratch", "per-family"])
     def test_empty_stack(self, shape):
@@ -775,6 +786,181 @@ class TestWalkReach:
             subset_max_norm(X, 3)
 
 
+_EDGE_ENTRIES = [0.0, -0.0, _TINY, -_TINY, 3 * _TINY, 2.0**-1060, 1e-300, -1e-300, 1e300, -1e300, 1.0, -1.0, 0.1, 3.0]
+
+
+def _gray_masks(n: int, signs: bool = False) -> np.ndarray:
+    j = np.arange(1 << (n - 1 if signs else n))
+    return j ^ (j >> 1)
+
+
+class TestScratchEvaluator:
+    """The one scratch evaluator gives every norm of the per-candidate cumsum formula, bit for bit."""
+
+    EXPONENTS = [1, 1.5, 2, 3, 70, "inf"]
+
+    @staticmethod
+    def _family(rng, kind, n, d):
+        if kind == "edge":
+            return rng.choice(_EDGE_ENTRIES, size=(n, d))
+        if kind == "lattice":
+            # repeated and negated rows make exact ties
+            X = rng.integers(-2, 3, size=(n, d)) * 0.1
+            half = n // 2
+            X[n - half :] = X[:half] * rng.choice([-1.0, 1.0], size=(half, 1))
+            return X
+        return rng.standard_normal((n, d)) * 10.0 ** rng.integers(-300, 300, size=(n, 1))
+
+    @staticmethod
+    def _norms(X, masks, q, signs):
+        coef = U._mask_coefs(masks, X.shape[-2], signs, np.float64)
+        return U._scratch_norms(X if X.ndim == 3 else X[None], coef, U.Exponent.of(q))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 62),
+        d=st.integers(1, 12),
+        count=st.integers(1, 40),
+        q=st.sampled_from(EXPONENTS),
+        signs=st.booleans(),
+        kind=st.sampled_from(["normal", "edge", "lattice"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_cumsum_formula(self, n, d, count, q, signs, kind, seed):
+        rng = np.random.default_rng(seed)
+        X = self._family(rng, kind, n, d)
+        # any masks below 2^n, so up to bit 61, the full and the empty one included
+        masks = rng.integers(0, 1 << n, size=count, dtype=np.int64)
+        masks[0], masks[-1] = (1 << n) - 1, 0
+        got = self._norms(X, masks, q, signs)
+        assert got.shape == (1, count)
+        assert got[0].tobytes() == cumsum_scratch_norms(X, masks, q, signs).tobytes()
+
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_every_width(self, d):
+        # both sides of the 8-entry layout rule, each kind of entry, up to bit 61
+        rng = np.random.default_rng(239 + d)
+        for n in (1, 7, 8, 30, 62):
+            for kind in ("normal", "edge", "lattice"):
+                X = self._family(rng, kind, n, d)
+                masks = rng.integers(0, 1 << n, size=17, dtype=np.int64)
+                masks[0] = (1 << n) - 1
+                for q in self.EXPONENTS:
+                    for signs in (False, True):
+                        got = self._norms(X, masks, q, signs)[0]
+                        assert got.tobytes() == cumsum_scratch_norms(X, masks, q, signs).tobytes()
+
+    @pytest.mark.parametrize("q", EXPONENTS)
+    @pytest.mark.parametrize("signs", [False, True])
+    def test_lone_candidates_of_one_coordinate(self, q, signs):
+        # at d = 1 a lone candidate's n terms are one contiguous run, which a
+        # plain reduce over the rows adds pairwise from n = 8 on
+        rng = np.random.default_rng(211)
+        pairwise = 0
+        for n in (8, 9, 13, 22, 40, 62):
+            X = rng.standard_normal((n, 1)) * 10.0 ** rng.integers(-3, 4, size=(n, 1))
+            for mask in rng.integers(0, 1 << n, size=12, dtype=np.int64):
+                one = np.array([mask])
+                want = cumsum_scratch_norms(X, one, q, signs)
+                assert self._norms(X, one, q, signs)[0].tobytes() == want.tobytes()
+                coef = U._mask_coefs(one, n, signs, np.float64)
+                pairwise += np.add.reduce(X[:, :, None] * coef[:, None, :], axis=0)[0, 0] != np.cumsum(coef[:, 0] * X[:, 0])[-1]
+        # the data reaches the trap: a plain reduce differs on some of these sums
+        assert pairwise > 0
+
+    @pytest.mark.parametrize("q", EXPONENTS)
+    @pytest.mark.parametrize("d", [1, 2, 7, 8, 12])
+    def test_first_best_in_chunks(self, q, d):
+        # every chunk size, single candidates included, merges to the oracle's first maximum
+        rng = np.random.default_rng(223 + d)
+        for n in (8, 11):
+            X = rng.integers(-2, 3, size=(n, d)) * 0.1 if n == 8 else rng.standard_normal((n, d))
+            for signs in (False, True):
+                ranks = np.arange(1 << (n - signs))
+                masks = _gray_masks(n, signs)
+                vals = cumsum_scratch_norms(X, masks, q, signs)
+                k = int(np.argmax(vals))
+                want = (float(vals[k]), int(masks[k]))
+                assert want == sequential_scratch_max(X, q, signs)
+                for chunk in (1, 3, ranks.size):
+                    got = U._first_best(X, U.Exponent.of(q), signs, [ranks[:5], ranks[5:]], chunk, (-1.0, 0))
+                    assert got == want
+
+    @pytest.mark.parametrize("q", EXPONENTS)
+    def test_stacks_in_chunks_of_families(self, q, monkeypatch):
+        # a stack past _BLOCK_BYTES of terms is evaluated a few families at a time
+        rng = np.random.default_rng(227)
+        stack = rng.integers(-2, 3, size=(7, 5, 3)) * 0.1
+        stack[1] = -stack[0]
+        masks = _gray_masks(5)
+        whole = self._norms(stack, masks, q, False)
+        monkeypatch.setattr(U, "_BLOCK_BYTES", 2 * 8 * 5 * 3 * masks.size)
+        assert self._norms(stack, masks, q, False).tobytes() == whole.tobytes()
+        for k, X in enumerate(stack):
+            assert whole[k].tobytes() == cumsum_scratch_norms(X, masks, q).tobytes()
+
+    @pytest.mark.parametrize("signs", [False, True])
+    def test_gray_table(self, signs):
+        # column j holds the coefficients of the j-th Gray position, one read-only table per (n, signs, dtype)
+        for n in range(0, 7):
+            table = U._gray_coefs(n, signs, np.float64)
+            free = n - 1 if signs and n else n
+            want = [[(-1.0 if g >> k & 1 else 1.0) if signs else float(g >> k & 1) for g in _gray_masks(free)] for k in range(n)]
+            assert table.shape == (n, 1 << free) and table.tolist() == want
+            assert not table.flags.writeable and table is U._gray_coefs(n, signs, np.float64)
+            assert np.array_equal(U._gray_coefs(n, signs, np.float32), table)
+            assert U._gray_coefs(n, signs, np.float32).dtype == np.float32
+
+    def test_binary64_low_table_is_the_promoted_binary32_product(self):
+        # a binary64 walk reads the cached binary64 table: the same floats as
+        # promoting the binary32 table on every call
+        rng = np.random.default_rng(229)
+        for k in range(0, U._BLOCK_MAX_LOG + 1):
+            Xs = rng.standard_normal((k + 2, 9))
+            got = U._low_walk(Xs, k)
+            assert got.dtype == np.float64
+            assert got.tobytes() == (Xs[:k].T @ U._gray_coefs(k, False, np.float32)).tobytes()
+
+
+class TestTieHeavyRoutes:
+    """Exact ties decided alike on every route: the first largest scratch norm in Gray order."""
+
+    OFF = 1 << 62
+    #: (route logged, thresholds that force it)
+    ROUTES = [
+        ("scratch", {"_SCRATCH_ALL_TERMS": OFF}),
+        ("branch and bound", {"_SCRATCH_ALL_TERMS": 0, "_BNB_MIN_RATIO": 0, "_BNB_MIN_POSITIONS": 0}),
+        ("walk", {"_SCRATCH_ALL_TERMS": 0, "_BNB_MIN_POSITIONS": OFF, "_GRAM_MIN_POSITIONS": OFF}),
+        ("Gram walk", {"_SCRATCH_ALL_TERMS": 0, "_BNB_MIN_POSITIONS": OFF, "_GRAM_MIN_RATIO": 0, "_GRAM_MIN_POSITIONS": 0}),
+    ]
+
+    @staticmethod
+    def _families():
+        rng = np.random.default_rng(233)
+        families = [np.eye(n) for n in (1, 2, 5, 9, 14)] + [sylvester(3).matrix.copy()]
+        for shape in ((5, 3), (4, 8)):
+            rows = rng.integers(-2, 3, size=shape).astype(float)
+            families += [np.concatenate([rows, rows]), np.concatenate([rows, -rows[::-1]])]
+        return families
+
+    @pytest.mark.parametrize("route, thresholds", ROUTES, ids=[r for r, _ in ROUTES])
+    def test_every_route_matches_sequential_scratch(self, route, thresholds, monkeypatch):
+        for name, value in thresholds.items():
+            monkeypatch.setattr(U, name, value)
+        routes = TestBinary32Keys._routes(monkeypatch)
+        exponents = [2] if route == "Gram walk" else [1, 2, 3, 40, "inf"]
+        for X in self._families():
+            if route == "Gram walk" and X.shape[1] < X.shape[0]:
+                continue  # the factor of a narrow family is narrower than n: the route needs d >= n
+            for q in exponents:
+                for signs in (False, True):
+                    got = U._exhaustive_best(X, U.Exponent.of(q), signs)
+                    assert got == sequential_scratch_max(X, q, signs), (X.shape, q, signs)
+        assert routes and {r.split(" (")[0] for r in routes} == {route}
+        if route == "walk":
+            assert {"walk (binary32 keys)", "walk (binary64 keys)"} <= set(routes)
+
+
 class TestSignRoutes:
     """A sign maximum is a subset maximum of the rows -2 x_k with the all-plus sum always on:
     on every route it is the first largest signed sum in Gray order, added in index order."""
@@ -808,7 +994,7 @@ class TestSignRoutes:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_scratch_route_matches_sequential_scratch(self, n, d, q, kind, seed):
-        # 2^(n-1) n d <= _SCRATCH_ALL_TERMS: every pattern is summed at once by _scratch_maxima
+        # 2^(n-1) n d <= _SCRATCH_ALL_TERMS: every pattern is summed at once by _scratch_norms
         rng = np.random.default_rng(seed)
         if kind in ("decimal", "zero rows"):
             X = rng.integers(-3, 4, size=(n, d)) * 0.1
@@ -1673,7 +1859,7 @@ class TestStackedQuotient:
     @pytest.mark.parametrize("q", [1, 1.5, 2, 3, "inf", 100])
     def test_scratch_route_matches_the_sequential_oracle(self, q, monkeypatch):
         # lattice families with zero, repeated and negated rows tie often; a
-        # tiny stack or family, subsets or signs, is one _scratch_maxima pass
+        # tiny stack or family, subsets or signs, is one _scratch_norms pass
         # and never reaches _first_best.  The last stack (n = 7, d = 4) is past
         # the scratch route for subsets, so each family walks alone, and tiny
         # for its 2^6 sign patterns.

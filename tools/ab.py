@@ -38,7 +38,11 @@ unity.  It also runs seeded
 ``grothendieck_search`` at shapes and budgets the ``search`` workload does
 not: n5 d2 b6, n8 d2 b4, n9 d4 b2 and n14 d4 b2, and seeded
 ``quotient_lower_bound_search`` at (3, 3, 3): n1, n2, n6 and n8 at d4, n4
-at d7 and d8 (budget 8), and n3 d4 at budget 64.
+at d7 and d8 (budget 8), and n3 d4 at budget 64.  Exact maxima full of
+ties recompute many candidates from scratch: ``sign_max_norm`` of
+``np.eye(16)`` at q = 2 and of ``sylvester(4)`` at q = 1, 2 and 3; and
+one seeded ``subset_max_norm`` at n = 14, q = 40 is a walk with binary64
+keys.
 """
 
 from __future__ import annotations
@@ -151,6 +155,12 @@ class Witness:
         for n, d, b in self.QSEARCH:
             s = int(rng.integers(1 << 31))
             ops.append(Op(f"qsearch n{n} d{d} b{b}", lambda n=n, d=d, b=b, s=s: U.quotient_lower_bound_search(t, n, d, b, s), _no_check))
+        eye = U.Family(np.eye(16))
+        ops.append(Op("sign_max_norm eye16 q2", lambda: U.sign_max_norm(eye, 2), _no_check))
+        for q in (1, 2, 3):
+            ops.append(Op(f"sign_max_norm sylvester4 q{q}", lambda q=q: U.sign_max_norm(U.sylvester(4), q), _no_check))
+        X = U.Family(rng.standard_normal((14, 6)))
+        ops.append(Op("subset_max_norm n14 d6 q40", lambda: U.subset_max_norm(X, 40), _no_check))
         return ops
 
 
