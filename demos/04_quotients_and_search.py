@@ -3,8 +3,9 @@
 
 A quotient is a certified lower bound on the constant any unconditional
 action must admit.  Exhaustive subset maxima walk all 2^n subsets in
-Gray-code order (one vector update per step), and sign maxima are subset
-maxima of the same walk.  The seeded search (``quotient_lower_bound_search``:
+Gray-code order, in blocks: each block adds a cached table of the low rows'
+subset sums to one sum of the high rows.  Sign maxima are subset maxima of
+the same walk.  The seeded search (``quotient_lower_bound_search``:
 seeded random draws, climbed by coordinate ascent, each scored by an exact
 quotient) probes family space for large quotients, rediscovering the
 orthogonal-row extremals where the theory says the constant is infinite and

@@ -46,8 +46,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import InternalInconsistencyError
-from .seqspace import EPS_CMP, INF, Exponent, ExponentLike, ExponentTriple
-from .unconditionality import check_threads, quotient_lower_bound_search
+from .seqspace import EPS_CMP, INF, Exponent, ExponentLike, ExponentTriple, _require_int
+from .unconditionality import quotient_lower_bound_search
 from .witness import _strict_gap, hadamard_witness, tail_witness, witness_size
 
 logger = logging.getLogger(__name__)
@@ -223,11 +223,11 @@ def region_grid(
     points is worked out before any is built, and a grid of more than
     GRID_MAX_POINTS raises ValueError.  The whole lattice is classified by
     one call of the kernel ``classify`` uses, so every record equals
-    ``classify`` of its triple.  ``threads`` is accepted for compatibility
-    and validated; the grid is evaluated serially.  Each call logs its point
-    count and the count per clause at debug level.
+    ``classify`` of its triple.  ``threads``, an integer >= 1, is accepted
+    for compatibility and checked; the grid is evaluated serially.  Each
+    call logs its point count and the count per clause at debug level.
     """
-    check_threads(threads)
+    _require_int("threads", threads, 1)
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"step must be finite and positive, got {step!r}")
     r = Exponent.of(r)

@@ -25,11 +25,11 @@ from .lemma_lab import (
     real_subset_ratio,
     sandwich_sweep,
 )
-from .seqspace import Exponent, ExponentTriple
+from .seqspace import Exponent, ExponentTriple, _require_int
 from .unconditionality import (
+    DRAW_MAX_ENTRIES,
     Family,
     _checked_seed,
-    check_threads,
     quotient_lower_bound_search,
     unconditionality_quotient,
 )
@@ -40,8 +40,6 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_INTERNAL = 4
 
-#: Largest ``lemmas --dim``: each real draw is one vector of up to this many entries.
-LEMMAS_MAX_DIM = 1 << 20
 #: Largest ``lemmas --budget``: each unit is one Python-level real draw, and
 #: every tenth a complex trial of up to 14 entries enumerated exhaustively, so
 #: the cap keeps a run near a second (``--budget 65536 --dim 16``: 1.3 s).
@@ -259,14 +257,9 @@ def _run_search(args):
 
 
 def _run_lemmas(args):
-    for name, value, cap in (
-        ("--budget", args.budget, LEMMAS_MAX_BUDGET),
-        ("--dim", args.dim, LEMMAS_MAX_DIM),
-    ):
-        if value < 1:
-            raise ValueError(f"{name} {value} must be at least 1")
-        if value > cap:
-            raise ValueError(f"{name} {value} exceeds the cap of {cap}")
+    # each real draw is one vector of up to --dim entries, so --dim takes the cap of one draw
+    _require_int("--budget", args.budget, 1, LEMMAS_MAX_BUDGET)
+    _require_int("--dim", args.dim, 1, DRAW_MAX_ENTRIES)
     if args.budget * args.dim > LEMMAS_MAX_ENTRIES:
         raise ValueError(
             f"--budget {args.budget} times --dim {args.dim} exceeds the cap of "
@@ -346,7 +339,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(_joined(sys.argv[1:] if argv is None else argv, parser.options))
-        check_threads(args.threads)
+        _require_int("--threads", args.threads, 1)
         payload, pretty_text = _HANDLERS[args.command](args)
         text = _render(payload, pretty_text, args.pretty)
         if args.out:

@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .seqspace import EPS_NUM, Exponent, ExponentLike, _finite_array, row_norms
+from .seqspace import EPS_NUM, Exponent, ExponentLike, _finite_array, _require_int, row_norms
 from .unconditionality import (
     DRAW_MAX_ENTRIES,
     Family,
@@ -364,12 +364,9 @@ def sandwich_sweep(
     integer >= 1, trials * max(dims) > DRAW_MAX_ENTRIES and a pair outside
     1 <= p <= q < inf raise ValueError before anything is drawn.
     """
-    if not (isinstance(trials, (int, np.integer)) and trials >= 1):
-        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
-    for dim in dims:
-        if not (isinstance(dim, (int, np.integer)) and dim >= 1):
-            raise ValueError(f"dims must be integers >= 1, got {dim!r}")
-    entries = int(trials) * max(map(int, dims), default=0)  # Python ints: no int64 wrap
+    trials = _require_int("trials", trials, 1)
+    dims = [_require_int(f"dims[{k}]", dim, 1) for k, dim in enumerate(dims)]
+    entries = trials * max(dims, default=0)  # Python ints: no int64 wrap
     if entries > DRAW_MAX_ENTRIES:
         raise ValueError(f"trials * max(dims) = {entries} exceeds the cap of {DRAW_MAX_ENTRIES} entries per draw")
     pairs = [(Exponent.of(pv), Exponent.of(qv)) for pv, qv in p_q_pairs]
@@ -387,5 +384,5 @@ def sandwich_sweep(
             tol = -EPS_NUM * np.maximum(1.0, np_)
             violations = int(np.count_nonzero((lower < tol) | (upper < tol)))
             mins = float(lower.min()), float(upper.min())
-            records.append(SandwichSweepRecord(p, q, int(dim), trials, violations, *mins))
+            records.append(SandwichSweepRecord(p, q, dim, trials, violations, *mins))
     return SandwichSweepReport(tuple(records))

@@ -122,6 +122,21 @@ def _finite_array(values, dtype=np.float64) -> np.ndarray:
     return arr
 
 
+def _require_int(name: str, value, lo: int, hi: int | None = None) -> int:
+    """``value`` as a Python int if it is an int or numpy integer in [lo, hi]; else ValueError naming it.
+
+    The one check for every count, size, budget, seed and thread count; no
+    upper end when hi is None.  A bool is rejected, though Python counts it
+    an int, and so is every float, integral or not.
+    """
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        v = int(value)
+        if lo <= v and (hi is None or v <= hi):
+            return v
+    span = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+    raise ValueError(f"{name} must be an integer {span}, got {value!r}")
+
+
 class ExponentTriple(NamedTuple):
     """Exponents (p, q, r) for the action lp x lq -> lr.
 

@@ -75,6 +75,7 @@ from .seqspace import (
     _TINY,
     _column_norms,
     _finite_array,
+    _require_int,
     row_norms,
 )
 
@@ -771,20 +772,9 @@ def _log_route(route: str, positions: int, peak: int, recomputed: int) -> None:
     )
 
 
-def check_threads(threads: int) -> None:
-    """Reject a worker count below 1.
-
-    Every count of at least 1 is accepted and gives the same result: work
-    runs serially, since a thread pool over enumeration blocks or grid
-    points gave no speed-up.
-    """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-
-
 def _exact_max(fam, q: ExponentLike, signs: bool, threads: int) -> SubsetMaxResult:
     """The public exact subset (or sign) maximum: checked inputs, then ``_exhaustive_best`` with overflow warnings off."""
-    check_threads(threads)
+    _require_int("threads", threads, 1)
     with np.errstate(over="ignore"):
         val, mask = _exhaustive_best(Family.of(fam).matrix, Exponent.of(q), signs)
     if not math.isfinite(val):
@@ -1003,9 +993,7 @@ def _refine_families(A, X, t, best: _Quotient) -> _Quotient:
 
 def _checked_seed(seed):
     """The seed, if it is None or an integer >= 0; else ValueError naming it, which numpy's errors do not."""
-    if seed is not None and not (isinstance(seed, (int, np.integer)) and seed >= 0):
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    return seed
+    return seed if seed is None else _require_int("seed", seed, 0)
 
 
 def _trial_rngs(seed, budget: int):
@@ -1031,18 +1019,12 @@ def _seeded_restarts(n: int, dim: int, budget: int, seed, draw, climb, start=Non
     one pass), and by default each input is its draw.  Then, in trial order,
     ``climb(input, best)`` refines each into a tuple whose first field is the
     score, or returns None for a degenerate draw, which is skipped.  Only a
-    strictly higher score replaces the best.  An n, dim or budget that is not
-    an integer, n * dim > DRAW_MAX_ENTRIES, n > SEARCH_MAX_N and a seed other
-    than None or an integer >= 0 raise ValueError before anything is drawn.
+    strictly higher score replaces the best.  An n, dim or budget other than
+    an integer >= 1, n * dim > DRAW_MAX_ENTRIES, n > SEARCH_MAX_N and a seed
+    other than None or an integer >= 0 raise ValueError before anything is
+    drawn.
     """
-    for name, value in (("n", n), ("dim", dim), ("budget", budget)):
-        if not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    n, dim, budget = int(n), int(dim), int(budget)
-    if budget < 1:
-        raise ValueError("empty budget")
-    if n < 1 or dim < 1:
-        raise ValueError("n and dim must be >= 1")
+    n, dim, budget = _require_int("n", n, 1), _require_int("dim", dim, 1), _require_int("budget", budget, 1)
     if n * dim > DRAW_MAX_ENTRIES:
         raise ValueError(f"n * dim = {n * dim} exceeds the cap of {DRAW_MAX_ENTRIES} entries per draw")
     if n > SEARCH_MAX_N:

@@ -42,14 +42,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .seqspace import EPS_CMP, Exponent, ExponentLike, ExponentTriple
+from .seqspace import EPS_CMP, Exponent, ExponentLike, ExponentTriple, _require_int
 from .unconditionality import Family, ReachError, _exhaustive_best, _finite_parts
 
 #: Families are materialized only while they hold at most 2^20 float64 entries (8 MB).
@@ -82,9 +81,7 @@ def sylvester(n: int) -> Family:
     integer in range raises ValueError naming it.  Each n is built once per
     process and every call returns that one read-only ``Family``.
     """
-    if not isinstance(n, (int, np.integer)) or not 0 <= n <= MATERIALIZE_MAX_LOG:
-        raise ValueError(f"n must be an integer in [0, {MATERIALIZE_MAX_LOG}] (size cap 2^{MATERIALIZE_MAX_LOG}), got {n!r}")
-    return _sylvester(operator.index(n))
+    return _sylvester(_require_int("n", n, 0, MATERIALIZE_MAX_LOG))
 
 
 @functools.lru_cache(maxsize=MATERIALIZE_MAX_LOG + 1)
@@ -273,7 +270,6 @@ def _harmonic(limit: int, target: float = math.inf) -> tuple[int, float]:
     """
     if limit > TAIL_MAX_TERMS:
         raise ValueError(f"H_N is computed for N <= TAIL_MAX_TERMS = {TAIL_MAX_TERMS}, got N = {limit}")
-    limit = operator.index(limit)
     if limit < 1:
         return 0, 0.0
     N = max(1, min(limit, math.ceil(math.exp(min(math.log(limit), target - _EULER_GAMMA)))))
@@ -290,11 +286,6 @@ class TailWitness(NamedTuple):
     tail_q_bound: float
 
 
-def _require_count(N) -> None:
-    if not isinstance(N, (int, np.integer)) or N < 0:
-        raise ValueError(f"N must be an integer >= 0, got {N!r}")
-
-
 def divergent_tail_norm(r: ExponentLike, N: int) -> float:
     """||(x(1),...,x(N))||_r for x(n) = n^(-1/r): the harmonic number H_N to the 1/r.
 
@@ -303,7 +294,7 @@ def divergent_tail_norm(r: ExponentLike, N: int) -> float:
     r = Exponent.of(r)
     if r.is_infinite:
         raise ValueError("r must be finite")
-    _require_count(N)
+    N = _require_int("N", N, 0)
     return _harmonic(N)[1] ** (1.0 / r.value)
 
 
@@ -341,7 +332,7 @@ def tail_q_bound(q: ExponentLike, r: ExponentLike, N: int) -> float:
     r = Exponent.of(r)
     if r.is_infinite or not r < q:
         raise ValueError("requires r < q")
-    _require_count(N)
+    N = _require_int("N", N, 0)
     if N + 1 > sys.float_info.max:
         raise ValueError(f"N too large: N + 1, of {(N + 1).bit_length()} bits, exceeds the largest binary64 value")
     a = float(N + 1)

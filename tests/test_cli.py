@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from uncond import unconditionality, witness
 from uncond.seqspace import ExponentTriple
-from uncond.cli import LEMMAS_MAX_BUDGET, LEMMAS_MAX_DIM, main
+from uncond.unconditionality import DRAW_MAX_ENTRIES
+from uncond.cli import LEMMAS_MAX_BUDGET, main
 
 CLI = [sys.executable, "-m", "uncond.cli"]
 
@@ -291,22 +292,22 @@ class TestSizeCaps:
          "n * dim = 3000000000 exceeds the cap of 1048576 entries per draw"),
         (["grid", "--r", "2", "--step", "nan"], "step must be finite and positive, got nan"),
         (["grid", "--r", "2", "--step", "inf"], "step must be finite and positive, got inf"),
-        (["lemmas", "--dim", str(LEMMAS_MAX_DIM + 1), "--seed", "0"],
-         "--dim 1048577 exceeds the cap of 1048576"),
-        (["lemmas", "--dim", "0", "--seed", "0"], "--dim 0 must be at least 1"),
+        (["lemmas", "--dim", str(DRAW_MAX_ENTRIES + 1), "--seed", "0"],
+         "--dim must be an integer in [1, 1048576], got 1048577"),
+        (["lemmas", "--dim", "0", "--seed", "0"], "--dim must be an integer in [1, 1048576], got 0"),
         (["lemmas", "--budget", str(LEMMAS_MAX_BUDGET + 1), "--seed", "0"],
-         "--budget 65537 exceeds the cap of 65536"),
-        (["lemmas", "--budget", "-2", "--seed", "0"], "--budget -2 must be at least 1"),
-        (["lemmas", "--budget", "0", "--dim", "0", "--seed", "0"], "--budget 0 must be at least 1"),
-        (["lemmas", "--budget", str(LEMMAS_MAX_BUDGET), "--dim", str(LEMMAS_MAX_DIM), "--seed", "0"],
+         "--budget must be an integer in [1, 65536], got 65537"),
+        (["lemmas", "--budget", "-2", "--seed", "0"], "--budget must be an integer in [1, 65536], got -2"),
+        (["lemmas", "--budget", "0", "--dim", "0", "--seed", "0"], "--budget must be an integer in [1, 65536], got 0"),
+        (["lemmas", "--budget", str(LEMMAS_MAX_BUDGET), "--dim", str(DRAW_MAX_ENTRIES), "--seed", "0"],
          "--budget 65536 times --dim 1048576 exceeds the cap of 16777216 entries; lower one of them"),
-        (["lemmas", "--budget", "17", "--dim", str(LEMMAS_MAX_DIM), "--seed", "0"],
+        (["lemmas", "--budget", "17", "--dim", str(DRAW_MAX_ENTRIES), "--seed", "0"],
          "--budget 17 times --dim 1048576 exceeds the cap of 16777216 entries; lower one of them"),
         (["search", "--p", "3", "--q", "3", "--r", "3", "--n", "3", "--dim", "2", "--budget", "1", "--seed", "-1"],
-         "seed must be a non-negative integer, got -1"),
+         "seed must be an integer >= 0, got -1"),
         (["grothendieck", "--n", "3", "--dim", "2", "--budget", "1", "--seed", "-1"],
-         "seed must be a non-negative integer, got -1"),
-        (["lemmas", "--budget", "3", "--dim", "2", "--seed", "-1"], "seed must be a non-negative integer, got -1"),
+         "seed must be an integer >= 0, got -1"),
+        (["lemmas", "--budget", "3", "--dim", "2", "--seed", "-1"], "seed must be an integer >= 0, got -1"),
     ], ids=["grid", "stalled-grid", "search", "grothendieck", "nan-step", "inf-step", "lemmas",
             "lemmas-dim-0", "lemmas-budget", "lemmas-negative-budget", "lemmas-budget-first",
             "lemmas-both-caps", "lemmas-entries", "search-seed", "grothendieck-seed", "lemmas-seed"])

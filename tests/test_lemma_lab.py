@@ -304,7 +304,7 @@ class TestGrothendieckSearch:
         assert rep.ratio >= SQRT2 - 1e-9
 
     def test_empty_budget(self):
-        with pytest.raises(ValueError, match="empty budget"):
+        with pytest.raises(ValueError, match=r"^budget must be an integer >= 1, got 0$"):
             grothendieck_search(2, 2, budget=0, seed=0)
 
     @pytest.mark.parametrize("n, dim, budget, name, value", [
@@ -317,7 +317,7 @@ class TestGrothendieckSearch:
         # 10.0 gave "unsupported operand type(s) for <<", and 2.5 a numpy TypeError
         with pytest.raises(ValueError) as err:
             grothendieck_search(n, dim, budget, 0)
-        assert str(err.value) == f"{name} must be an integer, got {value!r}"
+        assert str(err.value) == f"{name} must be an integer >= 1, got {value!r}"
 
     def test_numpy_integers_accepted(self):
         want = grothendieck_search(5, 2, 3, 0)
@@ -328,7 +328,7 @@ class TestGrothendieckSearch:
     def test_bad_seed_is_named(self, seed):
         with pytest.raises(ValueError) as err:
             grothendieck_search(2, 2, budget=1, seed=seed)
-        assert str(err.value) == f"seed must be a non-negative integer, got {seed!r}"
+        assert str(err.value) == f"seed must be an integer >= 0, got {seed!r}"
 
     def test_running_best_nondecreasing_in_budget(self):
         vals = [grothendieck_search(2, 3, budget=b, seed=11).ratio for b in (5, 20, 60)]
@@ -602,7 +602,7 @@ class TestSandwichSweep:
         monkeypatch.setattr(np.random, "default_rng", lambda *a: pytest.fail("drew"))
         with pytest.raises(ValueError) as err:
             sandwich_sweep((2, dim), ((1, 2),), trials=10, seed=0)
-        assert str(err.value) == f"dims must be integers >= 1, got {dim!r}"
+        assert str(err.value) == f"dims[1] must be an integer >= 1, got {dim!r}"
 
     @pytest.mark.parametrize("trials", [0, 2.5, "3", None])
     def test_trials_checked_before_drawing(self, trials, monkeypatch):
@@ -632,7 +632,7 @@ class TestSandwichSweep:
         for seed in (-1, 1.5, np.int64(-2), "3"):
             with pytest.raises(ValueError) as err:
                 sandwich_sweep((2,), ((1, 2),), trials=10, seed=seed)
-            assert str(err.value) == f"seed must be a non-negative integer, got {seed!r}"
+            assert str(err.value) == f"seed must be an integer >= 0, got {seed!r}"
         for seed in (None, 0, np.int64(5)):
             assert sandwich_sweep((2,), ((1, 2),), trials=10, seed=seed).violations == 0
 

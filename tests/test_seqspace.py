@@ -13,6 +13,7 @@ from uncond.seqspace import (
     INF,
     Exponent,
     ExponentTriple,
+    _require_int,
     norm,
     row_norms,
 )
@@ -326,3 +327,27 @@ class TestComplexEntries:
         rep = complex_subset_ratio(np.array([1 + 5j, 2.0]))
         assert rep.witness.tolist() == [1 + 5j, 2 + 0j]
         assert rep.ratio == pytest.approx((abs(1 + 5j) + 2.0) / abs(3 + 5j), rel=1e-12)
+
+
+class TestRequireInt:
+    @pytest.mark.parametrize("value", [0, 3, 7, np.int64(3), np.uint8(7), np.int8(0)])
+    def test_an_integer_in_range_comes_back_a_python_int(self, value):
+        got = _require_int("k", value, 0, 7)
+        assert type(got) is int and got == int(value)
+
+    def test_no_upper_end(self):
+        assert _require_int("k", 10**400, 1) == 10**400
+        assert _require_int("k", np.uint64(2**64 - 1), 1) == 2**64 - 1
+
+    @pytest.mark.parametrize("value", [True, False, np.bool_(False), 1.0, 2.5, "2", None, b"2", 1j, -1, 8,
+                                       np.int64(-1), np.uint8(8), np.float64(3.0)])
+    def test_anything_else_is_named(self, value):
+        with pytest.raises(ValueError) as err:
+            _require_int("k", value, 0, 7)
+        assert str(err.value) == f"k must be an integer in [0, 7], got {value!r}"
+
+    def test_the_open_form(self):
+        for value in (0, -(10**400), np.int64(-5), True, 2.0):
+            with pytest.raises(ValueError) as err:
+                _require_int("--budget", value, 1)
+            assert str(err.value) == f"--budget must be an integer >= 1, got {value!r}"

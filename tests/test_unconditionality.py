@@ -1590,7 +1590,7 @@ class TestIntegerSearchArguments:
     def test_non_integers_are_named(self, n, dim, budget, name, value):
         with pytest.raises(ValueError) as err:
             quotient_lower_bound_search(ExponentTriple.of(2, 2, 2), n, dim, budget, 0)
-        assert str(err.value) == f"{name} must be an integer, got {value!r}"
+        assert str(err.value) == f"{name} must be an integer >= 1, got {value!r}"
 
     def test_checked_before_anything_is_drawn(self, monkeypatch):
         monkeypatch.setattr(U, "_trial_rngs", mock.Mock(side_effect=AssertionError("drew")))
@@ -1625,7 +1625,7 @@ class TestQuotientSearch:
         assert res.quotient >= SQRT2 - 1e-9
 
     def test_empty_budget(self):
-        with pytest.raises(ValueError, match="empty budget"):
+        with pytest.raises(ValueError, match=r"^budget must be an integer >= 1, got 0$"):
             quotient_lower_bound_search(ExponentTriple.of(2, 2, 2), 2, 2, budget=0, seed=0)
 
     def test_bad_seed_is_named(self):
@@ -1634,7 +1634,7 @@ class TestQuotientSearch:
         for seed in (-1, 1.5, np.int64(-2), "3"):
             with pytest.raises(ValueError) as err:
                 quotient_lower_bound_search(t, 2, 2, 1, seed)
-            assert str(err.value) == f"seed must be a non-negative integer, got {seed!r}"
+            assert str(err.value) == f"seed must be an integer >= 0, got {seed!r}"
         for seed in (None, 0, np.int64(5)):
             assert quotient_lower_bound_search(t, 2, 2, 1, seed).quotient > 0.0
 
